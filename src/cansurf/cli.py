@@ -302,13 +302,6 @@ def _add_graph_arguments(sub):
     sub.add_argument("triangulation", help="gluing table file")
     sub.add_argument("seed", help="seed surface file")
     sub.add_argument("--budget", type=int, default=None, help="weight budget")
-    sub.add_argument("--config", default=None, help="bounds config file")
-    sub.add_argument("--genus", type=int, default=None)
-    sub.add_argument("--sweepout-max-area", type=float, default=None)
-    sub.add_argument("--weight-scale", type=float, default=None)
-    sub.add_argument("--injectivity-radius", type=float, default=None)
-    sub.add_argument("--compression-floor", type=float, default=None)
-    sub.add_argument("--margin", type=float, default=0.99)
     sub.add_argument("--moves", default=None,
                      help="comma-separated move kinds (default V0,E1,F2',PINCH,UNPINCH)")
     sub.add_argument("--catalog", action="append", default=None,
@@ -342,23 +335,27 @@ def make_parser():
     p.add_argument("--subdivide", type=int, default=0)
     p.set_defaults(func=cmd_validate)
 
-    p = subs.add_parser("bounds", help="compute the search constants")
-    p.add_argument("--config", default=None)
-    p.add_argument("--genus", type=int, default=None)
-    p.add_argument("--sweepout-max-area", type=float, default=None)
-    p.add_argument("--weight-scale", type=float, default=None)
-    p.add_argument("--injectivity-radius", type=float, default=None)
-    p.add_argument("--compression-floor", type=float, default=None)
-    p.add_argument("--margin", type=float, default=0.99)
+    # The bounds flags, shared by every subcommand that derives a budget.
+    bounds = argparse.ArgumentParser(add_help=False)
+    bounds.add_argument("--config", default=None, help="bounds config file")
+    bounds.add_argument("--genus", type=int, default=None)
+    bounds.add_argument("--sweepout-max-area", type=float, default=None)
+    bounds.add_argument("--weight-scale", type=float, default=None)
+    bounds.add_argument("--injectivity-radius", type=float, default=None)
+    bounds.add_argument("--compression-floor", type=float, default=None)
+    bounds.add_argument("--margin", type=float, default=0.99)
+
+    p = subs.add_parser("bounds", help="compute the search constants", parents=[bounds])
     p.add_argument("--budget", type=int, default=None, help=argparse.SUPPRESS)
     p.add_argument("--json", action="store_true")
     p.set_defaults(func=cmd_bounds)
 
-    p = subs.add_parser("graph", help="build the move graph from a seed surface")
+    p = subs.add_parser("graph", help="build the move graph from a seed surface", parents=[bounds])
     _add_graph_arguments(p)
     p.set_defaults(func=cmd_graph, out_loops=None)
 
-    p = subs.add_parser("generators", help="build the graph and emit generator loops")
+    p = subs.add_parser("generators", parents=[bounds],
+                        help="build the graph and emit generator loops")
     _add_graph_arguments(p)
     p.add_argument("--out-loops", default=None)
     p.set_defaults(func=cmd_generators)

@@ -7,9 +7,11 @@ edge is stored once, as (u, v, move from u, move from v) with u <= v as
 key bytes, and the edge multiset is deduplicated on that quadruple, so
 parallel edges produced by genuinely different moves survive.
 
-Neighbour generation for a frontier wave can fan out over a process
-pool; discovered vertices and edges are merged in frontier order, so the
-vertex numbering, the edge set and every export are byte-identical
+The serial closure passes Surface objects.  With workers > 1 a frontier
+wave fans out over a process pool, and text crosses only that boundary;
+only results that are new vertices are parsed back.  Each source's
+neighbours are merged in frontier order as soon as it is expanded, so
+the vertex numbering, the edge set and every export are byte-identical
 regardless of the worker count.
 
 Generators of the fundamental group: a breadth-first spanning tree is
@@ -20,6 +22,7 @@ number of loops equals |edges| - |vertices| + 1.
 
 from __future__ import annotations
 
+import collections
 import concurrent.futures
 import hashlib
 import json
@@ -141,22 +144,31 @@ def _worker_init(tri_text, budget, move_set, catalog_spec):
 
 
 def _worker_neighbors(surf_text):
-    tri = _WORKER["tri"]
-    surf = parse_surface(tri, surf_text)
+    surf = parse_surface(_WORKER["tri"], surf_text)
     stats = {}
-    found = neighbors(
-        surf,
-        _WORKER["budget"],
-        move_set=_WORKER["move_set"],
-        catalog=_WORKER["catalog"],
-        stats=stats,
-    )
-    out = [
-        (n.move.to_text(), n.inverse.to_text(), n.surface.to_text())
-        for n in found
-    ]
-    stats.pop("pinched_spheres", None)
-    return out, stats
+    found = neighbors(surf, _WORKER["budget"], _WORKER["move_set"], _WORKER["catalog"], stats)
+    return [(n.move.to_text(), n.inverse.to_text(), n.surface.to_text()) for n in found], stats
+
+
+def _expand_serial(graph, keys, catalog):
+    """Expand vertices in process: (key, stats, found) per source, found
+    holding (move text, inverse text, result key, result Surface)."""
+    for key in keys:
+        surf = graph.vertices[key]
+        stats = {}
+        found = neighbors(surf, graph.budget, graph.move_set, catalog, stats)
+        surf.release_geometry()
+        yield key, stats, [
+            (n.move.to_text(), n.inverse.to_text(), n.surface.canonical_key(), n.surface)
+            for n in found
+        ]
+
+
+def _expand_pool(pool, graph, keys):
+    """As _expand_serial, over the pool; results stay text until merged."""
+    texts = [graph.vertices[k].to_text() for k in keys]
+    for key, (found, stats) in zip(keys, pool.map(_worker_neighbors, texts, chunksize=1)):
+        yield key, stats, [(m, i, r.encode(), r) for m, i, r in found]
 
 
 def build(
@@ -171,7 +183,8 @@ def build(
 
     The seed must be valid, crudely normal, and within the budget.
     Raises PartialGraphError (carrying the partial graph) when a limit
-    triggers, instead of silently truncating.
+    triggers, instead of silently truncating.  Limits are checked after
+    every new vertex and every expanded source.
     """
     cls = seed.validate()
     if cls != CRUDELY_NORMAL:
@@ -183,7 +196,7 @@ def build(
     limits = limits or Limits()
     tri = seed.tri
     graph = MoveGraph(tri, seed.canonical_key(), budget, move_set)
-    graph.stats = {"budget_rejected": 0, "pinched_spheres": {}}
+    graph.stats = {"budget_rejected": 0, "pinched_spheres": collections.Counter()}
     graph.vertices[seed.canonical_key()] = seed
     start_time = time.monotonic()
     frontier = [seed.canonical_key()]
@@ -207,31 +220,26 @@ def build(
             initializer=_worker_init,
             initargs=(tri.to_text(), budget, sorted(move_set), _catalog_spec(catalog)),
         )
-    else:
-        _worker_init(tri.to_text(), budget, sorted(move_set), _catalog_spec(catalog))
     try:
         while frontier:
             frontier.sort()
-            texts = [graph.vertices[k].to_text() for k in frontier]
-            if pool is not None:
-                wave = list(pool.map(_worker_neighbors, texts, chunksize=1))
+            if pool is None:
+                wave = _expand_serial(graph, frontier, catalog)
             else:
-                wave = [_worker_neighbors(t) for t in texts]
+                wave = _expand_pool(pool, graph, frontier)
             next_frontier = []
-            for src_key, (found, stats) in zip(frontier, wave):
-                graph.stats["budget_rejected"] += stats.get("budget_rejected", 0)
-                for move_text, inverse_text, result_text in found:
-                    result_key = result_text.encode()
+            for src_key, stats, found in wave:
+                graph.stats["budget_rejected"] += stats["budget_rejected"]
+                graph.stats["pinched_spheres"].update(stats["pinched_spheres"])
+                for move_text, inverse_text, result_key, result in found:
                     if result_key not in graph.vertices:
-                        graph.vertices[result_key] = parse_surface(tri, result_text)
+                        if pool is not None:
+                            result = parse_surface(tri, result)
+                        graph.vertices[result_key] = result
                         next_frontier.append(result_key)
                         check_limits()
                     graph.add_edge(src_key, result_key, move_text, inverse_text)
-                    m = parse_move(move_text)
-                    if m.kind == "PINCH":
-                        counts = graph.stats["pinched_spheres"]
-                        counts[m.sphere] = counts.get(m.sphere, 0) + 1
-            check_limits()
+                check_limits()
             frontier = next_frontier
     finally:
         if pool is not None:

@@ -224,9 +224,6 @@ class SphereCatalog:
             raise SemanticError("no catalog sphere '{}'".format(sphere_id))
         return entry
 
-    def describe(self):
-        return [(e.sphere_id, e.weight()) for e in self.entries]
-
 
 def default_catalog(tri):
     """One vertex-linking sphere per vertex class."""

@@ -44,7 +44,7 @@ import hashlib
 import itertools
 
 from .errors import ParseError, SemanticError
-from .triangulation import EDGE_VERTICES, edge_number
+from .triangulation import EDGE_VERTICES, _UnionFind, edge_number
 
 CRUDELY_NORMAL = "crudely_normal"
 CRUDELY_ALMOST_NORMAL = "crudely_almost_normal"
@@ -274,19 +274,8 @@ class TetGeometry:
             face_regions.append((layout, gap_region, chord_sides))
             offsets.append(total)
             total += count
-        parent = list(range(total))
-
-        def find(x):
-            while parent[x] != x:
-                parent[x] = parent[parent[x]]
-                x = parent[x]
-            return x
-
-        def union(x, y):
-            rx, ry = find(x), find(y)
-            if rx != ry:
-                parent[ry] = rx
-
+        uf = _UnionFind(total)
+        find, union = uf.find, uf.union
         for e_local in range(6):
             a, b = EDGE_VERTICES[e_local]
             e_cls = tri.edge_class_of[(tet, e_local)]
@@ -411,6 +400,11 @@ class Surface:
             geo = TetGeometry(self, tet)
             self._tets[tet] = geo
         return geo
+
+    def release_geometry(self):
+        """Drop the per-tet geometry cache.  A fresh dict, not clear():
+        other surfaces may share the old one."""
+        self._tets = {}
 
     def curves(self, tet):
         """Canonically ordered boundary curves of the given tetrahedron."""

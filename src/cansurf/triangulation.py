@@ -98,9 +98,10 @@ class _UnionFind:
         self.parent = list(range(n))
 
     def find(self, x):
-        while self.parent[x] != x:
-            self.parent[x] = self.parent[self.parent[x]]
-            x = self.parent[x]
+        parent = self.parent
+        while parent[x] != x:
+            parent[x] = parent[parent[x]]
+            x = parent[x]
         return x
 
     def union(self, x, y):

@@ -1,3 +1,5 @@
+import time
+
 import pytest
 
 from cansurf import (
@@ -13,7 +15,9 @@ from cansurf import (
     generators,
     import_json,
     replay,
+    vertex_link,
 )
+from cansurf import movegraph
 from cansurf.moves import DEFAULT_MOVE_SET, E1, F2, F2P, PINCH, UNPINCH, V0
 
 
@@ -100,6 +104,26 @@ def test_worker_determinism(tri, link, catalog):
     g1 = build(link, 8, catalog=catalog, workers=1)
     g2 = build(link, 8, catalog=catalog, workers=4)
     assert export_json(g1) == export_json(g2)
+    assert export_dot(g1) == export_dot(g2)
+    assert generators(g1).to_text() == generators(g2).to_text()
+
+
+def test_serial_build_passes_surfaces(tri, link, catalog, monkeypatch):
+    def no_parse(*args):
+        raise AssertionError("the serial build parsed a surface")
+
+    monkeypatch.setattr(movegraph, "parse_surface", no_parse)
+    monkeypatch.setattr(movegraph, "_WORKER", {})
+    g = build(link, 8, catalog=catalog)
+    assert len(g.vertices) == 126
+    assert movegraph._WORKER == {}
+
+
+def test_serial_time_limit_overrun_bounded(tri, catalog):
+    start = time.monotonic()
+    with pytest.raises(PartialGraphError, match="time limit"):
+        build(vertex_link(tri, 0), 10, catalog=catalog, limits=Limits(max_seconds=1.0))
+    assert time.monotonic() - start < 2.5
 
 
 def test_vertex_limit_partial(tri, link, catalog):
