@@ -12,7 +12,11 @@ wave fans out over a process pool, and text crosses only that boundary;
 only results that are new vertices are parsed back.  Each source's
 neighbours are merged in frontier order as soon as it is expanded, so
 the vertex numbering, the edge set and every export are byte-identical
-regardless of the worker count.
+regardless of the worker count.  A pool worker clears the process-wide
+tet-geometry memo (see ``surface``) at the start of every task: which
+worker runs which task varies from run to run, and a memo carried over
+between tasks would make the work a task does depend on that.  When a
+limit stops a pool build, tasks that have not started are cancelled.
 
 Generators of the fundamental group: a breadth-first spanning tree is
 rooted at the seed, and every non-tree edge (u, v, m) contributes one
@@ -38,7 +42,7 @@ from .moves import (
     neighbors,
     parse_move,
 )
-from .surface import CRUDELY_NORMAL, Surface, parse_surface, vertex_link
+from .surface import _TET_MEMO, CRUDELY_NORMAL, Surface, parse_surface, vertex_link
 from .triangulation import parse_triangulation
 
 
@@ -144,6 +148,7 @@ def _worker_init(tri_text, budget, move_set, catalog_spec):
 
 
 def _worker_neighbors(surf_text):
+    _TET_MEMO.clear()
     surf = parse_surface(_WORKER["tri"], surf_text)
     stats = {}
     found = neighbors(surf, _WORKER["budget"], _WORKER["move_set"], _WORKER["catalog"], stats)
@@ -243,7 +248,7 @@ def build(
             frontier = next_frontier
     finally:
         if pool is not None:
-            pool.shutdown()
+            pool.shutdown(cancel_futures=True)
     graph.stats["vertices"] = len(graph.vertices)
     graph.stats["edges"] = len(graph.edges)
     graph.stats["rank"] = graph.rank()

@@ -364,10 +364,10 @@ def _require_valid_result(surf, context):
 
 
 def _curve_of_copy(geo, f, pair):
-    for copy_id, (cf, cpair, _, _) in enumerate(geo.arc_copies):
-        if cf == f and cpair == pair:
-            return geo.copy_curve[copy_id]
-    raise SemanticError("arc {} not found on face {}".format(pair, f))
+    curve = geo.arc_curve.get((f, pair))
+    if curve is None:
+        raise SemanticError("arc {} not found on face {}".format(pair, f))
+    return curve
 
 
 def _edge_incidences(surf, e):
@@ -789,7 +789,6 @@ def _apply_f2(surf, move):
     matchings = list(surf.matchings)
     matchings[cid] = tuple(sorted(rest + chosen))
     probe = Surface(tri, surf.weights, matchings)
-    # Untouched tetrahedra keep identical curve systems.
     geo_l_new = probe.tet_geometry(t_l)
     geo_g_new = probe.tet_geometry(t_g)
     overrides = {}
@@ -825,9 +824,6 @@ def _apply_f2(surf, move):
     for tet in range(tri.tet_count):
         annuli.append(overrides.get(tet, surf.annuli[tet]))
     result = Surface(tri, surf.weights, matchings, annuli)
-    result._tets.update(
-        {t: geo for t, geo in surf._tets.items() if t not in (t_l, t_g)}
-    )
     # Classification is symmetric: F2 when the arcs lie on a single curve in
     # both tetrahedra on either end of the move.
     la = _curve_of_copy(geo_l_new, f_l, chosen[0]) == _curve_of_copy(geo_l_new, f_l, chosen[1])
@@ -938,11 +934,11 @@ def _apply_pinch(surf, move, catalog):
 def _component_cells(surf, tet, curve):
     """Split the annulus of ``tet`` into disks and return the component
     containing the given curve's piece.  Curve systems are unaffected by
-    the piece assignment, so geometry caches are shared."""
+    the piece assignment, so the split surface finds the same geometry in
+    the tet-geometry memo."""
     annuli = list(surf.annuli)
     annuli[tet] = ()
     split = Surface(surf.tri, surf.weights, surf.matchings, annuli)
-    split._tets = surf._tets
     for comp in split.components():
         if ("pc", tet, curve) in comp:
             return split, comp

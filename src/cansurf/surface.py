@@ -35,10 +35,18 @@ reduce to the canonical text serialization, whose grammar is::
 Lines starting with '#' are comments.  The serializer emits every face
 and tetrahedron line in class order with pairs sorted, so equal strings
 mean equal encodings and conversely.
+
+Geometry is memoized process-wide.  ``_face_layout`` caches slot
+bookkeeping per weight vector, and ``_TET_MEMO`` caches each
+``TetGeometry`` on its tetrahedron's local data (the six edge weights
+and four face matchings), so surfaces that agree on a tetrahedron share
+one curve system there.  The tet memo is least-recently-used and holds
+at most ``max(128, 4 * tet_count)`` entries.
 """
 
 from __future__ import annotations
 
+import collections
 import functools
 import hashlib
 import itertools
@@ -199,8 +207,17 @@ def _face_layout(tri, weights, cid):
     return FaceLayout(tri, cid, weights)
 
 
+# TetGeometry by (tri, tet, edge weights, face matchings) of that tet,
+# least recently used first; see Surface.tet_geometry.
+_TET_MEMO = collections.OrderedDict()
+
+
 class TetGeometry:
-    """Curves and complementary regions on one tetrahedron's boundary."""
+    """Curves and complementary regions on one tetrahedron's boundary.
+
+    A pure function of the tetrahedron's local data, so one instance is
+    shared by every surface that agrees there; it must not be mutated.
+    """
 
     def __init__(self, surface, tet):
         tri = surface.tri
@@ -208,7 +225,7 @@ class TetGeometry:
         # Nodes: (tetrahedron edge 0..5, class point index).
         self.node_curve = {}
         adjacency = {}
-        arc_copies = []  # (face, chord pair, node_a, node_b)
+        arcs = []  # (face, chord pair) per arc copy
         for f in range(4):
             cid = tri.face_class_of[(tet, f)]
             layout = surface.face_layout(cid)
@@ -219,15 +236,14 @@ class TetGeometry:
                     k, _ = layout.side_of_slot(s)
                     e_cls, i = layout.point_of_slot(s)
                     nodes.append((layout.side_tet_edges[k][inc], i))
-                copy_id = len(arc_copies)
-                arc_copies.append((f, pair, nodes[0], nodes[1]))
+                copy_id = len(arcs)
+                arcs.append((f, pair))
                 for end, node in enumerate(nodes):
                     adjacency.setdefault(node, []).append((copy_id, nodes[1 - end]))
-        self.arc_copies = arc_copies
         # Trace closed curves; every node has exactly two incident arc ends.
         curves = []
         visited_nodes = set()
-        copy_curve = [None] * len(arc_copies)
+        copy_curve = [None] * len(arcs)
         for start in sorted(adjacency):
             if start in visited_nodes:
                 continue
@@ -254,7 +270,8 @@ class TetGeometry:
         order = sorted(range(len(curves)), key=lambda c: curves[c][0])
         rank = {old: new for new, old in enumerate(order)}
         self.curves = tuple(curves[old] for old in order)
-        self.copy_curve = [rank[c] for c in copy_curve]
+        # Curve of each arc copy, keyed (face, chord pair), in arc-copy order.
+        self.arc_curve = {arc: rank[c] for arc, c in zip(arcs, copy_curve)}
         for c, nodes in enumerate(self.curves):
             for node in nodes:
                 self.node_curve[node] = c
@@ -310,8 +327,7 @@ class TetGeometry:
             )
         # Two regions adjacent to each curve, via any of its arc copies.
         adj = [None] * len(self.curves)
-        for copy_id, (f, pair, _, _) in enumerate(self.arc_copies):
-            c = self.copy_curve[copy_id]
+        for (f, pair), c in self.arc_curve.items():
             outer, inner = self._face_regions[f][2][pair]
             sides = (find(self._offsets[f] + outer), find(self._offsets[f] + inner))
             if adj[c] is None:
@@ -395,15 +411,37 @@ class Surface:
         return _face_chord_regions(self.face_layout(cid).n, self.matchings[cid])
 
     def tet_geometry(self, tet):
+        """The tetrahedron's curve system.  Looked up in this surface's
+        own cache, then in the process-wide ``_TET_MEMO`` on the tet's
+        edge weights and face matchings, and traced only when both miss.
+        The memo drops its least recently used entries beyond
+        ``max(128, 4 * tet_count)``; a tracing error is raised, not
+        cached."""
         geo = self._tets.get(tet)
         if geo is None:
-            geo = TetGeometry(self, tet)
+            tri = self.tri
+            edges, faces = tri.tet_local_classes[tet]
+            weights, matchings = self.weights, self.matchings
+            key = (
+                tri,
+                tet,
+                tuple([weights[e] for e in edges]),
+                tuple([matchings[c] for c in faces]),
+            )
+            geo = _TET_MEMO.get(key)
+            if geo is None:
+                geo = TetGeometry(self, tet)
+                _TET_MEMO[key] = geo
+                while len(_TET_MEMO) > max(128, 4 * tri.tet_count):
+                    _TET_MEMO.popitem(last=False)
+            else:
+                _TET_MEMO.move_to_end(key)
             self._tets[tet] = geo
         return geo
 
     def release_geometry(self):
-        """Drop the per-tet geometry cache.  A fresh dict, not clear():
-        other surfaces may share the old one."""
+        """Drop this surface's per-tet geometry references; the shared
+        memo keeps recently used ones."""
         self._tets = {}
 
     def curves(self, tet):
@@ -535,9 +573,8 @@ class Surface:
                 arcs[(cid, pair)] = {"points": endpoints, "attach": []}
         for tet in range(tri.tet_count):
             geo = self.tet_geometry(tet)
-            for copy_id, (f, pair, _, _) in enumerate(geo.arc_copies):
+            for (f, pair), curve in geo.arc_curve.items():
                 cid = tri.face_class_of[(tet, f)]
-                curve = geo.copy_curve[copy_id]
                 arcs[(cid, pair)]["attach"].append(
                     (tet, piece_lookup[tet][curve], f, curve, pair)
                 )
@@ -839,6 +876,5 @@ def enumerate_surfaces(tri, max_weight):
                 if all(not per_tet for per_tet in annuli):
                     continue
                 surf = Surface(tri, weights, combo, annuli)
-                surf._tets = base._tets
                 surf._validation = CRUDELY_ALMOST_NORMAL
                 yield surf

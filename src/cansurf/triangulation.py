@@ -271,6 +271,14 @@ class Triangulation:
             star[v0].append((eid, 0))
             star[v1].append((eid, 1))
         self.vertex_edge_ends = {v: tuple(sorted(lst)) for v, lst in star.items()}
+        # Per tetrahedron: the classes of its edges 0..5 and faces 0..3.
+        self.tet_local_classes = tuple(
+            (
+                tuple(self.edge_class_of[(t, e)] for e in range(6)),
+                tuple(self.face_class_of[(t, f)] for f in range(4)),
+            )
+            for t in range(self.tet_count)
+        )
 
     # -- queries ---------------------------------------------------------
 

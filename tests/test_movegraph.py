@@ -126,6 +126,14 @@ def test_serial_time_limit_overrun_bounded(tri, catalog):
     assert time.monotonic() - start < 2.5
 
 
+def test_pool_time_limit_overrun_bounded(tri, catalog):
+    start = time.monotonic()
+    with pytest.raises(PartialGraphError, match="time limit"):
+        build(vertex_link(tri, 0), 10, catalog=catalog, limits=Limits(max_seconds=1.0),
+              workers=2)
+    assert time.monotonic() - start < 2.0
+
+
 def test_vertex_limit_partial(tri, link, catalog):
     with pytest.raises(PartialGraphError) as err:
         build(link, 8, move_set={E1}, catalog=catalog, limits=Limits(max_vertices=3))

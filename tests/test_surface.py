@@ -7,13 +7,17 @@ from cansurf import (
     CRUDELY_NORMAL,
     SemanticError,
     Surface,
+    barycentric_subdivide,
+    build,
     empty_surface,
     enumerate_surfaces,
     noncrossing_matchings,
     parse_surface,
     vertex_link,
 )
-from cansurf.moves import Move, V0, apply
+from cansurf import movegraph, surface
+from cansurf.moves import DEFAULT_MOVE_SET, F2P, PINCH, UNPINCH, Move, V0, apply, default_catalog
+from cansurf.surface import _TET_MEMO, TetGeometry
 
 
 CATALAN = [1, 1, 2, 5, 14, 42]
@@ -193,3 +197,100 @@ def test_odd_face_points_invalid(tri):
     bad = Surface(tri, (1, 0, 0), ((), (), (), ()))
     assert "odd number of boundary points" in bad.validate() or \
         "perfect pairing" in bad.validate()
+
+
+# -- the process-wide tet-geometry memo ---------------------------------------
+
+
+@pytest.fixture(scope="module")
+def sub(tri):
+    return barycentric_subdivide(tri)
+
+
+def _geometry_fields(geo):
+    return (
+        geo.curves,
+        geo.node_curve,
+        geo.arc_curve,
+        geo.curve_adjacent,
+        geo.regions,
+        [geo.corner_region(c) for c in range(4)],
+    )
+
+
+@pytest.mark.parametrize("bed", ["two_tet_default_8", "sub48_budget_12"])
+def test_memoized_geometry_matches_fresh_trace(bed, tri, link, catalog, sub):
+    if bed == "two_tet_default_8":
+        graph = build(link, 8, catalog=catalog)
+    else:
+        graph = build(vertex_link(sub, 7), 12, move_set={V0, F2P, PINCH, UNPINCH},
+                      catalog=default_catalog(sub))
+    bed_tri = graph.tri
+    shared = set()
+    for surf in graph.vertices.values():
+        for tet in range(bed_tri.tet_count):
+            geo = surf.tet_geometry(tet)
+            shared.add(id(geo))
+            assert _geometry_fields(geo) == _geometry_fields(TetGeometry(surf, tet))
+    # The memo does share geometry between surfaces, within its bound.
+    assert len(shared) < len(graph.vertices) * bed_tri.tet_count
+    assert len(_TET_MEMO) <= max(128, 4 * bed_tri.tet_count)
+
+
+def test_invalid_encoding_reclassified_after_valid_twin(sub):
+    seed = vertex_link(sub, 7)
+    star_2 = {t for t, _ in sub.vertex_classes[2]}
+    tet = next(t for t, _ in sub.vertex_classes[7] if t not in star_2)
+    # The seed plus the link of vertex 2: a valid surface that differs from
+    # the seed around vertex 2 and agrees with it at ``tet``.
+    twin = apply(seed, Move(V0, 2, direction=1))
+    edges, faces = sub.tet_local_classes[tet]
+    assert twin.weights != seed.weights
+    assert [twin.weights[e] for e in edges] == [seed.weights[e] for e in edges]
+    assert [twin.matchings[c] for c in faces] == [seed.matchings[c] for c in faces]
+    annuli = [()] * sub.tet_count
+    annuli[tet] = ((0, 5),)
+
+    def bad():
+        return Surface(sub, seed.weights, seed.matchings, annuli)
+
+    _TET_MEMO.clear()
+    first = bad().validate()
+    assert first == "invalid: annulus pair (0, 5) of tet {} is not two distinct curves".format(tet)
+    _TET_MEMO.clear()
+    fresh_twin = Surface(sub, twin.weights, twin.matchings)
+    assert fresh_twin.validate() == CRUDELY_NORMAL
+    again = bad()
+    assert again.validate() == first
+    assert again.tet_geometry(tet) is fresh_twin.tet_geometry(tet)
+
+
+def test_tracing_error_is_not_memoized(tri, link):
+    unmatched = [((0, 5),)] + list(link.matchings[1:])
+    size = len(_TET_MEMO)
+    for _ in range(2):
+        with pytest.raises(SemanticError, match="exactly two arcs"):
+            Surface(tri, link.weights, unmatched).tet_geometry(0)
+        assert len(_TET_MEMO) == size
+    assert "perfect pairing" in Surface(tri, link.weights, unmatched).validate()
+    assert Surface(tri, link.weights, link.matchings).validate() == CRUDELY_NORMAL
+
+
+def test_worker_task_repeats_its_geometry_work(tri_text, link_text, catalog, monkeypatch):
+    traced = []
+
+    class Counting(TetGeometry):
+        def __init__(self, surf, tet):
+            traced.append(tet)
+            super().__init__(surf, tet)
+
+    monkeypatch.setattr(surface, "TetGeometry", Counting)
+    monkeypatch.setattr(movegraph, "_WORKER", {})
+    spec = movegraph._catalog_spec(catalog)
+    movegraph._worker_init(tri_text, 8, sorted(DEFAULT_MOVE_SET), spec)
+    first = movegraph._worker_neighbors(link_text)
+    once = len(traced)
+    second = movegraph._worker_neighbors(link_text)
+    assert once > 0
+    assert len(traced) == 2 * once
+    assert second == first
