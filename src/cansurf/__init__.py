@@ -33,7 +33,6 @@ from .moves import (
     extend_catalog,
     neighbors,
     parse_move,
-    pinch,
 )
 from .movegraph import (
     GeneratorSet,
@@ -101,7 +100,6 @@ __all__ = [
     "parse_move",
     "parse_surface",
     "parse_triangulation",
-    "pinch",
     "replay",
     "vertex_link",
     "weight_budget",

@@ -5,7 +5,8 @@ plus loop emission), ``replay``, and a hidden ``oracle`` used for
 debugging the brute-force reference implementations.
 
 Exit codes: 0 success, 1 partial result (a graph limit triggered),
-2 parse error, 3 semantic error.  All outputs are canonically ordered,
+2 parse error (undecodable input included), 3 semantic error (an input
+that cannot be read included).  All outputs are canonically ordered,
 so digests of the emitted files are meaningful; a run manifest records
 input hashes, parameters and result digests.
 """
@@ -399,7 +400,10 @@ def main(argv=None):
     except CansurfError as exc:
         print("error: {}".format(exc), file=sys.stderr)
         code = EXIT_SEMANTIC
-    except FileNotFoundError as exc:
+    except UnicodeDecodeError as exc:
+        print("parse error: input is not UTF-8 text: {}".format(exc), file=sys.stderr)
+        code = EXIT_PARSE
+    except OSError as exc:
         print("error: {}".format(exc), file=sys.stderr)
         code = EXIT_SEMANTIC
     return code

@@ -9,7 +9,8 @@ parallel edges produced by genuinely different moves survive.
 
 The serial closure passes Surface objects.  With workers > 1 a frontier
 wave fans out over a process pool, and text crosses only that boundary;
-only results that are new vertices are parsed back.  Each source's
+only results that are new vertices are parsed back, classified from
+their annulus lines without re-tracing.  Each source's
 neighbours are merged in frontier order as soon as it is expanded, so
 the vertex numbering, the edge set and every export are byte-identical
 regardless of the worker count.  A pool worker clears the process-wide
@@ -42,7 +43,14 @@ from .moves import (
     neighbors,
     parse_move,
 )
-from .surface import _TET_MEMO, CRUDELY_NORMAL, Surface, parse_surface, vertex_link
+from .surface import (
+    _TET_MEMO,
+    CRUDELY_ALMOST_NORMAL,
+    CRUDELY_NORMAL,
+    Surface,
+    parse_surface,
+    vertex_link,
+)
 from .triangulation import parse_triangulation
 
 
@@ -239,7 +247,12 @@ def build(
                 for move_text, inverse_text, result_key, result in found:
                     if result_key not in graph.vertices:
                         if pool is not None:
+                            # neighbors returns only valid results, so the
+                            # annulus lines give the classification.
                             result = parse_surface(tri, result)
+                            result._validation = (
+                                CRUDELY_ALMOST_NORMAL if any(result.annuli) else CRUDELY_NORMAL
+                            )
                         graph.vertices[result_key] = result
                         next_frontier.append(result_key)
                         check_limits()

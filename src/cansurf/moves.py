@@ -18,6 +18,10 @@ across the vertex), which is an isotopy and preserves all topological
 invariants.  In the *free* form the bubble is a separate sphere sheet;
 this is supported by ``apply`` but is surgery, not isotopy, so the
 neighbour generator never emits it.  Weight delta: +-vertex degree.
+The bubble is the vertex-link sphere of v at its catalog placement: the
+fused V0 is the PINCH of that sphere, with the partner as the surface
+curve and the corner's curve as the sphere curve, and the fused V0- the
+matching UNPINCH; both are recorded as V0.
 
 ``E1`` (edge): push a finger of the surface across a segment of an edge
 class, inserting two consecutive points into a chosen gap.  In every face
@@ -48,6 +52,12 @@ of every edge class, subject to validation.  Unpinch only recognizes a
 component sitting exactly at its catalog placement, which keeps pinch
 and unpinch strict inverses.  Weight delta: +-(sphere weight).
 
+Removal (V0-, UNPINCH) is detected locally, from the sphere's own cells:
+its points exist, all its arcs are present, and its curves bound disks
+except the tube side, whose partner is not one of them.  Catalog entries
+are tried in order.  V0 and PINCH/UNPINCH share this code, and E1- the
+deletion step.
+
 Serialization: ``kind@<loc>[k=v,...]``, e.g. ``V0+@v0[corner=1.2,partner=3]``,
 ``E1-@e2[at=0]``, ``F2'@f1[arcs=0-5:1-2,gain=1]``,
 ``PINCH@t0[curve=2,sphere=v0,scurve=1]``, ``UNPINCH@t1[side=4]``.
@@ -56,6 +66,7 @@ Curve ids always refer to the encoding the move applies to.
 
 from __future__ import annotations
 
+import functools
 import re
 from dataclasses import dataclass
 from typing import Optional
@@ -227,11 +238,7 @@ class SphereCatalog:
 
 def default_catalog(tri):
     """One vertex-linking sphere per vertex class."""
-    entries = [
-        CatalogSphere("v{}".format(v), vertex_link(tri, v), vertex=v)
-        for v in range(len(tri.vertex_classes))
-    ]
-    return SphereCatalog(entries)
+    return SphereCatalog(_vertex_sphere(tri, v) for v in range(len(tri.vertex_classes)))
 
 
 def extend_catalog(catalog, tri, texts):
@@ -293,7 +300,9 @@ def _point_map_for_deletions(weights, removals):
 
 
 def _remap_matchings(surf, new_weights, shift, matchings=None):
-    """Re-express matchings in the slot space of the new weights."""
+    """Re-express matchings in the slot space of the new weights.  A face
+    whose sides keep their weights gained or lost no points, so its slots
+    stay as they are."""
     tri = surf.tri
     if matchings is None:
         matchings = surf.matchings
@@ -301,6 +310,9 @@ def _remap_matchings(surf, new_weights, shift, matchings=None):
     for cid, pairs in enumerate(matchings):
         old = surf.face_layout(cid)
         new = _face_layout(tri, new_weights, cid)
+        if new.side_w == old.side_w:
+            out.append(tuple(sorted(pairs)))
+            continue
         remapped = []
         for pair in pairs:
             slots = []
@@ -319,41 +331,47 @@ def _shift_node(tri, tet, shift, node):
     return edge_local, shift(e, i)
 
 
+def _track_curve(old, new, tet, curve, shift, removed_points=None):
+    """The id in ``new`` of a curve of ``old`` in tet, followed through its
+    first node that is not among the removed points."""
+    tri = old.tri
+    removed = removed_points or {}
+    for node in old.tet_geometry(tet).curves[curve]:
+        if node[1] not in removed.get(tri.edge_class_of[(tet, node[0])], ()):
+            return new.tet_geometry(tet).node_curve[_shift_node(tri, tet, shift, node)]
+    raise NotApplicableError("curve {} of tet {} would be deleted".format(curve, tet))
+
+
 def _map_annuli(old, new, shift, overrides=None, removed_points=None):
     """Carry annulus pairs from ``old`` to ``new`` by tracking a surviving
     node of each member curve.  ``overrides`` replaces whole tetrahedra."""
     overrides = overrides or {}
-    removed = removed_points or {}
     annuli = []
-    for tet in range(old.tri.tet_count):
+    for tet, pairs in enumerate(old.annuli):
         if tet in overrides:
             annuli.append(overrides[tet])
             continue
-        pairs = []
-        for a, b in old.annuli[tet]:
-            geo_old = old.tet_geometry(tet)
-            geo_new = new.tet_geometry(tet)
-            mapped = []
-            for cid in (a, b):
-                rep = None
-                for node in geo_old.curves[cid]:
-                    e = old.tri.edge_class_of[(tet, node[0])]
-                    if node[1] not in removed.get(e, ()):
-                        rep = node
-                        break
-                if rep is None:
-                    raise NotApplicableError(
-                        "an annulus curve in tet {} would be deleted".format(tet)
-                    )
-                new_node = _shift_node(old.tri, tet, shift, rep)
-                mapped.append(geo_new.node_curve[new_node])
-            if mapped[0] == mapped[1]:
+        mapped = []
+        for pair in pairs:
+            a, b = (_track_curve(old, new, tet, c, shift, removed_points) for c in pair)
+            if a == b:
                 raise NotApplicableError(
                     "annulus curves in tet {} would merge".format(tet)
                 )
-            pairs.append(tuple(sorted(mapped)))
-        annuli.append(tuple(pairs))
+            mapped.append(tuple(sorted((a, b))))
+        annuli.append(tuple(mapped))
     return annuli
+
+
+def _planar_reconnection(rest, p, q, r, s):
+    """Two new arcs joining p and q to r and s, one each, that cross
+    neither each other nor the non-crossing arcs in ``rest``; p-r, q-s is
+    tried first.  None when neither way is planar."""
+    for first, second in (((p, r), (q, s)), ((p, s), (q, r))):
+        new = (tuple(sorted(first)), tuple(sorted(second)))
+        if not any(pairs_cross(a, b) for a in new for b in rest + new):
+            return new
+    return None
 
 
 def _require_valid_result(surf, context):
@@ -382,53 +400,198 @@ def _edge_incidences(surf, e):
 
 
 # ---------------------------------------------------------------------------
+# Catalog spheres at their placement: insert, tube, find, delete
+
+
+def _bubble_point(weights, e, end):
+    """Index of the point nearest the given end of edge class e."""
+    return 0 if end == 0 else weights[e] - 1
+
+
+def _corner_node(tri, weights, tet, corner):
+    """The node nearest a corner of tet on one of its edges.  On a
+    vertex-link sphere at its placement it lies on that corner's curve."""
+    e_local = next(k for k, ends in enumerate(EDGE_VERTICES) if corner in ends)
+    end = tri.vertex_class_end_of_edge(tet, e_local, corner)
+    return e_local, _bubble_point(weights, tri.edge_class_of[(tet, e_local)], end)
+
+
+@functools.lru_cache(maxsize=256)
+def _vertex_sphere(tri, v):
+    """The vertex-link sphere of v as a catalog entry."""
+    return CatalogSphere("v{}".format(v), vertex_link(tri, v), vertex=v)
+
+
+def _placement_points(weights, entry):
+    """Where the catalog sphere's points sit in a surface with these
+    weights that holds it at its placement: {(e, sphere index): index}.
+    A vertex link sits innermost at its vertex; any other sphere sits at
+    the low end of every edge class."""
+    sphere = entry.surface
+    if entry.vertex is None:
+        return {(e, i): i for e, k in enumerate(sphere.weights) for i in range(k)}
+    return {
+        (e, _bubble_point(sphere.weights, e, end)): _bubble_point(weights, e, end)
+        for e, end in sphere.tri.vertex_edge_ends[entry.vertex]
+    }
+
+
+def _sphere_arcs(entry, weights, point_map):
+    """The catalog sphere's arcs as (face class, pair), in the slots of a
+    surface with these weights whose points ``point_map`` gives."""
+    sphere = entry.surface
+    arcs = []
+    for cid, pairs in enumerate(sphere.matchings):
+        if not pairs:
+            continue
+        s_lay = sphere.face_layout(cid)
+        u_lay = _face_layout(sphere.tri, weights, cid)
+        for pair in pairs:
+            slots = []
+            for s in pair:
+                k, _ = s_lay.side_of_slot(s)
+                slots.append(u_lay.slot_of_point(k, point_map[s_lay.point_of_slot(s)]))
+            arcs.append((cid, tuple(sorted(slots))))
+    return arcs
+
+
+def _sphere_curves(surf, entry, point_map, tet):
+    """{surface curve: sphere curve} for the sphere's curves in tet."""
+    tri = surf.tri
+    node_curve = surf.tet_geometry(tet).node_curve
+    out = {}
+    for s_curve, nodes in enumerate(entry.surface.tet_geometry(tet).curves):
+        e_local, i = nodes[0]
+        e = tri.edge_class_of[(tet, e_local)]
+        out[node_curve[(e_local, point_map[(e, i)])]] = s_curve
+    return out
+
+
+def _add_sphere(surf, entry, tube=None):
+    """``surf`` plus the catalog sphere at its placement, each sphere
+    piece a disk.  With ``tube=(tet, curve, sphere curve)`` the two named
+    curves in tet bound an annulus instead.  Returns the unvalidated
+    result and the result's id of the tubed sphere curve."""
+    tri = surf.tri
+    sphere = entry.surface
+    if tube is not None:
+        tet, curve, s_curve = tube
+        if surf.annuli[tet]:
+            raise NotApplicableError("tet {} already has an annulus".format(tet))
+        if not (0 <= curve < len(surf.tet_geometry(tet).curves)):
+            raise NotApplicableError("no curve {} in tet {}".format(curve, tet))
+        if not (0 <= s_curve < len(sphere.tet_geometry(tet).curves)):
+            raise NotApplicableError(
+                "sphere {} has no curve {} in tet {}".format(entry.sphere_id, s_curve, tet)
+            )
+    new_weights = tuple(w + k for w, k in zip(surf.weights, sphere.weights))
+    point_map = _placement_points(new_weights, entry)
+    # The r-th placed point on an edge, at new index u, fills old gap u - r.
+    inserts = {}
+    for (e, _), u in sorted(point_map.items(), key=lambda item: item[1]):
+        gaps = inserts.setdefault(e, [])
+        gaps.append(u - len(gaps))
+    _, shift, _ = _point_map_for_insertions(surf.weights, inserts)
+    matchings = _remap_matchings(surf, new_weights, shift)
+    for cid, pair in _sphere_arcs(entry, new_weights, point_map):
+        matchings[cid] += (pair,)
+    probe = Surface(tri, new_weights, matchings)
+    annuli = _map_annuli(surf, probe, shift)
+    if tube is None:
+        return Surface(tri, new_weights, matchings, annuli), None
+    c1 = _track_curve(surf, probe, tet, curve, shift)
+    c2 = {sc: c for c, sc in _sphere_curves(probe, entry, point_map, tet).items()}[s_curve]
+    if c1 == c2:
+        raise NotApplicableError("pinch curves coincide")
+    if not probe.tet_geometry(tet).curves_sharing_region(c1, c2):
+        raise NotApplicableError("pinch curves are separated in tet {}".format(tet))
+    annuli[tet] = (tuple(sorted((c1, c2))),)
+    return Surface(tri, new_weights, matchings, annuli), c2
+
+
+def _find_sphere(surf, entry, tube=None):
+    """The catalog sphere at its placement in ``surf``, found from its own
+    cells only.
+
+    ``tube=(tet, side)`` names a curve of the annulus in tet.  Returns
+    None unless the sphere's points exist, all its arcs are present and,
+    with a tube, side is one of its curves.  Raises NotApplicableError if
+    the sphere is there but does not split off: the tube's other curve is
+    also the sphere's, or another sphere curve is paired into an annulus.
+    Otherwise returns (removals, arcs, sphere curve at side, other curve
+    of the tube).
+    """
+    sphere = entry.surface
+    if tube is not None and not sphere.tet_geometry(tube[0]).curves:
+        return None
+    if any(w < k for w, k in zip(surf.weights, sphere.weights)):
+        return None
+    point_map = _placement_points(surf.weights, entry)
+    arcs = _sphere_arcs(entry, surf.weights, point_map)
+    if not all(pair in surf.matchings[cid] for cid, pair in arcs):
+        return None
+    s_curve = keep = None
+    if tube is not None:
+        tet, side = tube
+        mine = _sphere_curves(surf, entry, point_map, tet)
+        if side not in mine:
+            return None
+        (pair,) = surf.annuli[tet]
+        keep = pair[0] if pair[1] == side else pair[1]
+        if keep in mine:
+            raise NotApplicableError("annulus tube in tet {} is essential".format(tet))
+        s_curve = mine[side]
+    for tet, pairs in enumerate(surf.annuli):
+        if not pairs or (tube is not None and tet == tube[0]):
+            continue
+        paired = {c for pair in pairs for c in pair}
+        if paired & set(_sphere_curves(surf, entry, point_map, tet)):
+            raise NotApplicableError(
+                "sphere {} is paired into the annulus of tet {}".format(entry.sphere_id, tet)
+            )
+    removals = {}
+    for (e, _), u in point_map.items():
+        removals.setdefault(e, []).append(u)
+    for idx in removals.values():
+        idx.sort()
+    return removals, arcs, s_curve, keep
+
+
+def _delete_cells(surf, removals, drop, add=(), tube=None):
+    """``surf`` without the points in ``removals`` ({edge class: sorted
+    indices}) and the arcs in ``drop``, plus the arcs in ``add``; arcs
+    are (face class, pair) in the slots of ``surf``.  ``tube=(tet, keep)``
+    empties that tet's annulus.  Returns the unvalidated result, the old
+    to new point shift and, with a tube, the result's id of ``keep``."""
+    tri = surf.tri
+    new_weights, shift = _point_map_for_deletions(surf.weights, removals)
+    drop = set(drop)
+    stripped = [
+        tuple(p for p in pairs if (cid, p) not in drop)
+        for cid, pairs in enumerate(surf.matchings)
+    ]
+    for cid, pair in add:
+        stripped[cid] += (pair,)
+    matchings = _remap_matchings(surf, new_weights, shift, stripped)
+    probe = Surface(tri, new_weights, matchings)
+    overrides = {} if tube is None else {tube[0]: ()}
+    annuli = _map_annuli(surf, probe, shift, overrides, removals)
+    result = Surface(tri, new_weights, matchings, annuli)
+    if tube is None:
+        return result, shift, None
+    return result, shift, _track_curve(surf, result, tube[0], tube[1], shift, removals)
+
+
+# ---------------------------------------------------------------------------
 # V0
 
 
-def _bubble_inserts(tri, weights, v):
-    inserts = {}
-    for e, end in tri.vertex_edge_ends[v]:
-        inserts.setdefault(e, []).append(0 if end == 0 else weights[e])
-    for e in inserts:
-        inserts[e].sort()
-    return inserts
-
-
-def _bubble_point(tri, new_weights, e, end):
-    return 0 if end == 0 else new_weights[e] - 1
-
-
-def _corner_bubble_nodes(tri, new_weights, tet, corner):
-    """The three nodes of the corner bubble curve at a tetrahedron corner."""
-    nodes = []
-    for e_local in range(6):
-        a, b = EDGE_VERTICES[e_local]
-        if corner not in (a, b):
-            continue
-        e = tri.edge_class_of[(tet, e_local)]
-        end = tri.vertex_class_end_of_edge(tet, e_local, corner)
-        nodes.append((e_local, _bubble_point(tri, new_weights, e, end)))
-    return sorted(nodes)
-
-
-def _insert_bubble(surf, v):
-    """Insert the innermost vertex-link bubble at v; all pieces disks."""
-    tri = surf.tri
-    inserts = _bubble_inserts(tri, surf.weights, v)
-    new_weights, shift, _ = _point_map_for_insertions(surf.weights, inserts)
-    matchings = _remap_matchings(surf, new_weights, shift)
-    for cid in range(len(tri.face_classes)):
-        layout = _face_layout(tri, new_weights, cid)
-        extra = []
-        for m in range(3):
-            if layout.corner_vertex[m] != v:
-                continue
-            gap = layout.corner_gap(m)
-            extra.append(tuple(sorted(((gap - 1) % layout.n, gap))))
-        matchings[cid] = tuple(sorted(matchings[cid] + tuple(extra)))
-    base = Surface(tri, new_weights, matchings)
-    annuli = _map_annuli(surf, base, shift)
-    return new_weights, matchings, annuli, shift
+def _check_corner(tri, v, corner):
+    tet, c = corner
+    if not (0 <= tet < tri.tet_count and 0 <= c < 4):
+        raise NotApplicableError("bad corner {}.{}".format(tet, c))
+    if tri.vertex_class_of[(tet, c)] != v:
+        raise NotApplicableError("corner {}.{} is not at vertex class {}".format(tet, c, v))
 
 
 def _apply_v0_emit(surf, move):
@@ -436,69 +599,17 @@ def _apply_v0_emit(surf, move):
     v = move.location
     if not (0 <= v < len(tri.vertex_classes)):
         raise NotApplicableError("unknown vertex class {}".format(v))
-    new_weights, matchings, annuli, shift = _insert_bubble(surf, v)
+    entry = _vertex_sphere(tri, v)
     if move.corner is None:
-        result = Surface(tri, new_weights, matchings, annuli)
-        inverse = Move(V0, v, direction=-1)
-        return _require_valid_result(result, "V0 emit"), inverse
+        result, _ = _add_sphere(surf, entry)
+        return _require_valid_result(result, "V0 emit"), Move(V0, v, direction=-1)
+    _check_corner(tri, v, move.corner)
     tet, corner = move.corner
-    if not (0 <= tet < tri.tet_count) or not (0 <= corner < 4):
-        raise NotApplicableError("bad corner {}.{}".format(tet, corner))
-    if tri.vertex_class_of[(tet, corner)] != v:
-        raise NotApplicableError("corner {}.{} is not at vertex class {}".format(tet, corner, v))
-    if surf.annuli[tet]:
-        raise NotApplicableError("tet {} already has an annulus".format(tet))
-    old_geo = surf.tet_geometry(tet)
-    if not (0 <= move.partner < len(old_geo.curves)):
-        raise NotApplicableError("no curve {} in tet {}".format(move.partner, tet))
-    probe = Surface(tri, new_weights, matchings, annuli)
-    geo = probe.tet_geometry(tet)
-    bubble_nodes = _corner_bubble_nodes(tri, new_weights, tet, corner)
-    c_bubble = geo.node_curve[bubble_nodes[0]]
-    if list(geo.curves[c_bubble]) != bubble_nodes:
-        raise NotApplicableError("corner bubble curve is obstructed at {}.{}".format(tet, corner))
-    rep = old_geo.curves[move.partner][0]
-    c_partner = geo.node_curve[_shift_node(tri, tet, shift, rep)]
-    if c_partner == c_bubble:
-        raise NotApplicableError("partner curve coincides with the bubble")
-    annuli = list(annuli)
-    annuli[tet] = (tuple(sorted((c_bubble, c_partner))),)
-    result = Surface(tri, new_weights, matchings, annuli)
+    sphere = entry.surface
+    s_curve = sphere.tet_geometry(tet).node_curve[_corner_node(tri, sphere.weights, tet, corner)]
+    result, _ = _add_sphere(surf, entry, (tet, move.partner, s_curve))
     inverse = Move(V0, v, direction=-1, corner=move.corner)
     return _require_valid_result(result, "V0 emit"), inverse
-
-
-def _detect_bubble(surf, v):
-    """Locate the innermost bubble at v.  Returns (corner curves, arcs)."""
-    tri = surf.tri
-    for e, end in tri.vertex_edge_ends[v]:
-        need = sum(1 for ee, _ in tri.vertex_edge_ends[v] if ee == e)
-        if surf.weights[e] < need:
-            raise NotApplicableError("no bubble point on edge {}".format(e))
-    corner_arcs = {}
-    for cid in range(len(tri.face_classes)):
-        layout = surf.face_layout(cid)
-        for m in range(3):
-            if layout.corner_vertex[m] != v:
-                continue
-            gap = layout.corner_gap(m)
-            pair = tuple(sorted(((gap - 1) % layout.n, gap)))
-            if pair not in surf.matchings[cid]:
-                raise NotApplicableError(
-                    "no corner arc at corner {} of face {}".format(m, cid)
-                )
-            corner_arcs.setdefault(cid, []).append(pair)
-    corner_curves = {}
-    for tet, corner in tri.vertex_classes[v]:
-        geo = surf.tet_geometry(tet)
-        nodes = _corner_bubble_nodes(tri, surf.weights, tet, corner)
-        cid = geo.node_curve.get(tuple(nodes[0]))
-        if cid is None or list(geo.curves[cid]) != nodes:
-            raise NotApplicableError(
-                "no corner bubble curve at {}.{}".format(tet, corner)
-            )
-        corner_curves[(tet, corner)] = cid
-    return corner_curves, corner_arcs
 
 
 def _apply_v0_absorb(surf, move):
@@ -506,65 +617,26 @@ def _apply_v0_absorb(surf, move):
     v = move.location
     if not (0 <= v < len(tri.vertex_classes)):
         raise NotApplicableError("unknown vertex class {}".format(v))
-    corner_curves, corner_arcs = _detect_bubble(surf, v)
-    partner_old = None
+    entry = _vertex_sphere(tri, v)
+    tube = None
     if move.corner is not None:
-        if move.corner not in corner_curves:
-            raise NotApplicableError("corner {}.{} is not at vertex class {}".format(*move.corner, v))
+        _check_corner(tri, v, move.corner)
         tet, corner = move.corner
-        c_bubble = corner_curves[(tet, corner)]
-        pairs = surf.annuli[tet]
-        if len(pairs) != 1 or c_bubble not in pairs[0]:
+        side = surf.tet_geometry(tet).node_curve.get(_corner_node(tri, surf.weights, tet, corner))
+        if not surf.annuli[tet] or side not in surf.annuli[tet][0]:
             raise NotApplicableError(
                 "bubble corner at {}.{} is not fused into an annulus".format(tet, corner)
             )
-        partner_old = pairs[0][0] if pairs[0][1] == c_bubble else pairs[0][1]
-        if partner_old in {
-            c for (t2, _), c in corner_curves.items() if t2 == tet
-        }:
-            raise NotApplicableError("annulus joins the bubble to itself")
-    for (tet, corner), cid in corner_curves.items():
-        if move.corner is not None and (tet, corner) == tuple(move.corner):
-            continue
-        if any(cid in pair for pair in surf.annuli[tet]):
-            raise NotApplicableError(
-                "bubble corner at {}.{} is paired into an annulus".format(tet, corner)
-            )
-    removals = {}
-    for e, end in tri.vertex_edge_ends[v]:
-        removals.setdefault(e, []).append(_bubble_point(tri, surf.weights, e, end))
-    for e in removals:
-        removals[e] = sorted(set(removals[e]))
-        if len(removals[e]) != sum(1 for ee, _ in tri.vertex_edge_ends[v] if ee == e):
-            raise NotApplicableError("bubble points collide on edge {}".format(e))
-    new_weights, shift = _point_map_for_deletions(surf.weights, removals)
-    stripped = []
-    for cid, pairs in enumerate(surf.matchings):
-        drop = set(corner_arcs.get(cid, ()))
-        stripped.append(tuple(p for p in pairs if p not in drop))
-    matchings = _remap_matchings(surf, new_weights, shift, stripped)
-    overrides = {}
-    if move.corner is not None:
-        overrides[move.corner[0]] = ()
-    probe = Surface(tri, new_weights, matchings)
-    annuli = _map_annuli(
-        surf, probe, shift, overrides=overrides, removed_points=removals
-    )
-    result = Surface(tri, new_weights, matchings, annuli)
-    if move.corner is None:
-        inverse = Move(V0, v, direction=1)
-    else:
-        tet, corner = move.corner
-        geo_old = surf.tet_geometry(tet)
-        rep = next(
-            node
-            for node in geo_old.curves[partner_old]
-            if node[1] not in removals.get(tri.edge_class_of[(tet, node[0])], ())
-        )
-        partner_new = result.tet_geometry(tet).node_curve[
-            _shift_node(tri, tet, shift, rep)
-        ]
-        inverse = Move(V0, v, direction=1, corner=move.corner, partner=partner_new)
+        tube = (tet, side)
+    found = _find_sphere(surf, entry, tube)
+    if found is None:
+        raise NotApplicableError("no innermost bubble at vertex class {}".format(v))
+    removals, arcs, _, keep = found
+    if tube is None:
+        result, _, _ = _delete_cells(surf, removals, arcs)
+        return _require_valid_result(result, "V0 absorb"), Move(V0, v, direction=1)
+    result, _, partner = _delete_cells(surf, removals, arcs, tube=(tube[0], keep))
+    inverse = Move(V0, v, direction=1, corner=move.corner, partner=partner)
     return _require_valid_result(result, "V0 absorb"), inverse
 
 
@@ -617,20 +689,10 @@ def _apply_e1_insert(surf, move):
         a_new.append(lay.slot_of_point(k, shift(ecls, i)))
     pa, pb = lay.slot_of_point(khat, p_lo), lay.slot_of_point(khat, p_hi)
     rest = tuple(p for p in matchings[chat] if p != tuple(sorted(a_new)))
-    chosen = None
-    for first, second in (((a_new[0], pa), (a_new[1], pb)),
-                          ((a_new[0], pb), (a_new[1], pa))):
-        candidate = rest + (tuple(sorted(first)), tuple(sorted(second)))
-        if not any(
-            pairs_cross(p, q)
-            for idx, p in enumerate(candidate)
-            for q in candidate[idx + 1:]
-        ):
-            chosen = candidate
-            break
+    chosen = _planar_reconnection(rest, a_new[0], a_new[1], pa, pb)
     if chosen is None:
         raise NotApplicableError("no planar rerouting through face {}".format(chat))
-    matchings[chat] = tuple(sorted(chosen))
+    matchings[chat] = rest + chosen
     probe = Surface(tri, new_weights, matchings)
     annuli = _map_annuli(surf, probe, shift)
     result = Surface(tri, new_weights, matchings, annuli)
@@ -657,7 +719,7 @@ def _apply_e1_delete(surf, move):
         s1, s2 = lay.slot_of_point(kk, k), lay.slot_of_point(kk, k + 1)
         pair = tuple(sorted((s1, s2)))
         if pair in surf.matchings[cid]:
-            bigons.append((cid, kk, pair))
+            bigons.append((cid, pair))
         else:
             reroutes.append((cid, kk, s1, s2))
     if len(reroutes) != 1:
@@ -691,26 +753,16 @@ def _apply_e1_delete(surf, move):
                         raise NotApplicableError(
                             "finger sleeve in tet {} is paired into an annulus".format(tet)
                         )
-    removals = {e: [k, k + 1]}
-    new_weights, shift = _point_map_for_deletions(surf.weights, removals)
-    stripped = []
-    for cid, pairs in enumerate(surf.matchings):
-        drop = {p for (c2, _, p) in bigons if c2 == cid}
-        keep = [p for p in pairs if p not in drop]
-        if cid == chat:
-            keep = [p for p in keep if p not in (tuple(sorted((s1, x))), tuple(sorted((s2, y))))]
-            keep.append(tuple(sorted((x, y))))
-        stripped.append(tuple(keep))
-    matchings = _remap_matchings(surf, new_weights, shift, stripped)
-    probe = Surface(tri, new_weights, matchings)
-    annuli = _map_annuli(surf, probe, shift, removed_points=removals)
-    result = Surface(tri, new_weights, matchings, annuli)
+    drop = bigons + [(chat, tuple(sorted((s1, x)))), (chat, tuple(sorted((s2, y))))]
+    result, shift, _ = _delete_cells(
+        surf, {e: [k, k + 1]}, drop, add=[(chat, tuple(sorted((x, y))))]
+    )
     lay_old = surf.face_layout(chat)
     restored = []
     for s in (x, y):
         kk, _ = lay_old.side_of_slot(s)
         ecls, i = lay_old.point_of_slot(s)
-        restored.append(_face_layout(tri, new_weights, chat).slot_of_point(kk, shift(ecls, i)))
+        restored.append(result.face_layout(chat).slot_of_point(kk, shift(ecls, i)))
     inverse = Move(
         E1, e, direction=1, gap=k, incidence=(chat, khat),
         arc=tuple(sorted(restored)),
@@ -772,18 +824,8 @@ def _apply_f2(surf, move):
         gaining_same = False
     same_both_pre = losing_same and gaining_same
 
-    (a, b), (c, d) = alpha, beta
     rest = tuple(p for p in surf.matchings[cid] if p not in (alpha, beta))
-    chosen = None
-    for first, second in (((a, c), (b, d)), ((a, d), (b, c))):
-        candidate = rest + (tuple(sorted(first)), tuple(sorted(second)))
-        if not any(
-            pairs_cross(p, q)
-            for idx, p in enumerate(candidate)
-            for q in candidate[idx + 1:]
-        ):
-            chosen = (tuple(sorted(first)), tuple(sorted(second)))
-            break
+    chosen = _planar_reconnection(rest, *alpha, *beta)
     if chosen is None:
         raise NotApplicableError("no planar reconnection of {} and {}".format(alpha, beta))
     matchings = list(surf.matchings)
@@ -842,146 +884,20 @@ def _apply_f2(surf, move):
 # PINCH / UNPINCH
 
 
-def _sphere_placement(surf, entry):
-    """Insertion plan and sphere-point map for adding a catalog sphere."""
-    tri = surf.tri
-    sphere = entry.surface
-    inserts = {}
-    point_map = {}
-    if entry.vertex is not None:
-        v = entry.vertex
-        for e, end in tri.vertex_edge_ends[v]:
-            inserts.setdefault(e, []).append(0 if end == 0 else surf.weights[e])
-        for e in inserts:
-            inserts[e].sort()
-        new_weights, shift, _ = _point_map_for_insertions(surf.weights, inserts)
-        for e, end in tri.vertex_edge_ends[v]:
-            s_idx = _bubble_point(tri, sphere.weights, e, end)
-            point_map[(e, s_idx)] = _bubble_point(tri, new_weights, e, end)
-    else:
-        for e in range(len(tri.edge_classes)):
-            k = sphere.weights[e]
-            if k:
-                inserts[e] = [0] * k
-        new_weights, shift, inserted = _point_map_for_insertions(surf.weights, inserts)
-        for e, new_idx in inserted.items():
-            for s_idx, u_idx in enumerate(new_idx):
-                point_map[(e, s_idx)] = u_idx
-    return inserts, new_weights, shift, point_map
-
-
-def _insert_sphere(surf, entry):
-    tri = surf.tri
-    sphere = entry.surface
-    _, new_weights, shift, point_map = _sphere_placement(surf, entry)
-    matchings = _remap_matchings(surf, new_weights, shift)
-    for cid in range(len(tri.face_classes)):
-        s_lay = sphere.face_layout(cid)
-        u_lay = _face_layout(tri, new_weights, cid)
-        extra = []
-        for pair in sphere.matchings[cid]:
-            slots = []
-            for s in pair:
-                kk, _ = s_lay.side_of_slot(s)
-                ecls, i = s_lay.point_of_slot(s)
-                slots.append(u_lay.slot_of_point(kk, point_map[(ecls, i)]))
-            extra.append(tuple(sorted(slots)))
-        matchings[cid] = tuple(sorted(tuple(matchings[cid]) + tuple(extra)))
-    return new_weights, matchings, shift, point_map
-
-
 def _apply_pinch(surf, move, catalog):
-    tri = surf.tri
     tet = move.location
-    if not (0 <= tet < tri.tet_count):
+    if not (0 <= tet < surf.tri.tet_count):
         raise NotApplicableError("unknown tet {}".format(tet))
     if catalog is None:
         raise SemanticError("pinch requires a sphere catalog")
     entry = catalog.get(move.sphere)
-    if surf.annuli[tet]:
-        raise NotApplicableError("tet {} already has an annulus".format(tet))
-    geo_old = surf.tet_geometry(tet)
-    if not (0 <= move.curve < len(geo_old.curves)):
-        raise NotApplicableError("no curve {} in tet {}".format(move.curve, tet))
-    sphere_geo = entry.surface.tet_geometry(tet)
-    if not (0 <= move.sphere_curve < len(sphere_geo.curves)):
-        raise NotApplicableError(
-            "sphere {} has no curve {} in tet {}".format(move.sphere, move.sphere_curve, tet)
-        )
-    new_weights, matchings, shift, point_map = _insert_sphere(surf, entry)
-    probe = Surface(tri, new_weights, matchings)
-    annuli = _map_annuli(surf, probe, shift)
-    geo_new = probe.tet_geometry(tet)
-    rep = geo_old.curves[move.curve][0]
-    c1 = geo_new.node_curve[_shift_node(tri, tet, shift, rep)]
-    s_rep = sphere_geo.curves[move.sphere_curve][0]
-    s_e = tri.edge_class_of[(tet, s_rep[0])]
-    c2 = geo_new.node_curve[(s_rep[0], point_map[(s_e, s_rep[1])])]
-    if c1 == c2:
-        raise NotApplicableError("pinch curves coincide")
-    annuli = list(annuli)
-    annuli[tet] = (tuple(sorted((c1, c2))),)
-    result = Surface(tri, new_weights, matchings, annuli)
-    v = result.validate()
-    if v not in (CRUDELY_NORMAL, CRUDELY_ALMOST_NORMAL):
-        raise NotApplicableError(
-            "sphere {} is not disjointly addable here ({})".format(move.sphere, v)
-        )
-    inverse = Move(UNPINCH, tet, curve=c2)
-    return result, inverse
-
-
-def _component_cells(surf, tet, curve):
-    """Split the annulus of ``tet`` into disks and return the component
-    containing the given curve's piece.  Curve systems are unaffected by
-    the piece assignment, so the split surface finds the same geometry in
-    the tet-geometry memo."""
-    annuli = list(surf.annuli)
-    annuli[tet] = ()
-    split = Surface(surf.tri, surf.weights, surf.matchings, annuli)
-    for comp in split.components():
-        if ("pc", tet, curve) in comp:
-            return split, comp
-    raise SemanticError("component lookup failed")
-
-
-def _expected_sphere_cells(surf, entry):
-    """Points and arcs the catalog sphere occupies at its placement,
-    expressed in the coordinates of ``surf`` (which must contain it)."""
-    tri = surf.tri
-    sphere = entry.surface
-    points = set()
-    point_map = {}
-    if entry.vertex is not None:
-        v = entry.vertex
-        for e, end in tri.vertex_edge_ends[v]:
-            s_idx = _bubble_point(tri, sphere.weights, e, end)
-            u_idx = _bubble_point(tri, surf.weights, e, end)
-            points.add((e, u_idx))
-            point_map[(e, s_idx)] = u_idx
-    else:
-        for e in range(len(tri.edge_classes)):
-            for i in range(sphere.weights[e]):
-                points.add((e, i))
-                point_map[(e, i)] = i
-    arcs = set()
-    for cid in range(len(tri.face_classes)):
-        s_lay = sphere.face_layout(cid)
-        u_lay = surf.face_layout(cid)
-        for pair in sphere.matchings[cid]:
-            slots = []
-            for s in pair:
-                kk, _ = s_lay.side_of_slot(s)
-                ecls, i = s_lay.point_of_slot(s)
-                slots.append(u_lay.slot_of_point(kk, point_map[(ecls, i)]))
-            arcs.add((cid, tuple(sorted(slots))))
-    return points, arcs, point_map
+    result, c2 = _add_sphere(surf, entry, (tet, move.curve, move.sphere_curve))
+    return _require_valid_result(result, "pinch"), Move(UNPINCH, tet, curve=c2)
 
 
 def _apply_unpinch(surf, move, catalog):
-    tri = surf.tri
     tet = move.location
-    if not (0 <= tet < tri.tet_count):
+    if not (0 <= tet < surf.tri.tet_count):
         raise NotApplicableError("unknown tet {}".format(tet))
     if catalog is None:
         raise SemanticError("unpinch requires a sphere catalog")
@@ -990,60 +906,17 @@ def _apply_unpinch(surf, move, catalog):
         raise NotApplicableError(
             "tet {} has no annulus with side {}".format(tet, move.curve)
         )
-    keep = pairs[0][0] if pairs[0][1] == move.curve else pairs[0][1]
-    split, comp = _component_cells(surf, tet, move.curve)
-    if any(tag[0] == "pc" and tag[1] == tet and tag[2] == keep for tag in comp):
-        raise NotApplicableError("annulus tube in tet {} is essential".format(tet))
-    comp_points = {(tag[1], tag[2]) for tag in comp if tag[0] == "pt"}
-    comp_arcs = {(tag[1], tag[2]) for tag in comp if tag[0] == "arc"}
-    matched = None
     for entry in catalog:
-        points, arcs, point_map = _expected_sphere_cells(surf, entry)
-        if points == comp_points and arcs == comp_arcs:
-            matched = (entry, point_map)
+        found = _find_sphere(surf, entry, (tet, move.curve))
+        if found is not None:
             break
-    if matched is None:
+    else:
         raise NotApplicableError(
-            "split-off component is not a catalog sphere at its canonical placement"
+            "side {} of tet {} is not tubed to a catalog sphere at its "
+            "placement".format(move.curve, tet)
         )
-    entry, point_map = matched
-    removals = {}
-    for e, i in comp_points:
-        removals.setdefault(e, []).append(i)
-    for e in removals:
-        removals[e].sort()
-    new_weights, shift = _point_map_for_deletions(surf.weights, removals)
-    stripped = []
-    for cid, pairs_ in enumerate(surf.matchings):
-        drop = {p for (c2, p) in comp_arcs if c2 == cid}
-        stripped.append(tuple(p for p in pairs_ if p not in drop))
-    matchings = _remap_matchings(surf, new_weights, shift, stripped)
-    probe = Surface(tri, new_weights, matchings)
-    annuli = _map_annuli(
-        surf, probe, shift, overrides={tet: ()}, removed_points=removals
-    )
-    result = Surface(tri, new_weights, matchings, annuli)
-    geo_old = surf.tet_geometry(tet)
-    rep = next(
-        node
-        for node in geo_old.curves[keep]
-        if node[1] not in removals.get(tri.edge_class_of[(tet, node[0])], ())
-    )
-    keep_new = result.tet_geometry(tet).node_curve[_shift_node(tri, tet, shift, rep)]
-    # Which standalone curve of the sphere did we remove?
-    inverse_map = {(e, u): s for (e, s), u in point_map.items()}
-    side_nodes = set()
-    for node in geo_old.curves[move.curve]:
-        e = tri.edge_class_of[(tet, node[0])]
-        side_nodes.add((node[0], inverse_map[(e, node[1])]))
-    sphere_geo = entry.surface.tet_geometry(tet)
-    s_curve = None
-    for cidx, nodes in enumerate(sphere_geo.curves):
-        if set(nodes) == side_nodes:
-            s_curve = cidx
-            break
-    if s_curve is None:
-        raise SemanticError("unpinch could not identify the sphere curve")
+    removals, arcs, s_curve, keep = found
+    result, _, keep_new = _delete_cells(surf, removals, arcs, tube=(tet, keep))
     inverse = Move(PINCH, tet, curve=keep_new, sphere=entry.sphere_id, sphere_curve=s_curve)
     return _require_valid_result(result, "unpinch"), inverse
 
@@ -1076,15 +949,6 @@ def apply_with_inverse(surf, move, catalog=None):
 def apply(surf, move, catalog=None):
     result, _ = apply_with_inverse(surf, move, catalog)
     return result
-
-
-def pinch(surf, tet, curve, catalog, sphere_id, sphere_curve, budget=None):
-    """Tube the surface to a catalog sphere; see the module docstring."""
-    entry = catalog.get(sphere_id)
-    if budget is not None and surf.weight() + entry.weight() > budget:
-        raise NotApplicableError("pinch would exceed the weight budget")
-    move = Move(PINCH, tet, curve=curve, sphere=sphere_id, sphere_curve=sphere_curve)
-    return apply(surf, move, catalog)
 
 
 class Neighbor:

@@ -52,7 +52,7 @@ import hashlib
 import itertools
 
 from .errors import ParseError, SemanticError
-from .triangulation import EDGE_VERTICES, _UnionFind, edge_number
+from .triangulation import EDGE_VERTICES, _SignedUnionFind, _UnionFind, edge_number
 
 CRUDELY_NORMAL = "crudely_normal"
 CRUDELY_ALMOST_NORMAL = "crudely_almost_normal"
@@ -590,49 +590,25 @@ class Surface:
         ('pc', tet, piece id).
         """
         points, arcs = self._cells()
-        parent = {}
-
-        def find(x):
-            while parent[x] != x:
-                parent[x] = parent[parent[x]]
-                x = parent[x]
-            return x
-
-        def union(x, y):
-            parent.setdefault(x, x)
-            parent.setdefault(y, y)
-            rx, ry = find(x), find(y)
-            if rx != ry:
-                parent[ry] = rx
-
-        for e, i in points:
-            parent.setdefault(("pt", e, i), ("pt", e, i))
+        index = {("pt", e, i): n for n, (e, i) in enumerate(points)}
+        links = []
         for (cid, pair), data in arcs.items():
-            tag = ("arc", cid, pair)
+            arc = index.setdefault(("arc", cid, pair), len(index))
             for e, i in data["points"]:
-                union(tag, ("pt", e, i))
+                links.append((arc, index[("pt", e, i)]))
             for tet, piece, _, _, _ in data["attach"]:
-                union(tag, ("pc", tet, piece[1]))
+                links.append((arc, index.setdefault(("pc", tet, piece[1]), len(index))))
+        uf = _UnionFind(len(index))
+        for x, y in links:
+            uf.union(x, y)
         groups = {}
-        for tag in parent:
-            groups.setdefault(find(tag), set()).add(tag)
+        for tag, n in index.items():
+            groups.setdefault(uf.find(n), set()).add(tag)
         return sorted((frozenset(g) for g in groups.values()), key=sorted)
 
     def orientable(self):
         """Whether the surface admits a consistent transverse orientation."""
         _, arcs = self._cells()
-        parent = {}
-        parity = {}
-
-        def find(x):
-            if parent[x] == x:
-                return x, 0
-            root, p = find(parent[x])
-            parent[x] = root
-            parity[x] ^= p
-            return root, parity[x]
-
-        ok = True
         side_cache = {}
 
         def curve_sides(tet, curve):
@@ -641,6 +617,8 @@ class Surface:
                 side_cache[key] = self.tet_geometry(tet).curve_sides(curve)
             return side_cache[key]
 
+        index = {}
+        relations = []
         for (cid, pair), data in arcs.items():
             bits = []
             for tet, piece, f, curve, arc_pair in data["attach"]:
@@ -657,21 +635,13 @@ class Surface:
                     bit = 0 if outer_root in mid_side else 1
                 else:
                     bit = 0 if outer_root in sides[0] else 1
-                bits.append((piece, bit))
+                bits.append((index.setdefault(piece, len(index)), bit))
             (p1, b1), (p2, b2) = bits
-            for p in (p1, p2):
-                parent.setdefault(p, p)
-                parity.setdefault(p, 0)
-            r1, q1 = find(p1)
-            r2, q2 = find(p2)
-            rel = b1 ^ b2
-            if r1 == r2:
-                if q1 ^ q2 != rel:
-                    ok = False
-            else:
-                parent[r2] = r1
-                parity[r2] = rel ^ q1 ^ q2
-        return ok
+            relations.append((p1, p2, 1 if b1 == b2 else -1))
+        uf = _SignedUnionFind(len(index))
+        for p1, p2, rel in relations:
+            uf.union(p1, p2, rel)
+        return not uf.contradiction
 
     def _annulus_partner(self, tet, curve):
         for pair in self.annuli[tet]:

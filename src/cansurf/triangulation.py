@@ -65,8 +65,9 @@ class _SignedUnionFind:
 
     Used for edge classes, where the sign records whether two tetrahedron
     edges are identified preserving or reversing their intrinsic
-    directions.  A merge that forces an element to disagree with itself
-    marks the structure as contradictory.
+    directions, and for the transverse orientation of surface pieces.  A
+    merge that forces an element to disagree with itself marks the
+    structure as contradictory.
     """
 
     def __init__(self, n):

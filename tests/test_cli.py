@@ -2,6 +2,7 @@ import json
 
 import pytest
 
+from cansurf import cli
 from cansurf.cli import main
 
 
@@ -162,3 +163,44 @@ def test_help_hides_oracle(capsys):
         main(["--help"])
     out = capsys.readouterr().out
     assert "{validate,bounds,graph,generators,replay}" in out
+
+
+def _unreadable(path, monkeypatch):
+    # Mode bits do not stop root, so the open call itself is refused.
+    real_open = open
+
+    def refuse(name, *args, **kwargs):
+        if str(name) == str(path):
+            raise PermissionError(13, "Permission denied", str(name))
+        return real_open(name, *args, **kwargs)
+
+    monkeypatch.setattr(cli, "open", refuse, raising=False)
+
+
+@pytest.mark.parametrize("arg", ["triangulation", "seed", "loops"])
+@pytest.mark.parametrize("problem, expected", [
+    ("directory", 3), ("unreadable", 3), ("undecodable", 2),
+])
+def test_unreadable_inputs_exit_cleanly(capsys, data_dir, tmp_path, monkeypatch,
+                                        arg, problem, expected):
+    paths = {
+        "triangulation": str(data_dir / "two_tet_s3.tri"),
+        "seed": str(data_dir / "vertex_link.surf"),
+        "loops": str(tmp_path / "loops.txt"),
+    }
+    (tmp_path / "loops.txt").write_text("# nothing\n")
+    bad = tmp_path / "bad"
+    if problem == "directory":
+        bad.mkdir()
+    else:
+        bad.write_bytes(b"\xff\xfe tet 0:\n")
+        if problem == "unreadable":
+            _unreadable(bad, monkeypatch)
+    paths[arg] = str(bad)
+    code, out, err = run(capsys, "replay", paths["triangulation"], paths["seed"], paths["loops"])
+    assert code == expected
+    assert "Traceback" not in err and len(err.strip().splitlines()) == 1
+    if arg == "triangulation":
+        code, _, err = run(capsys, "validate", str(bad))
+        assert code == expected
+        assert len(err.strip().splitlines()) == 1

@@ -17,7 +17,7 @@ from cansurf import (
     replay,
     vertex_link,
 )
-from cansurf import movegraph
+from cansurf import movegraph, surface
 from cansurf.moves import DEFAULT_MOVE_SET, E1, F2, F2P, PINCH, UNPINCH, V0
 
 
@@ -106,6 +106,24 @@ def test_worker_determinism(tri, link, catalog):
     assert export_json(g1) == export_json(g2)
     assert export_dot(g1) == export_dot(g2)
     assert generators(g1).to_text() == generators(g2).to_text()
+
+
+def test_pool_export_traces_nothing(tri, link, catalog, monkeypatch):
+    # Pool vertices come back as text; their classification is read off
+    # their annulus lines, so exporting them re-traces no tetrahedron.
+    serial = export_json(build(link, 8, catalog=catalog))
+    g = build(link, 8, catalog=catalog, workers=2)
+    traced = []
+
+    class Counting(surface.TetGeometry):
+        def __init__(self, surf, tet):
+            traced.append(tet)
+            super().__init__(surf, tet)
+
+    monkeypatch.setattr(surface, "TetGeometry", Counting)
+    surface._TET_MEMO.clear()
+    assert export_json(g) == serial
+    assert traced == []
 
 
 def test_serial_build_passes_surfaces(tri, link, catalog, monkeypatch):

@@ -1,3 +1,5 @@
+import hashlib
+
 import pytest
 from hypothesis import given, settings, strategies as st
 
@@ -23,7 +25,6 @@ from cansurf.moves import (
     apply_with_inverse,
     neighbors,
     parse_move,
-    pinch,
 )
 
 
@@ -213,7 +214,9 @@ def test_f2_rejects_non_adjacent_arcs(tri, link):
 def test_pinch_vertex_link_pair(tri, link, catalog):
     # Tube the seed sphere to a second vertex-linking sphere inside a
     # shared tetrahedron.
-    pinched = pinch(link, 0, 0, catalog, "v0", 0)
+    pinched, _ = apply_with_inverse(
+        link, Move(PINCH, 0, curve=0, sphere="v0", sphere_curve=0), catalog
+    )
     assert pinched.validate() == CRUDELY_ALMOST_NORMAL
     assert pinched.weight() == 12
     assert pinched.euler_characteristic() == 2
@@ -222,8 +225,10 @@ def test_pinch_vertex_link_pair(tri, link, catalog):
 
 
 def test_pinch_budget(tri, link, catalog):
-    with pytest.raises(NotApplicableError, match="budget"):
-        pinch(link, 0, 0, catalog, "v0", 0, budget=11)
+    # Link and catalog sphere weigh 6 each: budget 11 drops every pinch.
+    stats = {}
+    assert neighbors(link, 11, move_set={PINCH}, catalog=catalog, stats=stats) == []
+    assert stats["budget_rejected"] > 0
 
 
 def test_pinch_separation_violation(tri, link, catalog):
@@ -232,8 +237,9 @@ def test_pinch_separation_violation(tri, link, catalog):
     ok = {}
     for c1 in range(4):
         for c2 in range(4):
+            move = Move(PINCH, 0, curve=c1, sphere="v0", sphere_curve=c2)
             try:
-                pinch(link, 0, c1, catalog, "v0", c2)
+                apply_with_inverse(link, move, catalog)
                 ok[(c1, c2)] = True
             except NotApplicableError:
                 ok[(c1, c2)] = False
@@ -298,6 +304,29 @@ def test_extended_catalog_block_placement(tri, link, catalog):
     back, inv2 = apply_with_inverse(n.surface, n.inverse, cat)
     assert back.canonical_key() == link.canonical_key()
     assert inv2 == n.move
+
+
+def test_local_sphere_detection_matches_components(tri, catalog):
+    # A free vertex-link bubble is found from its own cells exactly when
+    # one component of the whole surface is made of the innermost points
+    # and corner arcs at the vertex (every corner of the reference
+    # triangulation is at vertex 0).
+    from cansurf import build
+    from cansurf.moves import _find_sphere
+
+    found = 0
+    for s in build(vertex_link(tri, 0), 8, catalog=catalog).vertices.values():
+        cells = {("pt", e, 0 if end == 0 else s.weights[e] - 1)
+                 for e, end in tri.vertex_edge_ends[0]}
+        for cid in range(len(tri.face_classes)):
+            lay = s.face_layout(cid)
+            for m in range(3):
+                gap = lay.corner_gap(m)
+                cells.add(("arc", cid, tuple(sorted(((gap - 1) % lay.n, gap)))))
+        whole = any({t for t in comp if t[0] != "pc"} == cells for comp in s.components())
+        assert (_find_sphere(s, catalog.get("v0")) is not None) == whole
+        found += whole
+    assert 0 < found < 126
 
 
 def test_extend_catalog_rejects_non_spheres(tri, link, catalog):
@@ -423,3 +452,90 @@ def test_move_locality_on_subdivision(tri):
         _assert_far_cells_unchanged(seed, n.surface, n.move)
         checked["PINCH"] += 1
     assert all(v > 0 for v in checked.values()), checked
+
+
+# --------------------------------------------------------- recorded outcomes
+
+
+def _sphere_insertions(surf, catalog):
+    tri = surf.tri
+    for v in range(len(tri.vertex_classes)):
+        yield Move(V0, v, direction=1)
+        for tet, corner in tri.vertex_classes[v]:
+            if surf.annuli[tet]:
+                continue
+            geo = surf.tet_geometry(tet)
+            region = geo.corner_region(corner)
+            for c, adj in enumerate(geo.curve_adjacent):
+                if region in adj:
+                    yield Move(V0, v, direction=1, corner=(tet, corner), partner=c)
+    for entry in catalog:
+        for tet in range(tri.tet_count):
+            if surf.annuli[tet]:
+                continue
+            n_sphere = len(entry.surface.tet_geometry(tet).curves)
+            for c1 in range(len(surf.tet_geometry(tet).curves)):
+                for c2 in range(n_sphere):
+                    yield Move(PINCH, tet, curve=c1, sphere=entry.sphere_id, sphere_curve=c2)
+
+
+def _sphere_removals(surf):
+    tri = surf.tri
+    for v in range(len(tri.vertex_classes)):
+        yield Move(V0, v, direction=-1)
+        for tet, corner in tri.vertex_classes[v]:
+            if surf.annuli[tet]:
+                yield Move(V0, v, direction=-1, corner=(tet, corner))
+    for e in range(len(tri.edge_classes)):
+        for k in range(surf.weights[e] - 1):
+            yield Move(E1, e, direction=-1, gap=k)
+    for tet in range(tri.tet_count):
+        for pair in surf.annuli[tet]:
+            for side in pair:
+                yield Move(UNPINCH, tet, curve=side)
+
+
+# sha256 of every outcome below, recorded from an independent implementation:
+# V0 with its own bubble insert and detect code, and UNPINCH through a
+# search of the whole surface's components.
+SPHERE_OUTCOMES_SHA256 = "10117a910864fd296b2450cc26e1762beaf8ae83b96d1e7f6140ca4324b5c1ff"
+
+
+def test_sphere_move_outcomes_match_recorded_digest(tri):
+    # Corpus: the sub48 budget-12 closure, its PINCH/V0 neighbours at
+    # budget 52, and the default budget-8 closure.  Insertions (V0+, PINCH)
+    # run on the closures, removals (V0-, E1-, UNPINCH) on everything.
+    from cansurf import barycentric_subdivide, build
+    from cansurf.moves import default_catalog as make_catalog
+
+    sub = barycentric_subdivide(tri)
+    sub_cat = make_catalog(sub)
+    closure = build(vertex_link(sub, 7), 12, move_set={V0, F2P, PINCH, UNPINCH}, catalog=sub_cat)
+    cat = make_catalog(tri)
+    d8 = build(vertex_link(tri, 0), 8, catalog=cat)
+    closed = [(closure.vertices[k], sub_cat) for k in sorted(closure.vertices)]
+    closed += [(d8.vertices[k], cat) for k in sorted(d8.vertices)]
+    grown = {}
+    for surf, _ in closed[:len(closure.vertices)]:
+        for n in neighbors(surf, 52, move_set={PINCH, V0}, catalog=sub_cat):
+            grown.setdefault(n.surface.canonical_key(), n.surface)
+    jobs = []
+    for surf, catalog in closed:
+        jobs.append((surf, catalog, _sphere_insertions(surf, catalog)))
+        jobs.append((surf, catalog, _sphere_removals(surf)))
+    for key in sorted(grown):
+        jobs.append((grown[key], sub_cat, _sphere_removals(grown[key])))
+    digest = hashlib.sha256()
+    applied = 0
+    for surf, catalog, moves in jobs:
+        digest.update(surf.canonical_key())
+        for move in moves:
+            try:
+                result, inverse = apply_with_inverse(surf, move, catalog)
+                outcome = result.canonical_key() + b" " + inverse.to_text().encode()
+                applied += 1
+            except NotApplicableError:
+                outcome = b"n/a"
+            digest.update(move.to_text().encode() + b" " + outcome + b"\n")
+    assert (len(closed), len(grown), applied) == (148, 394, 5242)
+    assert digest.hexdigest() == SPHERE_OUTCOMES_SHA256
