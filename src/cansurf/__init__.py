@@ -39,7 +39,6 @@ from .movegraph import (
     Limits,
     MoveGraph,
     build,
-    export,
     export_dot,
     export_json,
     generators,
@@ -88,7 +87,6 @@ __all__ = [
     "delta_constant",
     "empty_surface",
     "enumerate_surfaces",
-    "export",
     "export_dot",
     "export_json",
     "extend_catalog",

@@ -16,7 +16,6 @@ from __future__ import annotations
 import argparse
 import hashlib
 import json
-import os
 import sys
 import time
 
@@ -157,12 +156,11 @@ def _run_graph(args, emit_loops):
     move_set = _parse_move_set(args.moves)
     catalog = _load_catalog(tri, args)
     limits = Limits(max_vertices=args.max_vertices, max_seconds=args.max_seconds)
-    workers = args.workers or int(os.environ.get("CANSURF_WORKERS", "1"))
     partial_exc = None
     try:
         graph = build(
             seed, budget, move_set=move_set, catalog=catalog,
-            limits=limits, workers=workers,
+            limits=limits, workers=args.workers,
         )
     except PartialGraphError as exc:
         partial_exc = exc
@@ -220,7 +218,7 @@ def _run_graph(args, emit_loops):
                 "seed_sha256": _sha256(seed_text),
             },
             "parameters": provenance["parameters"],
-            "workers": workers,
+            "workers": args.workers,
             "wall_time": wall,
             "result_digests": digests,
             "partial": graph.partial,
@@ -311,8 +309,8 @@ def _add_graph_arguments(sub):
                      help="barycentric subdivisions to apply first")
     sub.add_argument("--max-vertices", type=int, default=None)
     sub.add_argument("--max-seconds", type=float, default=None)
-    sub.add_argument("--workers", type=int, default=None,
-                     help="parallel workers (default $CANSURF_WORKERS or 1)")
+    sub.add_argument("--workers", type=int, default=1,
+                     help="parallel worker processes (default 1)")
     sub.add_argument("--out-json", default=None)
     sub.add_argument("--out-dot", default=None)
     sub.add_argument("--manifest", default=None)

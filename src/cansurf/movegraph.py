@@ -34,24 +34,8 @@ import json
 import time
 
 from .errors import PartialGraphError, SemanticError
-from .moves import (
-    DEFAULT_MOVE_SET,
-    SphereCatalog,
-    CatalogSphere,
-    apply_with_inverse,
-    default_catalog,
-    neighbors,
-    parse_move,
-)
-from .surface import (
-    _TET_MEMO,
-    CRUDELY_ALMOST_NORMAL,
-    CRUDELY_NORMAL,
-    Surface,
-    parse_surface,
-    vertex_link,
-)
-from .triangulation import parse_triangulation
+from .moves import DEFAULT_MOVE_SET, apply_with_inverse, neighbors, parse_move
+from .surface import _TET_MEMO, CRUDELY_ALMOST_NORMAL, CRUDELY_NORMAL, parse_surface
 
 
 class Limits:
@@ -123,36 +107,11 @@ class GeneratorSet:
 _WORKER = {}
 
 
-def _catalog_spec(catalog):
-    if catalog is None:
-        return None
-    spec = []
-    for entry in catalog:
-        if entry.vertex is not None:
-            spec.append(("vertex", entry.sphere_id, entry.vertex))
-        else:
-            spec.append(("text", entry.sphere_id, entry.surface.to_text()))
-    return spec
-
-
-def _catalog_from_spec(tri, spec):
-    if spec is None:
-        return None
-    entries = []
-    for kind, sphere_id, payload in spec:
-        if kind == "vertex":
-            entries.append(CatalogSphere(sphere_id, vertex_link(tri, payload), payload))
-        else:
-            entries.append(CatalogSphere(sphere_id, parse_surface(tri, payload)))
-    return SphereCatalog(entries)
-
-
-def _worker_init(tri_text, budget, move_set, catalog_spec):
-    tri = parse_triangulation(tri_text)
+def _worker_init(tri, budget, move_set, catalog):
     _WORKER["tri"] = tri
     _WORKER["budget"] = budget
-    _WORKER["move_set"] = frozenset(move_set)
-    _WORKER["catalog"] = _catalog_from_spec(tri, catalog_spec)
+    _WORKER["move_set"] = move_set
+    _WORKER["catalog"] = catalog
 
 
 def _worker_neighbors(surf_text):
@@ -231,7 +190,7 @@ def build(
         pool = concurrent.futures.ProcessPoolExecutor(
             max_workers=workers,
             initializer=_worker_init,
-            initargs=(tri.to_text(), budget, sorted(move_set), _catalog_spec(catalog)),
+            initargs=(tri, budget, graph.move_set, catalog),
         )
     try:
         while frontier:
@@ -331,15 +290,6 @@ def replay(seed, move_texts, catalog=None):
 
 # ---------------------------------------------------------------------------
 # Export
-
-
-def export(graph, fmt, provenance=None):
-    """Canonical serialization of a graph ('json' or 'dot')."""
-    if fmt == "json":
-        return export_json(graph, provenance)
-    if fmt == "dot":
-        return export_dot(graph)
-    raise SemanticError("unknown export format '{}'".format(fmt))
 
 
 def export_json(graph, provenance=None):

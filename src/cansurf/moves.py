@@ -36,12 +36,15 @@ a *gaining* side: the tetrahedron the saddle band moves into.  On the
 losing side the band's strands must form one piece (a disk met twice, or
 the two curves of the annulus pair); on the gaining side, merging strands
 join two disks into one, and same-curve strands split a disk into the
-new annulus pair.  The kind is ``F2`` when the two arcs lie on a single
-curve in both tetrahedra on either end of the move (these moves change
-the number of annulus pieces) and ``F2'`` otherwise (annulus count is
-preserved); this labelling is invariant under inversion.  Face classes
-glued to the same tetrahedron on both sides are not eligible.  Weight
-delta: 0.
+new annulus pair.  The band splits one curve of each tetrahedron into
+two or joins two into one, so the kind is decided before the move: it is
+``F2`` when the two arcs lie on one curve in the losing tetrahedron
+exactly when they do in the gaining one (these moves change the number
+of annulus pieces), and ``F2'`` otherwise (annulus count is preserved).
+This is the same as asking for a single curve in both tetrahedra on one
+end of the move, so the labelling is invariant under inversion.  Face
+classes glued to the same tetrahedron on both sides are not eligible.
+Weight delta: 0.
 
 ``PINCH`` / ``UNPINCH``: tube the surface to a catalog sphere inside one
 tetrahedron, replacing the two disk pieces on the chosen curves by an
@@ -57,6 +60,15 @@ its points exist, all its arcs are present, and its curves bound disks
 except the tube side, whose partner is not one of them.  Catalog entries
 are tried in order.  V0 and PINCH/UNPINCH share this code, and E1- the
 deletion step.
+
+The neighbour generator proposes a move only where apply's own
+preconditions hold: it labels each F2-type move with ``_f2_kind`` and
+proposes an E1 deletion only where ``_e1_finger`` finds a finger, the
+helpers ``apply_with_inverse`` calls before it builds anything.  An F2
+can still fail validation of its result (its split may separate the
+losing tetrahedron's annulus pair), so ``neighbors`` drops moves that
+raise NotApplicableError.  V0-, PINCH and UNPINCH are still proposed
+more widely than they apply.
 
 Serialization: ``kind@<loc>[k=v,...]``, e.g. ``V0+@v0[corner=1.2,partner=3]``,
 ``E1-@e2[at=0]``, ``F2'@f1[arcs=0-5:1-2,gain=1]``,
@@ -700,21 +712,17 @@ def _apply_e1_insert(surf, move):
     return _require_valid_result(result, "E1 insert"), inverse
 
 
-def _apply_e1_delete(surf, move):
+def _e1_finger(surf, e, k):
+    """The finger of points k, k+1 on edge class e, or None.  Every face
+    side around e but one joins the two points by a returning arc, and
+    the sleeve curves those arcs close bound disks; on the remaining side
+    the points end two arcs that run on to other slots x and y.  Returns
+    (returning arcs, rerouted incidence, s1, s2, x, y), arcs as (face
+    class, pair) and s1, s2 the slots of the points on that side."""
     tri = surf.tri
-    e = move.location
-    if not (0 <= e < len(tri.edge_classes)):
-        raise NotApplicableError("unknown edge class {}".format(e))
-    if tri.edge_degree(e) < 2:
-        raise NotApplicableError("edge {} has degree < 2".format(e))
-    k = move.gap
-    w = surf.weights[e]
-    if not (0 <= k and k + 1 < w):
-        raise NotApplicableError("no consecutive points {}..{} on edge {}".format(k, k + 1, e))
-    incidences = _edge_incidences(surf, e)
     bigons = []
     reroutes = []
-    for cid, kk in incidences:
+    for cid, kk in _edge_incidences(surf, e):
         lay = surf.face_layout(cid)
         s1, s2 = lay.slot_of_point(kk, k), lay.slot_of_point(kk, k + 1)
         pair = tuple(sorted((s1, s2)))
@@ -723,10 +731,7 @@ def _apply_e1_delete(surf, move):
         else:
             reroutes.append((cid, kk, s1, s2))
     if len(reroutes) != 1:
-        raise NotApplicableError(
-            "points {}..{} on edge {} are not a finger (need exactly one "
-            "rerouted face, found {})".format(k, k + 1, e, len(reroutes))
-        )
+        return None
     chat, khat, s1, s2 = reroutes[0]
     partner = {}
     for a, b in surf.matchings[chat]:
@@ -734,25 +739,39 @@ def _apply_e1_delete(surf, move):
         partner[b] = a
     x, y = partner[s1], partner[s2]
     if x in (s1, s2) or y in (s1, s2):
-        raise NotApplicableError("rerouted arcs degenerate at edge {}".format(e))
-    # Bigon curves must bound disks, not annuli.
+        return None
     for tet in range(tri.tet_count):
         if not surf.annuli[tet]:
             continue
         geo = surf.tet_geometry(tet)
+        paired = {c for pair in surf.annuli[tet] for c in pair}
         for e_local in range(6):
             if tri.edge_class_of[(tet, e_local)] != e:
                 continue
             for pt in (k, k + 1):
                 cid = geo.node_curve.get((e_local, pt))
-                if cid is None:
-                    continue
-                nodes = geo.curves[cid]
-                if all(n[1] in (k, k + 1) and tri.edge_class_of[(tet, n[0])] == e for n in nodes):
-                    if any(cid in pair for pair in surf.annuli[tet]):
-                        raise NotApplicableError(
-                            "finger sleeve in tet {} is paired into an annulus".format(tet)
-                        )
+                if cid in paired and all(
+                    n[1] in (k, k + 1) and tri.edge_class_of[(tet, n[0])] == e
+                    for n in geo.curves[cid]
+                ):
+                    return None
+    return bigons, (chat, khat), s1, s2, x, y
+
+
+def _apply_e1_delete(surf, move):
+    tri = surf.tri
+    e = move.location
+    if not (0 <= e < len(tri.edge_classes)):
+        raise NotApplicableError("unknown edge class {}".format(e))
+    if tri.edge_degree(e) < 2:
+        raise NotApplicableError("edge {} has degree < 2".format(e))
+    k = move.gap
+    if not (0 <= k and k + 1 < surf.weights[e]):
+        raise NotApplicableError("no consecutive points {}..{} on edge {}".format(k, k + 1, e))
+    finger = _e1_finger(surf, e, k)
+    if finger is None:
+        raise NotApplicableError("points {}..{} on edge {} are not a finger".format(k, k + 1, e))
+    bigons, (chat, khat), s1, s2, x, y = finger
     drop = bigons + [(chat, tuple(sorted((s1, x)))), (chat, tuple(sorted((s2, y))))]
     result, shift, _ = _delete_cells(
         surf, {e: [k, k + 1]}, drop, add=[(chat, tuple(sorted((x, y))))]
@@ -774,13 +793,38 @@ def _apply_e1_delete(surf, move):
 # F2 / F2'
 
 
+def _f2_kind(surf, cid, alpha, beta, gain):
+    """F2 or F2' for the face move on arcs alpha, beta of face class cid
+    that gains into incidence ``gain``, or None when its strands do not
+    allow it.  Decided on the encoding the move applies to: the losing
+    strands lie on one curve off the annulus pair or on the two curves of
+    the pair, and the gaining strands on one curve of a tet without an
+    annulus or on two curves off the pair."""
+    layout = surf.face_layout(cid)
+    (t_l, f_l), (t_g, f_g) = layout.incidences[1 - gain], layout.incidences[gain]
+    geo_l, geo_g = surf.tet_geometry(t_l), surf.tet_geometry(t_g)
+    u_a, u_b = _curve_of_copy(geo_l, f_l, alpha), _curve_of_copy(geo_l, f_l, beta)
+    v_a, v_b = _curve_of_copy(geo_g, f_g, alpha), _curve_of_copy(geo_g, f_g, beta)
+    if u_a == u_b:
+        if any(u_a in pair for pair in surf.annuli[t_l]):
+            return None
+    elif surf.annuli[t_l] != ((min(u_a, u_b), max(u_a, u_b)),):
+        return None
+    if v_a == v_b:
+        if surf.annuli[t_g]:
+            return None
+    elif any(c in pair for pair in surf.annuli[t_g] for c in (v_a, v_b)):
+        return None
+    return F2 if (u_a == u_b) == (v_a == v_b) else F2P
+
+
 def _apply_f2(surf, move):
     tri = surf.tri
     cid = move.location
     if not (0 <= cid < len(tri.face_classes)):
         raise NotApplicableError("unknown face class {}".format(cid))
     layout = surf.face_layout(cid)
-    (t0, f0), (t1, f1) = layout.incidences
+    (t0, _), (t1, _) = layout.incidences
     if t0 == t1:
         raise NotApplicableError(
             "face {} is glued to tet {} on both sides".format(cid, t0)
@@ -796,34 +840,13 @@ def _apply_f2(surf, move):
         raise NotApplicableError("arcs {} and {} do not bound a common region".format(alpha, beta))
     if move.gain not in (0, 1):
         raise NotApplicableError("gain side must be 0 or 1")
-    g = move.gain
-    lose = 1 - g
-    t_g, f_g = layout.incidences[g]
-    t_l, f_l = layout.incidences[lose]
-    geo_l = surf.tet_geometry(t_l)
-    geo_g = surf.tet_geometry(t_g)
-    u_a, u_b = _curve_of_copy(geo_l, f_l, alpha), _curve_of_copy(geo_l, f_l, beta)
-    v_a, v_b = _curve_of_copy(geo_g, f_g, alpha), _curve_of_copy(geo_g, f_g, beta)
-    annulus_members_l = {c for pair in surf.annuli[t_l] for c in pair}
-    annulus_members_g = {c for pair in surf.annuli[t_g] for c in pair}
-    if u_a == u_b:
-        if u_a in annulus_members_l:
-            raise NotApplicableError("losing strands lie on an annulus boundary")
-        losing_same = True
-    else:
-        if surf.annuli[t_l] != ((min(u_a, u_b), max(u_a, u_b)),):
-            raise NotApplicableError("losing strands lie on two separate pieces")
-        losing_same = False
-    if v_a == v_b:
-        if surf.annuli[t_g]:
-            raise NotApplicableError("gaining tet already has an annulus")
-        gaining_same = True
-    else:
-        if v_a in annulus_members_g or v_b in annulus_members_g:
-            raise NotApplicableError("gaining strands touch an annulus piece")
-        gaining_same = False
-    same_both_pre = losing_same and gaining_same
-
+    kind = _f2_kind(surf, cid, alpha, beta, move.gain)
+    if kind is None:
+        raise NotApplicableError("strands of arcs {} and {} do not form a band".format(alpha, beta))
+    if move.kind != kind:
+        raise NotApplicableError(
+            "move is declared {} but reconnection is {}".format(move.kind, kind)
+        )
     rest = tuple(p for p in surf.matchings[cid] if p not in (alpha, beta))
     chosen = _planar_reconnection(rest, *alpha, *beta)
     if chosen is None:
@@ -831,52 +854,19 @@ def _apply_f2(surf, move):
     matchings = list(surf.matchings)
     matchings[cid] = tuple(sorted(rest + chosen))
     probe = Surface(tri, surf.weights, matchings)
-    geo_l_new = probe.tet_geometry(t_l)
-    geo_g_new = probe.tet_geometry(t_g)
+    # The band splits one curve of each tet into two or joins two into one:
+    # a losing annulus pair joins, and a split gaining curve becomes the pair.
+    (t_l, f_l), (t_g, f_g) = layout.incidences[1 - move.gain], layout.incidences[move.gain]
+    joined = {_curve_of_copy(probe.tet_geometry(t_l), f_l, p) for p in chosen}
+    split = {_curve_of_copy(probe.tet_geometry(t_g), f_g, p) for p in chosen}
     overrides = {}
-    if losing_same:
-        pairs = []
-        for pa, pb in surf.annuli[t_l]:
-            mapped = tuple(
-                sorted(
-                    geo_l_new.node_curve[geo_l.curves[x][0]] for x in (pa, pb)
-                )
-            )
-            pairs.append(mapped)
-        overrides[t_l] = tuple(pairs)
-    else:
+    if len(joined) == 1:
         overrides[t_l] = ()
-    if gaining_same:
-        na = _curve_of_copy(geo_g_new, f_g, chosen[0])
-        nb = _curve_of_copy(geo_g_new, f_g, chosen[1])
-        if na == nb:
-            raise NotApplicableError("gaining strands did not split")
-        overrides[t_g] = (tuple(sorted((na, nb))),)
-    else:
-        pairs = []
-        for pa, pb in surf.annuli[t_g]:
-            mapped = tuple(
-                sorted(
-                    geo_g_new.node_curve[geo_g.curves[x][0]] for x in (pa, pb)
-                )
-            )
-            pairs.append(mapped)
-        overrides[t_g] = tuple(pairs)
-    annuli = []
-    for tet in range(tri.tet_count):
-        annuli.append(overrides.get(tet, surf.annuli[tet]))
+    if len(split) == 2:
+        overrides[t_g] = (tuple(sorted(split)),)
+    annuli = _map_annuli(surf, probe, lambda e, i: i, overrides)
     result = Surface(tri, surf.weights, matchings, annuli)
-    # Classification is symmetric: F2 when the arcs lie on a single curve in
-    # both tetrahedra on either end of the move.
-    la = _curve_of_copy(geo_l_new, f_l, chosen[0]) == _curve_of_copy(geo_l_new, f_l, chosen[1])
-    ga = _curve_of_copy(geo_g_new, f_g, chosen[0]) == _curve_of_copy(geo_g_new, f_g, chosen[1])
-    same_both_post = la and ga
-    kind = F2 if (same_both_pre or same_both_post) else F2P
-    if move.kind != kind:
-        raise NotApplicableError(
-            "move is declared {} but reconnection is {}".format(move.kind, kind)
-        )
-    inverse = Move(kind, cid, arcs=tuple(sorted(chosen)), gain=lose)
+    inverse = Move(kind, cid, arcs=tuple(sorted(chosen)), gain=1 - move.gain)
     return _require_valid_result(result, "face move"), inverse
 
 
@@ -974,9 +964,8 @@ def _candidate_moves(surf, move_set, catalog, budget, stats):
                     continue
                 geo = surf.tet_geometry(tet)
                 region = geo.corner_region(corner)
-                members = {c for pair in surf.annuli[tet] for c in pair}
                 for c, adj in enumerate(geo.curve_adjacent):
-                    if region not in adj or c in members:
+                    if region not in adj:
                         continue
                     if over:
                         stats["budget_rejected"] += 1
@@ -1004,7 +993,8 @@ def _candidate_moves(surf, move_set, catalog, budget, stats):
                             continue
                         yield Move(E1, e, direction=1, gap=gap, incidence=(cid, k), arc=arc)
             for k in range(surf.weights[e] - 1):
-                yield Move(E1, e, direction=-1, gap=k)
+                if _e1_finger(surf, e, k) is not None:
+                    yield Move(E1, e, direction=-1, gap=k)
     if F2 in move_set or F2P in move_set:
         for cid in range(len(tri.face_classes)):
             layout = surf.face_layout(cid)
@@ -1018,11 +1008,9 @@ def _candidate_moves(surf, move_set, catalog, budget, stats):
                     if not set(chord_sides[alpha]) & set(chord_sides[beta]):
                         continue
                     for gain in (0, 1):
-                        # The kind is known only after applying; emit both
-                        # labels and let apply reject the wrong one.
-                        for kind in (F2, F2P):
-                            if kind in move_set:
-                                yield Move(kind, cid, arcs=(alpha, beta), gain=gain)
+                        kind = _f2_kind(surf, cid, alpha, beta, gain)
+                        if kind in move_set:
+                            yield Move(kind, cid, arcs=(alpha, beta), gain=gain)
     if PINCH in move_set and catalog is not None:
         for entry in catalog:
             over = weight + entry.weight() > budget
@@ -1052,8 +1040,8 @@ def neighbors(surf, budget, move_set=DEFAULT_MOVE_SET, catalog=None, stats=None)
     Returns Neighbor(move, inverse, surface) records sorted by the result's
     canonical key and then the move serialization.  ``stats``, when given,
     accumulates ``budget_rejected`` (candidate moves dropped for exceeding
-    the budget before other applicability checks), ``generated`` and
-    ``pinched_spheres`` counters.
+    the budget before other applicability checks) and ``pinched_spheres``
+    counters.
     """
     if not surf.is_valid():
         raise SemanticError("neighbours of an invalid encoding")
@@ -1062,21 +1050,16 @@ def neighbors(surf, budget, move_set=DEFAULT_MOVE_SET, catalog=None, stats=None)
     if stats is None:
         stats = {}
     stats.setdefault("budget_rejected", 0)
-    stats.setdefault("generated", 0)
     stats.setdefault("pinched_spheres", {})
     out = []
     for move in _candidate_moves(surf, frozenset(move_set), catalog, budget, stats):
+        # V0-, PINCH and UNPINCH are proposed more widely than they apply,
+        # and an F2 split can separate the losing tet's annulus pair.
         try:
             result, inverse = apply_with_inverse(surf, move, catalog)
         except NotApplicableError:
             continue
-        if result.weight() > budget:
-            stats["budget_rejected"] += 1
-            continue
-        if result.validate() not in (CRUDELY_NORMAL, CRUDELY_ALMOST_NORMAL):
-            continue
         out.append(Neighbor(move, inverse, result))
-        stats["generated"] += 1
         if move.kind == PINCH:
             counts = stats["pinched_spheres"]
             counts[move.sphere] = counts.get(move.sphere, 0) + 1

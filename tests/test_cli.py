@@ -1,8 +1,11 @@
+import contextlib
+import io
 import json
 
 import pytest
+from hypothesis import given, settings, strategies as st
 
-from cansurf import cli
+from cansurf import build, cli, generators
 from cansurf.cli import main
 
 
@@ -72,6 +75,16 @@ def test_graph_determinism_and_manifest(capsys, data_dir, tmp_path):
     assert d0["result_digests"] == d2["result_digests"]
     assert d0["inputs"] == d2["inputs"]
     assert d0["parameters"] == d2["parameters"]
+
+
+def test_workers_environment_variable_is_ignored(capsys, data_dir, monkeypatch):
+    monkeypatch.setenv("CANSURF_WORKERS", "two")
+    code, out, _ = run(
+        capsys, "graph", str(data_dir / "two_tet_s3.tri"), str(data_dir / "vertex_link.surf"),
+        "--budget", "6",
+    )
+    assert code == 0
+    assert "complete" in out
 
 
 def test_graph_empty_move_set(capsys, data_dir, tmp_path):
@@ -204,3 +217,50 @@ def test_unreadable_inputs_exit_cleanly(capsys, data_dir, tmp_path, monkeypatch,
         code, _, err = run(capsys, "validate", str(bad))
         assert code == expected
         assert len(err.strip().splitlines()) == 1
+
+
+# Characters of the three input formats, for mutating them.
+FUZZ_ALPHABET = "0123456789 -:,.=@[]'+#\nadeflnrstuvxEFHINPUV"
+
+
+@st.composite
+def mutated(draw, text):
+    chars = list(text)
+    for _ in range(draw(st.integers(min_value=1, max_value=3))):
+        i = draw(st.integers(min_value=0, max_value=len(chars)))
+        op = draw(st.sampled_from(("insert", "delete", "replace")))
+        if op == "insert":
+            chars[i:i] = draw(st.text(FUZZ_ALPHABET, min_size=1, max_size=3))
+        elif op == "delete":
+            del chars[i:i + draw(st.integers(min_value=1, max_value=4))]
+        else:
+            chars[i:i + 1] = draw(st.sampled_from(FUZZ_ALPHABET))
+    return "".join(chars)
+
+
+@pytest.fixture(scope="module")
+def fuzz_inputs(tri_text, link_text, link, catalog, tmp_path_factory):
+    loops = generators(build(link, 8, catalog=catalog)).to_text().splitlines()[:4]
+    texts = {"tri": tri_text, "seed": link_text, "loops": "\n".join(loops) + "\n"}
+    return texts, tmp_path_factory.mktemp("fuzz")
+
+
+@settings(max_examples=150, deadline=None)
+@given(data=st.data())
+def test_mutated_inputs_end_in_an_exit_code(fuzz_inputs, data):
+    texts, folder = fuzz_inputs
+    command = data.draw(st.sampled_from(("validate", "replay", "graph")))
+    paths = {}
+    for name, text in texts.items():
+        if data.draw(st.booleans()):
+            text = data.draw(mutated(text))
+        paths[name] = folder / name
+        paths[name].write_text(text)
+    argv = {
+        "validate": ["validate", paths["tri"], paths["seed"]],
+        "replay": ["replay", paths["tri"], paths["seed"], paths["loops"]],
+        "graph": ["graph", paths["tri"], paths["seed"], "--budget", "6"],
+    }[command]
+    with contextlib.redirect_stdout(io.StringIO()), contextlib.redirect_stderr(io.StringIO()):
+        code = main([str(a) for a in argv])
+    assert code in (0, 1, 2, 3)

@@ -9,7 +9,6 @@ from cansurf import (
     SemanticError,
     Surface,
     build,
-    export,
     export_dot,
     export_json,
     generators,
@@ -84,7 +83,7 @@ def test_generator_loops_replay(tri, link, catalog):
 
 def test_export_json_round_trip(tri, link, catalog):
     g = build(link, 12, move_set={PINCH, UNPINCH}, catalog=catalog)
-    text = export(g, "json")
+    text = export_json(g)
     back = import_json(tri, text)
     assert set(back.vertices) == set(g.vertices)
     assert back.edges == g.edges
@@ -96,8 +95,6 @@ def test_export_dot_node_count(tri, link, catalog):
     g = build(link, 12, move_set={V0}, catalog=catalog)
     dot = export_dot(g)
     assert dot.count("[label=\"w=") == len(g.vertices)
-    with pytest.raises(SemanticError):
-        export(g, "xml")
 
 
 def test_worker_determinism(tri, link, catalog):

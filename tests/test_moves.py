@@ -1,4 +1,5 @@
 import hashlib
+import itertools
 
 import pytest
 from hypothesis import given, settings, strategies as st
@@ -8,6 +9,10 @@ from cansurf import (
     CRUDELY_NORMAL,
     NotApplicableError,
     Surface,
+    barycentric_subdivide,
+    build,
+    default_catalog,
+    enumerate_surfaces,
     parse_surface,
     vertex_link,
 )
@@ -20,6 +25,7 @@ from cansurf.moves import (
     UNPINCH,
     V0,
     Move,
+    _candidate_moves,
     _curve_of_copy,
     apply,
     apply_with_inverse,
@@ -539,3 +545,140 @@ def test_sphere_move_outcomes_match_recorded_digest(tri):
             digest.update(move.to_text().encode() + b" " + outcome + b"\n")
     assert (len(closed), len(grown), applied) == (148, 394, 5242)
     assert digest.hexdigest() == SPHERE_OUTCOMES_SHA256
+
+
+# ------------------------------------------------- face moves and fingers
+
+
+@pytest.fixture(scope="module")
+def enumerated(tri):
+    """Every 40th surface of the weight-4 enumeration, in its order."""
+    return list(itertools.islice(enumerate_surfaces(tri, 4), 0, None, 40))
+
+
+@pytest.fixture(scope="module")
+def closures(tri):
+    """Vertices of the default/8 closure of the vertex link, the budget-6
+    closure of a weight-2 sphere and the sub48/12 closure, each sorted."""
+    sphere = parse_surface(tri, "edges: 0 0 2\nface 0: 0-1\n")
+    sub = barycentric_subdivide(tri)
+    graphs = [
+        build(vertex_link(tri, 0), 8, catalog=default_catalog(tri)),
+        build(sphere, 6, catalog=default_catalog(tri)),
+        build(vertex_link(sub, 7), 12, move_set={V0, F2P, PINCH, UNPINCH},
+              catalog=default_catalog(sub)),
+    ]
+    return [[g.vertices[k] for k in sorted(g.vertices)] for g in graphs]
+
+
+def _face_move_candidates(surf):
+    """Every F2-type move on two arcs that bound a common region, under
+    both gains and both labels."""
+    for cid in range(len(surf.tri.face_classes)):
+        _, _, chord_sides = surf.face_regions(cid)
+        chords = sorted(chord_sides)
+        for i, alpha in enumerate(chords):
+            for beta in chords[i + 1:]:
+                if set(chord_sides[alpha]) & set(chord_sides[beta]):
+                    for gain in (0, 1):
+                        for kind in (F2, F2P):
+                            yield Move(kind, cid, arcs=(alpha, beta), gain=gain)
+
+
+def _check_generation(surf, closed):
+    """F2, F2' and E1- are generated exactly where apply accepts them, up
+    to a result that fails validation (never on a closure), and every
+    F2-type move splits one curve of one tetrahedron and joins two of the
+    other."""
+    tri = surf.tri
+    stats = {"budget_rejected": 0}
+    generated = {
+        m for m in _candidate_moves(surf, {E1, F2, F2P}, None, surf.weight(), stats)
+        if m.kind != E1 or m.direction < 0
+    }
+    candidates = list(_face_move_candidates(surf))
+    candidates += [
+        Move(E1, e, direction=-1, gap=k)
+        for e in range(len(tri.edge_classes)) for k in range(surf.weights[e] - 1)
+    ]
+    assert generated <= set(candidates)
+    for move in candidates:
+        try:
+            result, _ = apply_with_inverse(surf, move)
+        except NotApplicableError as exc:
+            if move in generated:
+                assert not closed, move.to_text()
+                assert ": result " in str(exc), (move.to_text(), str(exc))
+            continue
+        assert move in generated, move.to_text()
+        if move.kind == E1:
+            continue
+        for tet, face in tri.face_classes[move.location]:
+            geo = surf.tet_geometry(tet)
+            one = len({_curve_of_copy(geo, face, arc) for arc in move.arcs}) == 1
+            change = len(result.curves(tet)) - len(surf.curves(tet))
+            assert change == (1 if one else -1), (move.to_text(), tet)
+
+
+@settings(max_examples=60, deadline=None)
+@given(data=st.data())
+def test_generated_face_moves_and_fingers_apply(enumerated, closures, data):
+    closed = data.draw(st.booleans())
+    pool = data.draw(st.sampled_from(closures)) if closed else enumerated
+    _check_generation(data.draw(st.sampled_from(pool)), closed)
+
+
+def test_generated_face_moves_and_fingers_apply_on_closures(closures):
+    for surf in itertools.chain(*closures):
+        _check_generation(surf, closed=True)
+
+
+# A weight-8 surface of the enumeration with an annulus piece in tetrahedron 0.
+F2_SEPARATING = """\
+edges: 0 4 0
+face 0: 0-1 2-3 4-7 5-6
+face 1: 0-7 1-2 3-4 5-6
+face 2: 0-5 1-4 2-3 6-7
+face 3: 0-1 2-3
+tet 0: annulus 3 5
+tet 1: disks
+"""
+
+
+def test_generated_f2_can_fail_result_validation(tri):
+    # Both strands lie on one curve of tetrahedron 0, off its annulus, so
+    # every precondition holds; the split curve then separates the two
+    # annulus curves, which only validating the result sees.
+    surf = parse_surface(tri, F2_SEPARATING)
+    move = parse_move("F2@f1[arcs=0-7:3-4,gain=1]")
+    stats = {"budget_rejected": 0}
+    assert move in set(_candidate_moves(surf, {F2}, None, surf.weight(), stats))
+    with pytest.raises(NotApplicableError, match="annulus separation"):
+        apply(surf, move)
+    assert move not in {n.move for n in neighbors(surf, surf.weight(), move_set={F2})}
+
+
+# sha256 of the outcome of every face-move candidate below, recorded from
+# an implementation that built and validated each result before working
+# out its label.
+F2_OUTCOMES_SHA256 = "975bf6d9b1e108155bab9e16c7cbd7bd049eb770d5f0f20d35f81fc9131ea697"
+
+
+def test_face_move_outcomes_match_recorded_digest(enumerated, closures):
+    # Corpus: every 80th surface of the weight-4 enumeration and the
+    # default/8 closure.
+    corpus = enumerated[::2] + closures[0]
+    digest = hashlib.sha256()
+    applied = 0
+    for surf in corpus:
+        digest.update(surf.canonical_key())
+        for move in _face_move_candidates(surf):
+            try:
+                result, inverse = apply_with_inverse(surf, move)
+                outcome = result.canonical_key() + b" " + inverse.to_text().encode()
+                applied += 1
+            except NotApplicableError:
+                outcome = b"n/a"
+            digest.update(move.to_text().encode() + b" " + outcome + b"\n")
+    assert (len(corpus), applied) == (1741, 2687)
+    assert digest.hexdigest() == F2_OUTCOMES_SHA256

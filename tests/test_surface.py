@@ -276,7 +276,7 @@ def test_tracing_error_is_not_memoized(tri, link):
     assert Surface(tri, link.weights, link.matchings).validate() == CRUDELY_NORMAL
 
 
-def test_worker_task_repeats_its_geometry_work(tri_text, link_text, catalog, monkeypatch):
+def test_worker_task_repeats_its_geometry_work(tri, link_text, catalog, monkeypatch):
     traced = []
 
     class Counting(TetGeometry):
@@ -286,8 +286,7 @@ def test_worker_task_repeats_its_geometry_work(tri_text, link_text, catalog, mon
 
     monkeypatch.setattr(surface, "TetGeometry", Counting)
     monkeypatch.setattr(movegraph, "_WORKER", {})
-    spec = movegraph._catalog_spec(catalog)
-    movegraph._worker_init(tri_text, 8, sorted(DEFAULT_MOVE_SET), spec)
+    movegraph._worker_init(tri, 8, DEFAULT_MOVE_SET, catalog)
     first = movegraph._worker_neighbors(link_text)
     once = len(traced)
     second = movegraph._worker_neighbors(link_text)
