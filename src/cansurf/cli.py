@@ -149,6 +149,8 @@ def cmd_bounds(args):
 
 def _run_graph(args, emit_loops):
     t0 = time.time()
+    if args.workers < 1:
+        raise ParseError("--workers must be at least 1, got {}".format(args.workers))
     tri = _load_triangulation(args)
     seed_text = _read(args.seed)
     seed = parse_surface(tri, seed_text)

@@ -61,14 +61,23 @@ except the tube side, whose partner is not one of them.  Catalog entries
 are tried in order.  V0 and PINCH/UNPINCH share this code, and E1- the
 deletion step.
 
-The neighbour generator proposes a move only where apply's own
-preconditions hold: it labels each F2-type move with ``_f2_kind`` and
-proposes an E1 deletion only where ``_e1_finger`` finds a finger, the
-helpers ``apply_with_inverse`` calls before it builds anything.  An F2
-can still fail validation of its result (its split may separate the
-losing tetrahedron's annulus pair), so ``neighbors`` drops moves that
-raise NotApplicableError.  V0-, PINCH and UNPINCH are still proposed
-more widely than they apply.
+A move builds one ``Surface``, its result.  The curves of the new
+encoding, which carry annulus pairs over and locate a tube, come from
+``surface.tet_geometry_of`` on the new weights and matchings.
+
+The neighbour generator proposes exactly the moves that apply.  Each
+precondition lives in one helper that ``_candidate_moves`` and
+``apply_with_inverse`` both call before anything is built:
+``_f2_kind`` labels a face move and ``_f2_separation`` rejects a split
+that separates the losing tetrahedron's annulus pair; ``_e1_finger``
+finds an E1 deletion; ``_bubble`` and ``_tubed_sphere`` find the sphere
+that V0- and UNPINCH split off; and PINCH inserts each catalog sphere
+once per source with ``_insert_sphere``, then checks each tube with
+``_tube``.  V0+ and E1+ are proposed only where the partner or the
+rerouted arc touches the region they move into, which is all they
+need.  ``neighbors`` therefore catches nothing: a generated move that
+fails raises.  ``apply_with_inverse`` keeps every check, result
+validation included, for user loops and replay.
 
 Serialization: ``kind@<loc>[k=v,...]``, e.g. ``V0+@v0[corner=1.2,partner=3]``,
 ``E1-@e2[at=0]``, ``F2'@f1[arcs=0-5:1-2,gain=1]``,
@@ -78,6 +87,7 @@ Curve ids always refer to the encoding the move applies to.
 
 from __future__ import annotations
 
+import collections
 import functools
 import re
 from dataclasses import dataclass
@@ -89,8 +99,10 @@ from .surface import (
     CRUDELY_NORMAL,
     Surface,
     _face_layout,
+    face_crossing,
     parse_surface,
     pairs_cross,
+    tet_geometry_of,
     vertex_link,
 )
 from .triangulation import EDGE_VERTICES
@@ -343,20 +355,23 @@ def _shift_node(tri, tet, shift, node):
     return edge_local, shift(e, i)
 
 
-def _track_curve(old, new, tet, curve, shift, removed_points=None):
-    """The id in ``new`` of a curve of ``old`` in tet, followed through its
-    first node that is not among the removed points."""
+def _track_curve(old, geo, curve, shift, removed_points=None):
+    """The id in ``geo``, the new encoding's geometry of a tetrahedron, of
+    a curve of ``old`` there, followed through its first node that is not
+    among the removed points."""
     tri = old.tri
+    tet = geo.tet
     removed = removed_points or {}
     for node in old.tet_geometry(tet).curves[curve]:
         if node[1] not in removed.get(tri.edge_class_of[(tet, node[0])], ()):
-            return new.tet_geometry(tet).node_curve[_shift_node(tri, tet, shift, node)]
+            return geo.node_curve[_shift_node(tri, tet, shift, node)]
     raise NotApplicableError("curve {} of tet {} would be deleted".format(curve, tet))
 
 
-def _map_annuli(old, new, shift, overrides=None, removed_points=None):
-    """Carry annulus pairs from ``old`` to ``new`` by tracking a surviving
-    node of each member curve.  ``overrides`` replaces whole tetrahedra."""
+def _map_annuli(old, weights, matchings, shift, overrides=None, removed_points=None):
+    """Carry annulus pairs from ``old`` to the new encoding with these
+    weights and matchings, by tracking a surviving node of each member
+    curve.  ``overrides`` replaces whole tetrahedra."""
     overrides = overrides or {}
     annuli = []
     for tet, pairs in enumerate(old.annuli):
@@ -365,7 +380,8 @@ def _map_annuli(old, new, shift, overrides=None, removed_points=None):
             continue
         mapped = []
         for pair in pairs:
-            a, b = (_track_curve(old, new, tet, c, shift, removed_points) for c in pair)
+            geo = tet_geometry_of(old.tri, weights, matchings, tet)
+            a, b = (_track_curve(old, geo, c, shift, removed_points) for c in pair)
             if a == b:
                 raise NotApplicableError(
                     "annulus curves in tet {} would merge".format(tet)
@@ -467,36 +483,30 @@ def _sphere_arcs(entry, weights, point_map):
     return arcs
 
 
-def _sphere_curves(surf, entry, point_map, tet):
-    """{surface curve: sphere curve} for the sphere's curves in tet."""
-    tri = surf.tri
-    node_curve = surf.tet_geometry(tet).node_curve
+def _sphere_curves(geo, entry, point_map):
+    """{curve of geo: sphere curve} for the catalog sphere's curves in the
+    tetrahedron of ``geo``, the sphere's points being where ``point_map``
+    puts them."""
+    tri = entry.surface.tri
+    tet = geo.tet
     out = {}
     for s_curve, nodes in enumerate(entry.surface.tet_geometry(tet).curves):
         e_local, i = nodes[0]
         e = tri.edge_class_of[(tet, e_local)]
-        out[node_curve[(e_local, point_map[(e, i)])]] = s_curve
+        out[geo.node_curve[(e_local, point_map[(e, i)])]] = s_curve
     return out
 
 
-def _add_sphere(surf, entry, tube=None):
+def _insert_sphere(surf, entry):
     """``surf`` plus the catalog sphere at its placement, each sphere
-    piece a disk.  With ``tube=(tet, curve, sphere curve)`` the two named
-    curves in tet bound an annulus instead.  Returns the unvalidated
-    result and the result's id of the tubed sphere curve."""
+    piece a disk, before anything is built.  Returns ((weights,
+    matchings, annuli, point map, point shift), None), or (None, why)
+    when that encoding is invalid: a sphere arc crosses an arc of
+    ``surf``, or an annulus pair of ``surf`` stops sharing a region.  Only
+    the faces and tetrahedra the sphere meets change, so only they are
+    checked."""
     tri = surf.tri
-    sphere = entry.surface
-    if tube is not None:
-        tet, curve, s_curve = tube
-        if surf.annuli[tet]:
-            raise NotApplicableError("tet {} already has an annulus".format(tet))
-        if not (0 <= curve < len(surf.tet_geometry(tet).curves)):
-            raise NotApplicableError("no curve {} in tet {}".format(curve, tet))
-        if not (0 <= s_curve < len(sphere.tet_geometry(tet).curves)):
-            raise NotApplicableError(
-                "sphere {} has no curve {} in tet {}".format(entry.sphere_id, s_curve, tet)
-            )
-    new_weights = tuple(w + k for w, k in zip(surf.weights, sphere.weights))
+    new_weights = tuple(w + k for w, k in zip(surf.weights, entry.surface.weights))
     point_map = _placement_points(new_weights, entry)
     # The r-th placed point on an edge, at new index u, fills old gap u - r.
     inserts = {}
@@ -505,20 +515,71 @@ def _add_sphere(surf, entry, tube=None):
         gaps.append(u - len(gaps))
     _, shift, _ = _point_map_for_insertions(surf.weights, inserts)
     matchings = _remap_matchings(surf, new_weights, shift)
+    met = set()
     for cid, pair in _sphere_arcs(entry, new_weights, point_map):
         matchings[cid] += (pair,)
-    probe = Surface(tri, new_weights, matchings)
-    annuli = _map_annuli(surf, probe, shift)
-    if tube is None:
-        return Surface(tri, new_weights, matchings, annuli), None
-    c1 = _track_curve(surf, probe, tet, curve, shift)
-    c2 = {sc: c for c, sc in _sphere_curves(probe, entry, point_map, tet).items()}[s_curve]
+        met.add(cid)
+    for cid in sorted(met):
+        matchings[cid] = tuple(sorted(matchings[cid]))
+        crossing = face_crossing(cid, matchings[cid])
+        if crossing:
+            return None, crossing
+    annuli = _map_annuli(surf, new_weights, matchings, shift)
+    for tet, pairs in enumerate(annuli):
+        if pairs and not met.isdisjoint(tri.tet_local_classes[tet][1]):
+            geo = tet_geometry_of(tri, new_weights, matchings, tet)
+            if not geo.curves_sharing_region(*pairs[0]):
+                return None, "invalid: annulus separation in tet {}".format(tet)
+    return (new_weights, matchings, annuli, point_map, shift), None
+
+
+def _tube(surf, entry, inserted, tet, curve, s_curve):
+    """Tubing curve ``curve`` of ``surf`` in tet to curve ``s_curve`` of
+    the catalog sphere, in the encoding ``inserted`` from
+    ``_insert_sphere``: (their ids there, surface curve first, None), or
+    (None, why)."""
+    if surf.annuli[tet]:
+        return None, "tet {} already has an annulus".format(tet)
+    if not (0 <= curve < len(surf.tet_geometry(tet).curves)):
+        return None, "no curve {} in tet {}".format(curve, tet)
+    if not (0 <= s_curve < len(entry.surface.tet_geometry(tet).curves)):
+        return None, "sphere {} has no curve {} in tet {}".format(entry.sphere_id, s_curve, tet)
+    weights, matchings, _, point_map, shift = inserted
+    geo = tet_geometry_of(surf.tri, weights, matchings, tet)
+    c1 = _track_curve(surf, geo, curve, shift)
+    c2 = {sc: c for c, sc in _sphere_curves(geo, entry, point_map).items()}[s_curve]
     if c1 == c2:
-        raise NotApplicableError("pinch curves coincide")
-    if not probe.tet_geometry(tet).curves_sharing_region(c1, c2):
-        raise NotApplicableError("pinch curves are separated in tet {}".format(tet))
-    annuli[tet] = (tuple(sorted((c1, c2))),)
-    return Surface(tri, new_weights, matchings, annuli), c2
+        return None, "pinch curves coincide"
+    if not geo.curves_sharing_region(c1, c2):
+        return None, "pinch curves are separated in tet {}".format(tet)
+    return (c1, c2), None
+
+
+def _add_sphere(surf, entry, context, tube=None):
+    """``surf`` plus the catalog sphere at its placement, each sphere
+    piece a disk; with ``tube=(tet, curve, sphere curve)`` the two named
+    curves in tet bound an annulus instead.  Returns the validated result
+    and the result's id of the tubed sphere curve; ``context`` names the
+    move in the error raised when the result would be invalid."""
+    inserted, why = _insert_sphere(surf, entry)
+    if inserted is None:
+        raise NotApplicableError("{}: result {}".format(context, why))
+    weights, matchings, annuli, _, _ = inserted
+    c2 = None
+    if tube is not None:
+        pair, why = _tube(surf, entry, inserted, *tube)
+        if pair is None:
+            raise NotApplicableError(why)
+        annuli[tube[0]] = (tuple(sorted(pair)),)
+        c2 = pair[1]
+    result = Surface(surf.tri, weights, matchings, annuli)
+    return _require_valid_result(result, context), c2
+
+
+# A catalog sphere found at its placement: the points and arcs to delete,
+# the sphere's curve at the tube side and the tube's other curve (None
+# without a tube), and why the sphere does not split off (None if it does).
+_Found = collections.namedtuple("_Found", "removals arcs sphere_curve keep why")
 
 
 def _find_sphere(surf, entry, tube=None):
@@ -527,11 +588,10 @@ def _find_sphere(surf, entry, tube=None):
 
     ``tube=(tet, side)`` names a curve of the annulus in tet.  Returns
     None unless the sphere's points exist, all its arcs are present and,
-    with a tube, side is one of its curves.  Raises NotApplicableError if
-    the sphere is there but does not split off: the tube's other curve is
-    also the sphere's, or another sphere curve is paired into an annulus.
-    Otherwise returns (removals, arcs, sphere curve at side, other curve
-    of the tube).
+    with a tube, side is one of its curves; otherwise a ``_Found``.  Its
+    ``why`` says when the sphere is there but does not split off: the
+    tube's other curve is also the sphere's, or another sphere curve is
+    paired into an annulus.
     """
     sphere = entry.surface
     if tube is not None and not sphere.tet_geometry(tube[0]).curves:
@@ -542,31 +602,29 @@ def _find_sphere(surf, entry, tube=None):
     arcs = _sphere_arcs(entry, surf.weights, point_map)
     if not all(pair in surf.matchings[cid] for cid, pair in arcs):
         return None
-    s_curve = keep = None
+    s_curve = keep = why = None
     if tube is not None:
         tet, side = tube
-        mine = _sphere_curves(surf, entry, point_map, tet)
+        mine = _sphere_curves(surf.tet_geometry(tet), entry, point_map)
         if side not in mine:
             return None
         (pair,) = surf.annuli[tet]
         keep = pair[0] if pair[1] == side else pair[1]
         if keep in mine:
-            raise NotApplicableError("annulus tube in tet {} is essential".format(tet))
+            why = "annulus tube in tet {} is essential".format(tet)
         s_curve = mine[side]
     for tet, pairs in enumerate(surf.annuli):
-        if not pairs or (tube is not None and tet == tube[0]):
+        if why or not pairs or (tube is not None and tet == tube[0]):
             continue
         paired = {c for pair in pairs for c in pair}
-        if paired & set(_sphere_curves(surf, entry, point_map, tet)):
-            raise NotApplicableError(
-                "sphere {} is paired into the annulus of tet {}".format(entry.sphere_id, tet)
-            )
+        if paired & set(_sphere_curves(surf.tet_geometry(tet), entry, point_map)):
+            why = "sphere {} is paired into the annulus of tet {}".format(entry.sphere_id, tet)
     removals = {}
     for (e, _), u in point_map.items():
         removals.setdefault(e, []).append(u)
     for idx in removals.values():
         idx.sort()
-    return removals, arcs, s_curve, keep
+    return _Found(removals, arcs, s_curve, keep, why)
 
 
 def _delete_cells(surf, removals, drop, add=(), tube=None):
@@ -585,13 +643,12 @@ def _delete_cells(surf, removals, drop, add=(), tube=None):
     for cid, pair in add:
         stripped[cid] += (pair,)
     matchings = _remap_matchings(surf, new_weights, shift, stripped)
-    probe = Surface(tri, new_weights, matchings)
     overrides = {} if tube is None else {tube[0]: ()}
-    annuli = _map_annuli(surf, probe, shift, overrides, removals)
+    annuli = _map_annuli(surf, new_weights, matchings, shift, overrides, removals)
     result = Surface(tri, new_weights, matchings, annuli)
     if tube is None:
         return result, shift, None
-    return result, shift, _track_curve(surf, result, tube[0], tube[1], shift, removals)
+    return result, shift, _track_curve(surf, result.tet_geometry(tube[0]), tube[1], shift, removals)
 
 
 # ---------------------------------------------------------------------------
@@ -613,15 +670,37 @@ def _apply_v0_emit(surf, move):
         raise NotApplicableError("unknown vertex class {}".format(v))
     entry = _vertex_sphere(tri, v)
     if move.corner is None:
-        result, _ = _add_sphere(surf, entry)
-        return _require_valid_result(result, "V0 emit"), Move(V0, v, direction=-1)
+        result, _ = _add_sphere(surf, entry, "V0 emit")
+        return result, Move(V0, v, direction=-1)
     _check_corner(tri, v, move.corner)
     tet, corner = move.corner
     sphere = entry.surface
     s_curve = sphere.tet_geometry(tet).node_curve[_corner_node(tri, sphere.weights, tet, corner)]
-    result, _ = _add_sphere(surf, entry, (tet, move.partner, s_curve))
-    inverse = Move(V0, v, direction=-1, corner=move.corner)
-    return _require_valid_result(result, "V0 emit"), inverse
+    result, _ = _add_sphere(surf, entry, "V0 emit", (tet, move.partner, s_curve))
+    return result, Move(V0, v, direction=-1, corner=move.corner)
+
+
+def _bubble(surf, v, corner):
+    """The bubble that V0- at vertex class v absorbs, fused at ``corner``
+    unless that is None: (its ``_Found``, None), or (None, why not).  A
+    fused corner's curve must be a side of its tet's annulus; then the
+    vertex-link sphere must be at its placement and split off."""
+    tri = surf.tri
+    tube = None
+    if corner is not None:
+        tet, c = corner
+        pairs = surf.annuli[tet]
+        node = _corner_node(tri, surf.weights, tet, c)
+        side = surf.tet_geometry(tet).node_curve.get(node) if pairs else None
+        if side is None or side not in pairs[0]:
+            return None, "bubble corner at {}.{} is not fused into an annulus".format(tet, c)
+        tube = (tet, side)
+    found = _find_sphere(surf, _vertex_sphere(tri, v), tube)
+    if found is None:
+        return None, "no innermost bubble at vertex class {}".format(v)
+    if found.why:
+        return None, found.why
+    return found, None
 
 
 def _apply_v0_absorb(surf, move):
@@ -629,25 +708,16 @@ def _apply_v0_absorb(surf, move):
     v = move.location
     if not (0 <= v < len(tri.vertex_classes)):
         raise NotApplicableError("unknown vertex class {}".format(v))
-    entry = _vertex_sphere(tri, v)
-    tube = None
     if move.corner is not None:
         _check_corner(tri, v, move.corner)
-        tet, corner = move.corner
-        side = surf.tet_geometry(tet).node_curve.get(_corner_node(tri, surf.weights, tet, corner))
-        if not surf.annuli[tet] or side not in surf.annuli[tet][0]:
-            raise NotApplicableError(
-                "bubble corner at {}.{} is not fused into an annulus".format(tet, corner)
-            )
-        tube = (tet, side)
-    found = _find_sphere(surf, entry, tube)
+    found, why = _bubble(surf, v, move.corner)
     if found is None:
-        raise NotApplicableError("no innermost bubble at vertex class {}".format(v))
-    removals, arcs, _, keep = found
-    if tube is None:
-        result, _, _ = _delete_cells(surf, removals, arcs)
+        raise NotApplicableError(why)
+    if move.corner is None:
+        result, _, _ = _delete_cells(surf, found.removals, found.arcs)
         return _require_valid_result(result, "V0 absorb"), Move(V0, v, direction=1)
-    result, _, partner = _delete_cells(surf, removals, arcs, tube=(tube[0], keep))
+    tube = (move.corner[0], found.keep)
+    result, _, partner = _delete_cells(surf, found.removals, found.arcs, tube=tube)
     inverse = Move(V0, v, direction=1, corner=move.corner, partner=partner)
     return _require_valid_result(result, "V0 absorb"), inverse
 
@@ -704,9 +774,8 @@ def _apply_e1_insert(surf, move):
     chosen = _planar_reconnection(rest, a_new[0], a_new[1], pa, pb)
     if chosen is None:
         raise NotApplicableError("no planar rerouting through face {}".format(chat))
-    matchings[chat] = rest + chosen
-    probe = Surface(tri, new_weights, matchings)
-    annuli = _map_annuli(surf, probe, shift)
+    matchings[chat] = tuple(sorted(rest + chosen))
+    annuli = _map_annuli(surf, new_weights, matchings, shift)
     result = Surface(tri, new_weights, matchings, annuli)
     inverse = Move(E1, e, direction=-1, gap=gap)
     return _require_valid_result(result, "E1 insert"), inverse
@@ -818,6 +887,28 @@ def _f2_kind(surf, cid, alpha, beta, gain):
     return F2 if (u_a == u_b) == (v_a == v_b) else F2P
 
 
+def _f2_separation(surf, cid, alpha, beta, gain):
+    """Whether the face move on arcs alpha, beta of face class cid that
+    gains into incidence ``gain`` splits a curve of the losing tetrahedron
+    so that the tet's annulus pair stops sharing a region.  Decided on
+    that one tetrahedron's geometry after the reconnection."""
+    t_l, f_l = surf.face_layout(cid).incidences[1 - gain]
+    if not surf.annuli[t_l]:
+        return False
+    geo = surf.tet_geometry(t_l)
+    if _curve_of_copy(geo, f_l, alpha) != _curve_of_copy(geo, f_l, beta):
+        return False
+    rest = tuple(p for p in surf.matchings[cid] if p not in (alpha, beta))
+    chosen = _planar_reconnection(rest, *alpha, *beta)
+    if chosen is None:
+        return False
+    matchings = list(surf.matchings)
+    matchings[cid] = tuple(sorted(rest + chosen))
+    after = tet_geometry_of(surf.tri, surf.weights, matchings, t_l)
+    (pair,) = surf.annuli[t_l]
+    return not after.curves_sharing_region(*(after.node_curve[geo.curves[c][0]] for c in pair))
+
+
 def _apply_f2(surf, move):
     tri = surf.tri
     cid = move.location
@@ -851,20 +942,25 @@ def _apply_f2(surf, move):
     chosen = _planar_reconnection(rest, *alpha, *beta)
     if chosen is None:
         raise NotApplicableError("no planar reconnection of {} and {}".format(alpha, beta))
+    (t_l, f_l), (t_g, f_g) = layout.incidences[1 - move.gain], layout.incidences[move.gain]
+    if _f2_separation(surf, cid, alpha, beta, move.gain):
+        raise NotApplicableError(
+            "face move: result invalid: annulus separation in tet {}".format(t_l)
+        )
     matchings = list(surf.matchings)
     matchings[cid] = tuple(sorted(rest + chosen))
-    probe = Surface(tri, surf.weights, matchings)
     # The band splits one curve of each tet into two or joins two into one:
     # a losing annulus pair joins, and a split gaining curve becomes the pair.
-    (t_l, f_l), (t_g, f_g) = layout.incidences[1 - move.gain], layout.incidences[move.gain]
-    joined = {_curve_of_copy(probe.tet_geometry(t_l), f_l, p) for p in chosen}
-    split = {_curve_of_copy(probe.tet_geometry(t_g), f_g, p) for p in chosen}
+    geo_l = tet_geometry_of(tri, surf.weights, matchings, t_l)
+    geo_g = tet_geometry_of(tri, surf.weights, matchings, t_g)
+    joined = {_curve_of_copy(geo_l, f_l, p) for p in chosen}
+    split = {_curve_of_copy(geo_g, f_g, p) for p in chosen}
     overrides = {}
     if len(joined) == 1:
         overrides[t_l] = ()
     if len(split) == 2:
         overrides[t_g] = (tuple(sorted(split)),)
-    annuli = _map_annuli(surf, probe, lambda e, i: i, overrides)
+    annuli = _map_annuli(surf, surf.weights, matchings, lambda e, i: i, overrides)
     result = Surface(tri, surf.weights, matchings, annuli)
     inverse = Move(kind, cid, arcs=tuple(sorted(chosen)), gain=1 - move.gain)
     return _require_valid_result(result, "face move"), inverse
@@ -881,8 +977,25 @@ def _apply_pinch(surf, move, catalog):
     if catalog is None:
         raise SemanticError("pinch requires a sphere catalog")
     entry = catalog.get(move.sphere)
-    result, c2 = _add_sphere(surf, entry, (tet, move.curve, move.sphere_curve))
-    return _require_valid_result(result, "pinch"), Move(UNPINCH, tet, curve=c2)
+    result, c2 = _add_sphere(surf, entry, "pinch", (tet, move.curve, move.sphere_curve))
+    return result, Move(UNPINCH, tet, curve=c2)
+
+
+def _tubed_sphere(surf, tet, side, catalog):
+    """The catalog sphere that UNPINCH at ``side`` of tet's annulus splits
+    off: ((entry, its ``_Found``), None), or (None, why not).  The first
+    entry found at its placement decides."""
+    pairs = surf.annuli[tet]
+    if len(pairs) != 1 or side not in pairs[0]:
+        return None, "tet {} has no annulus with side {}".format(tet, side)
+    for entry in catalog:
+        found = _find_sphere(surf, entry, (tet, side))
+        if found is not None:
+            return (None, found.why) if found.why else ((entry, found), None)
+    return None, (
+        "side {} of tet {} is not tubed to a catalog sphere at its "
+        "placement".format(side, tet)
+    )
 
 
 def _apply_unpinch(surf, move, catalog):
@@ -891,23 +1004,12 @@ def _apply_unpinch(surf, move, catalog):
         raise NotApplicableError("unknown tet {}".format(tet))
     if catalog is None:
         raise SemanticError("unpinch requires a sphere catalog")
-    pairs = surf.annuli[tet]
-    if len(pairs) != 1 or move.curve not in pairs[0]:
-        raise NotApplicableError(
-            "tet {} has no annulus with side {}".format(tet, move.curve)
-        )
-    for entry in catalog:
-        found = _find_sphere(surf, entry, (tet, move.curve))
-        if found is not None:
-            break
-    else:
-        raise NotApplicableError(
-            "side {} of tet {} is not tubed to a catalog sphere at its "
-            "placement".format(move.curve, tet)
-        )
-    removals, arcs, s_curve, keep = found
-    result, _, keep_new = _delete_cells(surf, removals, arcs, tube=(tet, keep))
-    inverse = Move(PINCH, tet, curve=keep_new, sphere=entry.sphere_id, sphere_curve=s_curve)
+    tubed, why = _tubed_sphere(surf, tet, move.curve, catalog)
+    if tubed is None:
+        raise NotApplicableError(why)
+    entry, found = tubed
+    result, _, keep = _delete_cells(surf, found.removals, found.arcs, tube=(tet, found.keep))
+    inverse = Move(PINCH, tet, curve=keep, sphere=entry.sphere_id, sphere_curve=found.sphere_curve)
     return _require_valid_result(result, "unpinch"), inverse
 
 
@@ -972,7 +1074,7 @@ def _candidate_moves(surf, move_set, catalog, budget, stats):
                         continue
                     yield Move(V0, v, direction=1, corner=(tet, corner), partner=c)
             for tet, corner in tri.vertex_classes[v]:
-                if surf.annuli[tet]:
+                if _bubble(surf, v, (tet, corner))[0] is not None:
                     yield Move(V0, v, direction=-1, corner=(tet, corner))
     if E1 in move_set:
         for e in range(len(tri.edge_classes)):
@@ -1009,29 +1111,33 @@ def _candidate_moves(surf, move_set, catalog, budget, stats):
                         continue
                     for gain in (0, 1):
                         kind = _f2_kind(surf, cid, alpha, beta, gain)
-                        if kind in move_set:
+                        if kind in move_set and not _f2_separation(surf, cid, alpha, beta, gain):
                             yield Move(kind, cid, arcs=(alpha, beta), gain=gain)
     if PINCH in move_set and catalog is not None:
         for entry in catalog:
-            over = weight + entry.weight() > budget
-            for tet in range(tri.tet_count):
-                if surf.annuli[tet]:
-                    continue
-                n_sphere = len(entry.surface.tet_geometry(tet).curves)
-                n_here = len(surf.tet_geometry(tet).curves)
-                for c1 in range(n_here):
-                    for c2 in range(n_sphere):
-                        if over:
-                            stats["budget_rejected"] += 1
-                            continue
-                        yield Move(
-                            PINCH, tet, curve=c1, sphere=entry.sphere_id, sphere_curve=c2
-                        )
+            tubes = [
+                (tet, c1, c2)
+                for tet in range(tri.tet_count) if not surf.annuli[tet]
+                for c1 in range(len(surf.tet_geometry(tet).curves))
+                for c2 in range(len(entry.surface.tet_geometry(tet).curves))
+            ]
+            if weight + entry.weight() > budget:
+                stats["budget_rejected"] += len(tubes)
+                continue
+            if not tubes:
+                continue
+            inserted, _ = _insert_sphere(surf, entry)
+            if inserted is None:
+                continue
+            for tet, c1, c2 in tubes:
+                if _tube(surf, entry, inserted, tet, c1, c2)[0] is not None:
+                    yield Move(PINCH, tet, curve=c1, sphere=entry.sphere_id, sphere_curve=c2)
     if UNPINCH in move_set and catalog is not None:
         for tet in range(tri.tet_count):
             for pair in surf.annuli[tet]:
                 for side in pair:
-                    yield Move(UNPINCH, tet, curve=side)
+                    if _tubed_sphere(surf, tet, side, catalog)[0] is not None:
+                        yield Move(UNPINCH, tet, curve=side)
 
 
 def neighbors(surf, budget, move_set=DEFAULT_MOVE_SET, catalog=None, stats=None):
@@ -1053,12 +1159,7 @@ def neighbors(surf, budget, move_set=DEFAULT_MOVE_SET, catalog=None, stats=None)
     stats.setdefault("pinched_spheres", {})
     out = []
     for move in _candidate_moves(surf, frozenset(move_set), catalog, budget, stats):
-        # V0-, PINCH and UNPINCH are proposed more widely than they apply,
-        # and an F2 split can separate the losing tet's annulus pair.
-        try:
-            result, inverse = apply_with_inverse(surf, move, catalog)
-        except NotApplicableError:
-            continue
+        result, inverse = apply_with_inverse(surf, move, catalog)
         out.append(Neighbor(move, inverse, result))
         if move.kind == PINCH:
             counts = stats["pinched_spheres"]

@@ -36,12 +36,15 @@ Lines starting with '#' are comments.  The serializer emits every face
 and tetrahedron line in class order with pairs sorted, so equal strings
 mean equal encodings and conversely.
 
-Geometry is memoized process-wide.  ``_face_layout`` caches slot
-bookkeeping per weight vector, and ``_TET_MEMO`` caches each
-``TetGeometry`` on its tetrahedron's local data (the six edge weights
-and four face matchings), so surfaces that agree on a tetrahedron share
-one curve system there.  The tet memo is least-recently-used and holds
-at most ``max(128, 4 * tet_count)`` entries.
+Geometry is a function of local data, memoized process-wide.  A
+``FaceLayout`` depends only on its face's three side weights, and a
+``TetGeometry`` only on its tetrahedron's six edge weights and four face
+matchings.  ``tet_geometry`` keeps each ``TetGeometry`` in ``_TET_MEMO``
+under exactly that data, so surfaces that agree on a tetrahedron share
+one curve system there, and ``tet_geometry_of`` reads the curves of an
+encoding that has not been built as a ``Surface``, as a move does for
+its result.  The tet memo is least-recently-used and holds at most
+``max(128, 4 * tet_count)`` entries.
 """
 
 from __future__ import annotations
@@ -88,6 +91,15 @@ def pairs_cross(p, q):
     return (a < c < b < d) or (c < a < d < b)
 
 
+def face_crossing(cid, pairs):
+    """The validation failure naming the first two crossing arcs among
+    face class cid's pairs, or None when no two cross."""
+    for p, q in itertools.combinations(pairs, 2):
+        if pairs_cross(p, q):
+            return "invalid: face {} arcs {} and {} cross".format(cid, p, q)
+    return None
+
+
 @functools.lru_cache(maxsize=1 << 16)
 def _face_chord_regions(n, pairs):
     """Planar regions of a disk cut by non-crossing chords.
@@ -126,14 +138,30 @@ def _face_chord_regions(n, pairs):
     return next_region, gap_region, chord_sides
 
 
-class FaceLayout:
-    """Slot bookkeeping for one face class at given edge weights.
+@functools.lru_cache(maxsize=1 << 14)
+def _face_sides(tri, cid):
+    """The sides of face class cid's representative triangle in slot
+    order: per side, its edge class and its tetrahedron edge as seen from
+    each of the two incidences."""
+    (t, f), _ = tri.face_classes[cid]
+    u0, u1, u2 = sorted(set(range(4)) - {f})
+    _, perm = tri.gluings[t][f]
+    return tuple(
+        (tri.edge_class_of[(t, edge_number(a, b))], edge_number(a, b),
+         edge_number(perm[a], perm[b]))
+        for a, b in ((u0, u1), (u1, u2), (u2, u0))
+    )
 
-    Depends only on the triangulation and the weight vector, not on the
-    matchings, so it is shared by every encoding with the same weights.
+
+class FaceLayout:
+    """Slot bookkeeping for one face class at given side weights.
+
+    Depends only on the triangulation and the weights of the face's three
+    sides, not on the matchings, so it is shared by every encoding that
+    agrees there.
     """
 
-    def __init__(self, tri, face_class, weights):
+    def __init__(self, tri, face_class, side_w):
         self.face_class = face_class
         rep, other = tri.face_classes[face_class]
         self.incidences = (rep, other)
@@ -143,28 +171,21 @@ class FaceLayout:
         u0, u1, u2 = corners
         # side k: ordered pair of representative corner labels.
         side_pairs = ((u0, u1), (u1, u2), (u2, u0))
-        self.side_edge = []     # edge class per side
-        self.side_net = []      # +1 if traversal follows the class orientation
-        for a, b in side_pairs:
-            e_local = edge_number(a, b)
-            cls = tri.edge_class_of[(t, e_local)]
-            traversal = 1 if a < b else -1
+        self.side_edge = []       # edge class per side
+        self.side_net = []        # +1 if traversal follows the class orientation
+        self.side_tet_edges = []  # tet-edge of each side as seen from each incidence
+        for (a, b), (cls, rep_edge, other_edge) in zip(side_pairs, _face_sides(tri, face_class)):
             self.side_edge.append(cls)
-            self.side_net.append(traversal * tri.edge_sign[(t, e_local)])
-        self.side_w = [weights[e] for e in self.side_edge]
+            self.side_net.append((1 if a < b else -1) * tri.edge_sign[(t, rep_edge)])
+            self.side_tet_edges.append((rep_edge, other_edge))
+        self.side_w = list(side_w)
         self.side_start = [0, self.side_w[0], self.side_w[0] + self.side_w[1]]
         self.n = sum(self.side_w)
-        # Tet-edge of each side as seen from each incidence.
-        n2, perm = tri.gluings[t][f]
-        self.side_tet_edges = []
-        for a, b in side_pairs:
-            rep_edge = edge_number(a, b)
-            other_edge = edge_number(perm[a], perm[b])
-            self.side_tet_edges.append((rep_edge, other_edge))
         self.corner_vertex = tuple(
             tri.vertex_class_of[(t, u)] for u in corners
         )
         # Corner labels as seen from the other incidence.
+        _, perm = tri.gluings[t][f]
         self.other_corners = tuple(perm[u] for u in corners)
 
     def side_of_slot(self, s):
@@ -203,34 +224,77 @@ class FaceLayout:
 
 
 @functools.lru_cache(maxsize=1 << 14)
+def _side_layout(tri, cid, side_w):
+    return FaceLayout(tri, cid, side_w)
+
+
+@functools.lru_cache(maxsize=1 << 14)
 def _face_layout(tri, weights, cid):
-    return FaceLayout(tri, cid, weights)
+    return _side_layout(tri, cid, tuple([weights[e] for e, _, _ in _face_sides(tri, cid)]))
 
 
 # TetGeometry by (tri, tet, edge weights, face matchings) of that tet,
-# least recently used first; see Surface.tet_geometry.
+# least recently used first; see tet_geometry.
 _TET_MEMO = collections.OrderedDict()
+
+
+def tet_geometry(tri, tet, weights, matchings):
+    """The curve system of tet with these six edge weights and four face
+    matchings (see TetGeometry), looked up in the process-wide
+    ``_TET_MEMO`` and traced only on a miss.  The memo drops its least
+    recently used entries beyond ``max(128, 4 * tet_count)``; a tracing
+    error is raised, not cached."""
+    key = (tri, tet, weights, matchings)
+    geo = _TET_MEMO.get(key)
+    if geo is None:
+        geo = TetGeometry(tri, tet, weights, matchings)
+        _TET_MEMO[key] = geo
+        while len(_TET_MEMO) > max(128, 4 * tri.tet_count):
+            _TET_MEMO.popitem(last=False)
+    else:
+        _TET_MEMO.move_to_end(key)
+    return geo
+
+
+def tet_geometry_of(tri, weights, matchings, tet):
+    """``tet_geometry`` of tet in the encoding with these edge class
+    weights and face class matchings, which need not be built as a
+    Surface.  Matchings must be normalized as ``Surface`` stores them:
+    each pair sorted, each face's pairs sorted."""
+    edges, faces = tri.tet_local_classes[tet]
+    return tet_geometry(
+        tri,
+        tet,
+        tuple([weights[e] for e in edges]),
+        tuple([matchings[c] for c in faces]),
+    )
 
 
 class TetGeometry:
     """Curves and complementary regions on one tetrahedron's boundary.
 
-    A pure function of the tetrahedron's local data, so one instance is
-    shared by every surface that agrees there; it must not be mutated.
+    A function of the tetrahedron's local data alone: ``weights`` holds
+    the weights of its edges 0..5 and ``matchings`` the matchings of its
+    faces 0..3, each in its face class's slots.  One instance is shared by
+    every surface that agrees there, so it must not be mutated.
     """
 
-    def __init__(self, surface, tet):
-        tri = surface.tri
+    def __init__(self, tri, tet, weights, matchings):
         self.tet = tet
+        # Per face: its layout at the tet's side weights and which
+        # incidence of its class (tet, face) is.
+        layouts = []
+        for f in range(4):
+            cid = tri.face_class_of[(tet, f)]
+            inc = 0 if tri.face_classes[cid][0] == (tet, f) else 1
+            side_w = tuple([weights[s[1 + inc]] for s in _face_sides(tri, cid)])
+            layouts.append((_side_layout(tri, cid, side_w), inc))
         # Nodes: (tetrahedron edge 0..5, class point index).
         self.node_curve = {}
         adjacency = {}
         arcs = []  # (face, chord pair) per arc copy
-        for f in range(4):
-            cid = tri.face_class_of[(tet, f)]
-            layout = surface.face_layout(cid)
-            inc = 0 if layout.incidences[0] == (tet, f) else 1
-            for pair in surface.matchings[cid]:
+        for f, (layout, inc) in enumerate(layouts):
+            for pair in matchings[f]:
                 nodes = []
                 for s in pair:
                     k, _ = layout.side_of_slot(s)
@@ -275,19 +339,15 @@ class TetGeometry:
         for c, nodes in enumerate(self.curves):
             for node in nodes:
                 self.node_curve[node] = c
-        self._build_regions(surface)
+        self._build_regions(weights, matchings, layouts)
 
-    def _build_regions(self, surface):
-        tri = surface.tri
-        tet = self.tet
+    def _build_regions(self, weights, matchings, layouts):
         # Atoms: (face, local region id) over each face's chord subdivision.
         face_regions = []
         offsets = []
         total = 0
-        for f in range(4):
-            cid = tri.face_class_of[(tet, f)]
-            layout = surface.face_layout(cid)
-            count, gap_region, chord_sides = surface.face_regions(cid)
+        for f, (layout, _) in enumerate(layouts):
+            count, gap_region, chord_sides = _face_chord_regions(layout.n, matchings[f])
             face_regions.append((layout, gap_region, chord_sides))
             offsets.append(total)
             total += count
@@ -295,21 +355,17 @@ class TetGeometry:
         find, union = uf.find, uf.union
         for e_local in range(6):
             a, b = EDGE_VERTICES[e_local]
-            e_cls = tri.edge_class_of[(tet, e_local)]
-            w = surface.weights[e_cls]
             touching = []
             for f in range(4):
                 if f == a or f == b:
                     continue
-                cid = tri.face_class_of[(tet, f)]
-                layout = surface.face_layout(cid)
-                inc = 0 if layout.incidences[0] == (tet, f) else 1
+                layout, inc = layouts[f]
                 k = next(
                     s for s in range(3) if layout.side_tet_edges[s][inc] == e_local
                 )
                 touching.append((f, layout, k))
             (fa, la, ka), (fb, lb, kb) = touching
-            for q in range(w + 1):
+            for q in range(weights[e_local] + 1):
                 ga = la.gap_of_class_gap(ka, q)
                 gb = lb.gap_of_class_gap(kb, q)
                 union(offsets[fa] + face_regions[fa][1][ga],
@@ -323,7 +379,7 @@ class TetGeometry:
         if len(roots) != len(self.curves) + 1:
             raise SemanticError(
                 "tet {}: curve system does not cut the boundary sphere into "
-                "curves+1 regions".format(tet)
+                "curves+1 regions".format(self.tet)
             )
         # Two regions adjacent to each curve, via any of its arc copies.
         adj = [None] * len(self.curves)
@@ -411,32 +467,11 @@ class Surface:
         return _face_chord_regions(self.face_layout(cid).n, self.matchings[cid])
 
     def tet_geometry(self, tet):
-        """The tetrahedron's curve system.  Looked up in this surface's
-        own cache, then in the process-wide ``_TET_MEMO`` on the tet's
-        edge weights and face matchings, and traced only when both miss.
-        The memo drops its least recently used entries beyond
-        ``max(128, 4 * tet_count)``; a tracing error is raised, not
-        cached."""
+        """The tetrahedron's curve system, from this surface's own cache
+        or else the module-level ``tet_geometry`` on the tet's local data."""
         geo = self._tets.get(tet)
         if geo is None:
-            tri = self.tri
-            edges, faces = tri.tet_local_classes[tet]
-            weights, matchings = self.weights, self.matchings
-            key = (
-                tri,
-                tet,
-                tuple([weights[e] for e in edges]),
-                tuple([matchings[c] for c in faces]),
-            )
-            geo = _TET_MEMO.get(key)
-            if geo is None:
-                geo = TetGeometry(self, tet)
-                _TET_MEMO[key] = geo
-                while len(_TET_MEMO) > max(128, 4 * tri.tet_count):
-                    _TET_MEMO.popitem(last=False)
-            else:
-                _TET_MEMO.move_to_end(key)
-            self._tets[tet] = geo
+            geo = self._tets[tet] = tet_geometry_of(self.tri, self.weights, self.matchings, tet)
         return geo
 
     def release_geometry(self):
@@ -481,9 +516,9 @@ class Surface:
             slots = [s for p in pairs for s in p]
             if sorted(slots) != list(range(layout.n)):
                 return "invalid: face {} matching is not a perfect pairing".format(cid)
-            for p, q in itertools.combinations(pairs, 2):
-                if pairs_cross(p, q):
-                    return "invalid: face {} arcs {} and {} cross".format(cid, p, q)
+            crossing = face_crossing(cid, pairs)
+            if crossing:
+                return crossing
         for tet in range(tri.tet_count):
             pairs = self.annuli[tet]
             if len(pairs) > 1:
@@ -791,10 +826,10 @@ def vertex_link(tri, v):
     weights = [0] * len(tri.edge_classes)
     for e, _end in tri.vertex_edge_ends[v]:
         weights[e] += 1
-    probe = Surface(tri, weights, [()] * len(tri.face_classes))
+    weights = tuple(weights)
     matchings = []
     for cid in range(len(tri.face_classes)):
-        layout = probe.face_layout(cid)
+        layout = _face_layout(tri, weights, cid)
         pairs = []
         for m in range(3):
             if layout.corner_vertex[m] != v:

@@ -100,6 +100,21 @@ def test_graph_empty_move_set(capsys, data_dir, tmp_path):
     assert doc["rank"] == 0
 
 
+@pytest.mark.parametrize("command", ["graph", "generators"])
+@pytest.mark.parametrize("workers", ["0", "-2"])
+def test_workers_below_one_exit_two(capsys, data_dir, tmp_path, command, workers):
+    outputs = ["--out-json", str(tmp_path / "g.json"), "--manifest", str(tmp_path / "m.json")]
+    if command == "generators":
+        outputs += ["--out-loops", str(tmp_path / "loops.txt")]
+    code, _, err = run(
+        capsys, command, str(data_dir / "two_tet_s3.tri"),
+        str(data_dir / "vertex_link.surf"), "--budget", "6", "--workers", workers, *outputs,
+    )
+    assert code == 2
+    assert "--workers must be at least 1" in err
+    assert list(tmp_path.iterdir()) == []
+
+
 def test_graph_partial_exit_one(capsys, data_dir, tmp_path):
     j = tmp_path / "g.json"
     code, out, err = run(

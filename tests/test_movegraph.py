@@ -113,9 +113,9 @@ def test_pool_export_traces_nothing(tri, link, catalog, monkeypatch):
     traced = []
 
     class Counting(surface.TetGeometry):
-        def __init__(self, surf, tet):
+        def __init__(self, tri, tet, weights, matchings):
             traced.append(tet)
-            super().__init__(surf, tet)
+            super().__init__(tri, tet, weights, matchings)
 
     monkeypatch.setattr(surface, "TetGeometry", Counting)
     surface._TET_MEMO.clear()

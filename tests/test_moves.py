@@ -17,6 +17,7 @@ from cansurf import (
     vertex_link,
 )
 from cansurf.moves import (
+    ALL_KINDS,
     DEFAULT_MOVE_SET,
     E1,
     F2,
@@ -29,6 +30,7 @@ from cansurf.moves import (
     _curve_of_copy,
     apply,
     apply_with_inverse,
+    extend_catalog,
     neighbors,
     parse_move,
 )
@@ -571,6 +573,17 @@ def closures(tri):
     return [[g.vertices[k] for k in sorted(g.vertices)] for g in graphs]
 
 
+@pytest.fixture(scope="module")
+def edge_catalog(tri):
+    """The default catalog plus the three block-placed weight-2 spheres
+    that link an edge segment."""
+    spheres = [
+        s.to_text() for s in enumerate_surfaces(tri, 2)
+        if s.weight() == 2 and s.euler_characteristic() == 2 and len(s.components()) == 1
+    ]
+    return extend_catalog(default_catalog(tri), tri, spheres)
+
+
 def _face_move_candidates(surf):
     """Every F2-type move on two arcs that bound a common region, under
     both gains and both labels."""
@@ -585,33 +598,41 @@ def _face_move_candidates(surf):
                             yield Move(kind, cid, arcs=(alpha, beta), gain=gain)
 
 
-def _check_generation(surf, closed):
-    """F2, F2' and E1- are generated exactly where apply accepts them, up
-    to a result that fails validation (never on a closure), and every
-    F2-type move splits one curve of one tetrahedron and joins two of the
-    other."""
+def _e1_insertions(surf):
+    """Every E1+ move: any gap of any edge class, rerouting any arc of any
+    face side on that edge."""
     tri = surf.tri
+    for cid in range(len(tri.face_classes)):
+        layout = surf.face_layout(cid)
+        for k, e in enumerate(layout.side_edge):
+            for gap in range(surf.weights[e] + 1):
+                for arc in surf.matchings[cid]:
+                    yield Move(E1, e, direction=1, gap=gap, incidence=(cid, k), arc=arc)
+
+
+def _check_generation(surf, catalog):
+    """Every kind is generated exactly where apply accepts it: each
+    generated move applies, and each candidate of this file's enumerators
+    that applies is generated, except the free V0 bubbles, which are
+    surgery.  Every F2-type move splits one curve of one tetrahedron and
+    joins two of the other."""
+    tri = surf.tri
+    budget = surf.weight() + max(2, max(entry.weight() for entry in catalog))
     stats = {"budget_rejected": 0}
-    generated = {
-        m for m in _candidate_moves(surf, {E1, F2, F2P}, None, surf.weight(), stats)
-        if m.kind != E1 or m.direction < 0
-    }
-    candidates = list(_face_move_candidates(surf))
-    candidates += [
-        Move(E1, e, direction=-1, gap=k)
-        for e in range(len(tri.edge_classes)) for k in range(surf.weights[e] - 1)
-    ]
-    assert generated <= set(candidates)
-    for move in candidates:
+    generated = set(_candidate_moves(surf, set(ALL_KINDS), catalog, budget, stats))
+    assert stats["budget_rejected"] == 0
+    candidates = set(_sphere_insertions(surf, catalog))
+    candidates.update(_sphere_removals(surf), _face_move_candidates(surf), _e1_insertions(surf))
+    assert generated <= candidates
+    for move in sorted(candidates, key=Move.to_text):
         try:
-            result, _ = apply_with_inverse(surf, move)
-        except NotApplicableError as exc:
-            if move in generated:
-                assert not closed, move.to_text()
-                assert ": result " in str(exc), (move.to_text(), str(exc))
+            result, _ = apply_with_inverse(surf, move, catalog)
+        except NotApplicableError:
+            assert move not in generated, move.to_text()
             continue
-        assert move in generated, move.to_text()
-        if move.kind == E1:
+        free = move.kind == V0 and move.corner is None
+        assert (move in generated) != free, move.to_text()
+        if move.kind not in (F2, F2P):
             continue
         for tet, face in tri.face_classes[move.location]:
             geo = surf.tet_geometry(tet)
@@ -620,17 +641,22 @@ def _check_generation(surf, closed):
             assert change == (1 if one else -1), (move.to_text(), tet)
 
 
+def _catalog_of(surf, tri, edge_catalog):
+    return edge_catalog if surf.tri is tri else default_catalog(surf.tri)
+
+
 @settings(max_examples=60, deadline=None)
 @given(data=st.data())
-def test_generated_face_moves_and_fingers_apply(enumerated, closures, data):
+def test_generated_face_moves_and_fingers_apply(tri, enumerated, closures, edge_catalog, data):
     closed = data.draw(st.booleans())
     pool = data.draw(st.sampled_from(closures)) if closed else enumerated
-    _check_generation(data.draw(st.sampled_from(pool)), closed)
+    surf = data.draw(st.sampled_from(pool))
+    _check_generation(surf, _catalog_of(surf, tri, edge_catalog))
 
 
-def test_generated_face_moves_and_fingers_apply_on_closures(closures):
+def test_generated_face_moves_and_fingers_apply_on_closures(tri, closures, edge_catalog):
     for surf in itertools.chain(*closures):
-        _check_generation(surf, closed=True)
+        _check_generation(surf, _catalog_of(surf, tri, edge_catalog))
 
 
 # A weight-8 surface of the enumeration with an annulus piece in tetrahedron 0.
@@ -645,17 +671,27 @@ tet 1: disks
 """
 
 
-def test_generated_f2_can_fail_result_validation(tri):
-    # Both strands lie on one curve of tetrahedron 0, off its annulus, so
-    # every precondition holds; the split curve then separates the two
-    # annulus curves, which only validating the result sees.
+def test_separating_f2_split_is_not_generated(tri):
+    # Both strands lie on one curve of tetrahedron 0, off its annulus, but
+    # the split curve would separate the two annulus curves: the generator
+    # sees that on tetrahedron 0 alone, and apply still refuses the move.
     surf = parse_surface(tri, F2_SEPARATING)
     move = parse_move("F2@f1[arcs=0-7:3-4,gain=1]")
     stats = {"budget_rejected": 0}
-    assert move in set(_candidate_moves(surf, {F2}, None, surf.weight(), stats))
+    assert move not in set(_candidate_moves(surf, {F2}, None, surf.weight(), stats))
     with pytest.raises(NotApplicableError, match="annulus separation"):
         apply(surf, move)
-    assert move not in {n.move for n in neighbors(surf, surf.weight(), move_set={F2})}
+
+
+def test_neighbors_raises_on_a_generated_move_that_fails(tri, monkeypatch):
+    # With the split check disabled the separating F2 is generated, and
+    # neighbors raises apply's refusal instead of dropping the move.
+    from cansurf import moves
+
+    surf = parse_surface(tri, F2_SEPARATING)
+    monkeypatch.setattr(moves, "_f2_separation", lambda *args: False)
+    with pytest.raises(NotApplicableError, match="annulus separation"):
+        neighbors(surf, surf.weight(), move_set={F2})
 
 
 # sha256 of the outcome of every face-move candidate below, recorded from

@@ -231,7 +231,10 @@ def test_memoized_geometry_matches_fresh_trace(bed, tri, link, catalog, sub):
         for tet in range(bed_tri.tet_count):
             geo = surf.tet_geometry(tet)
             shared.add(id(geo))
-            assert _geometry_fields(geo) == _geometry_fields(TetGeometry(surf, tet))
+            edges, faces = bed_tri.tet_local_classes[tet]
+            fresh = TetGeometry(bed_tri, tet, tuple(surf.weights[e] for e in edges),
+                                tuple(surf.matchings[c] for c in faces))
+            assert _geometry_fields(geo) == _geometry_fields(fresh)
     # The memo does share geometry between surfaces, within its bound.
     assert len(shared) < len(graph.vertices) * bed_tri.tet_count
     assert len(_TET_MEMO) <= max(128, 4 * bed_tri.tet_count)
@@ -280,9 +283,9 @@ def test_worker_task_repeats_its_geometry_work(tri, link_text, catalog, monkeypa
     traced = []
 
     class Counting(TetGeometry):
-        def __init__(self, surf, tet):
+        def __init__(self, tri, tet, weights, matchings):
             traced.append(tet)
-            super().__init__(surf, tet)
+            super().__init__(tri, tet, weights, matchings)
 
     monkeypatch.setattr(surface, "TetGeometry", Counting)
     monkeypatch.setattr(movegraph, "_WORKER", {})
