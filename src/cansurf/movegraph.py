@@ -23,6 +23,19 @@ Generators of the fundamental group: a breadth-first spanning tree is
 rooted at the seed, and every non-tree edge (u, v, m) contributes one
 loop, tree-path(seed -> u) + m + reversed tree-path(seed -> v).  The
 number of loops equals |edges| - |vertices| + 1.
+
+Replay memo: the loops share most of their moves, so ``replay`` applies
+each distinct move once per process.  ``_REPLAY_MEMO`` maps (triangulation,
+catalog content as (sphere id, vertex, sphere key) per entry, source
+canonical key, move text) to the result ``Surface`` or to the rejection
+text; a miss runs the full ``apply_with_inverse``, result validation
+included, and a cached rejection is raised again with the current step
+index.  A malformed move text and any error other than ``SemanticError``
+are never cached.  The memo is least-recently-used and holds at most
+``_REPLAY_MEMO_TET_ENTRIES // tet_count`` entries, which keeps it under
+64 MB (see that constant).  Memoized surfaces pin no tet geometry:
+``replay`` releases each surface's geometry when it steps off it, and
+``surface._TET_MEMO`` keeps the recent geometry.
 """
 
 from __future__ import annotations
@@ -275,16 +288,46 @@ def generators(graph):
     return GeneratorSet(loops, rank)
 
 
+# Replay verdicts by (triangulation, catalog content, source key, move
+# text), least recently used first; see replay.
+_REPLAY_MEMO = collections.OrderedDict()
+
+# _REPLAY_MEMO holds at most this many entries divided by the tet count:
+# a 64 MB ceiling over 4 KB per tetrahedron per entry.  Entries measured
+# with tracemalloc cost about 2 KB on 2 tets and 18 KB on 48 (weights up
+# to 12), both under that charge.
+_REPLAY_MEMO_TET_ENTRIES = (64 << 20) // (4 << 10)
+
+
 def replay(seed, move_texts, catalog=None):
     """Apply a sequence of serialized moves from the seed; returns the
-    final surface.  Raises NotApplicableError naming the failing step."""
+    final surface, which may be shared with other calls.  Raises
+    ParseError for a malformed move and SemanticError naming the failing
+    step and its move for one that does not apply."""
+    tri = seed.tri
+    book = None if catalog is None else tuple(
+        (e.sphere_id, e.vertex, e.surface.canonical_key()) for e in catalog
+    )
     surf = seed
     for step, text in enumerate(move_texts):
-        move = parse_move(text)
-        try:
-            surf, _ = apply_with_inverse(surf, move, catalog)
-        except SemanticError as exc:
-            raise SemanticError("step {} ({}): {}".format(step, text, exc))
+        key = (tri, book, surf.canonical_key(), text)
+        verdict = _REPLAY_MEMO.get(key)
+        if verdict is None:
+            move = parse_move(text)
+            try:
+                verdict, _ = apply_with_inverse(surf, move, catalog)
+            except SemanticError as exc:
+                verdict = str(exc)
+            _REPLAY_MEMO[key] = verdict
+            while len(_REPLAY_MEMO) > _REPLAY_MEMO_TET_ENTRIES // tri.tet_count:
+                _REPLAY_MEMO.popitem(last=False)
+        else:
+            _REPLAY_MEMO.move_to_end(key)
+        if isinstance(verdict, str):
+            raise SemanticError("step {} ({}): {}".format(step, text, verdict))
+        if surf is not seed:
+            surf.release_geometry()
+        surf = verdict
     return surf
 
 

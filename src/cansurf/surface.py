@@ -455,13 +455,22 @@ class Surface:
             tuple(sorted(tuple(sorted(p)) for p in per_tet)) for per_tet in annuli
         )
         self._tets = {}
+        self._layouts = None
         self._text = None
         self._validation = None
 
     # -- cached geometry ---------------------------------------------------
 
     def face_layout(self, cid):
-        return _face_layout(self.tri, self.weights, cid)
+        """The face class's layout at this surface's weights, kept per
+        surface so that a lookup hashes neither weights nor triangulation."""
+        layouts = self._layouts
+        if layouts is None:
+            layouts = self._layouts = [None] * len(self.tri.face_classes)
+        layout = layouts[cid]
+        if layout is None:
+            layout = layouts[cid] = _face_layout(self.tri, self.weights, cid)
+        return layout
 
     def face_regions(self, cid):
         return _face_chord_regions(self.face_layout(cid).n, self.matchings[cid])
@@ -475,9 +484,10 @@ class Surface:
         return geo
 
     def release_geometry(self):
-        """Drop this surface's per-tet geometry references; the shared
-        memo keeps recently used ones."""
+        """Drop this surface's per-tet geometry and face layout references;
+        the shared memos keep recently used ones."""
         self._tets = {}
+        self._layouts = None
 
     def curves(self, tet):
         """Canonically ordered boundary curves of the given tetrahedron."""

@@ -1,3 +1,4 @@
+import collections
 import time
 
 import pytest
@@ -5,6 +6,7 @@ import pytest
 from cansurf import (
     Limits,
     MoveGraph,
+    ParseError,
     PartialGraphError,
     SemanticError,
     Surface,
@@ -16,8 +18,9 @@ from cansurf import (
     replay,
     vertex_link,
 )
-from cansurf import movegraph, surface
-from cansurf.moves import DEFAULT_MOVE_SET, E1, F2, F2P, PINCH, UNPINCH, V0
+from cansurf import moves, movegraph, surface
+from cansurf.cli import main
+from cansurf.moves import DEFAULT_MOVE_SET, E1, F2, F2P, PINCH, UNPINCH, V0, SphereCatalog
 
 
 def test_budget_below_seed_rejected(tri, link, catalog):
@@ -187,3 +190,134 @@ def test_pinch_edges_round_trip(tri, link, catalog):
     assert len(g.edges) == 8
     kinds = {m.split("@")[0] for _, _, m, _ in g.edges}
     assert kinds == {"PINCH"}
+
+
+# -- the replay memo -------------------------------------------------------
+
+
+@pytest.fixture(scope="module")
+def default8_loops(link, catalog):
+    return generators(build(link, 8, catalog=catalog)).loops
+
+
+@pytest.fixture
+def fresh_memo(monkeypatch):
+    memo = collections.OrderedDict()
+    monkeypatch.setattr(movegraph, "_REPLAY_MEMO", memo)
+    return memo
+
+
+def _walk(seed, loop, catalog):
+    """A loop's verdict from moves.apply_with_inverse, step by step: the
+    final key, or the failing step's message as replay words it."""
+    surf = seed
+    for step, text in enumerate(loop):
+        try:
+            surf, _ = moves.apply_with_inverse(surf, moves.parse_move(text), catalog)
+        except SemanticError as exc:
+            return "step {} ({}): {}".format(step, text, exc)
+    return surf.canonical_key()
+
+
+def _replay_verdict(seed, loop, catalog):
+    try:
+        return replay(seed, loop, catalog).canonical_key()
+    except SemanticError as exc:
+        return str(exc)
+
+
+def _distinct_pairs(seed, loops, catalog):
+    pairs = set()
+    for loop in loops:
+        surf = seed
+        for text in loop:
+            pairs.add((surf.canonical_key(), text))
+            surf, _ = moves.apply_with_inverse(surf, moves.parse_move(text), catalog)
+    return pairs
+
+
+def _count_applications(monkeypatch):
+    applied = collections.Counter()
+    real = movegraph.apply_with_inverse
+
+    def counting(surf, move, catalog=None):
+        applied[surf.canonical_key(), move.to_text()] += 1
+        return real(surf, move, catalog)
+
+    monkeypatch.setattr(movegraph, "apply_with_inverse", counting)
+    return applied
+
+
+def _corrupted_loops(seed, loops, catalog):
+    """Loops whose second move, inside a first move that several loops
+    share, is replaced by one that does not apply there; plus one loop
+    that reaches the same source two steps later, through the first move
+    and its inverse, so its rejection carries another step index."""
+    first = collections.Counter(loop[0] for loop in loops).most_common(1)[0][0]
+    bad = "E1-@e0[at=99]"
+    out = [loop[:1] + [bad] + loop[2:] if loop[0] == first else loop for loop in loops]
+    _, back = moves.apply_with_inverse(seed, moves.parse_move(first), catalog)
+    out.append([first, back.to_text(), first, bad])
+    assert sum(bad in loop for loop in out) > 2
+    return out
+
+
+def test_replay_applies_each_distinct_pair_once(link, catalog, default8_loops, fresh_memo, monkeypatch):
+    assert len(default8_loops) == 36
+    pairs = _distinct_pairs(link, default8_loops, catalog)
+    applied = _count_applications(monkeypatch)
+    for loop in default8_loops:
+        assert replay(link, loop, catalog).canonical_key() == link.canonical_key()
+    assert set(applied) == pairs
+    assert set(applied.values()) == {1}
+    assert sum(map(len, default8_loops)) > len(pairs)
+
+
+def test_cli_replay_of_a_corrupted_shared_prefix(capsys, data_dir, tmp_path, link, catalog,
+                                                 default8_loops, fresh_memo):
+    loops = _corrupted_loops(link, default8_loops, catalog)
+    path = tmp_path / "loops.txt"
+    path.write_text("# corrupted\n" + "".join(" ".join(loop) + "\n" for loop in loops))
+    expected = []
+    for lineno, loop in enumerate(loops, start=2):
+        verdict = _walk(link, loop, catalog)
+        if verdict == link.canonical_key():
+            expected.append("line {}: ok ({} moves)".format(lineno, len(loop)))
+        else:
+            expected.append("line {}: fail ({})".format(lineno, verdict))
+    assert any("step 3 (E1-@e0[at=99])" in line for line in expected)
+    argv = ["replay", str(data_dir / "two_tet_s3.tri"), str(data_dir / "vertex_link.surf"),
+            str(path)]
+    for _ in range(2):
+        assert main(argv) == 3
+        assert capsys.readouterr().out.splitlines() == expected
+
+
+def test_replay_memo_keys_on_catalog_content(link, catalog, fresh_memo):
+    pinch = "PINCH@t0[curve=0,sphere=v0,scurve=0]"
+    without = SphereCatalog([e for e in catalog if e.sphere_id != "v0"])
+    assert replay(link, [pinch], catalog).annuli[0]
+    with pytest.raises(SemanticError, match="step 0 .*no catalog sphere 'v0'"):
+        replay(link, [pinch], without)
+    assert replay(link, [pinch], catalog).annuli[0]
+    with pytest.raises(SemanticError, match="no catalog sphere"):
+        replay(link, [pinch], without)
+
+
+def test_replay_bad_token_is_a_parse_error_every_time(link, catalog, default8_loops, fresh_memo):
+    for _ in range(2):
+        with pytest.raises(ParseError):
+            replay(link, [default8_loops[0][0], "bogus"], catalog)
+    assert all(text != "bogus" for (_, _, _, text) in fresh_memo)
+
+
+def test_replay_memo_eviction_keeps_verdicts(tri, link, catalog, default8_loops, fresh_memo,
+                                              monkeypatch):
+    loops = _corrupted_loops(link, default8_loops, catalog)
+    expected = [_walk(link, loop, catalog) for loop in loops]
+    monkeypatch.setattr(movegraph, "_REPLAY_MEMO_TET_ENTRIES", 3 * tri.tet_count)
+    applied = _count_applications(monkeypatch)
+    for _ in range(2):
+        assert [_replay_verdict(link, loop, catalog) for loop in loops] == expected
+        assert len(fresh_memo) <= 3
+    assert max(applied.values()) > 1
