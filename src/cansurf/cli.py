@@ -16,6 +16,7 @@ from __future__ import annotations
 import argparse
 import hashlib
 import json
+import math
 import sys
 import time
 
@@ -43,9 +44,26 @@ def _sha256(text):
     return hashlib.sha256(text.encode()).hexdigest()
 
 
+def _check_numbers(args):
+    """Reject counts and limits no run can honour, before anything is
+    read or written."""
+    if getattr(args, "workers", 1) < 1:
+        raise ParseError("--workers must be at least 1, got {}".format(args.workers))
+    if getattr(args, "subdivide", 0) < 0:
+        raise ParseError("--subdivide must be at least 0, got {}".format(args.subdivide))
+    max_vertices = getattr(args, "max_vertices", None)
+    if max_vertices is not None and max_vertices < 0:
+        raise ParseError("--max-vertices must be at least 0, got {}".format(max_vertices))
+    max_seconds = getattr(args, "max_seconds", None)
+    if max_seconds is not None and not (math.isfinite(max_seconds) and max_seconds >= 0):
+        raise ParseError(
+            "--max-seconds must be a finite number at least 0, got {}".format(max_seconds)
+        )
+
+
 def _load_triangulation(args):
     tri = parse_triangulation(_read(args.triangulation))
-    for _ in range(getattr(args, "subdivide", 0) or 0):
+    for _ in range(args.subdivide):
         tri = barycentric_subdivide(tri)
     return tri
 
@@ -149,8 +167,6 @@ def cmd_bounds(args):
 
 def _run_graph(args, emit_loops):
     t0 = time.time()
-    if args.workers < 1:
-        raise ParseError("--workers must be at least 1, got {}".format(args.workers))
     tri = _load_triangulation(args)
     seed_text = _read(args.seed)
     seed = parse_surface(tri, seed_text)
@@ -174,7 +190,7 @@ def _run_graph(args, emit_loops):
         "parameters": {
             "budget": budget,
             "move_set": sorted(move_set),
-            "subdivide": args.subdivide or 0,
+            "subdivide": args.subdivide,
             "catalog": [e.sphere_id for e in catalog],
             "max_vertices": args.max_vertices,
             "max_seconds": args.max_seconds,
@@ -390,6 +406,7 @@ def main(argv=None):
     parser = make_parser()
     args = parser.parse_args(argv)
     try:
+        _check_numbers(args)
         code = args.func(args)
     except ParseError as exc:
         print("parse error: {}".format(exc), file=sys.stderr)

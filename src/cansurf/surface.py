@@ -45,6 +45,15 @@ one curve system there, and ``tet_geometry_of`` reads the curves of an
 encoding that has not been built as a ``Surface``, as a move does for
 its result.  The tet memo is least-recently-used and holds at most
 ``max(128, 4 * tet_count)`` entries.
+
+A trace reads tables instead of recomputing slot arithmetic.  Each
+``FaceLayout`` stores, per incidence of its face class, the node
+(tetrahedron edge, class point index) of every slot, and per side the
+circular gap of every class-order gap.  ``_tet_frame`` holds, per
+tetrahedron, each face's class, incidence and side edges, and each
+tetrahedron edge's two (face, side) pairs.  Both depend on the
+triangulation alone (and the layout on its three side weights), so they
+are cached and shared by every trace.
 """
 
 from __future__ import annotations
@@ -55,7 +64,7 @@ import hashlib
 import itertools
 
 from .errors import ParseError, SemanticError
-from .triangulation import EDGE_VERTICES, _SignedUnionFind, _UnionFind, edge_number
+from .triangulation import _SignedUnionFind, _UnionFind, edge_number
 
 CRUDELY_NORMAL = "crudely_normal"
 CRUDELY_ALMOST_NORMAL = "crudely_almost_normal"
@@ -188,6 +197,31 @@ class FaceLayout:
         _, perm = tri.gluings[t][f]
         self.other_corners = tuple(perm[u] for u in corners)
 
+    # Tables for TetGeometry, built on its first trace through this layout.
+
+    @functools.cached_property
+    def slot_nodes(self):
+        """Per incidence, the node (tet edge, class point index) of every
+        slot, with points numbered as point_of_slot numbers them."""
+        nodes = ([], [])
+        for k, w in enumerate(self.side_w):
+            points = range(w) if self.side_net[k] > 0 else range(w - 1, -1, -1)
+            for inc in (0, 1):
+                e = self.side_tet_edges[k][inc]
+                nodes[inc].extend([(e, i) for i in points])
+        return tuple(nodes[0]), tuple(nodes[1])
+
+    @functools.cached_property
+    def class_gaps(self):
+        """Per side, the circular gap of every class-order gap 0..w, as
+        gap_of_class_gap numbers them."""
+        if self.n == 0:
+            return ((0,),) * 3
+        return tuple(
+            tuple([(start + j) % self.n for j in (range(w + 1) if net > 0 else range(w, -1, -1))])
+            for start, w, net in zip(self.side_start, self.side_w, self.side_net)
+        )
+
     def side_of_slot(self, s):
         if s < self.side_start[1]:
             return 0, s
@@ -270,6 +304,24 @@ def tet_geometry_of(tri, weights, matchings, tet):
     )
 
 
+@functools.lru_cache(maxsize=1 << 14)
+def _tet_frame(tri, tet):
+    """How tet's faces and edges meet, independent of any surface: per
+    face 0..3, (face class, incidence of (tet, face) in its class, the tet
+    edge of each of its three sides); per tet edge 0..5, the two
+    (face, side) pairs that contain it, lower face first."""
+    faces = []
+    edges = [[] for _ in range(6)]
+    for f in range(4):
+        cid = tri.face_class_of[(tet, f)]
+        inc = 0 if tri.face_classes[cid][0] == (tet, f) else 1
+        sides = tuple([s[1 + inc] for s in _face_sides(tri, cid)])
+        faces.append((cid, inc, sides))
+        for k, e in enumerate(sides):
+            edges[e].append((f, k))
+    return tuple(faces), tuple(map(tuple, edges))
+
+
 class TetGeometry:
     """Curves and complementary regions on one tetrahedron's boundary.
 
@@ -281,95 +333,82 @@ class TetGeometry:
 
     def __init__(self, tri, tet, weights, matchings):
         self.tet = tet
-        # Per face: its layout at the tet's side weights and which
-        # incidence of its class (tet, face) is.
+        faces, edge_sides = _tet_frame(tri, tet)
+        # Nodes: (tetrahedron edge 0..5, class point index).  Each node
+        # lists the nodes its arc ends join it to, in arc order.
         layouts = []
-        for f in range(4):
-            cid = tri.face_class_of[(tet, f)]
-            inc = 0 if tri.face_classes[cid][0] == (tet, f) else 1
-            side_w = tuple([weights[s[1 + inc]] for s in _face_sides(tri, cid)])
-            layouts.append((_side_layout(tri, cid, side_w), inc))
-        # Nodes: (tetrahedron edge 0..5, class point index).
-        self.node_curve = {}
-        adjacency = {}
-        arcs = []  # (face, chord pair) per arc copy
-        for f, (layout, inc) in enumerate(layouts):
+        joined = {}
+        arcs = []  # ((face, chord pair), one end node) per arc copy
+        for f, (cid, inc, (e0, e1, e2)) in enumerate(faces):
+            layout = _side_layout(tri, cid, (weights[e0], weights[e1], weights[e2]))
+            layouts.append(layout)
+            nodes = layout.slot_nodes[inc]
+            n = layout.n
             for pair in matchings[f]:
-                nodes = []
-                for s in pair:
-                    k, _ = layout.side_of_slot(s)
-                    e_cls, i = layout.point_of_slot(s)
-                    nodes.append((layout.side_tet_edges[k][inc], i))
-                copy_id = len(arcs)
-                arcs.append((f, pair))
-                for end, node in enumerate(nodes):
-                    adjacency.setdefault(node, []).append((copy_id, nodes[1 - end]))
+                a, b = pair
+                if not (0 <= a < n and 0 <= b < n):
+                    raise SemanticError(
+                        "arc {} of face {} of tet {} names a slot outside the "
+                        "face's {} slots".format(pair, f, tet, n)
+                    )
+                na, nb = nodes[a], nodes[b]
+                arcs.append(((f, pair), na))
+                joined.setdefault(na, []).append(nb)
+                joined.setdefault(nb, []).append(na)
         # Trace closed curves; every node has exactly two incident arc ends.
+        # Each walk starts at the least node not yet traced, which is the
+        # least node of its curve, so curves come out in canonical order.
         curves = []
-        visited_nodes = set()
-        copy_curve = [None] * len(arcs)
-        for start in sorted(adjacency):
-            if start in visited_nodes:
+        visited = set()
+        for start in sorted(joined):
+            if start in visited:
                 continue
-            walk_nodes = []
+            walk = []
             node = start
-            prev_copy = None
+            prev = None
             while True:
-                walk_nodes.append(node)
-                visited_nodes.add(node)
-                ends = adjacency[node]
+                walk.append(node)
+                visited.add(node)
+                ends = joined[node]
                 if len(ends) != 2:
                     raise SemanticError(
                         "point {} of tet {} does not meet exactly two arcs".format(
                             node, tet
                         )
                     )
-                copy_id, nxt = ends[0] if ends[0][0] != prev_copy else ends[1]
-                copy_curve[copy_id] = len(curves)
-                prev_copy = copy_id
+                nxt = ends[0] if ends[0] != prev else ends[1]
+                prev = node
                 node = nxt
                 if node == start:
                     break
-            curves.append(tuple(sorted(walk_nodes)))
-        order = sorted(range(len(curves)), key=lambda c: curves[c][0])
-        rank = {old: new for new, old in enumerate(order)}
-        self.curves = tuple(curves[old] for old in order)
-        # Curve of each arc copy, keyed (face, chord pair), in arc-copy order.
-        self.arc_curve = {arc: rank[c] for arc, c in zip(arcs, copy_curve)}
-        for c, nodes in enumerate(self.curves):
+            curves.append(tuple(sorted(walk)))
+        self.curves = tuple(curves)
+        self.node_curve = node_curve = {}
+        for c, nodes in enumerate(curves):
             for node in nodes:
-                self.node_curve[node] = c
-        self._build_regions(weights, matchings, layouts)
+                node_curve[node] = c
+        # Curve of each arc copy, keyed (face, chord pair), in arc-copy order.
+        self.arc_curve = {arc: node_curve[node] for arc, node in arcs}
+        self._build_regions(matchings, layouts, edge_sides)
 
-    def _build_regions(self, weights, matchings, layouts):
+    def _build_regions(self, matchings, layouts, edge_sides):
         # Atoms: (face, local region id) over each face's chord subdivision.
         face_regions = []
         offsets = []
         total = 0
-        for f, (layout, _) in enumerate(layouts):
+        for f, layout in enumerate(layouts):
             count, gap_region, chord_sides = _face_chord_regions(layout.n, matchings[f])
             face_regions.append((layout, gap_region, chord_sides))
             offsets.append(total)
             total += count
         uf = _UnionFind(total)
         find, union = uf.find, uf.union
-        for e_local in range(6):
-            a, b = EDGE_VERTICES[e_local]
-            touching = []
-            for f in range(4):
-                if f == a or f == b:
-                    continue
-                layout, inc = layouts[f]
-                k = next(
-                    s for s in range(3) if layout.side_tet_edges[s][inc] == e_local
-                )
-                touching.append((f, layout, k))
-            (fa, la, ka), (fb, lb, kb) = touching
-            for q in range(weights[e_local] + 1):
-                ga = la.gap_of_class_gap(ka, q)
-                gb = lb.gap_of_class_gap(kb, q)
-                union(offsets[fa] + face_regions[fa][1][ga],
-                      offsets[fb] + face_regions[fb][1][gb])
+        # The two faces on each tet edge meet along it in its w + 1 gaps.
+        for (fa, ka), (fb, kb) in edge_sides:
+            oa, ra = offsets[fa], face_regions[fa][1]
+            ob, rb = offsets[fb], face_regions[fb][1]
+            for ga, gb in zip(layouts[fa].class_gaps[ka], layouts[fb].class_gaps[kb]):
+                union(oa + ra[ga], ob + rb[gb])
 
         self._find = find
         self._offsets = offsets
@@ -381,13 +420,12 @@ class TetGeometry:
                 "tet {}: curve system does not cut the boundary sphere into "
                 "curves+1 regions".format(self.tet)
             )
-        # Two regions adjacent to each curve, via any of its arc copies.
+        # Two regions adjacent to each curve, via its first arc copy.
         adj = [None] * len(self.curves)
         for (f, pair), c in self.arc_curve.items():
-            outer, inner = self._face_regions[f][2][pair]
-            sides = (find(self._offsets[f] + outer), find(self._offsets[f] + inner))
             if adj[c] is None:
-                adj[c] = sides
+                outer, inner = face_regions[f][2][pair]
+                adj[c] = (find(offsets[f] + outer), find(offsets[f] + inner))
         self.curve_adjacent = adj
 
     def chord_side_roots(self, f, pair):

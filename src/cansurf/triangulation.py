@@ -106,9 +106,16 @@ class _UnionFind:
         return x
 
     def union(self, x, y):
-        rx, ry = self.find(x), self.find(y)
-        if rx != ry:
-            self.parent[ry] = rx
+        # find(x) and find(y), inlined: TetGeometry unions on every trace.
+        parent = self.parent
+        while parent[x] != x:
+            parent[x] = parent[parent[x]]
+            x = parent[x]
+        while parent[y] != y:
+            parent[y] = parent[parent[y]]
+            y = parent[y]
+        if x != y:
+            parent[y] = x
 
 
 class Triangulation:

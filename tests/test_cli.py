@@ -115,6 +115,39 @@ def test_workers_below_one_exit_two(capsys, data_dir, tmp_path, command, workers
     assert list(tmp_path.iterdir()) == []
 
 
+@pytest.mark.parametrize("command", ["graph", "generators"])
+@pytest.mark.parametrize("flag, value, message", [
+    ("--subdivide", "-1", "--subdivide must be at least 0"),
+    ("--max-vertices", "-5", "--max-vertices must be at least 0"),
+    ("--max-seconds", "-1", "--max-seconds must be a finite number"),
+    ("--max-seconds", "nan", "--max-seconds must be a finite number"),
+    ("--max-seconds", "inf", "--max-seconds must be a finite number"),
+])
+def test_bad_limits_exit_two(capsys, data_dir, tmp_path, command, flag, value, message):
+    outputs = ["--out-json", str(tmp_path / "g.json"), "--manifest", str(tmp_path / "m.json")]
+    if command == "generators":
+        outputs += ["--out-loops", str(tmp_path / "loops.txt")]
+    code, out, err = run(
+        capsys, command, str(data_dir / "two_tet_s3.tri"),
+        str(data_dir / "vertex_link.surf"), "--budget", "6", flag + "=" + value, *outputs,
+    )
+    assert code == 2
+    assert message in err
+    assert out == ""
+    assert list(tmp_path.iterdir()) == []
+
+
+@pytest.mark.parametrize("command", ["validate", "replay"])
+def test_negative_subdivide_exit_two(capsys, tmp_path, command):
+    # The input paths do not exist: the check comes before any read.
+    paths = [str(tmp_path / name) for name in ("s3.tri", "seed.surf", "loops.txt")]
+    argv = [command] + (paths[:1] if command == "validate" else paths)
+    code, out, err = run(capsys, *argv, "--subdivide", "-1")
+    assert code == 2
+    assert "--subdivide must be at least 0" in err
+    assert out == ""
+
+
 def test_graph_partial_exit_one(capsys, data_dir, tmp_path):
     j = tmp_path / "g.json"
     code, out, err = run(

@@ -108,6 +108,30 @@ def test_worker_determinism(tri, link, catalog):
     assert generators(g1).to_text() == generators(g2).to_text()
 
 
+def test_pool_batches_split_waves_unevenly(tri, link, catalog):
+    # default/8's larger waves span several batches, which three workers
+    # share unevenly; the exports still match the serial build's.
+    serial = build(link, 8, catalog=catalog)
+    pooled = build(link, 8, catalog=catalog, workers=3)
+    waves = collections.Counter(_bfs_levels(serial).values())
+    assert max(waves.values()) > 3 * movegraph._POOL_BATCH
+    assert export_json(pooled) == export_json(serial)
+    assert export_dot(pooled) == export_dot(serial)
+    assert generators(pooled).to_text() == generators(serial).to_text()
+
+
+def _bfs_levels(graph):
+    adj = graph.adjacency()
+    level = {graph.seed_key: 0}
+    order = [graph.seed_key]
+    for key in order:
+        for other, _, _ in adj[key]:
+            if other not in level:
+                level[other] = level[key] + 1
+                order.append(other)
+    return level
+
+
 def test_pool_export_traces_nothing(tri, link, catalog, monkeypatch):
     # Pool vertices come back as text; their classification is read off
     # their annulus lines, so exporting them re-traces no tetrahedron.
@@ -150,6 +174,15 @@ def test_pool_time_limit_overrun_bounded(tri, catalog):
         build(vertex_link(tri, 0), 10, catalog=catalog, limits=Limits(max_seconds=1.0),
               workers=2)
     assert time.monotonic() - start < 2.0
+
+
+def test_pool_worker_skips_sources_after_the_deadline(tri, link_text, catalog, monkeypatch):
+    monkeypatch.setattr(movegraph, "_WORKER", {})
+    movegraph._worker_init(tri, 8, DEFAULT_MOVE_SET, catalog, time.monotonic() - 1.0)
+    assert movegraph._worker_neighbors(link_text, True) == (None, None)
+    movegraph._worker_init(tri, 8, DEFAULT_MOVE_SET, catalog, time.monotonic() + 60.0)
+    found, stats = movegraph._worker_neighbors(link_text, True)
+    assert found and stats["budget_rejected"] > 0
 
 
 def test_vertex_limit_partial(tri, link, catalog):

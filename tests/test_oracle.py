@@ -1,9 +1,22 @@
+import itertools
+
 import pytest
 
-from cansurf import SemanticError, empty_surface, noncrossing_matchings, parse_surface
-from cansurf.moves import E1, default_catalog
+from cansurf import (
+    SemanticError,
+    barycentric_subdivide,
+    build,
+    empty_surface,
+    enumerate_surfaces,
+    noncrossing_matchings,
+    parse_surface,
+    vertex_link,
+)
+from cansurf.moves import E1, F2P, PINCH, UNPINCH, V0, default_catalog
 from cansurf.oracle import (
     ORACLE_WEIGHT_CAP,
+    _admissible_pairs,
+    _OracleTri,
     oracle_closure,
     oracle_matchings,
     oracle_surface_stream,
@@ -95,3 +108,36 @@ def test_closure_matches_builder(tri, tri_text, link, link_text, catalog):
     g = build(link, 8, move_set={E1}, catalog=catalog)
     closure = oracle_closure(tri_text, link_text, 8, {E1}, catalog)
     assert {s.to_text() for s in g.vertices.values()} == closure
+
+
+@pytest.mark.parametrize("bed", ["enumerate_4", "default_8", "sub48_budget_12"])
+def test_tet_geometry_matches_oracle(bed, tri, link, catalog):
+    # The oracle traces curves with its own slot tables and decides which
+    # curve pairs cobound a region by crossing parities, not regions.  Both
+    # sides are functions of a tetrahedron's local data, so each distinct
+    # local state among every tet of every surface is checked once.
+    bed_tri = tri
+    if bed == "enumerate_4":
+        surfaces = enumerate_surfaces(tri, 4)
+    elif bed == "default_8":
+        surfaces = build(link, 8, catalog=catalog).vertices.values()
+    else:
+        bed_tri = barycentric_subdivide(tri)
+        surfaces = build(vertex_link(bed_tri, 7), 12, move_set={V0, F2P, PINCH, UNPINCH},
+                         catalog=default_catalog(bed_tri)).vertices.values()
+    otri = _OracleTri(bed_tri.to_text())
+    seen = set()
+    for surf in surfaces:
+        for tet in range(bed_tri.tet_count):
+            edges, faces = bed_tri.tet_local_classes[tet]
+            state = (tet, tuple(surf.weights[e] for e in edges),
+                     tuple(surf.matchings[c] for c in faces))
+            if state in seen:
+                continue
+            seen.add(state)
+            geo = surf.tet_geometry(tet)
+            curves, pairs = _admissible_pairs(otri, tet, surf.weights, surf.matchings)
+            assert geo.curves == tuple(curves)
+            assert [p for p in itertools.combinations(range(len(geo.curves)), 2)
+                    if geo.curves_sharing_region(*p)] == pairs
+    assert len(seen) > {"enumerate_4": 3000, "default_8": 150, "sub48_budget_12": 60}[bed]

@@ -16,7 +16,9 @@ from cansurf import (
     vertex_link,
 )
 from cansurf import movegraph, surface
-from cansurf.moves import DEFAULT_MOVE_SET, F2P, PINCH, UNPINCH, Move, V0, apply, default_catalog
+from cansurf.moves import (
+    DEFAULT_MOVE_SET, F2P, PINCH, UNPINCH, Move, V0, apply, default_catalog, neighbors,
+)
 from cansurf.surface import _TET_MEMO, TetGeometry
 
 
@@ -279,20 +281,71 @@ def test_tracing_error_is_not_memoized(tri, link):
     assert Surface(tri, link.weights, link.matchings).validate() == CRUDELY_NORMAL
 
 
-def test_worker_task_repeats_its_geometry_work(tri, link_text, catalog, monkeypatch):
+def test_worker_task_repeats_its_geometry_work(tri, link, link_text, catalog, monkeypatch):
+    # A pool task is a batch of consecutive sources.  The worker clears the
+    # memo on a batch's first item only, so a batch traces the same
+    # geometry whatever that worker ran before, and its later items reuse
+    # what its earlier ones traced.
     traced = []
 
     class Counting(TetGeometry):
         def __init__(self, tri, tet, weights, matchings):
-            traced.append(tet)
+            traced.append((tet, weights, matchings))
             super().__init__(tri, tet, weights, matchings)
 
+    texts = [s.to_text() for s in sorted(
+        (n.surface for n in neighbors(link, 8, DEFAULT_MOVE_SET, catalog)),
+        key=Surface.canonical_key,
+    )]
     monkeypatch.setattr(surface, "TetGeometry", Counting)
     monkeypatch.setattr(movegraph, "_WORKER", {})
-    movegraph._worker_init(tri, 8, DEFAULT_MOVE_SET, catalog)
-    first = movegraph._worker_neighbors(link_text)
-    once = len(traced)
-    second = movegraph._worker_neighbors(link_text)
-    assert once > 0
-    assert len(traced) == 2 * once
-    assert second == first
+    movegraph._worker_init(tri, 8, DEFAULT_MOVE_SET, catalog, None)
+
+    def run_batch(batch):
+        start = len(traced)
+        found = [movegraph._worker_neighbors(text, i == 0) for i, text in enumerate(batch)]
+        return found, traced[start:]
+
+    batch = texts[:4]
+    first, first_traced = run_batch(batch)
+    run_batch(texts[4:8])
+    run_batch([link_text])
+    again, again_traced = run_batch(batch)
+    assert first_traced
+    assert again == first
+    assert again_traced == first_traced
+    _, head_alone = run_batch(batch[:1])
+    _, second_alone = run_batch(batch[1:2])
+    _, head_then_second = run_batch(batch[:2])
+    assert head_then_second[:len(head_alone)] == head_alone
+    assert len(head_then_second) - len(head_alone) < len(second_alone)
+
+
+def test_layout_tables_match_slot_arithmetic(sub):
+    # The tables a trace reads agree with the per-slot methods moves use.
+    for side_w in itertools.product(range(4), repeat=3):
+        for cid in range(len(sub.face_classes)):
+            layout = surface.FaceLayout(sub, cid, side_w)
+            for inc in (0, 1):
+                assert layout.slot_nodes[inc] == tuple(
+                    (layout.side_tet_edges[layout.side_of_slot(s)[0]][inc],
+                     layout.point_of_slot(s)[1])
+                    for s in range(layout.n)
+                )
+            assert layout.class_gaps == tuple(
+                tuple(layout.gap_of_class_gap(k, q) for q in range(w + 1))
+                for k, w in enumerate(side_w)
+            )
+
+
+@pytest.mark.parametrize("pair", [(0, 6), (3, 9), (-1, 0), (-2, 3)])
+def test_out_of_range_slot_is_a_semantic_error(tri, link, pair):
+    # Face class 0 of the link has six slots.  (-1, 0) would wrap round
+    # to the link's own arc (0, 5) if a slot index were read modulo 6.
+    assert link.matchings[0] == ((0, 5), (1, 2), (3, 4))
+    arcs = tuple(p for p in link.matchings[0] if p != (0, 5))
+    bad = Surface(tri, link.weights, [(pair,) + arcs] + list(link.matchings[1:]))
+    for tet, _ in tri.face_classes[0]:
+        with pytest.raises(SemanticError, match="names a slot outside the face's 6 slots"):
+            bad.tet_geometry(tet)
+    assert bad.validate() == "invalid: face 0 matching is not a perfect pairing"
