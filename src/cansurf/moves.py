@@ -82,7 +82,11 @@ validation included, for user loops and replay.
 Serialization: ``kind@<loc>[k=v,...]``, e.g. ``V0+@v0[corner=1.2,partner=3]``,
 ``E1-@e2[at=0]``, ``F2'@f1[arcs=0-5:1-2,gain=1]``,
 ``PINCH@t0[curve=2,sphere=v0,scurve=1]``, ``UNPINCH@t1[side=4]``.
-Curve ids always refer to the encoding the move applies to.
+Curve ids always refer to the encoding the move applies to.  Each move
+has exactly one text, the one ``Move.to_text`` prints, and ``parse_move``
+accepts only that text (up to surrounding whitespace): a sign on a kind
+that takes none, an unknown, repeated or ignored field, or an integer
+not in plain decimal is a ``ParseError``, never silently rewritten.
 """
 
 from __future__ import annotations
@@ -165,16 +169,27 @@ class Move:
         return self.to_text()
 
 
-_MOVE_RE = re.compile(r"^(V0|E1|F2'|F2|PINCH|UNPINCH)([+-]?)@([veft])(\d+)\[(.*)\]$")
+_MOVE_RE = re.compile(r"^(V0|E1|F2'|F2|PINCH|UNPINCH)([+-]?)@[veft](\d+)\[(.*)\]$")
 
 
 def parse_move(text):
-    m = _MOVE_RE.match(text.strip())
+    """Parse a move from exactly the text ``Move.to_text`` prints for it."""
+    text = text.strip()
+    move = _parse_move_fields(text)
+    if move.to_text() != text:
+        raise ParseError(
+            "move text '{}' is not canonical (expected '{}')".format(text, move.to_text())
+        )
+    return move
+
+
+def _parse_move_fields(text):
+    m = _MOVE_RE.match(text)
     if not m:
-        raise ParseError("bad move syntax: '{}'".format(text.strip()))
-    kind, sign, prefix, loc, body = m.groups()
-    if prefix != _LOC_PREFIX[kind]:
-        raise ParseError("move {} expects location prefix '{}'".format(kind, _LOC_PREFIX[kind]))
+        raise ParseError("bad move syntax: '{}'".format(text))
+    # A wrong location prefix or a missing sign reads as some move whose
+    # own text differs, which parse_move rejects.
+    kind, sign, loc, body = m.groups()
     loc = int(loc)
     fields = {}
     if body:
@@ -183,8 +198,6 @@ def parse_move(text):
             fields[key] = val
     try:
         if kind == V0:
-            if sign not in "+-":
-                raise ParseError("V0 needs a direction sign")
             direction = 1 if sign == "+" else -1
             if "free" in fields:
                 return Move(V0, loc, direction=direction)
@@ -200,9 +213,7 @@ def parse_move(text):
                     E1, loc, direction=1, gap=int(fields["gap"]),
                     incidence=(int(c), int(k)), arc=(int(a), int(b)),
                 )
-            if sign == "-":
-                return Move(E1, loc, direction=-1, gap=int(fields["at"]))
-            raise ParseError("E1 needs a direction sign")
+            return Move(E1, loc, direction=-1, gap=int(fields["at"]))
         if kind in (F2, F2P):
             first, _, second = fields["arcs"].partition(":")
             a, _, b = first.partition("-")
@@ -217,11 +228,9 @@ def parse_move(text):
                 PINCH, loc, curve=int(fields["curve"]), sphere=fields["sphere"],
                 sphere_curve=int(fields["scurve"]),
             )
-        if kind == UNPINCH:
-            return Move(UNPINCH, loc, curve=int(fields["side"]))
+        return Move(UNPINCH, loc, curve=int(fields["side"]))
     except (KeyError, ValueError) as exc:
-        raise ParseError("bad move parameters in '{}': {}".format(text.strip(), exc))
-    raise ParseError("unknown move kind")
+        raise ParseError("bad move parameters in '{}': {}".format(text, exc))
 
 
 # ---------------------------------------------------------------------------

@@ -64,7 +64,7 @@ import hashlib
 import itertools
 
 from .errors import ParseError, SemanticError
-from .triangulation import _SignedUnionFind, _UnionFind, edge_number
+from .triangulation import _UnionFind, _parity_classes, edge_number
 
 CRUDELY_NORMAL = "crudely_normal"
 CRUDELY_ALMOST_NORMAL = "crudely_almost_normal"
@@ -720,11 +720,8 @@ class Surface:
                     bit = 0 if outer_root in sides[0] else 1
                 bits.append((index.setdefault(piece, len(index)), bit))
             (p1, b1), (p2, b2) = bits
-            relations.append((p1, p2, 1 if b1 == b2 else -1))
-        uf = _SignedUnionFind(len(index))
-        for p1, p2, rel in relations:
-            uf.union(p1, p2, rel)
-        return not uf.contradiction
+            relations.append((p1, p2, b1 == b2))
+        return _parity_classes(len(index), relations) is not None
 
     def _annulus_partner(self, tet, curve):
         for pair in self.annuli[tet]:

@@ -10,9 +10,17 @@ vertex j): it is glued to tetrahedron <nj> via the permutation <pj>, a
 the corresponding vertex label of the neighbour.  Lines starting with '#'
 are comments.
 
-Vertex, edge and face classes of the quotient complex are derived with
-union-find over the corner identifications induced by the gluings.
-Conventions used throughout the package:
+Each glued face pair is read once, from its lesser (tetrahedron, face)
+side, and these pairs are the face classes.  Vertex classes are the
+``_UnionFind`` classes of the corners the pairs identify.  Edge classes
+and orientability come from ``_parity_classes``, which runs the same
+union-find over every element and its opposite: a pair identifies two
+tetrahedron edges with equal or opposite intrinsic directions, which
+gives each edge class its signs, and it asks the two tetrahedra for
+opposite orientations exactly when its permutation is even.  Relations
+that contradict each other mean an edge identified with itself in
+reverse, or a non-orientable table.  Conventions used throughout the
+package:
 
 * Tetrahedron edges are numbered 0..5 in the order
   (0,1), (0,2), (0,3), (1,2), (1,3), (2,3); the intrinsic direction of an
@@ -60,40 +68,6 @@ def perm_inverse(p):
     return tuple(q)
 
 
-class _SignedUnionFind:
-    """Union-find that tracks a relative sign along each merge.
-
-    Used for edge classes, where the sign records whether two tetrahedron
-    edges are identified preserving or reversing their intrinsic
-    directions, and for the transverse orientation of surface pieces.  A
-    merge that forces an element to disagree with itself marks the
-    structure as contradictory.
-    """
-
-    def __init__(self, n):
-        self.parent = list(range(n))
-        self.sign = [1] * n
-        self.contradiction = False
-
-    def find(self, x):
-        if self.parent[x] == x:
-            return x, 1
-        root, s = self.find(self.parent[x])
-        self.parent[x] = root
-        self.sign[x] *= s
-        return root, self.sign[x]
-
-    def union(self, x, y, rel):
-        rx, sx = self.find(x)
-        ry, sy = self.find(y)
-        if rx == ry:
-            if sx * sy != rel:
-                self.contradiction = True
-            return
-        self.parent[ry] = rx
-        self.sign[ry] = rel * sx * sy
-
-
 class _UnionFind:
     def __init__(self, n):
         self.parent = list(range(n))
@@ -118,6 +92,35 @@ class _UnionFind:
             parent[y] = x
 
 
+def _parity_classes(n, relations):
+    """Classes of elements 0..n-1 that also carry a parity.
+
+    ``relations`` yields ``(x, y, same)``: x and y lie in one class, with
+    equal parity when ``same`` is true and opposite parity otherwise.
+    Returns, per element, its class root and its parity (+1 or -1)
+    relative to that class, or None when the relations contradict each
+    other.  Element x and its opposite n + x are two nodes of one
+    ``_UnionFind``; a contradiction joins some x to its own opposite.
+    """
+    uf = _UnionFind(2 * n)
+    union = uf.union
+    for x, y, same in relations:
+        if same:
+            union(x, y)
+            union(n + x, n + y)
+        else:
+            union(x, n + y)
+            union(n + x, y)
+    find = uf.find
+    classes = []
+    for x in range(n):
+        r, r_opposite = find(x), find(n + x)
+        if r == r_opposite:
+            return None
+        classes.append((r, 1) if r < r_opposite else (r_opposite, -1))
+    return classes
+
+
 class Triangulation:
     """A validated closed orientable 3-manifold gluing table.
 
@@ -133,9 +136,9 @@ class Triangulation:
         if self.tet_count == 0:
             raise SemanticError("no tetrahedra")
         self._check_gluings()
+        self._build_face_classes()
         self._build_vertex_classes()
         self._build_edge_classes()
-        self._build_face_classes()
         self._check_orientable()
         self._build_ends()
         chi = (
@@ -180,13 +183,29 @@ class Triangulation:
                         )
                     )
 
+    def _build_face_classes(self):
+        # Each glued pair from its lesser side, so in order of least member.
+        self.face_classes = tuple(
+            ((t, f), (n, p[f]))
+            for t, row in enumerate(self.gluings)
+            for f, (n, p) in enumerate(row)
+            if (t, f) < (n, p[f])
+        )
+        self.face_class_of = {}
+        for cid, (a, b) in enumerate(self.face_classes):
+            self.face_class_of[a] = cid
+            self.face_class_of[b] = cid
+
+    def _glued_faces(self):
+        """(t, f, n, p) per face class: face f of tet t meets tet n via p."""
+        return ((t, f, *self.gluings[t][f]) for (t, f), _ in self.face_classes)
+
     def _build_vertex_classes(self):
         uf = _UnionFind(4 * self.tet_count)
-        for t, row in enumerate(self.gluings):
-            for f, (n, p) in enumerate(row):
-                for v in range(4):
-                    if v != f:
-                        uf.union(4 * t + v, 4 * n + p[v])
+        for t, f, n, p in self._glued_faces():
+            for v in range(4):
+                if v != f:
+                    uf.union(4 * t + v, 4 * n + p[v])
         self.vertex_class_of = {}
         roots = {}
         for t in range(self.tet_count):
@@ -202,22 +221,20 @@ class Triangulation:
                 self.vertex_class_of[tv] = cid
 
     def _build_edge_classes(self):
-        uf = _SignedUnionFind(6 * self.tet_count)
-        for t, row in enumerate(self.gluings):
-            for f, (n, p) in enumerate(row):
-                for a, b in EDGE_VERTICES:
-                    if a == f or b == f:
-                        continue
-                    a2, b2 = p[a], p[b]
-                    rel = 1 if a2 < b2 else -1
-                    uf.union(6 * t + edge_number(a, b), 6 * n + edge_number(a2, b2), rel)
-        if uf.contradiction:
+        # Gluing edge (a, b) of t to (p[a], p[b]) of n keeps the intrinsic
+        # direction exactly when p keeps the order of a and b.
+        relations = (
+            (6 * t + edge_number(a, b), 6 * n + edge_number(p[a], p[b]), p[a] < p[b])
+            for t, f, n, p in self._glued_faces()
+            for a, b in EDGE_VERTICES
+            if a != f and b != f
+        )
+        classes = _parity_classes(6 * self.tet_count, relations)
+        if classes is None:
             raise SemanticError("an edge is identified with itself in reverse")
         roots = {}
-        for t in range(self.tet_count):
-            for e in range(6):
-                r, s = uf.find(6 * t + e)
-                roots.setdefault(r, []).append(((t, e), s))
+        for i, (r, s) in enumerate(classes):
+            roots.setdefault(r, []).append((divmod(i, 6), s))
         ordered = sorted(roots.values(), key=lambda members: members[0][0])
         self.edge_classes = tuple(tuple(te for te, _ in m) for m in ordered)
         self.edge_class_of = {}
@@ -229,41 +246,11 @@ class Triangulation:
                 self.edge_class_of[te] = cid
                 self.edge_sign[te] = s * base
 
-    def _build_face_classes(self):
-        pairs = []
-        seen = set()
-        for t, row in enumerate(self.gluings):
-            for f, (n, p) in enumerate(row):
-                if (t, f) in seen:
-                    continue
-                other = (n, p[f])
-                seen.add((t, f))
-                seen.add(other)
-                pairs.append(tuple(sorted(((t, f), other))))
-        pairs.sort()
-        self.face_classes = tuple(pairs)
-        self.face_class_of = {}
-        for cid, (a, b) in enumerate(pairs):
-            self.face_class_of[a] = cid
-            self.face_class_of[b] = cid
-
     def _check_orientable(self):
-        orient = [0] * self.tet_count
-        for start in range(self.tet_count):
-            if orient[start]:
-                continue
-            orient[start] = 1
-            stack = [start]
-            while stack:
-                t = stack.pop()
-                for f, (n, p) in enumerate(self.gluings[t]):
-                    need = -perm_sign(p) * orient[t]
-                    if orient[n] == 0:
-                        orient[n] = need
-                        stack.append(n)
-                    elif orient[n] != need:
-                        raise SemanticError("gluing table is non-orientable")
-        self.orientation = tuple(orient)
+        # Tets glued by an even permutation need opposite orientations.
+        relations = ((t, n, perm_sign(p) < 0) for t, _, n, p in self._glued_faces())
+        if _parity_classes(self.tet_count, relations) is None:
+            raise SemanticError("gluing table is non-orientable")
 
     def _build_ends(self):
         # Edge class ends: vertex classes at the origin and terminus of the

@@ -188,6 +188,33 @@ def test_generators_and_replay(capsys, data_dir, tmp_path):
     assert "fail" in out
 
 
+def test_replay_non_canonical_move_fails_its_line(capsys, data_dir, tmp_path):
+    loops = tmp_path / "loops.txt"
+    code, _, _ = run(
+        capsys, "generators", str(data_dir / "two_tet_s3.tri"),
+        str(data_dir / "vertex_link.surf"), "--budget", "8",
+        "--out-loops", str(loops),
+    )
+    assert code == 0
+    lines = [l for l in loops.read_text().splitlines() if l and not l.startswith("#")]
+    first = lines[0].split()
+    # The first loop again, with an unknown field on its first move.
+    bogus = " ".join([first[0][:-1] + ",bogus=7]"] + first[1:])
+    mixed = tmp_path / "mixed.txt"
+    mixed.write_text("\n".join([lines[0], bogus, lines[1]]) + "\n")
+    code, out, _ = run(
+        capsys, "replay", str(data_dir / "two_tet_s3.tri"),
+        str(data_dir / "vertex_link.surf"), str(mixed),
+    )
+    assert code == 3
+    assert out.splitlines() == [
+        "line 1: ok ({} moves)".format(len(first)),
+        "line 2: fail (move text '{}' is not canonical (expected '{}'))".format(
+            bogus.split()[0], first[0]),
+        "line 3: ok ({} moves)".format(len(lines[1].split())),
+    ]
+
+
 def test_replay_empty_loop_ok(capsys, data_dir, tmp_path):
     loops = tmp_path / "empty.txt"
     loops.write_text("# nothing\n")

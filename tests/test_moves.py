@@ -8,6 +8,7 @@ from cansurf import (
     CRUDELY_ALMOST_NORMAL,
     CRUDELY_NORMAL,
     NotApplicableError,
+    ParseError,
     Surface,
     barycentric_subdivide,
     build,
@@ -382,6 +383,34 @@ def test_move_serialization_round_trip(tri, link, catalog):
     for n in neighbors(link, 12, move_set=DEFAULT_MOVE_SET, catalog=catalog):
         assert parse_move(n.move.to_text()) == n.move
         assert parse_move(n.inverse.to_text()) == n.inverse
+
+
+NON_CANONICAL_MOVE_TEXTS = [
+    # A sign on kinds that take none.
+    "PINCH-@t0[curve=0,sphere=v0,scurve=0]",
+    "F2+@f1[arcs=0-5:1-2,gain=1]",
+    "UNPINCH+@t1[side=4]",
+    # Unknown or repeated fields.
+    "E1-@e2[at=0,bogus=7]",
+    "E1-@e2[at=1,at=0]",
+    # Fields the form ignores.
+    "V0-@v0[corner=1.2,partner=5]",
+    "V0+@v0[corner=1.2,partner=3,free]",
+    # Integers not in plain decimal.
+    "E1+@e1[gap=00,side=0.0,arc=0-5]",
+    "E1-@e2[at=+1]",
+    "E1-@e2[at= 1]",
+    # A missing sign or a wrong location prefix.
+    "V0@v0[free]",
+    "E1@e2[at=0]",
+    "F2@t1[arcs=0-5:1-2,gain=1]",
+]
+
+
+@pytest.mark.parametrize("text", NON_CANONICAL_MOVE_TEXTS)
+def test_non_canonical_move_text_rejected(text):
+    with pytest.raises(ParseError, match="not canonical"):
+        parse_move(text)
 
 
 @settings(max_examples=25, deadline=None)

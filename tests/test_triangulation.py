@@ -10,7 +10,13 @@ from cansurf import (
     barycentric_subdivide,
     parse_triangulation,
 )
-from cansurf.triangulation import EDGE_VERTICES, edge_number, perm_inverse
+from cansurf.oracle import _OracleTri
+from cansurf.triangulation import (
+    EDGE_VERTICES,
+    _parity_classes,
+    edge_number,
+    perm_inverse,
+)
 
 
 def test_reference_counts(tri):
@@ -163,3 +169,38 @@ def test_vertex_class_end_of_edge(tri):
             assert ends == {0, 1}
     with pytest.raises(SemanticError):
         tri.vertex_class_end_of_edge(0, edge_number(0, 1), 3)
+
+
+def test_parity_classes():
+    # 0 ~ 1 equal, 1 ~ 2 opposite, 3 alone; 4 ~ 5 twice, consistently.
+    relations = [(0, 1, True), (1, 2, False), (4, 5, False), (5, 4, False)]
+    classes = _parity_classes(6, relations)
+    roots = [r for r, _ in classes]
+    signs = [s for _, s in classes]
+    assert roots[0] == roots[1] == roots[2]
+    assert len({roots[0], roots[3], roots[4]}) == 3 and roots[4] == roots[5]
+    assert signs[0] == signs[1] == -signs[2]
+    assert signs[4] == -signs[5]
+    assert _parity_classes(0, []) == []
+
+
+@pytest.mark.parametrize("relations", [
+    [(0, 0, False)],
+    [(0, 1, True), (1, 2, True), (2, 0, False)],
+    [(0, 1, False), (1, 2, False), (2, 0, False)],
+])
+def test_parity_classes_contradiction(relations):
+    assert _parity_classes(3, relations) is None
+
+
+@pytest.mark.parametrize("depth", [0, 1, 2])
+def test_edge_classes_match_oracle(tri, depth):
+    for _ in range(depth):
+        tri = barycentric_subdivide(tri)
+    oracle = _OracleTri(tri.to_text())
+    members = {}
+    for te, cid in oracle.edge_class.items():
+        members.setdefault(cid, []).append(te)
+    assert tri.edge_classes == tuple(tuple(sorted(m)) for _, m in sorted(members.items()))
+    assert tri.edge_class_of == oracle.edge_class
+    assert tri.edge_sign == oracle.edge_sign
