@@ -61,9 +61,9 @@ def _check_numbers(args):
         )
 
 
-def _load_triangulation(args):
-    tri = parse_triangulation(_read(args.triangulation))
-    for _ in range(args.subdivide):
+def _load_triangulation(text, subdivide):
+    tri = parse_triangulation(text)
+    for _ in range(subdivide):
         tri = barycentric_subdivide(tri)
     return tri
 
@@ -118,7 +118,7 @@ def _budget_from_args(args):
 
 
 def cmd_validate(args):
-    tri = _load_triangulation(args)
+    tri = _load_triangulation(_read(args.triangulation), args.subdivide)
     print(
         "triangulation: {} tetrahedra, {} vertices, {} edges, {} faces, "
         "chi={}, orientable".format(
@@ -135,14 +135,14 @@ def cmd_validate(args):
         if not surf.is_valid():
             print("surface: {}".format(cls))
             return EXIT_SEMANTIC
+        count = len(surf.components())
         print(
             "surface: {}, weight {}, chi {}, genus {}, {}".format(
                 cls,
                 surf.weight(),
                 surf.euler_characteristic(),
                 surf.genus(),
-                "connected" if len(surf.components()) == 1 else
-                "{} components".format(len(surf.components())),
+                "connected" if count == 1 else "{} components".format(count),
             )
         )
     return EXIT_OK
@@ -167,7 +167,8 @@ def cmd_bounds(args):
 
 def _run_graph(args, emit_loops):
     t0 = time.time()
-    tri = _load_triangulation(args)
+    tri_text = _read(args.triangulation)
+    tri = _load_triangulation(tri_text, args.subdivide)
     seed_text = _read(args.seed)
     seed = parse_surface(tri, seed_text)
     budget = _budget_from_args(args)
@@ -185,7 +186,7 @@ def _run_graph(args, emit_loops):
         graph = exc.graph
     provenance = {
         "tool": "cansurf {}".format(__version__),
-        "triangulation_file_sha256": _sha256(_read(args.triangulation)),
+        "triangulation_file_sha256": _sha256(tri_text),
         "seed_sha256": _sha256(seed_text),
         "parameters": {
             "budget": budget,
@@ -232,7 +233,7 @@ def _run_graph(args, emit_loops):
         manifest = {
             "tool_version": __version__,
             "inputs": {
-                "triangulation_sha256": _sha256(_read(args.triangulation)),
+                "triangulation_sha256": _sha256(tri_text),
                 "seed_sha256": _sha256(seed_text),
             },
             "parameters": provenance["parameters"],
@@ -258,7 +259,7 @@ def cmd_generators(args):
 
 
 def cmd_replay(args):
-    tri = _load_triangulation(args)
+    tri = _load_triangulation(_read(args.triangulation), args.subdivide)
     seed = parse_surface(tri, _read(args.seed))
     if not seed.is_valid():
         raise SemanticError("seed surface: {}".format(seed.validate()))

@@ -102,8 +102,8 @@ from .surface import (
     CRUDELY_ALMOST_NORMAL,
     CRUDELY_NORMAL,
     Surface,
-    _face_layout,
     face_crossing,
+    face_layout,
     parse_surface,
     pairs_cross,
     tet_geometry_of,
@@ -332,6 +332,14 @@ def _point_map_for_deletions(weights, removals):
     return tuple(new_weights), shift
 
 
+def _carry(old, new, s, index):
+    """Slot s of layout ``old`` carried to layout ``new`` of the same face
+    class: the slot on the same side of the point ``index(edge class,
+    class point index)`` that slot s holds."""
+    k, _ = old.side_of_slot(s)
+    return new.slot_of_point(k, index(*old.point_of_slot(s)))
+
+
 def _remap_matchings(surf, new_weights, shift, matchings=None):
     """Re-express matchings in the slot space of the new weights.  A face
     whose sides keep their weights gained or lost no points, so its slots
@@ -342,19 +350,13 @@ def _remap_matchings(surf, new_weights, shift, matchings=None):
     out = []
     for cid, pairs in enumerate(matchings):
         old = surf.face_layout(cid)
-        new = _face_layout(tri, new_weights, cid)
+        new = face_layout(tri, new_weights, cid)
         if new.side_w == old.side_w:
             out.append(tuple(sorted(pairs)))
             continue
-        remapped = []
-        for pair in pairs:
-            slots = []
-            for s in pair:
-                k, _ = old.side_of_slot(s)
-                e, i = old.point_of_slot(s)
-                slots.append(new.slot_of_point(k, shift(e, i)))
-            remapped.append(tuple(sorted(slots)))
-        out.append(tuple(sorted(remapped)))
+        out.append(tuple(sorted(
+            tuple(sorted([_carry(old, new, s, shift) for s in pair])) for pair in pairs
+        )))
     return out
 
 
@@ -425,17 +427,6 @@ def _curve_of_copy(geo, f, pair):
     return curve
 
 
-def _edge_incidences(surf, e):
-    """All (face class, side) incidences around edge class e, in order."""
-    out = []
-    for cid in range(len(surf.tri.face_classes)):
-        layout = surf.face_layout(cid)
-        for k in range(3):
-            if layout.side_edge[k] == e:
-                out.append((cid, k))
-    return out
-
-
 # ---------------------------------------------------------------------------
 # Catalog spheres at their placement: insert, tube, find, delete
 
@@ -477,18 +468,18 @@ def _sphere_arcs(entry, weights, point_map):
     """The catalog sphere's arcs as (face class, pair), in the slots of a
     surface with these weights whose points ``point_map`` gives."""
     sphere = entry.surface
+
+    def index(e, i):
+        return point_map[(e, i)]
+
     arcs = []
     for cid, pairs in enumerate(sphere.matchings):
         if not pairs:
             continue
         s_lay = sphere.face_layout(cid)
-        u_lay = _face_layout(sphere.tri, weights, cid)
+        u_lay = face_layout(sphere.tri, weights, cid)
         for pair in pairs:
-            slots = []
-            for s in pair:
-                k, _ = s_lay.side_of_slot(s)
-                slots.append(u_lay.slot_of_point(k, point_map[s_lay.point_of_slot(s)]))
-            arcs.append((cid, tuple(sorted(slots))))
+            arcs.append((cid, tuple(sorted([_carry(s_lay, u_lay, s, index) for s in pair]))))
     return arcs
 
 
@@ -746,7 +737,7 @@ def _apply_e1_insert(surf, move):
     gap = move.gap
     if not (0 <= gap <= w):
         raise NotApplicableError("gap {} out of range for edge {}".format(gap, e))
-    incidences = _edge_incidences(surf, e)
+    incidences = tri.edge_sides[e]
     if move.incidence not in incidences:
         raise NotApplicableError("face side {} is not around edge {}".format(move.incidence, e))
     chat, khat = move.incidence
@@ -755,7 +746,7 @@ def _apply_e1_insert(surf, move):
     if arc not in surf.matchings[chat]:
         raise NotApplicableError("face {} has no arc {}".format(chat, arc))
     _, gap_region, chord_sides = surf.face_regions(chat)
-    r_gap = gap_region[layout.gap_of_class_gap(khat, gap)]
+    r_gap = gap_region[layout.class_gaps[khat][gap]]
     if r_gap not in chord_sides[arc]:
         raise NotApplicableError("arc {} is not adjacent to the insertion gap".format(arc))
 
@@ -763,7 +754,7 @@ def _apply_e1_insert(surf, move):
     p_lo, p_hi = inserted[e]
     matchings = _remap_matchings(surf, new_weights, shift)
     for cid, k in incidences:
-        lay = _face_layout(tri, new_weights, cid)
+        lay = face_layout(tri, new_weights, cid)
         s1 = lay.slot_of_point(k, p_lo)
         s2 = lay.slot_of_point(k, p_hi)
         if abs(s1 - s2) != 1:
@@ -772,12 +763,8 @@ def _apply_e1_insert(surf, move):
             continue
         matchings[cid] = tuple(sorted(matchings[cid] + (tuple(sorted((s1, s2))),)))
     # Reroute through the chosen face.
-    lay = _face_layout(tri, new_weights, chat)
-    a_new = []
-    for s in arc:
-        k, _ = layout.side_of_slot(s)
-        ecls, i = layout.point_of_slot(s)
-        a_new.append(lay.slot_of_point(k, shift(ecls, i)))
+    lay = face_layout(tri, new_weights, chat)
+    a_new = [_carry(layout, lay, s, shift) for s in arc]
     pa, pb = lay.slot_of_point(khat, p_lo), lay.slot_of_point(khat, p_hi)
     rest = tuple(p for p in matchings[chat] if p != tuple(sorted(a_new)))
     chosen = _planar_reconnection(rest, a_new[0], a_new[1], pa, pb)
@@ -800,7 +787,7 @@ def _e1_finger(surf, e, k):
     tri = surf.tri
     bigons = []
     reroutes = []
-    for cid, kk in _edge_incidences(surf, e):
+    for cid, kk in tri.edge_sides[e]:
         lay = surf.face_layout(cid)
         s1, s2 = lay.slot_of_point(kk, k), lay.slot_of_point(kk, k + 1)
         pair = tuple(sorted((s1, s2)))
@@ -854,16 +841,9 @@ def _apply_e1_delete(surf, move):
     result, shift, _ = _delete_cells(
         surf, {e: [k, k + 1]}, drop, add=[(chat, tuple(sorted((x, y))))]
     )
-    lay_old = surf.face_layout(chat)
-    restored = []
-    for s in (x, y):
-        kk, _ = lay_old.side_of_slot(s)
-        ecls, i = lay_old.point_of_slot(s)
-        restored.append(result.face_layout(chat).slot_of_point(kk, shift(ecls, i)))
-    inverse = Move(
-        E1, e, direction=1, gap=k, incidence=(chat, khat),
-        arc=tuple(sorted(restored)),
-    )
+    old, new = surf.face_layout(chat), result.face_layout(chat)
+    restored = sorted([_carry(old, new, s, shift) for s in (x, y)])
+    inverse = Move(E1, e, direction=1, gap=k, incidence=(chat, khat), arc=tuple(restored))
     return _require_valid_result(result, "E1 delete"), inverse
 
 
@@ -878,8 +858,8 @@ def _f2_kind(surf, cid, alpha, beta, gain):
     strands lie on one curve off the annulus pair or on the two curves of
     the pair, and the gaining strands on one curve of a tet without an
     annulus or on two curves off the pair."""
-    layout = surf.face_layout(cid)
-    (t_l, f_l), (t_g, f_g) = layout.incidences[1 - gain], layout.incidences[gain]
+    incidences = surf.tri.face_classes[cid]
+    (t_l, f_l), (t_g, f_g) = incidences[1 - gain], incidences[gain]
     geo_l, geo_g = surf.tet_geometry(t_l), surf.tet_geometry(t_g)
     u_a, u_b = _curve_of_copy(geo_l, f_l, alpha), _curve_of_copy(geo_l, f_l, beta)
     v_a, v_b = _curve_of_copy(geo_g, f_g, alpha), _curve_of_copy(geo_g, f_g, beta)
@@ -901,7 +881,7 @@ def _f2_separation(surf, cid, alpha, beta, gain):
     gains into incidence ``gain`` splits a curve of the losing tetrahedron
     so that the tet's annulus pair stops sharing a region.  Decided on
     that one tetrahedron's geometry after the reconnection."""
-    t_l, f_l = surf.face_layout(cid).incidences[1 - gain]
+    t_l, f_l = surf.tri.face_classes[cid][1 - gain]
     if not surf.annuli[t_l]:
         return False
     geo = surf.tet_geometry(t_l)
@@ -923,8 +903,8 @@ def _apply_f2(surf, move):
     cid = move.location
     if not (0 <= cid < len(tri.face_classes)):
         raise NotApplicableError("unknown face class {}".format(cid))
-    layout = surf.face_layout(cid)
-    (t0, _), (t1, _) = layout.incidences
+    incidences = tri.face_classes[cid]
+    (t0, _), (t1, _) = incidences
     if t0 == t1:
         raise NotApplicableError(
             "face {} is glued to tet {} on both sides".format(cid, t0)
@@ -951,7 +931,7 @@ def _apply_f2(surf, move):
     chosen = _planar_reconnection(rest, *alpha, *beta)
     if chosen is None:
         raise NotApplicableError("no planar reconnection of {} and {}".format(alpha, beta))
-    (t_l, f_l), (t_g, f_g) = layout.incidences[1 - move.gain], layout.incidences[move.gain]
+    (t_l, f_l), (t_g, f_g) = incidences[1 - move.gain], incidences[move.gain]
     if _f2_separation(surf, cid, alpha, beta, move.gain):
         raise NotApplicableError(
             "face move: result invalid: annulus separation in tet {}".format(t_l)
@@ -1052,16 +1032,7 @@ def apply(surf, move, catalog=None):
     return result
 
 
-class Neighbor:
-    __slots__ = ("move", "inverse", "surface")
-
-    def __init__(self, move, inverse, surface):
-        self.move = move
-        self.inverse = inverse
-        self.surface = surface
-
-    def __iter__(self):
-        return iter((self.move, self.inverse, self.surface))
+Neighbor = collections.namedtuple("Neighbor", "move inverse surface")
 
 
 def _candidate_moves(surf, move_set, catalog, budget, stats):
@@ -1090,12 +1061,10 @@ def _candidate_moves(surf, move_set, catalog, budget, stats):
             if tri.edge_degree(e) < 2:
                 continue
             over = weight + 2 > budget
-            incidences = _edge_incidences(surf, e)
             for gap in range(surf.weights[e] + 1):
-                for cid, k in incidences:
-                    layout = surf.face_layout(cid)
+                for cid, k in tri.edge_sides[e]:
                     _, gap_region, chord_sides = surf.face_regions(cid)
-                    r = gap_region[layout.gap_of_class_gap(k, gap)]
+                    r = gap_region[surf.face_layout(cid).class_gaps[k][gap]]
                     for arc, sides in chord_sides.items():
                         if r not in sides:
                             continue
@@ -1108,8 +1077,7 @@ def _candidate_moves(surf, move_set, catalog, budget, stats):
                     yield Move(E1, e, direction=-1, gap=k)
     if F2 in move_set or F2P in move_set:
         for cid in range(len(tri.face_classes)):
-            layout = surf.face_layout(cid)
-            (t0, _), (t1, _) = layout.incidences
+            (t0, _), (t1, _) = tri.face_classes[cid]
             if t0 == t1:
                 continue
             _, _, chord_sides = surf.face_regions(cid)

@@ -46,14 +46,16 @@ encoding that has not been built as a ``Surface``, as a move does for
 its result.  The tet memo is least-recently-used and holds at most
 ``max(128, 4 * tet_count)`` entries.
 
-A trace reads tables instead of recomputing slot arithmetic.  Each
-``FaceLayout`` stores, per incidence of its face class, the node
-(tetrahedron edge, class point index) of every slot, and per side the
-circular gap of every class-order gap.  ``_tet_frame`` holds, per
-tetrahedron, each face's class, incidence and side edges, and each
-tetrahedron edge's two (face, side) pairs.  Both depend on the
-triangulation alone (and the layout on its three side weights), so they
-are cached and shared by every trace.
+Slot arithmetic has one owner per input.  What depends on the
+triangulation alone lives on it: ``face_sides`` (each face class's sides
+in slot order), ``edge_sides`` and the per-tetrahedron ``tet_frames``.
+What also depends on the three side weights of a face lives on its
+``FaceLayout``, one per (sides, side weights), built by ``face_layout``
+and cached in ``_side_layout``: the methods that number slots, and two
+tables a trace reads instead of the methods, the node (tetrahedron
+edge, class point index) of every slot per incidence and the circular
+gap of every class-order gap per side.  ``Surface.face_layout`` keeps
+each surface's layouts in a list.
 """
 
 from __future__ import annotations
@@ -64,7 +66,7 @@ import hashlib
 import itertools
 
 from .errors import ParseError, SemanticError
-from .triangulation import _UnionFind, _parity_classes, edge_number
+from .triangulation import _UnionFind, _parity_classes
 
 CRUDELY_NORMAL = "crudely_normal"
 CRUDELY_ALMOST_NORMAL = "crudely_almost_normal"
@@ -147,55 +149,20 @@ def _face_chord_regions(n, pairs):
     return next_region, gap_region, chord_sides
 
 
-@functools.lru_cache(maxsize=1 << 14)
-def _face_sides(tri, cid):
-    """The sides of face class cid's representative triangle in slot
-    order: per side, its edge class and its tetrahedron edge as seen from
-    each of the two incidences."""
-    (t, f), _ = tri.face_classes[cid]
-    u0, u1, u2 = sorted(set(range(4)) - {f})
-    _, perm = tri.gluings[t][f]
-    return tuple(
-        (tri.edge_class_of[(t, edge_number(a, b))], edge_number(a, b),
-         edge_number(perm[a], perm[b]))
-        for a, b in ((u0, u1), (u1, u2), (u2, u0))
-    )
-
-
 class FaceLayout:
     """Slot bookkeeping for one face class at given side weights.
 
-    Depends only on the triangulation and the weights of the face's three
-    sides, not on the matchings, so it is shared by every encoding that
-    agrees there.
+    ``sides`` is the face class's entry of ``Triangulation.face_sides``
+    and ``side_w`` the weights of its three sides.  Slots number the
+    points on the sides in slot order; a layout does not depend on the
+    matchings, so it is shared by every encoding that agrees there.
     """
 
-    def __init__(self, tri, face_class, side_w):
-        self.face_class = face_class
-        rep, other = tri.face_classes[face_class]
-        self.incidences = (rep, other)
-        t, f = rep
-        corners = tuple(sorted(set(range(4)) - {f}))
-        self.rep_corners = corners
-        u0, u1, u2 = corners
-        # side k: ordered pair of representative corner labels.
-        side_pairs = ((u0, u1), (u1, u2), (u2, u0))
-        self.side_edge = []       # edge class per side
-        self.side_net = []        # +1 if traversal follows the class orientation
-        self.side_tet_edges = []  # tet-edge of each side as seen from each incidence
-        for (a, b), (cls, rep_edge, other_edge) in zip(side_pairs, _face_sides(tri, face_class)):
-            self.side_edge.append(cls)
-            self.side_net.append((1 if a < b else -1) * tri.edge_sign[(t, rep_edge)])
-            self.side_tet_edges.append((rep_edge, other_edge))
-        self.side_w = list(side_w)
-        self.side_start = [0, self.side_w[0], self.side_w[0] + self.side_w[1]]
-        self.n = sum(self.side_w)
-        self.corner_vertex = tuple(
-            tri.vertex_class_of[(t, u)] for u in corners
-        )
-        # Corner labels as seen from the other incidence.
-        _, perm = tri.gluings[t][f]
-        self.other_corners = tuple(perm[u] for u in corners)
+    def __init__(self, sides, side_w):
+        self.sides = sides
+        self.side_w = side_w
+        self.side_start = (0, side_w[0], side_w[0] + side_w[1])
+        self.n = sum(side_w)
 
     # Tables for TetGeometry, built on its first trace through this layout.
 
@@ -204,22 +171,22 @@ class FaceLayout:
         """Per incidence, the node (tet edge, class point index) of every
         slot, with points numbered as point_of_slot numbers them."""
         nodes = ([], [])
-        for k, w in enumerate(self.side_w):
-            points = range(w) if self.side_net[k] > 0 else range(w - 1, -1, -1)
+        for (_, net, *tet_edges), w in zip(self.sides, self.side_w):
+            points = range(w) if net > 0 else range(w - 1, -1, -1)
             for inc in (0, 1):
-                e = self.side_tet_edges[k][inc]
-                nodes[inc].extend([(e, i) for i in points])
+                nodes[inc].extend([(tet_edges[inc], i) for i in points])
         return tuple(nodes[0]), tuple(nodes[1])
 
     @functools.cached_property
     def class_gaps(self):
-        """Per side, the circular gap of every class-order gap 0..w, as
-        gap_of_class_gap numbers them."""
+        """Per side, the circular gap of every class-order gap 0..w: gap q
+        lies between class points q - 1 and q, and circular gap g between
+        slots g - 1 and g."""
         if self.n == 0:
             return ((0,),) * 3
         return tuple(
             tuple([(start + j) % self.n for j in (range(w + 1) if net > 0 else range(w, -1, -1))])
-            for start, w, net in zip(self.side_start, self.side_w, self.side_net)
+            for start, w, (_, net, _, _) in zip(self.side_start, self.side_w, self.sides)
         )
 
     def side_of_slot(self, s):
@@ -232,39 +199,31 @@ class FaceLayout:
     def point_of_slot(self, s):
         """The (edge class, class point index) of boundary slot s."""
         k, j = self.side_of_slot(s)
-        w = self.side_w[k]
-        i = j if self.side_net[k] > 0 else w - 1 - j
-        return self.side_edge[k], i
+        e, net = self.sides[k][:2]
+        return e, (j if net > 0 else self.side_w[k] - 1 - j)
 
     def slot_of_point(self, k, i):
         """The slot on side k carrying class point index i."""
-        w = self.side_w[k]
-        j = i if self.side_net[k] > 0 else w - 1 - i
+        j = i if self.sides[k][1] > 0 else self.side_w[k] - 1 - i
         return self.side_start[k] + j
 
-    def gap_of_class_gap(self, k, q):
-        """Circular gap index for class-order gap q (0..w) on side k."""
-        if self.n == 0:
-            return 0
-        w = self.side_w[k]
-        j = q if self.side_net[k] > 0 else w - q
-        return (self.side_start[k] + j) % self.n
-
     def corner_gap(self, m):
-        """Circular gap containing corner m of the representative triangle."""
+        """Circular gap containing corner m of the representative triangle,
+        where side m starts."""
         if self.n == 0:
             return 0
         return self.side_start[m] % self.n
 
 
 @functools.lru_cache(maxsize=1 << 14)
-def _side_layout(tri, cid, side_w):
-    return FaceLayout(tri, cid, side_w)
+def _side_layout(sides, side_w):
+    return FaceLayout(sides, side_w)
 
 
-@functools.lru_cache(maxsize=1 << 14)
-def _face_layout(tri, weights, cid):
-    return _side_layout(tri, cid, tuple([weights[e] for e, _, _ in _face_sides(tri, cid)]))
+def face_layout(tri, weights, cid):
+    """The layout of face class cid at these edge class weights."""
+    sides = tri.face_sides[cid]
+    return _side_layout(sides, (weights[sides[0][0]], weights[sides[1][0]], weights[sides[2][0]]))
 
 
 # TetGeometry by (tri, tet, edge weights, face matchings) of that tet,
@@ -304,24 +263,6 @@ def tet_geometry_of(tri, weights, matchings, tet):
     )
 
 
-@functools.lru_cache(maxsize=1 << 14)
-def _tet_frame(tri, tet):
-    """How tet's faces and edges meet, independent of any surface: per
-    face 0..3, (face class, incidence of (tet, face) in its class, the tet
-    edge of each of its three sides); per tet edge 0..5, the two
-    (face, side) pairs that contain it, lower face first."""
-    faces = []
-    edges = [[] for _ in range(6)]
-    for f in range(4):
-        cid = tri.face_class_of[(tet, f)]
-        inc = 0 if tri.face_classes[cid][0] == (tet, f) else 1
-        sides = tuple([s[1 + inc] for s in _face_sides(tri, cid)])
-        faces.append((cid, inc, sides))
-        for k, e in enumerate(sides):
-            edges[e].append((f, k))
-    return tuple(faces), tuple(map(tuple, edges))
-
-
 class TetGeometry:
     """Curves and complementary regions on one tetrahedron's boundary.
 
@@ -333,14 +274,15 @@ class TetGeometry:
 
     def __init__(self, tri, tet, weights, matchings):
         self.tet = tet
-        faces, edge_sides = _tet_frame(tri, tet)
+        faces, edge_sides, self._corners = tri.tet_frames[tet]
+        face_sides = tri.face_sides
         # Nodes: (tetrahedron edge 0..5, class point index).  Each node
         # lists the nodes its arc ends join it to, in arc order.
         layouts = []
         joined = {}
         arcs = []  # ((face, chord pair), one end node) per arc copy
         for f, (cid, inc, (e0, e1, e2)) in enumerate(faces):
-            layout = _side_layout(tri, cid, (weights[e0], weights[e1], weights[e2]))
+            layout = _side_layout(face_sides[cid], (weights[e0], weights[e1], weights[e2]))
             layouts.append(layout)
             nodes = layout.slot_nodes[inc]
             n = layout.n
@@ -436,12 +378,8 @@ class TetGeometry:
 
     def corner_region(self, corner):
         """Region root at a tetrahedron corner."""
-        f = min(x for x in range(4) if x != corner)
-        layout = self._face_regions[f][0]
-        inc = 0 if layout.incidences[0] == (self.tet, f) else 1
-        corners = layout.rep_corners if inc == 0 else layout.other_corners
-        m = corners.index(corner)
-        gap = layout.corner_gap(m)
+        f, m = self._corners[corner]
+        gap = self._face_regions[f][0].corner_gap(m)
         return self._find(self._offsets[f] + self._face_regions[f][1][gap])
 
     def curves_sharing_region(self, c1, c2):
@@ -507,7 +445,7 @@ class Surface:
             layouts = self._layouts = [None] * len(self.tri.face_classes)
         layout = layouts[cid]
         if layout is None:
-            layout = layouts[cid] = _face_layout(self.tri, self.weights, cid)
+            layout = layouts[cid] = face_layout(self.tri, self.weights, cid)
         return layout
 
     def face_regions(self, cid):
@@ -873,11 +811,12 @@ def vertex_link(tri, v):
         weights[e] += 1
     weights = tuple(weights)
     matchings = []
-    for cid in range(len(tri.face_classes)):
-        layout = _face_layout(tri, weights, cid)
+    for cid, ((t, f), _) in enumerate(tri.face_classes):
+        layout = face_layout(tri, weights, cid)
         pairs = []
-        for m in range(3):
-            if layout.corner_vertex[m] != v:
+        # Side m of the representative starts at its m-th corner.
+        for m, u in enumerate([u for u in range(4) if u != f]):
+            if tri.vertex_class_of[(t, u)] != v:
                 continue
             gap = layout.corner_gap(m)
             pairs.append(((gap - 1) % layout.n, gap))
@@ -904,7 +843,7 @@ def enumerate_surfaces(tri, max_weight):
 
     n_faces = len(tri.face_classes)
     for weights in weight_vectors([], max_weight):
-        layouts = [_face_layout(tri, weights, c) for c in range(n_faces)]
+        layouts = [face_layout(tri, weights, c) for c in range(n_faces)]
         if any(l.n % 2 for l in layouts):
             continue
         per_face = [list(noncrossing_matchings(l.n)) for l in layouts]

@@ -32,6 +32,22 @@ package:
 * Class ids (vertex, edge, face) are assigned in order of their least
   member, so they are reproducible across runs and machines.
 
+Three tables describe how the faces and edges of the tetrahedra meet.
+They depend on the gluing table alone, so each is built on first use and
+kept on the instance:
+
+* ``face_sides[cid]``: the sides of face class cid's representative
+  triangle in slot order, (u0 -> u1), (u1 -> u2), (u2 -> u0) for its
+  corners u0 < u1 < u2.  Per side: its edge class, +1 when the traversal
+  follows the class orientation and -1 otherwise, and its tetrahedron
+  edge as seen from the lesser incidence and from the other one.
+* ``edge_sides[e]``: the (face class, side) pairs on edge class e, in
+  that order.
+* ``tet_frames[t]``: per face f of t, (face class, incidence of (t, f) in
+  it, the tetrahedron edge of each side); per tetrahedron edge, the two
+  (face, side) pairs on it, lower face first; per corner c, the (face,
+  side m) pair of the lowest face through c whose side m starts at c.
+
 Validation rejects anything that is not a closed orientable 3-manifold:
 unglued or self-glued faces, non-involutive gluing pairs, an edge
 identified with itself in reverse, inconsistent orientations, and a
@@ -39,6 +55,8 @@ nonzero Euler characteristic.
 """
 
 from __future__ import annotations
+
+import functools
 
 from .errors import ParseError, SemanticError
 
@@ -124,8 +142,9 @@ def _parity_classes(n, relations):
 class Triangulation:
     """A validated closed orientable 3-manifold gluing table.
 
-    Immutable after construction; all derived class tables are computed
-    up front, so instances can be shared freely between workers.
+    Immutable after construction.  The class tables are computed up
+    front and the face and frame tables on first use, so instances can be
+    shared freely between workers.
     """
 
     def __init__(self, gluings):
@@ -274,6 +293,51 @@ class Triangulation:
             )
             for t in range(self.tet_count)
         )
+
+    # -- face and frame tables --------------------------------------------
+
+    @functools.cached_property
+    def face_sides(self):
+        out = []
+        for (t, f), _ in self.face_classes:
+            u0, u1, u2 = [u for u in range(4) if u != f]
+            perm = self.gluings[t][f][1]
+            sides = []
+            for a, b in ((u0, u1), (u1, u2), (u2, u0)):
+                e = edge_number(a, b)
+                net = self.edge_sign[(t, e)] if a < b else -self.edge_sign[(t, e)]
+                sides.append((self.edge_class_of[(t, e)], net, e, edge_number(perm[a], perm[b])))
+            out.append(tuple(sides))
+        return tuple(out)
+
+    @functools.cached_property
+    def edge_sides(self):
+        out = [[] for _ in self.edge_classes]
+        for cid, sides in enumerate(self.face_sides):
+            for k, side in enumerate(sides):
+                out[side[0]].append((cid, k))
+        return tuple(map(tuple, out))
+
+    @functools.cached_property
+    def tet_frames(self):
+        frames = []
+        for t in range(self.tet_count):
+            faces = []
+            edges = [[] for _ in range(6)]
+            corners = [None] * 4
+            for f in range(4):
+                cid = self.face_class_of[(t, f)]
+                inc = 0 if self.face_classes[cid][0] == (t, f) else 1
+                sides = tuple([side[2 + inc] for side in self.face_sides[cid]])
+                faces.append((cid, inc, sides))
+                for k, e in enumerate(sides):
+                    edges[e].append((f, k))
+                    # Side k starts where it meets side k - 1.
+                    c, = set(EDGE_VERTICES[e]) & set(EDGE_VERTICES[sides[k - 1]])
+                    if corners[c] is None:
+                        corners[c] = (f, k)
+            frames.append((tuple(faces), tuple(map(tuple, edges)), tuple(corners)))
+        return tuple(frames)
 
     # -- queries ---------------------------------------------------------
 

@@ -1,4 +1,5 @@
 import contextlib
+import hashlib
 import io
 import json
 
@@ -85,6 +86,34 @@ def test_workers_environment_variable_is_ignored(capsys, data_dir, monkeypatch):
     )
     assert code == 0
     assert "complete" in out
+
+
+@pytest.mark.parametrize("command", ["graph", "generators"])
+def test_hashes_describe_the_parsed_triangulation(capsys, data_dir, tmp_path, monkeypatch,
+                                                  command):
+    # The triangulation file changes while the graph is built; both hashes
+    # still describe the text that was parsed.
+    text = (data_dir / "two_tet_s3.tri").read_text()
+    tri_file = tmp_path / "s3.tri"
+    tri_file.write_text(text)
+
+    def build_then_edit(*args, **kwargs):
+        graph = build(*args, **kwargs)
+        with open(tri_file, "a", encoding="utf-8") as fh:
+            fh.write("# edited during the run\n")
+        return graph
+
+    monkeypatch.setattr(cli, "build", build_then_edit)
+    j, m = tmp_path / "g.json", tmp_path / "m.json"
+    code, _, _ = run(
+        capsys, command, str(tri_file), str(data_dir / "vertex_link.surf"),
+        "--budget", "6", "--out-json", str(j), "--manifest", str(m),
+    )
+    assert code == 0
+    assert tri_file.read_text() != text
+    digest = hashlib.sha256(text.encode()).hexdigest()
+    assert json.loads(j.read_text())["provenance"]["triangulation_file_sha256"] == digest
+    assert json.loads(m.read_text())["inputs"]["triangulation_sha256"] == digest
 
 
 def test_graph_empty_move_set(capsys, data_dir, tmp_path):

@@ -156,8 +156,7 @@ def test_f2_prime_merges_adjacent_curves(tri):
     surf = parse_surface(tri, F2_EXAMPLE)
     assert surf.validate() == CRUDELY_NORMAL
     move = parse_move("F2'@f2[arcs=0-9:7-8,gain=1]")
-    lay = surf.face_layout(2)
-    t_gain, f_gain = lay.incidences[1]
+    t_gain, f_gain = tri.face_classes[2][1]
     geo = surf.tet_geometry(t_gain)
     before = {_curve_of_copy(geo, f_gain, (0, 9)), _curve_of_copy(geo, f_gain, (7, 8))}
     assert len(before) == 2
@@ -195,8 +194,8 @@ def test_f2_declared_kind_checked(tri, link):
 
 def test_f2_rejects_self_glued_face(tri, link):
     # Face class 0 is glued to tetrahedron 0 on both sides.
-    lay = link.face_layout(0)
-    assert lay.incidences[0][0] == lay.incidences[1][0]
+    (t0, _), (t1, _) = tri.face_classes[0]
+    assert t0 == t1
     with pytest.raises(NotApplicableError, match="both sides"):
         apply(link, Move(F2P, 0, arcs=((0, 5), (1, 2)), gain=0))
 
@@ -632,8 +631,7 @@ def _e1_insertions(surf):
     face side on that edge."""
     tri = surf.tri
     for cid in range(len(tri.face_classes)):
-        layout = surf.face_layout(cid)
-        for k, e in enumerate(layout.side_edge):
+        for k, (e, *_) in enumerate(tri.face_sides[cid]):
             for gap in range(surf.weights[e] + 1):
                 for arc in surf.matchings[cid]:
                     yield Move(E1, e, direction=1, gap=gap, incidence=(cid, k), arc=arc)

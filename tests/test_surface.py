@@ -323,19 +323,31 @@ def test_worker_task_repeats_its_geometry_work(tri, link, link_text, catalog, mo
 
 def test_layout_tables_match_slot_arithmetic(sub):
     # The tables a trace reads agree with the per-slot methods moves use.
+    # Circular gap g lies between slots g - 1 and g; class gap q lies
+    # between class points q - 1 and q, and its end gaps are the side's
+    # corner gaps, gap 0 at the corner where the edge class starts.
     for side_w in itertools.product(range(4), repeat=3):
-        for cid in range(len(sub.face_classes)):
-            layout = surface.FaceLayout(sub, cid, side_w)
+        for cid, ((t, f), _) in enumerate(sub.face_classes):
+            layout = surface.FaceLayout(sub.face_sides[cid], side_w)
+            n = layout.n
             for inc in (0, 1):
                 assert layout.slot_nodes[inc] == tuple(
-                    (layout.side_tet_edges[layout.side_of_slot(s)[0]][inc],
+                    (layout.sides[layout.side_of_slot(s)[0]][2 + inc],
                      layout.point_of_slot(s)[1])
-                    for s in range(layout.n)
+                    for s in range(n)
                 )
-            assert layout.class_gaps == tuple(
-                tuple(layout.gap_of_class_gap(k, q) for q in range(w + 1))
-                for k, w in enumerate(side_w)
-            )
+            corners = [u for u in range(4) if u != f]
+            for k, w in enumerate(side_w):
+                gaps = layout.class_gaps[k]
+                assert len(gaps) == w + 1
+                ends = [layout.corner_gap(k), layout.corner_gap((k + 1) % 3)]
+                if sub.vertex_class_end_of_edge(t, layout.sides[k][2], corners[k]) == 1:
+                    ends.reverse()
+                assert [gaps[0], gaps[w]] == ends
+                for q in range(1, w):
+                    assert {(gaps[q] - 1) % n, gaps[q]} == {
+                        layout.slot_of_point(k, q - 1), layout.slot_of_point(k, q)
+                    }
 
 
 @pytest.mark.parametrize("pair", [(0, 6), (3, 9), (-1, 0), (-2, 3)])

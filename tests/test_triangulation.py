@@ -204,3 +204,27 @@ def test_edge_classes_match_oracle(tri, depth):
     assert tri.edge_classes == tuple(tuple(sorted(m)) for _, m in sorted(members.items()))
     assert tri.edge_class_of == oracle.edge_class
     assert tri.edge_sign == oracle.edge_sign
+
+
+@pytest.mark.parametrize("depth", [0, 1, 2])
+def test_face_and_frame_tables_match_oracle(tri, depth):
+    for _ in range(depth):
+        tri = barycentric_subdivide(tri)
+    oracle = _OracleTri(tri.to_text())
+    on_edge = {}
+    for cid in range(len(oracle.faces)):
+        sides = oracle.face_sides(cid)
+        assert tri.face_sides[cid] == tuple(sides)
+        for k, side in enumerate(sides):
+            on_edge.setdefault(side[0], []).append((cid, k))
+    assert tri.edge_sides == tuple(tuple(on_edge[e]) for e in range(oracle.n_edges))
+    # Side m of a face class runs from the m-th of its representative's
+    # corners u0 < u1 < u2, which the gluing carries to the other side.
+    for t, (_, _, corners) in enumerate(tri.tet_frames):
+        for c, (f, m) in enumerate(corners):
+            assert f != c
+            rep, _ = oracle.faces[tri.face_class_of[(t, f)]]
+            start = sorted(set(range(4)) - {rep[1]})[m]
+            if rep != (t, f):
+                start = oracle.glue[rep[0]][rep[1]][1][start]
+            assert start == c
