@@ -7,6 +7,20 @@ edge is stored once, as (u, v, move from u, move from v) with u <= v as
 key bytes, and the edge multiset is deduplicated on that quadruple, so
 parallel edges produced by genuinely different moves survive.
 
+Each edge is applied once.  Applying the inverse m' of an edge's move m
+to its target v gives back its source u and m, so when v is expanded the
+candidate m' would only find the edge again.  ``build`` therefore keeps,
+for every vertex found but not yet expanded, the set of inverse texts of
+the edges found into it, and ``neighbors(..., known=...)`` generates and
+counts those moves but does not apply them.  A serial build pops a
+vertex's set as it expands the vertex, so an edge between two sources of
+one wave is applied from the first of them only.  A pool build pops the
+sets of a whole wave when it dispatches the wave and sends each with its
+source text; results within the dispatched wave get no entry, so an
+edge between two of its sources is applied from both ends.  Either way
+the map holds only frontier vertices, and the edge set, the statistics
+and every export are those of applying every candidate.
+
 The serial closure passes Surface objects.  With workers > 1 a frontier
 wave fans out over a process pool, and text crosses only that boundary;
 only results that are new vertices are parsed back, classified from
@@ -143,9 +157,10 @@ def _worker_init(tri, budget, move_set, catalog, deadline):
     _WORKER["deadline"] = deadline
 
 
-def _worker_neighbors(surf_text, first_of_batch):
-    """(found, stats) for one source of a batch; (None, None) once the
-    build's deadline (a ``time.monotonic`` value) has passed."""
+def _worker_neighbors(surf_text, first_of_batch, known=()):
+    """(found, stats) for one source of a batch, skipping the moves in
+    ``known`` (see ``neighbors``); (None, None) once the build's deadline
+    (a ``time.monotonic`` value) has passed."""
     deadline = _WORKER["deadline"]
     if deadline is not None and time.monotonic() > deadline:
         return None, None
@@ -153,17 +168,21 @@ def _worker_neighbors(surf_text, first_of_batch):
         _TET_MEMO.clear()
     surf = parse_surface(_WORKER["tri"], surf_text)
     stats = {}
-    found = neighbors(surf, _WORKER["budget"], _WORKER["move_set"], _WORKER["catalog"], stats)
+    found = neighbors(
+        surf, _WORKER["budget"], _WORKER["move_set"], _WORKER["catalog"], stats, known=known
+    )
     return [(n.move.to_text(), n.inverse.to_text(), n.surface.to_text()) for n in found], stats
 
 
-def _expand_serial(graph, keys, catalog):
-    """Expand vertices in process: (key, stats, found) per source, found
-    holding (move text, inverse text, result key, result Surface)."""
+def _expand_serial(graph, keys, catalog, known):
+    """Expand vertices in process, each as it is reached: (key, stats,
+    found) per source, found holding (move text, inverse text, result
+    key, result Surface) for the moves not in the source's ``known``
+    entry, which is popped."""
     for key in keys:
         surf = graph.vertices[key]
         stats = {}
-        found = neighbors(surf, graph.budget, graph.move_set, catalog, stats)
+        found = neighbors(surf, graph.budget, graph.move_set, catalog, stats, known=known.pop(key))
         surf.release_geometry()
         yield key, stats, [
             (n.move.to_text(), n.inverse.to_text(), n.surface.canonical_key(), n.surface)
@@ -171,12 +190,15 @@ def _expand_serial(graph, keys, catalog):
         ]
 
 
-def _expand_pool(pool, graph, keys):
+def _expand_pool(pool, graph, keys, known):
     """As _expand_serial, over the pool in batches of _POOL_BATCH
-    consecutive sources; results stay text until merged."""
+    consecutive sources; the whole wave is dispatched, and its ``known``
+    entries popped, before the first result.  Results stay text until
+    merged."""
     texts = [graph.vertices[k].to_text() for k in keys]
     firsts = [i % _POOL_BATCH == 0 for i in range(len(texts))]
-    results = pool.map(_worker_neighbors, texts, firsts, chunksize=_POOL_BATCH)
+    skips = [known.pop(k) for k in keys]
+    results = pool.map(_worker_neighbors, texts, firsts, skips, chunksize=_POOL_BATCH)
     for key, (found, stats) in zip(keys, results):
         if found is None:
             yield key, stats, None
@@ -215,6 +237,9 @@ def build(
     start_time = time.monotonic()
     deadline = None if limits.max_seconds is None else start_time + limits.max_seconds
     frontier = [seed.canonical_key()]
+    # Vertex not yet expanded (or dispatched) -> inverse texts of the
+    # edges found into it; see the module docstring.
+    known = {seed.canonical_key(): set()}
 
     def stop(reason):
         graph.partial = True
@@ -237,9 +262,9 @@ def build(
         while frontier:
             frontier.sort()
             if pool is None:
-                wave = _expand_serial(graph, frontier, catalog)
+                wave = _expand_serial(graph, frontier, catalog, known)
             else:
-                wave = _expand_pool(pool, graph, frontier)
+                wave = _expand_pool(pool, graph, frontier, known)
             next_frontier = []
             for src_key, stats, found in wave:
                 if found is None:
@@ -258,8 +283,11 @@ def build(
                             )
                         graph.vertices[result_key] = result
                         next_frontier.append(result_key)
+                        known[result_key] = set()
                         check_limits()
                     graph.add_edge(src_key, result_key, move_text, inverse_text)
+                    if result_key in known:
+                        known[result_key].add(inverse_text)
                 check_limits()
             frontier = next_frontier
     finally:

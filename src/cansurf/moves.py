@@ -1046,12 +1046,11 @@ def _candidate_moves(surf, move_set, catalog, budget, stats):
                     continue
                 geo = surf.tet_geometry(tet)
                 region = geo.corner_region(corner)
-                for c, adj in enumerate(geo.curve_adjacent):
-                    if region not in adj:
-                        continue
-                    if over:
-                        stats["budget_rejected"] += 1
-                        continue
+                partners = [c for c, adj in enumerate(geo.curve_adjacent) if region in adj]
+                if over:
+                    stats["budget_rejected"] += len(partners)
+                    continue
+                for c in partners:
                     yield Move(V0, v, direction=1, corner=(tet, corner), partner=c)
             for tet, corner in tri.vertex_classes[v]:
                 if _bubble(surf, v, (tet, corner))[0] is not None:
@@ -1065,13 +1064,14 @@ def _candidate_moves(surf, move_set, catalog, budget, stats):
                 for cid, k in tri.edge_sides[e]:
                     _, gap_region, chord_sides = surf.face_regions(cid)
                     r = gap_region[surf.face_layout(cid).class_gaps[k][gap]]
+                    if over:
+                        # A region's boundary alternates between gaps and
+                        # arcs, so it meets as many arcs as gaps.
+                        stats["budget_rejected"] += gap_region.count(r) if chord_sides else 0
+                        continue
                     for arc, sides in chord_sides.items():
-                        if r not in sides:
-                            continue
-                        if over:
-                            stats["budget_rejected"] += 1
-                            continue
-                        yield Move(E1, e, direction=1, gap=gap, incidence=(cid, k), arc=arc)
+                        if r in sides:
+                            yield Move(E1, e, direction=1, gap=gap, incidence=(cid, k), arc=arc)
             for k in range(surf.weights[e] - 1):
                 if _e1_finger(surf, e, k) is not None:
                     yield Move(E1, e, direction=-1, gap=k)
@@ -1117,7 +1117,7 @@ def _candidate_moves(surf, move_set, catalog, budget, stats):
                         yield Move(UNPINCH, tet, curve=side)
 
 
-def neighbors(surf, budget, move_set=DEFAULT_MOVE_SET, catalog=None, stats=None):
+def neighbors(surf, budget, move_set=DEFAULT_MOVE_SET, catalog=None, stats=None, known=()):
     """All single-move neighbours within the weight budget.
 
     Returns Neighbor(move, inverse, surface) records sorted by the result's
@@ -1125,6 +1125,16 @@ def neighbors(surf, budget, move_set=DEFAULT_MOVE_SET, catalog=None, stats=None)
     accumulates ``budget_rejected`` (candidate moves dropped for exceeding
     the budget before other applicability checks) and ``pinched_spheres``
     counters.
+
+    ``known`` holds move texts whose edges the caller already has, namely
+    the inverses of edges found into this surface from surfaces expanded
+    before it.  Those moves are generated and counted in ``stats`` like
+    any other, but not applied and not returned: applying the inverse of
+    an edge's move gives back the edge's source and move, so the result
+    would only repeat the edge.  ``movegraph.build`` uses this to apply
+    each edge once: a serial build passes the set it collected for the
+    surface, and a pooled build sends it to the worker with the surface's
+    text.
     """
     if not surf.is_valid():
         raise SemanticError("neighbours of an invalid encoding")
@@ -1136,10 +1146,12 @@ def neighbors(surf, budget, move_set=DEFAULT_MOVE_SET, catalog=None, stats=None)
     stats.setdefault("pinched_spheres", {})
     out = []
     for move in _candidate_moves(surf, frozenset(move_set), catalog, budget, stats):
-        result, inverse = apply_with_inverse(surf, move, catalog)
-        out.append(Neighbor(move, inverse, result))
         if move.kind == PINCH:
             counts = stats["pinched_spheres"]
             counts[move.sphere] = counts.get(move.sphere, 0) + 1
+        if known and move.to_text() in known:
+            continue
+        result, inverse = apply_with_inverse(surf, move, catalog)
+        out.append(Neighbor(move, inverse, result))
     out.sort(key=lambda n: (n.surface.canonical_key(), n.move.to_text()))
     return out

@@ -434,6 +434,7 @@ class Surface:
         self._layouts = None
         self._text = None
         self._validation = None
+        self._cell_data = None
 
     # -- cached geometry ---------------------------------------------------
 
@@ -464,6 +465,7 @@ class Surface:
         the shared memos keep recently used ones."""
         self._tets = {}
         self._layouts = None
+        self._cell_data = None
 
     def curves(self, tet):
         """Canonically ordered boundary curves of the given tetrahedron."""
@@ -604,13 +606,20 @@ class Surface:
         ]
         return points, arcs
 
+    def _cached_cells(self):
+        """``_cells()``, built once for ``components``, ``orientable`` and
+        ``genus`` and dropped with the geometry."""
+        if self._cell_data is None:
+            self._cell_data = self._cells()
+        return self._cell_data
+
     def components(self):
         """Connected components as frozensets of cell tags.
 
         Cell tags are ('pt', e, i), ('arc', face class, pair) and
         ('pc', tet, piece id).
         """
-        points, arcs = self._cells()
+        points, arcs = self._cached_cells()
         index = {("pt", e, i): n for n, (e, i) in enumerate(points)}
         links = []
         for (cid, pair), data in arcs.items():
@@ -629,7 +638,7 @@ class Surface:
 
     def orientable(self):
         """Whether the surface admits a consistent transverse orientation."""
-        _, arcs = self._cells()
+        _, arcs = self._cached_cells()
         side_cache = {}
 
         def curve_sides(tet, curve):

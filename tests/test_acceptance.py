@@ -124,6 +124,7 @@ def test_criterion_3_move_algebra(tri, catalog, graphs):
     )
 
 
+@pytest.mark.slow
 def test_criterion_4_oracle_equivalence(tri, tri_text, link, link_text, catalog):
     t0 = time.monotonic()
     module_list = [s.canonical_key() for s in enumerate_surfaces(tri, 4)]

@@ -6,7 +6,7 @@ import json
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from cansurf import build, cli, generators
+from cansurf import Surface, build, cli, generators
 from cansurf.cli import main
 
 
@@ -24,6 +24,29 @@ def test_validate_reports_counts(capsys, data_dir):
     assert code == 0
     assert "2 tetrahedra, 1 vertices, 3 edges, 4 faces" in out
     assert "crudely_normal, weight 6, chi 2, genus 0, connected" in out
+
+
+def test_validate_builds_the_cells_once(capsys, data_dir, monkeypatch):
+    # components() in the command, then orientable() and components()
+    # inside genus(), all read one cell build.
+    calls = []
+    real = Surface._cells
+
+    def counting(self):
+        calls.append(self)
+        return real(self)
+
+    monkeypatch.setattr(Surface, "_cells", counting)
+    code, out, _ = run(
+        capsys, "validate", str(data_dir / "two_tet_s3.tri"),
+        str(data_dir / "vertex_link.surf"),
+    )
+    assert code == 0
+    assert len(calls) == 1
+    assert out == (
+        "triangulation: 2 tetrahedra, 1 vertices, 3 edges, 4 faces, chi=0, orientable\n"
+        "surface: crudely_normal, weight 6, chi 2, genus 0, connected\n"
+    )
 
 
 def test_validate_parse_error_exit_two(capsys, tmp_path):

@@ -10,11 +10,14 @@ from cansurf import (
     PartialGraphError,
     SemanticError,
     Surface,
+    barycentric_subdivide,
     build,
+    default_catalog,
     export_dot,
     export_json,
     generators,
     import_json,
+    parse_surface,
     replay,
     vertex_link,
 )
@@ -223,6 +226,68 @@ def test_pinch_edges_round_trip(tri, link, catalog):
     assert len(g.edges) == 8
     kinds = {m.split("@")[0] for _, _, m, _ in g.edges}
     assert kinds == {"PINCH"}
+
+
+# -- each edge applied once -------------------------------------------------
+
+
+def _closure_inputs(tri, data_dir):
+    """(seed, budget, move set, catalog) of three closures: the bench's
+    weight-2 sphere at budget 6, default/8, and the 48-tet vertex link at
+    budget 12 under V0, F2', PINCH and UNPINCH."""
+    sphere_text = (data_dir.parent / "bench" / "data" / "s3_sphere_w2.surf").read_text()
+    sub = barycentric_subdivide(tri)
+    return [
+        (parse_surface(tri, sphere_text), 6, DEFAULT_MOVE_SET, default_catalog(tri)),
+        (vertex_link(tri, 0), 8, DEFAULT_MOVE_SET, default_catalog(tri)),
+        (vertex_link(sub, 7), 12, {V0, F2P, PINCH, UNPINCH}, default_catalog(sub)),
+    ]
+
+
+@pytest.fixture(scope="module")
+def closure_graphs(tri, data_dir):
+    return [
+        (build(seed, budget, move_set=move_set, catalog=cat), cat)
+        for seed, budget, move_set, cat in _closure_inputs(tri, data_dir)
+    ]
+
+
+def test_inverse_move_gives_back_the_edge(closure_graphs):
+    # The premise of skipping known inverses: on every edge, applying
+    # either move through the full apply path, result validation
+    # included, returns the other end and the other move.
+    sizes = []
+    for g, cat in closure_graphs:
+        for u, v, muv, mvu in g.edges:
+            for src, move, dst, back in ((v, mvu, u, muv), (u, muv, v, mvu)):
+                result, inverse = moves.apply_with_inverse(
+                    g.vertices[src], moves.parse_move(move), cat
+                )
+                assert result.canonical_key() == dst, move
+                assert inverse.to_text() == back, move
+        sizes.append(len(g.edges))
+    assert sizes == [636, 161, 48]
+
+
+def test_serial_build_applies_each_edge_once(tri, data_dir, closure_graphs, monkeypatch):
+    # A self-loop's two moves both start from its one vertex, so both
+    # are applied.
+    real = moves.apply_with_inverse
+    calls = []
+
+    def counting(surf, move, catalog=None):
+        calls.append(move)
+        return real(surf, move, catalog)
+
+    monkeypatch.setattr(moves, "apply_with_inverse", counting)
+    for (seed, budget, move_set, cat), (expected, _) in zip(
+        _closure_inputs(tri, data_dir), closure_graphs
+    ):
+        calls.clear()
+        g = build(seed, budget, move_set=move_set, catalog=cat)
+        assert g.edges == expected.edges
+        loops = sum(u == v for u, v, _, _ in g.edges)
+        assert len(calls) == len(g.edges) + loops
 
 
 # -- the replay memo -------------------------------------------------------

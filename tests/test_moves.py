@@ -7,13 +7,16 @@ from hypothesis import given, settings, strategies as st
 from cansurf import (
     CRUDELY_ALMOST_NORMAL,
     CRUDELY_NORMAL,
+    Limits,
     NotApplicableError,
     ParseError,
+    PartialGraphError,
     Surface,
     barycentric_subdivide,
     build,
     default_catalog,
     enumerate_surfaces,
+    export_json,
     parse_surface,
     vertex_link,
 )
@@ -378,6 +381,70 @@ def test_budget_rejection_counted(tri, link, catalog):
     assert stats["budget_rejected"] > 0
 
 
+def test_budget_rejections_count_the_moves_over_the_budget(tri, link, catalog):
+    # At a budget equal to the weight every V0+ and E1+ is over it; the
+    # bulk counts must equal the number of those moves generated when
+    # the budget allows them all.  Every third vertex of the V0/E1
+    # closures of the vertex link at budget 8 and of a weight-2 sphere,
+    # whose faces without points have no arcs to count, at budget 6.
+    sphere = parse_surface(tri, "edges: 0 0 2\nface 0: 0-1\n")
+    surfaces = []
+    for seed, budget in ((link, 8), (sphere, 6)):
+        g = build(seed, budget, move_set={V0, E1}, catalog=catalog)
+        surfaces += [g.vertices[k] for k in sorted(g.vertices)[::3]]
+    rejected = 0
+    for surf in surfaces:
+        tight = {"budget_rejected": 0}
+        assert all(
+            m.direction < 0
+            for m in _candidate_moves(surf, {V0, E1}, catalog, surf.weight(), tight)
+        )
+        loose = _candidate_moves(surf, {V0, E1}, catalog, 10 ** 6, {"budget_rejected": 0})
+        assert tight["budget_rejected"] == sum(m.direction > 0 for m in loose)
+        rejected += tight["budget_rejected"]
+    assert rejected > 1000
+
+
+def test_neighbors_known_skips_exactly_those_moves(tri, link, catalog):
+    # Every vertex of the pinch closure (whose seed has eight PINCH
+    # edges) and every seventh of default/8: skipping the inverses of a
+    # vertex's incoming edges drops exactly those moves and leaves the
+    # counters as they are.
+    pinch = build(link, 12, move_set={PINCH, UNPINCH}, catalog=catalog)
+    default8 = build(link, 8, catalog=catalog)
+    cases = [(pinch, k) for k in sorted(pinch.vertices)]
+    cases += [(default8, k) for k in sorted(default8.vertices)[::7]]
+    pinched = 0
+    for g, key in cases:
+        surf = g.vertices[key]
+        # The moves from key that undo the edges into it.
+        known = {back for _, back, _ in g.adjacency()[key]}
+        full_stats, stats = {}, {}
+        full = neighbors(surf, g.budget, g.move_set, catalog, full_stats)
+        found = neighbors(surf, g.budget, g.move_set, catalog, stats, known=known)
+        assert found == [n for n in full if n.move.to_text() not in known]
+        assert len(full) - len(found) == len(known) > 0
+        assert stats == full_stats
+        pinched += sum(stats["pinched_spheres"].values())
+    assert pinched >= 8
+
+
+# sha256 of export_json for a vertex-limited default/8 build (101
+# vertices, 112 edges) and for a default/8 build on three workers,
+# recorded from a build that applied every candidate.
+PARTIAL_DEFAULT8_SHA256 = "2fe82d9bee082927349287089a680df19e4b4b630291d1f866b5a666d447e9c3"
+POOLED_DEFAULT8_SHA256 = "82040f18cdc5efbb74ba8d6c62f9845d355ea37ea8eb4f0c76dc8150cc966267"
+
+
+def test_skipping_known_inverses_keeps_the_exports(link, catalog):
+    with pytest.raises(PartialGraphError) as err:
+        build(link, 8, catalog=catalog, limits=Limits(max_vertices=100))
+    partial = export_json(err.value.graph)
+    assert hashlib.sha256(partial.encode()).hexdigest() == PARTIAL_DEFAULT8_SHA256
+    pooled = export_json(build(link, 8, catalog=catalog, workers=3))
+    assert hashlib.sha256(pooled.encode()).hexdigest() == POOLED_DEFAULT8_SHA256
+
+
 def test_move_serialization_round_trip(tri, link, catalog):
     for n in neighbors(link, 12, move_set=DEFAULT_MOVE_SET, catalog=catalog):
         assert parse_move(n.move.to_text()) == n.move
@@ -681,6 +748,7 @@ def test_generated_face_moves_and_fingers_apply(tri, enumerated, closures, edge_
     _check_generation(surf, _catalog_of(surf, tri, edge_catalog))
 
 
+@pytest.mark.slow
 def test_generated_face_moves_and_fingers_apply_on_closures(tri, closures, edge_catalog):
     for surf in itertools.chain(*closures):
         _check_generation(surf, _catalog_of(surf, tri, edge_catalog))
