@@ -307,38 +307,28 @@ def generators(graph):
     adj = graph.adjacency()
     parent = {graph.seed_key: None}   # key -> (parent key, move there, move back)
     order = [graph.seed_key]
-    tree_edges = set()
-    i = 0
-    while i < len(order):
-        u = order[i]
-        i += 1
+    for u in order:  # grows as the search reaches new vertices
         for v, muv, mvu in adj[u]:
             if v not in parent:
                 parent[v] = (u, muv, mvu)
                 order.append(v)
-                a, b = (u, v) if u <= v else (v, u)
-                tree_edges.add((a, b, muv if u <= v else mvu, mvu if u <= v else muv))
     if len(parent) != len(graph.vertices):
         raise SemanticError("graph is not connected")
 
-    def path_from_seed(key):
-        moves = []
-        back = []
+    def to_seed(key):
+        """The tree edges from key up to the seed, as parent entries."""
+        steps = []
         while parent[key] is not None:
-            p, muv, mvu = parent[key]
-            moves.append(muv)
-            back.append(mvu)
-            key = p
-        moves.reverse()
-        return moves, back
+            steps.append(parent[key])
+            key = parent[key][0]
+        return steps
 
     loops = []
     for u, v, muv, mvu in graph.sorted_edges():
-        if (u, v, muv, mvu) in tree_edges:
-            continue
-        to_u, _ = path_from_seed(u)
-        _, from_v = path_from_seed(v)
-        loops.append(to_u + [muv] + from_v)
+        if parent[v] == (u, muv, mvu) or parent[u] == (v, mvu, muv):
+            continue  # a tree edge
+        to_u = [m for _, m, _ in reversed(to_seed(u))]
+        loops.append(to_u + [muv] + [back for _, _, back in to_seed(v)])
     rank = graph.rank()
     if len(loops) != rank:
         raise SemanticError(
@@ -430,19 +420,12 @@ def export_json(graph, provenance=None):
 
 
 def export_dot(graph):
-    keys = graph.sorted_vertices()
+    names = {k: graph.vertices[k].short_hash() for k in graph.sorted_vertices()}
     lines = ["graph movegraph {"]
-    for k in keys:
-        surf = graph.vertices[k]
-        lines.append(
-        '  n{} [label="w={}"];'.format(surf.short_hash(), surf.weight())
-        )
+    for k, name in names.items():
+        lines.append('  n{} [label="w={}"];'.format(name, graph.vertices[k].weight()))
     for u, v, muv, _ in graph.sorted_edges():
-        lines.append(
-            '  n{} -- n{} [label="{}"];'.format(
-                graph.vertices[u].short_hash(), graph.vertices[v].short_hash(), muv
-            )
-        )
+        lines.append('  n{} -- n{} [label="{}"];'.format(names[u], names[v], muv))
     lines.append("}")
     return "\n".join(lines) + "\n"
 

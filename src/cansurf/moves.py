@@ -82,17 +82,31 @@ validation included, for user loops and replay.
 Serialization: ``kind@<loc>[k=v,...]``, e.g. ``V0+@v0[corner=1.2,partner=3]``,
 ``E1-@e2[at=0]``, ``F2'@f1[arcs=0-5:1-2,gain=1]``,
 ``PINCH@t0[curve=2,sphere=v0,scurve=1]``, ``UNPINCH@t1[side=4]``.
-Curve ids always refer to the encoding the move applies to.  Each move
-has exactly one text, the one ``Move.to_text`` prints, and ``parse_move``
-accepts only that text (up to surrounding whitespace): a sign on a kind
-that takes none, an unknown, repeated or ignored field, or an integer
-not in plain decimal is a ``ParseError``, never silently rewritten.
+Curve ids always refer to the encoding the move applies to.  The table
+``_FORMS`` is the one definition of this grammar: per kind and
+direction, the location prefix and the fields in print order, each
+with how it prints and how it reads back.  ``Move.to_text`` prints from
+it and ``parse_move`` reads with it.  Each move has exactly one text,
+the one ``Move.to_text`` prints, and ``parse_move`` accepts only that
+text (up to surrounding whitespace): a sign on a kind that takes none,
+an unknown, repeated or ignored field, an integer not in plain decimal,
+or arc endpoints or the two F2 arcs out of order is a ``ParseError``,
+never silently rewritten.
+
+The same table names each kind's apply step, which returns its result
+unvalidated, and the name its invalid-result error carries.
+``apply_with_inverse`` makes the checks the kinds share once, in this
+order: the encoding is valid, the kind is known, the location exists,
+an E1 edge has degree at least 2, a fused V0 corner is at its vertex
+class, and a PINCH or UNPINCH has a catalog; then, after the kind's
+step, the result is crudely normal or crudely almost normal.
 """
 
 from __future__ import annotations
 
 import collections
 import functools
+import operator
 import re
 from dataclasses import dataclass
 from typing import Optional
@@ -115,8 +129,6 @@ V0, E1, F2, F2P, PINCH, UNPINCH = "V0", "E1", "F2", "F2'", "PINCH", "UNPINCH"
 ALL_KINDS = (V0, E1, F2, F2P, PINCH, UNPINCH)
 DEFAULT_MOVE_SET = frozenset({V0, E1, F2P, PINCH, UNPINCH})
 
-_LOC_PREFIX = {V0: "v", E1: "e", F2: "f", F2P: "f", PINCH: "t", UNPINCH: "t"}
-
 
 @dataclass(frozen=True)
 class Move:
@@ -135,102 +147,42 @@ class Move:
     sphere_curve: Optional[int] = None    # PINCH: curve id inside the sphere
 
     def to_text(self):
-        prefix = _LOC_PREFIX[self.kind]
-        if self.kind == V0:
-            head = "V0+" if self.direction > 0 else "V0-"
-            if self.corner is None:
-                body = "free"
-            else:
-                body = "corner={}.{}".format(*self.corner)
-                if self.direction > 0:
-                    body += ",partner={}".format(self.partner)
-            return "{}@{}{}[{}]".format(head, prefix, self.location, body)
-        if self.kind == E1:
-            if self.direction > 0:
-                body = "gap={},side={}.{},arc={}-{}".format(
-                    self.gap, self.incidence[0], self.incidence[1], *self.arc
-                )
-                return "E1+@{}{}[{}]".format(prefix, self.location, body)
-            return "E1-@{}{}[at={}]".format(prefix, self.location, self.gap)
-        if self.kind in (F2, F2P):
-            (a, b), (c, d) = self.arcs
-            body = "arcs={}-{}:{}-{},gain={}".format(a, b, c, d, self.gain)
-            return "{}@{}{}[{}]".format(self.kind, prefix, self.location, body)
-        if self.kind == PINCH:
-            body = "curve={},sphere={},scurve={}".format(
-                self.curve, self.sphere, self.sphere_curve
-            )
-            return "PINCH@{}{}[{}]".format(prefix, self.location, body)
-        if self.kind == UNPINCH:
-            return "UNPINCH@{}{}[side={}]".format(prefix, self.location, self.curve)
-        raise SemanticError("unknown move kind {}".format(self.kind))
+        form = _FORMS.get((self.kind, self.direction > 0))
+        if form is None:
+            raise SemanticError("unknown move kind {}".format(self.kind))
+        if form.free is not None and self.corner is None:
+            return form.free.format(self.location)
+        return form.text.format(*form.values(self))
 
     def __str__(self):
         return self.to_text()
 
 
-_MOVE_RE = re.compile(r"^(V0|E1|F2'|F2|PINCH|UNPINCH)([+-]?)@[veft](\d+)\[(.*)\]$")
-
-
 def parse_move(text):
     """Parse a move from exactly the text ``Move.to_text`` prints for it."""
     text = text.strip()
-    move = _parse_move_fields(text)
-    if move.to_text() != text:
-        raise ParseError(
-            "move text '{}' is not canonical (expected '{}')".format(text, move.to_text())
-        )
-    return move
-
-
-def _parse_move_fields(text):
     m = _MOVE_RE.match(text)
     if not m:
         raise ParseError("bad move syntax: '{}'".format(text))
-    # A wrong location prefix or a missing sign reads as some move whose
-    # own text differs, which parse_move rejects.
+    # A wrong location prefix or sign, or arc endpoints out of order, read
+    # as some move whose own text differs, which the round trip rejects.
     kind, sign, loc, body = m.groups()
-    loc = int(loc)
+    form = _FORMS[kind, sign == "+"]
     fields = {}
-    if body:
-        for item in body.split(","):
-            key, _, val = item.partition("=")
-            fields[key] = val
-    try:
-        if kind == V0:
-            direction = 1 if sign == "+" else -1
-            if "free" in fields:
-                return Move(V0, loc, direction=direction)
-            t, _, w = fields["corner"].partition(".")
-            corner = (int(t), int(w))
-            partner = int(fields["partner"]) if direction > 0 else None
-            return Move(V0, loc, direction=direction, corner=corner, partner=partner)
-        if kind == E1:
-            if sign == "+":
-                c, _, k = fields["side"].partition(".")
-                a, _, b = fields["arc"].partition("-")
-                return Move(
-                    E1, loc, direction=1, gap=int(fields["gap"]),
-                    incidence=(int(c), int(k)), arc=(int(a), int(b)),
-                )
-            return Move(E1, loc, direction=-1, gap=int(fields["at"]))
-        if kind in (F2, F2P):
-            first, _, second = fields["arcs"].partition(":")
-            a, _, b = first.partition("-")
-            c, _, d = second.partition("-")
-            return Move(
-                kind, loc,
-                arcs=((int(a), int(b)), (int(c), int(d))),
-                gain=int(fields["gain"]),
-            )
-        if kind == PINCH:
-            return Move(
-                PINCH, loc, curve=int(fields["curve"]), sphere=fields["sphere"],
-                sphere_curve=int(fields["scurve"]),
-            )
-        return Move(UNPINCH, loc, curve=int(fields["side"]))
-    except (KeyError, ValueError) as exc:
-        raise ParseError("bad move parameters in '{}': {}".format(text, exc))
+    for item in body.split(","):
+        key, _, val = item.partition("=")
+        fields[key] = val
+    values = {}
+    if form.free is None or "free" not in fields:
+        try:
+            values = {attr: read(fields[name]) for name, attr, (_, read) in form.fields}
+        except (KeyError, ValueError) as exc:
+            raise ParseError("bad move parameters in '{}': {}".format(text, exc))
+    move = Move(kind, int(loc), form.direction, **values)
+    printed = move.to_text()
+    if printed != text:
+        raise ParseError("move text '{}' is not canonical (expected '{}')".format(text, printed))
+    return move
 
 
 # ---------------------------------------------------------------------------
@@ -413,13 +365,6 @@ def _planar_reconnection(rest, p, q, r, s):
     return None
 
 
-def _require_valid_result(surf, context):
-    v = surf.validate()
-    if v not in (CRUDELY_NORMAL, CRUDELY_ALMOST_NORMAL):
-        raise NotApplicableError("{}: result {}".format(context, v))
-    return surf
-
-
 def _curve_of_copy(geo, f, pair):
     curve = geo.arc_curve.get((f, pair))
     if curve is None:
@@ -558,9 +503,9 @@ def _tube(surf, entry, inserted, tet, curve, s_curve):
 def _add_sphere(surf, entry, context, tube=None):
     """``surf`` plus the catalog sphere at its placement, each sphere
     piece a disk; with ``tube=(tet, curve, sphere curve)`` the two named
-    curves in tet bound an annulus instead.  Returns the validated result
-    and the result's id of the tubed sphere curve; ``context`` names the
-    move in the error raised when the result would be invalid."""
+    curves in tet bound an annulus instead.  Returns the unvalidated
+    result and the result's id of the tubed sphere curve; ``context``
+    names the move in the error raised when the sphere does not fit."""
     inserted, why = _insert_sphere(surf, entry)
     if inserted is None:
         raise NotApplicableError("{}: result {}".format(context, why))
@@ -572,8 +517,7 @@ def _add_sphere(surf, entry, context, tube=None):
             raise NotApplicableError(why)
         annuli[tube[0]] = (tuple(sorted(pair)),)
         c2 = pair[1]
-    result = Surface(surf.tri, weights, matchings, annuli)
-    return _require_valid_result(result, context), c2
+    return Surface(surf.tri, weights, matchings, annuli), c2
 
 
 # A catalog sphere found at its placement: the points and arcs to delete,
@@ -655,29 +599,17 @@ def _delete_cells(surf, removals, drop, add=(), tube=None):
 # V0
 
 
-def _check_corner(tri, v, corner):
-    tet, c = corner
-    if not (0 <= tet < tri.tet_count and 0 <= c < 4):
-        raise NotApplicableError("bad corner {}.{}".format(tet, c))
-    if tri.vertex_class_of[(tet, c)] != v:
-        raise NotApplicableError("corner {}.{} is not at vertex class {}".format(tet, c, v))
-
-
-def _apply_v0_emit(surf, move):
+def _apply_v0_emit(surf, move, catalog):
     tri = surf.tri
-    v = move.location
-    if not (0 <= v < len(tri.vertex_classes)):
-        raise NotApplicableError("unknown vertex class {}".format(v))
-    entry = _vertex_sphere(tri, v)
-    if move.corner is None:
-        result, _ = _add_sphere(surf, entry, "V0 emit")
-        return result, Move(V0, v, direction=-1)
-    _check_corner(tri, v, move.corner)
-    tet, corner = move.corner
-    sphere = entry.surface
-    s_curve = sphere.tet_geometry(tet).node_curve[_corner_node(tri, sphere.weights, tet, corner)]
-    result, _ = _add_sphere(surf, entry, "V0 emit", (tet, move.partner, s_curve))
-    return result, Move(V0, v, direction=-1, corner=move.corner)
+    entry = _vertex_sphere(tri, move.location)
+    tube = None
+    if move.corner is not None:
+        tet, corner = move.corner
+        sphere = entry.surface
+        node = _corner_node(tri, sphere.weights, tet, corner)
+        tube = (tet, move.partner, sphere.tet_geometry(tet).node_curve[node])
+    result, _ = _add_sphere(surf, entry, "V0 emit", tube)
+    return result, Move(V0, move.location, direction=-1, corner=move.corner)
 
 
 def _bubble(surf, v, corner):
@@ -703,36 +635,23 @@ def _bubble(surf, v, corner):
     return found, None
 
 
-def _apply_v0_absorb(surf, move):
-    tri = surf.tri
+def _apply_v0_absorb(surf, move, catalog):
     v = move.location
-    if not (0 <= v < len(tri.vertex_classes)):
-        raise NotApplicableError("unknown vertex class {}".format(v))
-    if move.corner is not None:
-        _check_corner(tri, v, move.corner)
     found, why = _bubble(surf, v, move.corner)
     if found is None:
         raise NotApplicableError(why)
-    if move.corner is None:
-        result, _, _ = _delete_cells(surf, found.removals, found.arcs)
-        return _require_valid_result(result, "V0 absorb"), Move(V0, v, direction=1)
-    tube = (move.corner[0], found.keep)
+    tube = None if move.corner is None else (move.corner[0], found.keep)
     result, _, partner = _delete_cells(surf, found.removals, found.arcs, tube=tube)
-    inverse = Move(V0, v, direction=1, corner=move.corner, partner=partner)
-    return _require_valid_result(result, "V0 absorb"), inverse
+    return result, Move(V0, v, direction=1, corner=move.corner, partner=partner)
 
 
 # ---------------------------------------------------------------------------
 # E1
 
 
-def _apply_e1_insert(surf, move):
+def _apply_e1_insert(surf, move, catalog):
     tri = surf.tri
     e = move.location
-    if not (0 <= e < len(tri.edge_classes)):
-        raise NotApplicableError("unknown edge class {}".format(e))
-    if tri.edge_degree(e) < 2:
-        raise NotApplicableError("edge {} has degree < 2".format(e))
     w = surf.weights[e]
     gap = move.gap
     if not (0 <= gap <= w):
@@ -773,8 +692,7 @@ def _apply_e1_insert(surf, move):
     matchings[chat] = tuple(sorted(rest + chosen))
     annuli = _map_annuli(surf, new_weights, matchings, shift)
     result = Surface(tri, new_weights, matchings, annuli)
-    inverse = Move(E1, e, direction=-1, gap=gap)
-    return _require_valid_result(result, "E1 insert"), inverse
+    return result, Move(E1, e, direction=-1, gap=gap)
 
 
 def _e1_finger(surf, e, k):
@@ -823,13 +741,8 @@ def _e1_finger(surf, e, k):
     return bigons, (chat, khat), s1, s2, x, y
 
 
-def _apply_e1_delete(surf, move):
-    tri = surf.tri
+def _apply_e1_delete(surf, move, catalog):
     e = move.location
-    if not (0 <= e < len(tri.edge_classes)):
-        raise NotApplicableError("unknown edge class {}".format(e))
-    if tri.edge_degree(e) < 2:
-        raise NotApplicableError("edge {} has degree < 2".format(e))
     k = move.gap
     if not (0 <= k and k + 1 < surf.weights[e]):
         raise NotApplicableError("no consecutive points {}..{} on edge {}".format(k, k + 1, e))
@@ -843,8 +756,7 @@ def _apply_e1_delete(surf, move):
     )
     old, new = surf.face_layout(chat), result.face_layout(chat)
     restored = sorted([_carry(old, new, s, shift) for s in (x, y)])
-    inverse = Move(E1, e, direction=1, gap=k, incidence=(chat, khat), arc=tuple(restored))
-    return _require_valid_result(result, "E1 delete"), inverse
+    return result, Move(E1, e, direction=1, gap=k, incidence=(chat, khat), arc=tuple(restored))
 
 
 # ---------------------------------------------------------------------------
@@ -898,11 +810,9 @@ def _f2_separation(surf, cid, alpha, beta, gain):
     return not after.curves_sharing_region(*(after.node_curve[geo.curves[c][0]] for c in pair))
 
 
-def _apply_f2(surf, move):
+def _apply_f2(surf, move, catalog):
     tri = surf.tri
     cid = move.location
-    if not (0 <= cid < len(tri.face_classes)):
-        raise NotApplicableError("unknown face class {}".format(cid))
     incidences = tri.face_classes[cid]
     (t0, _), (t1, _) = incidences
     if t0 == t1:
@@ -951,8 +861,7 @@ def _apply_f2(surf, move):
         overrides[t_g] = (tuple(sorted(split)),)
     annuli = _map_annuli(surf, surf.weights, matchings, lambda e, i: i, overrides)
     result = Surface(tri, surf.weights, matchings, annuli)
-    inverse = Move(kind, cid, arcs=tuple(sorted(chosen)), gain=1 - move.gain)
-    return _require_valid_result(result, "face move"), inverse
+    return result, Move(kind, cid, arcs=tuple(sorted(chosen)), gain=1 - move.gain)
 
 
 # ---------------------------------------------------------------------------
@@ -961,10 +870,6 @@ def _apply_f2(surf, move):
 
 def _apply_pinch(surf, move, catalog):
     tet = move.location
-    if not (0 <= tet < surf.tri.tet_count):
-        raise NotApplicableError("unknown tet {}".format(tet))
-    if catalog is None:
-        raise SemanticError("pinch requires a sphere catalog")
     entry = catalog.get(move.sphere)
     result, c2 = _add_sphere(surf, entry, "pinch", (tet, move.curve, move.sphere_curve))
     return result, Move(UNPINCH, tet, curve=c2)
@@ -989,42 +894,127 @@ def _tubed_sphere(surf, tet, side, catalog):
 
 def _apply_unpinch(surf, move, catalog):
     tet = move.location
-    if not (0 <= tet < surf.tri.tet_count):
-        raise NotApplicableError("unknown tet {}".format(tet))
-    if catalog is None:
-        raise SemanticError("unpinch requires a sphere catalog")
     tubed, why = _tubed_sphere(surf, tet, move.curve, catalog)
     if tubed is None:
         raise NotApplicableError(why)
     entry, found = tubed
     result, _, keep = _delete_cells(surf, found.removals, found.arcs, tube=(tet, found.keep))
     inverse = Move(PINCH, tet, curve=keep, sphere=entry.sphere_id, sphere_curve=found.sphere_curve)
-    return _require_valid_result(result, "unpinch"), inverse
+    return result, inverse
 
 
 # ---------------------------------------------------------------------------
 # Public entry points
 
 
+# A location kind: its text prefix, its noun in errors, how many there are.
+_Place = collections.namedtuple("_Place", "prefix noun count")
+_VERTEX = _Place("v", "vertex class", lambda tri: len(tri.vertex_classes))
+_EDGE = _Place("e", "edge class", lambda tri: len(tri.edge_classes))
+_FACE = _Place("f", "face class", lambda tri: len(tri.face_classes))
+_TET = _Place("t", "tet", lambda tri: tri.tet_count)
+
+
+# A field type: a format template over the value of a Move attribute, and
+# its reader.
+_INT = ("{}", int)
+_NAME = ("{}", str)
+
+
+def _pair(sep, item=_INT, ordered=False):
+    """The field type of two ``item`` values joined by sep, read back in
+    sorted order when ``ordered``."""
+    template, read = item
+
+    def read_pair(text):
+        a, _, b = text.partition(sep)
+        pair = (read(a), read(b))
+        return tuple(sorted(pair)) if ordered else pair
+
+    return template.replace("{", "{[0]") + sep + template.replace("{", "{[1]"), read_pair
+
+
+# Arcs are built with their endpoints sorted and two arcs in sorted order,
+# so a text in any other order fails the round trip.
+_DOTTED = _pair(".")
+_ARC = _pair("-", ordered=True)
+_ARCS = _pair(":", _ARC, ordered=True)
+
+_Form = collections.namedtuple("_Form", "direction place fields apply name text values free")
+
+
+def _forms(*specs):
+    """The move table from (kind, sign, location, fields, apply step,
+    name) per kind and direction; see ``_FORMS``.  Each entry's ``text``
+    formats ``values(move)``, the location and then each field's value,
+    and V0's ``free`` is the text of a move without a corner."""
+    forms = {}
+    for kind, sign, place, fields, apply, name in specs:
+        head = "{}{}@{}{{0}}[".format(kind, sign, place.prefix)
+        body = ",".join(
+            "{}={}".format(field, template.replace("{", "{" + str(k)))
+            for k, (field, _, (template, _)) in enumerate(fields, 1)
+        )
+        values = operator.attrgetter("location", *(attr for _, attr, _ in fields))
+        free = head + "free]" if kind == V0 else None
+        direction = -1 if sign == "-" else 1
+        form = _Form(direction, place, fields, apply, name, head + body + "]", values, free)
+        for positive in (True, False) if sign == "" else (sign == "+",):
+            forms[kind, positive] = form
+    return forms
+
+
+_CORNER = ("corner", "corner", _DOTTED)
+_F2_FIELDS = (("arcs", "arcs", _ARCS), ("gain", "gain", _INT))
+
+# Each move kind and direction by (kind, direction > 0), a kind printed
+# without a sign under both; see the module docstring.
+_FORMS = _forms(
+    (V0, "+", _VERTEX, (_CORNER, ("partner", "partner", _INT)), _apply_v0_emit, "V0 emit"),
+    (V0, "-", _VERTEX, (_CORNER,), _apply_v0_absorb, "V0 absorb"),
+    (E1, "+", _EDGE, (("gap", "gap", _INT), ("side", "incidence", _DOTTED), ("arc", "arc", _ARC)),
+     _apply_e1_insert, "E1 insert"),
+    (E1, "-", _EDGE, (("at", "gap", _INT),), _apply_e1_delete, "E1 delete"),
+    (F2, "", _FACE, _F2_FIELDS, _apply_f2, "face move"),
+    (F2P, "", _FACE, _F2_FIELDS, _apply_f2, "face move"),
+    (PINCH, "", _TET, (("curve", "curve", _INT), ("sphere", "sphere", _NAME),
+                       ("scurve", "sphere_curve", _INT)), _apply_pinch, "pinch"),
+    (UNPINCH, "", _TET, (("side", "curve", _INT),), _apply_unpinch, "unpinch"),
+)
+
+_MOVE_RE = re.compile(r"^({})([+-]?)@[{}](\d+)\[(.*)\]$".format(
+    "|".join(ALL_KINDS), "".join(sorted({form.place.prefix for form in _FORMS.values()}))
+))
+
+
 def apply_with_inverse(surf, move, catalog=None):
-    """Apply a move to a valid encoding; returns (result, inverse move)."""
+    """Apply a move to a valid encoding; returns (result, inverse move).
+    Makes the checks the kinds share (see the module docstring) around
+    the kind's own apply step."""
     if not surf.is_valid():
         raise SemanticError("cannot apply a move to an invalid encoding")
-    if move.kind == V0:
-        if move.direction > 0:
-            return _apply_v0_emit(surf, move)
-        return _apply_v0_absorb(surf, move)
-    if move.kind == E1:
-        if move.direction > 0:
-            return _apply_e1_insert(surf, move)
-        return _apply_e1_delete(surf, move)
-    if move.kind in (F2, F2P):
-        return _apply_f2(surf, move)
-    if move.kind == PINCH:
-        return _apply_pinch(surf, move, catalog)
-    if move.kind == UNPINCH:
-        return _apply_unpinch(surf, move, catalog)
-    raise SemanticError("unknown move kind {}".format(move.kind))
+    form = _FORMS.get((move.kind, move.direction > 0))
+    if form is None:
+        raise SemanticError("unknown move kind {}".format(move.kind))
+    tri = surf.tri
+    loc = move.location
+    if not (0 <= loc < form.place.count(tri)):
+        raise NotApplicableError("unknown {} {}".format(form.place.noun, loc))
+    if move.kind == E1 and tri.edge_degree(loc) < 2:
+        raise NotApplicableError("edge {} has degree < 2".format(loc))
+    if move.kind == V0 and move.corner is not None:
+        tet, c = move.corner
+        if not (0 <= tet < tri.tet_count and 0 <= c < 4):
+            raise NotApplicableError("bad corner {}.{}".format(tet, c))
+        if tri.vertex_class_of[(tet, c)] != loc:
+            raise NotApplicableError("corner {}.{} is not at vertex class {}".format(tet, c, loc))
+    if move.kind in (PINCH, UNPINCH) and catalog is None:
+        raise SemanticError("{} requires a sphere catalog".format(form.name))
+    result, inverse = form.apply(surf, move, catalog)
+    verdict = result.validate()
+    if verdict not in (CRUDELY_NORMAL, CRUDELY_ALMOST_NORMAL):
+        raise NotApplicableError("{}: result {}".format(form.name, verdict))
+    return result, inverse
 
 
 def apply(surf, move, catalog=None):

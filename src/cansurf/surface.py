@@ -39,12 +39,13 @@ mean equal encodings and conversely.
 Geometry is a function of local data, memoized process-wide.  A
 ``FaceLayout`` depends only on its face's three side weights, and a
 ``TetGeometry`` only on its tetrahedron's six edge weights and four face
-matchings.  ``tet_geometry`` keeps each ``TetGeometry`` in ``_TET_MEMO``
-under exactly that data, so surfaces that agree on a tetrahedron share
-one curve system there, and ``tet_geometry_of`` reads the curves of an
-encoding that has not been built as a ``Surface``, as a move does for
-its result.  The tet memo is least-recently-used and holds at most
-``max(128, 4 * tet_count)`` entries.
+matchings.  ``tet_geometry_of``, the one geometry entry point, keeps
+each ``TetGeometry`` in ``_TET_MEMO`` under exactly that data, so
+surfaces that agree on a tetrahedron share one curve system there; it
+also reads the curves of an encoding that has not been built as a
+``Surface``, as a move does for its result.  The tet memo is
+least-recently-used and holds at most ``max(128, 4 * tet_count)``
+entries.
 
 Slot arithmetic has one owner per input.  What depends on the
 triangulation alone lives on it: ``face_sides`` (each face class's sides
@@ -227,40 +228,31 @@ def face_layout(tri, weights, cid):
 
 
 # TetGeometry by (tri, tet, edge weights, face matchings) of that tet,
-# least recently used first; see tet_geometry.
+# least recently used first; see tet_geometry_of.
 _TET_MEMO = collections.OrderedDict()
 
 
-def tet_geometry(tri, tet, weights, matchings):
-    """The curve system of tet with these six edge weights and four face
-    matchings (see TetGeometry), looked up in the process-wide
-    ``_TET_MEMO`` and traced only on a miss.  The memo drops its least
-    recently used entries beyond ``max(128, 4 * tet_count)``; a tracing
-    error is raised, not cached."""
-    key = (tri, tet, weights, matchings)
+def tet_geometry_of(tri, weights, matchings, tet):
+    """The curve system (see TetGeometry) of tet in the encoding with
+    these edge class weights and face class matchings, which need not be
+    built as a Surface.  Matchings must be normalized as ``Surface``
+    stores them: each pair sorted, each face's pairs sorted.
+
+    Looked up in the process-wide ``_TET_MEMO`` under the tet's six edge
+    weights and four face matchings, and traced only on a miss.  The memo
+    drops its least recently used entries beyond ``max(128, 4 *
+    tet_count)``; a tracing error is raised, not cached."""
+    edges, faces = tri.tet_local_classes[tet]
+    key = (tri, tet, tuple([weights[e] for e in edges]), tuple([matchings[c] for c in faces]))
     geo = _TET_MEMO.get(key)
     if geo is None:
-        geo = TetGeometry(tri, tet, weights, matchings)
+        geo = TetGeometry(*key)
         _TET_MEMO[key] = geo
         while len(_TET_MEMO) > max(128, 4 * tri.tet_count):
             _TET_MEMO.popitem(last=False)
     else:
         _TET_MEMO.move_to_end(key)
     return geo
-
-
-def tet_geometry_of(tri, weights, matchings, tet):
-    """``tet_geometry`` of tet in the encoding with these edge class
-    weights and face class matchings, which need not be built as a
-    Surface.  Matchings must be normalized as ``Surface`` stores them:
-    each pair sorted, each face's pairs sorted."""
-    edges, faces = tri.tet_local_classes[tet]
-    return tet_geometry(
-        tri,
-        tet,
-        tuple([weights[e] for e in edges]),
-        tuple([matchings[c] for c in faces]),
-    )
 
 
 class TetGeometry:
@@ -454,7 +446,7 @@ class Surface:
 
     def tet_geometry(self, tet):
         """The tetrahedron's curve system, from this surface's own cache
-        or else the module-level ``tet_geometry`` on the tet's local data."""
+        or else ``tet_geometry_of``."""
         geo = self._tets.get(tet)
         if geo is None:
             geo = self._tets[tet] = tet_geometry_of(self.tri, self.weights, self.matchings, tet)

@@ -11,6 +11,7 @@ from cansurf import (
     NotApplicableError,
     ParseError,
     PartialGraphError,
+    SemanticError,
     Surface,
     barycentric_subdivide,
     build,
@@ -470,6 +471,10 @@ NON_CANONICAL_MOVE_TEXTS = [
     "V0@v0[free]",
     "E1@e2[at=0]",
     "F2@t1[arcs=0-5:1-2,gain=1]",
+    # Arc endpoints, or the two F2 arcs, out of order.
+    "E1+@e1[gap=0,side=0.2,arc=1-0]",
+    "F2'@f1[arcs=2-3:0-1,gain=1]",
+    "F2'@f1[arcs=1-0:3-2,gain=1]",
 ]
 
 
@@ -477,6 +482,101 @@ NON_CANONICAL_MOVE_TEXTS = [
 def test_non_canonical_move_text_rejected(text):
     with pytest.raises(ParseError, match="not canonical"):
         parse_move(text)
+
+
+def test_every_closure_move_text_round_trips(link, closure_graphs):
+    # Every edge text of the default/8, s3-sphere-b6 and sub48-link-b12
+    # closures and of an F2 closure, and both free V0 texts, read back
+    # to a move that prints the same text.
+    f2 = build(link, 8, move_set={E1, F2})
+    texts = {t for g in closure_graphs + [f2] for edge in g.edges for t in edge[2:]}
+    texts |= {"V0+@v0[free]", "V0-@v0[free]"}
+    moves = {text: parse_move(text) for text in sorted(texts)}
+    assert {(m.kind, m.direction) for m in moves.values()} == {
+        (V0, 1), (V0, -1), (E1, 1), (E1, -1), (F2, 1), (F2P, 1), (PINCH, 1), (UNPINCH, 1)
+    }
+    for text, move in moves.items():
+        assert move.to_text() == text
+
+
+def _raises_exactly(exc_type, text, fn, *args):
+    with pytest.raises(exc_type) as err:
+        fn(*args)
+    assert type(err.value) is exc_type
+    assert str(err.value) == text
+
+
+def test_shared_failures_keep_their_texts(tri, link, catalog):
+    # The checks every kind shares, in the order they are made: a
+    # location out of range is refused before a missing catalog.
+    nv, ne, nf = len(tri.vertex_classes), len(tri.edge_classes), len(tri.face_classes)
+    nt = tri.tet_count
+    for move, text in [
+        (Move(V0, nv, direction=1), "unknown vertex class {}".format(nv)),
+        (Move(V0, -1, direction=-1), "unknown vertex class -1"),
+        (Move(E1, ne, direction=-1, gap=0), "unknown edge class {}".format(ne)),
+        (Move(F2P, nf, arcs=((0, 1), (2, 3)), gain=0), "unknown face class {}".format(nf)),
+        (Move(F2, -1, arcs=((0, 1), (2, 3)), gain=0), "unknown face class -1"),
+        (Move(PINCH, nt, curve=0, sphere="v0", sphere_curve=0), "unknown tet {}".format(nt)),
+        (Move(UNPINCH, nt, curve=0), "unknown tet {}".format(nt)),
+        (Move(E1, 2, direction=1, gap=0, incidence=(0, 1), arc=(0, 5)), "edge 2 has degree < 2"),
+        (Move(E1, 2, direction=-1, gap=0), "edge 2 has degree < 2"),
+        (Move(V0, 0, direction=1, corner=(nt, 0), partner=0), "bad corner {}.0".format(nt)),
+        (Move(V0, 0, direction=-1, corner=(0, 4)), "bad corner 0.4"),
+    ]:
+        _raises_exactly(NotApplicableError, text, apply_with_inverse, link, move)
+    pinch = Move(PINCH, 0, curve=0, sphere="v0", sphere_curve=0)
+    _raises_exactly(SemanticError, "pinch requires a sphere catalog", apply, link, pinch)
+    unpinch = Move(UNPINCH, 0, curve=0)
+    _raises_exactly(SemanticError, "unpinch requires a sphere catalog", apply, link, unpinch)
+    odd = Move("X9", 0)
+    _raises_exactly(SemanticError, "unknown move kind X9", apply_with_inverse, link, odd, catalog)
+
+
+def test_unknown_kind_does_not_print():
+    _raises_exactly(SemanticError, "unknown move kind X9", Move("X9", 0).to_text)
+
+
+def test_corner_off_its_vertex_class_is_refused(tri):
+    sub = barycentric_subdivide(tri)
+    link = vertex_link(sub, 7)
+    tet, corner = sub.vertex_classes[0][0]
+    text = "corner {}.{} is not at vertex class 7".format(tet, corner)
+    for move in (
+        Move(V0, 7, direction=1, corner=(tet, corner), partner=0),
+        Move(V0, 7, direction=-1, corner=(tet, corner)),
+    ):
+        _raises_exactly(NotApplicableError, text, apply, link, move)
+
+
+def test_invalid_results_name_their_move(tri, link, catalog, monkeypatch):
+    # Every kind's result is classified once it is built, and a result
+    # that is not crudely (almost) normal is refused under the move's
+    # name.  Validation is forced to fail on everything but the source.
+    e1 = neighbors(link, 8, move_set={E1})[0]
+    pinch = Move(PINCH, 0, curve=0, sphere="v0", sphere_curve=0)
+    pinched, unpinch = apply_with_inverse(link, pinch, catalog)
+    cases = [
+        ("V0 emit", link, Move(V0, 0, direction=1)),
+        ("V0 absorb", link, Move(V0, 0, direction=-1)),
+        ("E1 insert", link, e1.move),
+        ("E1 delete", e1.surface, e1.inverse),
+        ("face move", parse_surface(tri, F2_EXAMPLE), parse_move("F2'@f2[arcs=0-9:7-8,gain=1]")),
+        ("pinch", link, pinch),
+        ("unpinch", pinched, unpinch),
+    ]
+    # Each move applies while validation is real, which also fills the
+    # caches its apply step reads.
+    for _, source, move in cases:
+        apply(source, move, catalog)
+        source.validate()
+    real = Surface.validate
+    for name, source, move in cases:
+        monkeypatch.setattr(
+            Surface, "validate", lambda s, source=source: real(s) if s is source else "broken"
+        )
+        text = "{}: result broken".format(name)
+        _raises_exactly(NotApplicableError, text, apply_with_inverse, source, move, catalog)
 
 
 @settings(max_examples=25, deadline=None)
@@ -654,18 +754,23 @@ def enumerated(tri):
 
 
 @pytest.fixture(scope="module")
-def closures(tri):
-    """Vertices of the default/8 closure of the vertex link, the budget-6
-    closure of a weight-2 sphere and the sub48/12 closure, each sorted."""
+def closure_graphs(tri):
+    """The default/8 closure of the vertex link, the budget-6 closure of a
+    weight-2 sphere (s3-sphere-b6) and the sub48/12 closure."""
     sphere = parse_surface(tri, "edges: 0 0 2\nface 0: 0-1\n")
     sub = barycentric_subdivide(tri)
-    graphs = [
+    return [
         build(vertex_link(tri, 0), 8, catalog=default_catalog(tri)),
         build(sphere, 6, catalog=default_catalog(tri)),
         build(vertex_link(sub, 7), 12, move_set={V0, F2P, PINCH, UNPINCH},
               catalog=default_catalog(sub)),
     ]
-    return [[g.vertices[k] for k in sorted(g.vertices)] for g in graphs]
+
+
+@pytest.fixture(scope="module")
+def closures(closure_graphs):
+    """Vertices of each closure graph, sorted."""
+    return [[g.vertices[k] for k in sorted(g.vertices)] for g in closure_graphs]
 
 
 @pytest.fixture(scope="module")
