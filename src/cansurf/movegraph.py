@@ -5,7 +5,9 @@ The graph is the connected component of the seed: vertices are canonical
 surface keys with their encodings, edges are moves connecting them.  An
 edge is stored once, as (u, v, move from u, move from v) with u <= v as
 key bytes, and the edge multiset is deduplicated on that quadruple, so
-parallel edges produced by genuinely different moves survive.
+parallel edges produced by genuinely different moves survive.  Edge
+endpoints are the key objects ``vertices`` holds, each the
+``canonical_key()`` of its stored surface, so no edge keeps a copy.
 
 Each edge is applied once.  Applying the inverse m' of an edge's move m
 to its target v gives back its source u and m, so when v is expanded the
@@ -56,8 +58,12 @@ catalog content as (sphere id, vertex, sphere key) per entry, source
 canonical key, move text) to the result ``Surface`` or to the rejection
 text; a miss runs the full ``apply_with_inverse``, result validation
 included, and a cached rejection is raised again with the current step
-index.  A malformed move text and any error other than ``SemanticError``
-are never cached.  The memo is least-recently-used and holds at most
+index.  ``apply_with_inverse`` refuses an invalid source, so a parsed
+seed is validated in full at the first step and every later source is a
+result already found valid; each result is therefore validated over its
+footprint (see ``surface``), as in ``build``, with no second full pass.
+A malformed move text and any error other than ``SemanticError`` are
+never cached.  The memo is least-recently-used and holds at most
 ``_REPLAY_MEMO_TET_ENTRIES // tet_count`` entries, which keeps it under
 64 MB (see that constant).  Memoized surfaces pin no tet geometry:
 ``replay`` releases each surface's geometry when it steps off it, and
@@ -273,7 +279,11 @@ def build(
                 graph.stats["budget_rejected"] += stats["budget_rejected"]
                 graph.stats["pinched_spheres"].update(stats["pinched_spheres"])
                 for move_text, inverse_text, result_key, result in found:
-                    if result_key not in graph.vertices:
+                    stored = graph.vertices.get(result_key)
+                    if stored is not None:
+                        # The key object the graph holds, not a copy.
+                        result_key = stored.canonical_key()
+                    else:
                         if pool is not None:
                             # neighbors returns only valid results, so the
                             # annulus lines give the classification.
@@ -281,6 +291,7 @@ def build(
                             result._validation = (
                                 CRUDELY_ALMOST_NORMAL if any(result.annuli) else CRUDELY_NORMAL
                             )
+                            result_key = result.canonical_key()
                         graph.vertices[result_key] = result
                         next_frontier.append(result_key)
                         known[result_key] = set()

@@ -61,9 +61,12 @@ except the tube side, whose partner is not one of them.  Catalog entries
 are tried in order.  V0 and PINCH/UNPINCH share this code, and E1- the
 deletion step.
 
-A move builds one ``Surface``, its result.  The curves of the new
-encoding, which carry annulus pairs over and locate a tube, come from
-``surface.tet_geometry_of`` on the new weights and matchings.
+A move builds one ``Surface``, its result, from the surface it applies
+to as its source.  Face classes and tetrahedra the move leaves alone
+keep the source's own matching and annulus tuples, so the result skips
+them when it validates and prints itself (see ``surface``).  The curves
+of the new encoding, which carry annulus pairs over and locate a tube,
+come from ``surface.tet_geometry_of`` on the new weights and matchings.
 
 The neighbour generator proposes exactly the moves that apply.  Each
 precondition lives in one helper that ``_candidate_moves`` and
@@ -76,8 +79,10 @@ once per source with ``_insert_sphere``, then checks each tube with
 ``_tube``.  V0+ and E1+ are proposed only where the partner or the
 rerouted arc touches the region they move into, which is all they
 need.  ``neighbors`` therefore catches nothing: a generated move that
-fails raises.  ``apply_with_inverse`` keeps every check, result
-validation included, for user loops and replay.
+fails raises.  ``apply_with_inverse`` keeps every check for user loops
+and replay, result validation included; that validation covers the
+result's footprint, which gives the verdict a full check gives because
+the source is valid.
 
 Serialization: ``kind@<loc>[k=v,...]``, e.g. ``V0+@v0[corner=1.2,partner=3]``,
 ``E1-@e2[at=0]``, ``F2'@f1[arcs=0-5:1-2,gain=1]``,
@@ -99,7 +104,9 @@ unvalidated, and the name its invalid-result error carries.
 order: the encoding is valid, the kind is known, the location exists,
 an E1 edge has degree at least 2, a fused V0 corner is at its vertex
 class, and a PINCH or UNPINCH has a catalog; then, after the kind's
-step, the result is crudely normal or crudely almost normal.
+step, the result is crudely normal or crudely almost normal.  A catalog
+sphere that does not fit at its placement is refused in the same words
+as an invalid result, under the name from the same table.
 """
 
 from __future__ import annotations
@@ -293,19 +300,26 @@ def _carry(old, new, s, index):
 
 
 def _remap_matchings(surf, new_weights, shift, matchings=None):
-    """Re-express matchings in the slot space of the new weights.  A face
-    whose sides keep their weights gained or lost no points, so its slots
-    stay as they are."""
+    """Re-express matchings in the slot space of the new weights, each
+    normalized as ``Surface`` stores it.  A face whose sides keep their
+    weights gained or lost no points, so its slots stay as they are, and
+    one that is also ``surf``'s own tuple passes through as that object,
+    which keeps it out of the result's footprint (see ``surface``)."""
     tri = surf.tri
     if matchings is None:
         matchings = surf.matchings
+    moved = {
+        cid
+        for e, (w, old) in enumerate(zip(new_weights, surf.weights)) if w != old
+        for cid, _ in tri.edge_sides[e]
+    }
     out = []
     for cid, pairs in enumerate(matchings):
+        if cid not in moved:
+            out.append(pairs if pairs is surf.matchings[cid] else tuple(sorted(pairs)))
+            continue
         old = surf.face_layout(cid)
         new = face_layout(tri, new_weights, cid)
-        if new.side_w == old.side_w:
-            out.append(tuple(sorted(pairs)))
-            continue
         out.append(tuple(sorted(
             tuple(sorted([_carry(old, new, s, shift) for s in pair])) for pair in pairs
         )))
@@ -350,7 +364,8 @@ def _map_annuli(old, weights, matchings, shift, overrides=None, removed_points=N
                     "annulus curves in tet {} would merge".format(tet)
                 )
             mapped.append(tuple(sorted((a, b))))
-        annuli.append(tuple(mapped))
+        mapped = tuple(mapped)
+        annuli.append(pairs if mapped == pairs else mapped)
     return annuli
 
 
@@ -500,15 +515,17 @@ def _tube(surf, entry, inserted, tet, curve, s_curve):
     return (c1, c2), None
 
 
-def _add_sphere(surf, entry, context, tube=None):
+def _add_sphere(surf, move, entry, tube=None):
     """``surf`` plus the catalog sphere at its placement, each sphere
     piece a disk; with ``tube=(tet, curve, sphere curve)`` the two named
     curves in tet bound an annulus instead.  Returns the unvalidated
-    result and the result's id of the tubed sphere curve; ``context``
-    names the move in the error raised when the sphere does not fit."""
+    result and the result's id of the tubed sphere curve.  When the
+    sphere does not fit, the error names ``move`` as an invalid result
+    does."""
     inserted, why = _insert_sphere(surf, entry)
     if inserted is None:
-        raise NotApplicableError("{}: result {}".format(context, why))
+        name = _FORMS[move.kind, move.direction > 0].name
+        raise NotApplicableError("{}: result {}".format(name, why))
     weights, matchings, annuli, _, _ = inserted
     c2 = None
     if tube is not None:
@@ -517,7 +534,7 @@ def _add_sphere(surf, entry, context, tube=None):
             raise NotApplicableError(why)
         annuli[tube[0]] = (tuple(sorted(pair)),)
         c2 = pair[1]
-    return Surface(surf.tri, weights, matchings, annuli), c2
+    return Surface(surf.tri, weights, matchings, annuli, source=surf), c2
 
 
 # A catalog sphere found at its placement: the points and arcs to delete,
@@ -580,8 +597,9 @@ def _delete_cells(surf, removals, drop, add=(), tube=None):
     tri = surf.tri
     new_weights, shift = _point_map_for_deletions(surf.weights, removals)
     drop = set(drop)
+    touched = {cid for cid, _ in drop}
     stripped = [
-        tuple(p for p in pairs if (cid, p) not in drop)
+        tuple(p for p in pairs if (cid, p) not in drop) if cid in touched else pairs
         for cid, pairs in enumerate(surf.matchings)
     ]
     for cid, pair in add:
@@ -589,7 +607,7 @@ def _delete_cells(surf, removals, drop, add=(), tube=None):
     matchings = _remap_matchings(surf, new_weights, shift, stripped)
     overrides = {} if tube is None else {tube[0]: ()}
     annuli = _map_annuli(surf, new_weights, matchings, shift, overrides, removals)
-    result = Surface(tri, new_weights, matchings, annuli)
+    result = Surface(tri, new_weights, matchings, annuli, source=surf)
     if tube is None:
         return result, shift, None
     return result, shift, _track_curve(surf, result.tet_geometry(tube[0]), tube[1], shift, removals)
@@ -608,7 +626,7 @@ def _apply_v0_emit(surf, move, catalog):
         sphere = entry.surface
         node = _corner_node(tri, sphere.weights, tet, corner)
         tube = (tet, move.partner, sphere.tet_geometry(tet).node_curve[node])
-    result, _ = _add_sphere(surf, entry, "V0 emit", tube)
+    result, _ = _add_sphere(surf, move, entry, tube)
     return result, Move(V0, move.location, direction=-1, corner=move.corner)
 
 
@@ -691,7 +709,7 @@ def _apply_e1_insert(surf, move, catalog):
         raise NotApplicableError("no planar rerouting through face {}".format(chat))
     matchings[chat] = tuple(sorted(rest + chosen))
     annuli = _map_annuli(surf, new_weights, matchings, shift)
-    result = Surface(tri, new_weights, matchings, annuli)
+    result = Surface(tri, new_weights, matchings, annuli, source=surf)
     return result, Move(E1, e, direction=-1, gap=gap)
 
 
@@ -860,7 +878,7 @@ def _apply_f2(surf, move, catalog):
     if len(split) == 2:
         overrides[t_g] = (tuple(sorted(split)),)
     annuli = _map_annuli(surf, surf.weights, matchings, lambda e, i: i, overrides)
-    result = Surface(tri, surf.weights, matchings, annuli)
+    result = Surface(tri, surf.weights, matchings, annuli, source=surf)
     return result, Move(kind, cid, arcs=tuple(sorted(chosen)), gain=1 - move.gain)
 
 
@@ -871,7 +889,7 @@ def _apply_f2(surf, move, catalog):
 def _apply_pinch(surf, move, catalog):
     tet = move.location
     entry = catalog.get(move.sphere)
-    result, c2 = _add_sphere(surf, entry, "pinch", (tet, move.curve, move.sphere_curve))
+    result, c2 = _add_sphere(surf, move, entry, (tet, move.curve, move.sphere_curve))
     return result, Move(UNPINCH, tet, curve=c2)
 
 

@@ -57,6 +57,21 @@ tables a trace reads instead of the methods, the node (tetrahedron
 edge, class point index) of every slot per incidence and the circular
 gap of every class-order gap per side.  ``Surface.face_layout`` keeps
 each surface's layouts in a list.
+
+A move builds its result from a valid *source* surface, and the result
+reuses what the move did not touch.  A face class's matching tuple or a
+tetrahedron's annulus tuple that is the source's own object is kept as
+it is, not re-sorted, and its text line is the source's line.  The
+*footprint* of the result is what may differ: the face classes whose
+side weights changed or whose matching is not the source's object, and
+the tetrahedra of those faces or whose annulus tuple is not the source's
+object.  ``validate`` checks only the footprint, in the order a full
+check would, and takes every other tetrahedron's geometry from the
+source, so it gives the verdict a full check gives.  Weights compare by
+value and tuples by identity, so an equal tuple that is not shared only
+makes the footprint larger.  A surface parsed or built without a source
+is checked in full.  Once a result has both its verdict and its text it
+drops the link to its source.
 """
 
 from __future__ import annotations
@@ -71,6 +86,7 @@ from .triangulation import _UnionFind, _parity_classes
 
 CRUDELY_NORMAL = "crudely_normal"
 CRUDELY_ALMOST_NORMAL = "crudely_almost_normal"
+_VALID = (CRUDELY_NORMAL, CRUDELY_ALMOST_NORMAL)
 
 
 def noncrossing_matchings(n):
@@ -401,6 +417,26 @@ class TetGeometry:
         return frozenset(a), frozenset(b)
 
 
+def _normalized(rows, shared=None):
+    """Each row of pairs with every pair sorted and the pairs in order,
+    except the rows that are the object ``shared`` holds at their index,
+    which are kept as they are."""
+    return tuple(
+        row if shared and row is shared[k] else tuple(sorted(tuple(sorted(p)) for p in row))
+        for k, row in enumerate(rows)
+    )
+
+
+def _face_line(cid, pairs):
+    return "face {}:".format(cid) + "".join([" {}-{}".format(a, b) for a, b in pairs])
+
+
+def _tet_line(tet, pairs):
+    if not pairs:
+        return "tet {}: disks".format(tet)
+    return "tet {}: ".format(tet) + " ".join(["annulus {} {}".format(a, b) for a, b in pairs])
+
+
 class Surface:
     """An immutable surface encoding over a fixed triangulation.
 
@@ -409,22 +445,33 @@ class Surface:
     tetrahedron (empty for all-disk tetrahedra; more than one pair is
     representable but invalid).  Construction performs no validation so
     that invalid encodings can be built and classified.
+
+    ``source``, when given, is a valid surface on the same triangulation,
+    such as the surface a move applies to; one with other vector lengths
+    is ignored.  Rows that are the source's own tuples are kept without
+    normalizing them, and ``validate`` and ``to_text`` redo only the
+    footprint (see the module docstring).
     """
 
-    def __init__(self, tri, weights, matchings, annuli=None):
+    def __init__(self, tri, weights, matchings, annuli=None, source=None):
         self.tri = tri
-        self.weights = tuple(int(x) for x in weights)
-        self.matchings = tuple(
-            tuple(sorted(tuple(sorted(p)) for p in m)) for m in matchings
-        )
         if annuli is None:
             annuli = [()] * tri.tet_count
-        self.annuli = tuple(
-            tuple(sorted(tuple(sorted(p)) for p in per_tet)) for per_tet in annuli
-        )
+        if source is not None and (source.tri is not tri or len(matchings) != len(source.matchings)
+                                   or len(annuli) != len(source.annuli)):
+            source = None
+        self._source = source
+        if source is not None and weights is source.weights:
+            self.weights = weights
+        else:
+            self.weights = tuple(int(x) for x in weights)
+        self.matchings = _normalized(matchings, source and source.matchings)
+        self.annuli = _normalized(annuli, source and source.annuli)
         self._tets = {}
         self._layouts = None
         self._text = None
+        self._lines = None
+        self._key = None
         self._validation = None
         self._cell_data = None
 
@@ -453,11 +500,13 @@ class Surface:
         return geo
 
     def release_geometry(self):
-        """Drop this surface's per-tet geometry and face layout references;
-        the shared memos keep recently used ones."""
+        """Drop this surface's per-tet geometry and face layout references,
+        and the text lines kept for results built from it; the shared
+        memos keep recently used geometry."""
         self._tets = {}
         self._layouts = None
         self._cell_data = None
+        self._lines = None
 
     def curves(self, tet):
         """Canonically ordered boundary curves of the given tetrahedron."""
@@ -469,16 +518,41 @@ class Surface:
         """Classify the encoding.
 
         Returns CRUDELY_NORMAL, CRUDELY_ALMOST_NORMAL, or a string
-        ``"invalid: <reason>"`` naming the first violated invariant.
+        ``"invalid: <reason>"`` naming the first violated invariant.  A
+        surface built from a valid source checks only its footprint.
         """
         if self._validation is None:
-            self._validation = self._validate()
+            source = self._source
+            if source is not None and source._validation in _VALID:
+                self._validation = self._validate(source)
+            else:
+                self._validation = self._validate()
+            if self._text is not None:
+                self._source = None
         return self._validation
 
     def is_valid(self):
-        return self.validate() in (CRUDELY_NORMAL, CRUDELY_ALMOST_NORMAL)
+        return self.validate() in _VALID
 
-    def _validate(self):
+    def _footprint(self, source):
+        """The face classes and tetrahedra where this surface may differ
+        from ``source``, each sorted; see the module docstring."""
+        tri = self.tri
+        faces = {cid for cid, (m, old) in enumerate(zip(self.matchings, source.matchings))
+                 if m is not old}
+        if self.weights is not source.weights:
+            for e, (w, old) in enumerate(zip(self.weights, source.weights)):
+                if w != old:
+                    faces.update(cid for cid, _ in tri.edge_sides[e])
+        tets = {tet for tet, (a, old) in enumerate(zip(self.annuli, source.annuli)) if a is not old}
+        for cid in faces:
+            tets.update(tet for tet, _ in tri.face_classes[cid])
+        return sorted(faces), sorted(tets)
+
+    def _validate(self, source=None):
+        """The verdict of ``validate``: over every face class and
+        tetrahedron, or with a valid ``source`` over the footprint only,
+        every other tetrahedron taking the source's geometry."""
         tri = self.tri
         if len(self.weights) != len(tri.edge_classes):
             return "invalid: weight vector length"
@@ -488,7 +562,15 @@ class Surface:
             return "invalid: matching vector length"
         if len(self.annuli) != tri.tet_count:
             return "invalid: annulus vector length"
-        for cid in range(len(tri.face_classes)):
+        if source is None:
+            faces, tets = range(len(tri.face_classes)), range(tri.tet_count)
+        else:
+            faces, tets = self._footprint(source)
+            changed = set(tets)
+            for tet, geo in source._tets.items():
+                if tet not in changed:
+                    self._tets.setdefault(tet, geo)
+        for cid in faces:
             layout = self.face_layout(cid)
             if layout.n % 2:
                 return "invalid: face {} has an odd number of boundary points".format(cid)
@@ -499,7 +581,7 @@ class Surface:
             crossing = face_crossing(cid, pairs)
             if crossing:
                 return crossing
-        for tet in range(tri.tet_count):
+        for tet in tets:
             pairs = self.annuli[tet]
             if len(pairs) > 1:
                 return "invalid: multiple annuli in tet {}".format(tet)
@@ -519,17 +601,17 @@ class Surface:
                 return "invalid: annulus separation in tet {}".format(tet)
         # Curve tracing everywhere must succeed even for all-disk tets.
         try:
-            for tet in range(tri.tet_count):
+            for tet in tets:
                 self.tet_geometry(tet)
         except SemanticError as exc:
             return "invalid: {}".format(exc)
-        if any(self.annuli[t] for t in range(tri.tet_count)):
+        if any(self.annuli):
             return CRUDELY_ALMOST_NORMAL
         return CRUDELY_NORMAL
 
     def _require_valid(self):
         v = self.validate()
-        if v not in (CRUDELY_NORMAL, CRUDELY_ALMOST_NORMAL):
+        if v not in _VALID:
             raise SemanticError(v)
 
     # -- invariants ------------------------------------------------------
@@ -680,26 +762,41 @@ class Surface:
     # -- serialization ------------------------------------------------------
 
     def to_text(self):
+        """The canonical text; a surface built from a source takes the
+        source's line for every row it shares with it."""
         if self._text is None:
-            lines = ["edges: " + " ".join(str(w) for w in self.weights)]
-            for cid, pairs in enumerate(self.matchings):
-                body = " ".join("{}-{}".format(a, b) for a, b in pairs)
-                lines.append("face {}:{}".format(cid, " " + body if body else ""))
-            for tet, per_tet in enumerate(self.annuli):
-                if per_tet:
-                    body = " ".join(
-                        "annulus {} {}".format(a, b) for a, b in per_tet
-                    )
-                    lines.append("tet {}: {}".format(tet, body))
-                else:
-                    lines.append("tet {}: disks".format(tet))
+            source = self._source
+            old = None if source is None else source._text_lines()
+            if old is not None and self.weights == source.weights:
+                lines = [old[0]]
+            else:
+                lines = ["edges: " + " ".join(map(str, self.weights))]
+            for rows, shared, line in (
+                (self.matchings, source and source.matchings, _face_line),
+                (self.annuli, source and source.annuli, _tet_line),
+            ):
+                start = len(lines)
+                for k, pairs in enumerate(rows):
+                    lines.append(old[start + k] if shared and pairs is shared[k] else line(k, pairs))
             self._text = "\n".join(lines) + "\n"
+            if self._validation is not None:
+                self._source = None
         return self._text
+
+    def _text_lines(self):
+        """The lines of ``to_text()``, kept for the surfaces built from
+        this one until ``release_geometry``."""
+        if self._lines is None:
+            self._lines = self.to_text().split("\n")
+        return self._lines
 
     def canonical_key(self):
         """Byte string determining the encoding (and its normal isotopy
-        class, under the identifications documented in this module)."""
-        return self.to_text().encode()
+        class, under the identifications documented in this module); one
+        object per surface, so that a graph and its edges can share it."""
+        if self._key is None:
+            self._key = self.to_text().encode()
+        return self._key
 
     def short_hash(self):
         return hashlib.sha256(self.canonical_key()).hexdigest()[:12]

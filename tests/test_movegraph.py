@@ -290,6 +290,15 @@ def test_serial_build_applies_each_edge_once(tri, data_dir, closure_graphs, monk
         assert len(calls) == len(g.edges) + loops
 
 
+def test_edges_share_the_vertex_keys(link, catalog, closure_graphs):
+    # Every edge endpoint is the key object the graph holds, not a copy
+    # of it, in serial builds and in a pooled one.
+    graphs = [g for g, _ in closure_graphs] + [build(link, 8, catalog=catalog, workers=2)]
+    for g in graphs:
+        held = {id(key) for key in g.vertices}
+        assert all(id(u) in held and id(v) in held for u, v, _, _ in g.edges)
+
+
 # -- the replay memo -------------------------------------------------------
 
 

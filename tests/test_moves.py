@@ -1,5 +1,9 @@
+import contextlib
+import gc
 import hashlib
 import itertools
+import weakref
+from unittest import mock
 
 import pytest
 from hypothesis import given, settings, strategies as st
@@ -21,6 +25,7 @@ from cansurf import (
     parse_surface,
     vertex_link,
 )
+from cansurf import moves
 from cansurf.moves import (
     ALL_KINDS,
     DEFAULT_MOVE_SET,
@@ -39,6 +44,7 @@ from cansurf.moves import (
     neighbors,
     parse_move,
 )
+from cansurf.surface import _TET_MEMO
 
 
 def invariants(s):
@@ -918,3 +924,168 @@ def test_face_move_outcomes_match_recorded_digest(enumerated, closures):
             digest.update(move.to_text().encode() + b" " + outcome + b"\n")
     assert (len(corpus), applied) == (1741, 2687)
     assert digest.hexdigest() == F2_OUTCOMES_SHA256
+
+
+# ------------------------------------------------------------- footprints
+
+
+@contextlib.contextmanager
+def _recorded_results():
+    """Within the block, every result a move's apply step builds, in
+    order, whether ``apply_with_inverse`` then accepts it or not."""
+    built = []
+
+    def recording(step):
+        def apply_step(surf, move, catalog):
+            result, inverse = step(surf, move, catalog)
+            built.append(result)
+            return result, inverse
+        return apply_step
+
+    forms = {key: form._replace(apply=recording(form.apply)) for key, form in moves._FORMS.items()}
+    with mock.patch.dict(moves._FORMS, forms):
+        yield built
+
+
+def _outcome(fn, *args):
+    try:
+        return fn(*args)
+    except SemanticError as exc:
+        return "raises {}".format(exc)
+
+
+def _assert_matches_fresh_parse(result):
+    # A result validated over its footprint and printed from its source's
+    # lines is the surface its text parses to, which is checked in full.
+    verdict = result.validate()
+    text = result.to_text()
+    fresh = parse_surface(result.tri, text)
+    assert fresh == result
+    assert fresh.to_text() == text
+    assert fresh.validate() == verdict, text
+    for tet in range(result.tri.tet_count):
+        assert _outcome(result.curves, tet) == _outcome(fresh.curves, tet), (text, tet)
+
+
+def _check_neighbors_footprints(surf, budget, move_set, catalog):
+    with _recorded_results() as built:
+        found = neighbors(surf, budget, move_set=move_set, catalog=catalog)
+    assert sorted(map(id, built)) == sorted(id(n.surface) for n in found)
+    for result in built:
+        _assert_matches_fresh_parse(result)
+    return found
+
+
+@pytest.fixture(scope="module")
+def sub_e1_graph(tri):
+    """sub-E1/6: the E1 closure of vertex link 7 of the subdivision at
+    budget 6."""
+    sub = barycentric_subdivide(tri)
+    return build(vertex_link(sub, 7), 6, move_set={E1}, catalog=default_catalog(sub))
+
+
+# sha256 of export_json of the sub-E1/6 closure, recorded from an
+# implementation that validated and printed every move result in full.
+SUB_E1_6_JSON_SHA256 = "48dbd71bb1721e0cec4e3aed9fddab389d81dbd91628deed7a47b888b4692b5a"
+
+
+def test_e1_closure_on_the_subdivision_is_pinned(sub_e1_graph):
+    assert (len(sub_e1_graph.vertices), len(sub_e1_graph.edges)) == (27, 30)
+    digest = hashlib.sha256(export_json(sub_e1_graph).encode()).hexdigest()
+    assert digest == SUB_E1_6_JSON_SHA256
+
+
+def test_footprint_results_match_a_fresh_parse_on_closures(closure_graphs, sub_e1_graph):
+    # Every result neighbors builds on every vertex of the default/8,
+    # s3-sphere-b6, sub48/12 and sub-E1/6 closures.
+    checked = []
+    for g in closure_graphs + [sub_e1_graph]:
+        catalog = default_catalog(g.tri)
+        results = 0
+        for key in sorted(g.vertices):
+            results += len(_check_neighbors_footprints(g.vertices[key], g.budget, g.move_set, catalog))
+        checked.append(results)
+    assert checked == [2 * len(g.edges) for g in closure_graphs + [sub_e1_graph]]
+
+
+def test_footprint_results_match_a_fresh_parse_on_the_enumeration(enumerated, edge_catalog):
+    # Every result of every kind on every 1280th surface of the weight-4
+    # enumeration, with the budget _check_generation gives.
+    results = 0
+    for surf in enumerated[::32]:
+        budget = surf.weight() + max(2, max(entry.weight() for entry in edge_catalog))
+        results += len(_check_neighbors_footprints(surf, budget, ALL_KINDS, edge_catalog))
+    assert results > 1000
+
+
+@settings(max_examples=25, deadline=None)
+@given(data=st.data())
+def test_footprint_results_match_a_fresh_parse_on_random_walks(link, catalog, data):
+    surf = link
+    for _ in range(data.draw(st.integers(min_value=1, max_value=4))):
+        found = _check_neighbors_footprints(surf, 10, DEFAULT_MOVE_SET, catalog)
+        if not found:
+            break
+        surf = data.draw(st.sampled_from(found)).surface
+
+
+def test_refused_result_keeps_its_text(tri, monkeypatch):
+    # With the split check off, the separating F2 builds its result, and
+    # validation over the footprint refuses it with the check's text.
+    surf = parse_surface(tri, F2_SEPARATING)
+    move = parse_move("F2@f1[arcs=0-7:3-4,gain=1]")
+    text = "face move: result invalid: annulus separation in tet 0"
+    _raises_exactly(NotApplicableError, text, apply, surf, move)
+    monkeypatch.setattr(moves, "_f2_separation", lambda *args: False)
+    with _recorded_results() as built:
+        _raises_exactly(NotApplicableError, text, apply, surf, move)
+    (result,) = built
+    assert result.validate() == "invalid: annulus separation in tet 0"
+    _assert_matches_fresh_parse(result)
+
+
+def test_sphere_that_does_not_fit_names_its_move(tri, monkeypatch):
+    # Vertex link 7 of the subdivision loaded as a catalog sphere sits at
+    # block placement, where its arcs cross the seed's own link.  An
+    # innermost vertex link always fits, so V0 is given the same sphere.
+    sub = barycentric_subdivide(tri)
+    seed = vertex_link(sub, 7)
+    catalog = extend_catalog(default_catalog(sub), sub, [seed.to_text()])
+    why = "result invalid: face 41 arcs (0, 2) and (1, 3) cross"
+    pinch = Move(PINCH, 0, curve=0, sphere="s0", sphere_curve=0)
+    _raises_exactly(NotApplicableError, "pinch: " + why, apply, seed, pinch, catalog)
+    monkeypatch.setattr(moves, "_vertex_sphere", lambda tri, v: catalog.get("s0"))
+    _raises_exactly(NotApplicableError, "V0 emit: " + why, apply, seed, Move(V0, 7, direction=1))
+
+
+def test_result_drops_its_source_once_classified_and_keyed(link, catalog):
+    source = apply(link, Move(V0, 0, direction=1))
+    result = apply(source, neighbors(source, 14, move_set={E1})[0].move)
+    gone = weakref.ref(source)
+    del source
+    gc.collect()
+    assert gone() is not None  # classified, not yet keyed
+    result.canonical_key()
+    gc.collect()
+    assert gone() is None
+
+
+def test_release_geometry_with_inherited_geometry(tri):
+    # On the subdivision a V0 move leaves most tetrahedra alone; the
+    # result takes their geometry objects from its source, not from the
+    # emptied memo, and after a release either one traces them again
+    # from local data.
+    sub = barycentric_subdivide(tri)
+    source = vertex_link(sub, 7)
+    assert source.is_valid()
+    _TET_MEMO.clear()
+    result = apply(source, Move(V0, 2, direction=1))
+    shared = [t for t in range(sub.tet_count) if result.tet_geometry(t) is source.tet_geometry(t)]
+    assert 0 < len(shared) < sub.tet_count
+    fresh = parse_surface(sub, result.to_text())
+    for surf in (source, result):
+        surf.release_geometry()
+    for tet in range(sub.tet_count):
+        assert result.curves(tet) == fresh.curves(tet)
+    # The link and a free bubble: two spheres.
+    assert result.euler_characteristic() == fresh.euler_characteristic() == 4
