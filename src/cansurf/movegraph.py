@@ -37,11 +37,11 @@ from run to run, and a memo carried over between batches would make the
 work a batch does depend on that, while within a batch neighbouring
 sources share most of their tetrahedron states.  16 was picked by
 measurement on the 2-tet S3 closure of a weight-2 sphere at budget 6
-(349 vertices, waves of up to 118 sources) with 2 workers: batches of 1,
-8, 16 and 32 sources trace tet geometry 3,187, 2,065, 1,810 and 1,636
-times where a serial build traces 991, and 8, 16 and 32 build equally
-fast; 16 still splits every wave of 50 or more sources into at least
-four batches for two workers to share.  When a limit stops a pool build,
+(349 vertices, waves of up to 118 sources) with 2 workers, when the tet
+memo held 128 entries: batches of 1, 8, 16 and 32 sources traced tet
+geometry 3,187, 2,065, 1,810 and 1,636 times where a serial build traced
+991, and 8, 16 and 32 built equally fast; 16 still splits every wave of
+50 or more sources into at least four batches for two workers to share.  When a limit stops a pool build,
 batches that have not started are cancelled and the run waits for those
 already running.  Workers know the time limit's deadline and skip every
 source they reach after it, so that wait is at most one source expansion
@@ -67,7 +67,9 @@ never cached.  The memo is least-recently-used and holds at most
 ``_REPLAY_MEMO_TET_ENTRIES // tet_count`` entries, which keeps it under
 64 MB (see that constant).  Memoized surfaces pin no tet geometry:
 ``replay`` releases each surface's geometry when it steps off it, and
-``surface._TET_MEMO`` keeps the recent geometry.
+``surface._TET_MEMO`` keeps the recent geometry.  That memo holds a
+small closure's tet states (see ``surface._TET_MEMO_ENTRIES``), so loops
+replayed in any order trace each state they visit once.
 """
 
 from __future__ import annotations

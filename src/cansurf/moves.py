@@ -381,7 +381,7 @@ def _planar_reconnection(rest, p, q, r, s):
 
 
 def _curve_of_copy(geo, f, pair):
-    curve = geo.arc_curve.get((f, pair))
+    curve = geo.arc_curve(f, pair)
     if curve is None:
         raise SemanticError("arc {} not found on face {}".format(pair, f))
     return curve

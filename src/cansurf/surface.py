@@ -44,8 +44,9 @@ each ``TetGeometry`` in ``_TET_MEMO`` under exactly that data, so
 surfaces that agree on a tetrahedron share one curve system there; it
 also reads the curves of an encoding that has not been built as a
 ``Surface``, as a move does for its result.  The tet memo is
-least-recently-used and holds at most ``max(128, 4 * tet_count)``
-entries.
+least-recently-used and holds at most ``max(_TET_MEMO_ENTRIES, 4 *
+tet_count)`` entries, 4,096 on a small triangulation, which holds the
+tet states a closure keeps coming back to (see that constant).
 
 Slot arithmetic has one owner per input.  What depends on the
 triangulation alone lives on it: ``face_sides`` (each face class's sides
@@ -121,7 +122,29 @@ def pairs_cross(p, q):
 
 def face_crossing(cid, pairs):
     """The validation failure naming the first two crossing arcs among
-    face class cid's pairs, or None when no two cross."""
+    face class cid's pairs, or None when no two cross.
+
+    Pairs (a, b) with 0 <= a < b, listed in increasing order of a as a
+    stored matching lists them, are checked in one pass with a stack of
+    the ends of the arcs still open: every arc must end before the
+    innermost of them.  Every two pairs are tried only to name a crossing,
+    or when the pairs do not have that form."""
+    ends = []
+    last = -1
+    try:
+        for a, b in pairs:
+            if not last < a < b:
+                break
+            while ends and ends[-1] < a:
+                ends.pop()
+            if ends and not b < ends[-1]:
+                break
+            ends.append(b)
+            last = a
+        else:
+            return None
+    except (TypeError, ValueError):
+        pass
     for p, q in itertools.combinations(pairs, 2):
         if pairs_cross(p, q):
             return "invalid: face {} arcs {} and {} cross".format(cid, p, q)
@@ -247,6 +270,17 @@ def face_layout(tri, weights, cid):
 # least recently used first; see tet_geometry_of.
 _TET_MEMO = collections.OrderedDict()
 
+# _TET_MEMO holds at most this many entries, or 4 per tetrahedron where
+# that is more: a 12 MB ceiling over 3 KB per entry.  Entries measured
+# with tracemalloc, key and memo slot included, cost about 2.4 KB on the
+# 2-tet closures up to weight 8 and 1.2 KB on the 48-tet subdivision.  A
+# small closure's working set fits: the weight-2 sphere on 2 tets at
+# budget 6 visits 415 tet states.  The 2-tet vertex link at budget 10
+# visits about 16,000; this bound cuts its traces from 46,588 (at 128
+# entries) to 28,806 without raising the CLI's peak RSS, where 16,384
+# entries would trace each once but add about 35 MB.
+_TET_MEMO_ENTRIES = (12 << 20) // (3 << 10)
+
 
 def tet_geometry_of(tri, weights, matchings, tet):
     """The curve system (see TetGeometry) of tet in the encoding with
@@ -256,15 +290,15 @@ def tet_geometry_of(tri, weights, matchings, tet):
 
     Looked up in the process-wide ``_TET_MEMO`` under the tet's six edge
     weights and four face matchings, and traced only on a miss.  The memo
-    drops its least recently used entries beyond ``max(128, 4 *
-    tet_count)``; a tracing error is raised, not cached."""
+    drops its least recently used entries beyond ``max(_TET_MEMO_ENTRIES,
+    4 * tet_count)``; a tracing error is raised, not cached."""
     edges, faces = tri.tet_local_classes[tet]
     key = (tri, tet, tuple([weights[e] for e in edges]), tuple([matchings[c] for c in faces]))
     geo = _TET_MEMO.get(key)
     if geo is None:
         geo = TetGeometry(*key)
         _TET_MEMO[key] = geo
-        while len(_TET_MEMO) > max(128, 4 * tri.tet_count):
+        while len(_TET_MEMO) > max(_TET_MEMO_ENTRIES, 4 * tri.tet_count):
             _TET_MEMO.popitem(last=False)
     else:
         _TET_MEMO.move_to_end(key)
@@ -278,18 +312,26 @@ class TetGeometry:
     the weights of its edges 0..5 and ``matchings`` the matchings of its
     faces 0..3, each in its face class's slots.  One instance is shared by
     every surface that agrees there, so it must not be mutated.
+
+    It keeps only what callers read: ``curves``, ``node_curve`` (the curve
+    of every node), ``curve_adjacent`` (the two region roots beside each
+    curve) and, per face, its layout and chord regions with the region
+    root of every chord region.  The curve of an arc copy is the curve of
+    its first slot's node and is looked up by ``arc_curve``; the set of
+    regions is the set of those roots.
     """
+
+    __slots__ = ("tet", "curves", "node_curve", "curve_adjacent", "_frame", "_faces", "_root")
 
     def __init__(self, tri, tet, weights, matchings):
         self.tet = tet
-        faces, edge_sides, self._corners = tri.tet_frames[tet]
+        self._frame = frame = tri.tet_frames[tet]
         face_sides = tri.face_sides
         # Nodes: (tetrahedron edge 0..5, class point index).  Each node
         # lists the nodes its arc ends join it to, in arc order.
         layouts = []
         joined = {}
-        arcs = []  # ((face, chord pair), one end node) per arc copy
-        for f, (cid, inc, (e0, e1, e2)) in enumerate(faces):
+        for f, (cid, inc, (e0, e1, e2)) in enumerate(frame[0]):
             layout = _side_layout(face_sides[cid], (weights[e0], weights[e1], weights[e2]))
             layouts.append(layout)
             nodes = layout.slot_nodes[inc]
@@ -302,7 +344,6 @@ class TetGeometry:
                         "face's {} slots".format(pair, f, tet, n)
                     )
                 na, nb = nodes[a], nodes[b]
-                arcs.append(((f, pair), na))
                 joined.setdefault(na, []).append(nb)
                 joined.setdefault(nb, []).append(na)
         # Trace closed curves; every node has exactly two incident arc ends.
@@ -337,58 +378,65 @@ class TetGeometry:
         for c, nodes in enumerate(curves):
             for node in nodes:
                 node_curve[node] = c
-        # Curve of each arc copy, keyed (face, chord pair), in arc-copy order.
-        self.arc_curve = {arc: node_curve[node] for arc, node in arcs}
-        self._build_regions(matchings, layouts, edge_sides)
+        self._build_regions(matchings, layouts)
 
-    def _build_regions(self, matchings, layouts, edge_sides):
-        # Atoms: (face, local region id) over each face's chord subdivision.
-        face_regions = []
-        offsets = []
+    def _build_regions(self, matchings, layouts):
+        # Atoms: (face, local region id) over each face's chord subdivision,
+        # numbered from the face's offset.
+        faces = []
         total = 0
         for f, layout in enumerate(layouts):
             count, gap_region, chord_sides = _face_chord_regions(layout.n, matchings[f])
-            face_regions.append((layout, gap_region, chord_sides))
-            offsets.append(total)
+            faces.append((layout, gap_region, chord_sides, total))
             total += count
         uf = _UnionFind(total)
-        find, union = uf.find, uf.union
+        union = uf.union
         # The two faces on each tet edge meet along it in its w + 1 gaps.
-        for (fa, ka), (fb, kb) in edge_sides:
-            oa, ra = offsets[fa], face_regions[fa][1]
-            ob, rb = offsets[fb], face_regions[fb][1]
+        for (fa, ka), (fb, kb) in self._frame[1]:
+            _, ra, _, oa = faces[fa]
+            _, rb, _, ob = faces[fb]
             for ga, gb in zip(layouts[fa].class_gaps[ka], layouts[fb].class_gaps[kb]):
                 union(oa + ra[ga], ob + rb[gb])
-
-        self._find = find
-        self._offsets = offsets
-        self._face_regions = face_regions
-        roots = sorted({find(x) for x in range(total)})
-        self.regions = roots
-        if len(roots) != len(self.curves) + 1:
+        self._faces = faces = tuple(faces)
+        self._root = root = tuple(map(uf.find, range(total)))
+        if len(set(root)) != len(self.curves) + 1:
             raise SemanticError(
                 "tet {}: curve system does not cut the boundary sphere into "
                 "curves+1 regions".format(self.tet)
             )
         # Two regions adjacent to each curve, via its first arc copy.
         adj = [None] * len(self.curves)
-        for (f, pair), c in self.arc_curve.items():
-            if adj[c] is None:
-                outer, inner = face_regions[f][2][pair]
-                adj[c] = (find(offsets[f] + outer), find(offsets[f] + inner))
+        for f, (cid, inc, _) in enumerate(self._frame[0]):
+            nodes = layouts[f].slot_nodes[inc]
+            _, _, chord_sides, offset = faces[f]
+            for pair in matchings[f]:
+                c = self.node_curve[nodes[pair[0]]]
+                if adj[c] is None:
+                    outer, inner = chord_sides[pair]
+                    adj[c] = (root[offset + outer], root[offset + inner])
         self.curve_adjacent = adj
+
+    def arc_curve(self, f, pair):
+        """The curve through the arc copy ``pair`` of face f (0..3), or None
+        when that face has no such arc."""
+        if not 0 <= f < 4:
+            return None
+        layout, _, chord_sides, _ = self._faces[f]
+        if pair not in chord_sides:
+            return None
+        return self.node_curve[layout.slot_nodes[self._frame[0][f][1]][pair[0]]]
 
     def chord_side_roots(self, f, pair):
         """Region roots on the (outer, inner) sides of an arc copy."""
-        outer, inner = self._face_regions[f][2][pair]
-        return (self._find(self._offsets[f] + outer),
-                self._find(self._offsets[f] + inner))
+        _, _, chord_sides, offset = self._faces[f]
+        outer, inner = chord_sides[pair]
+        return self._root[offset + outer], self._root[offset + inner]
 
     def corner_region(self, corner):
         """Region root at a tetrahedron corner."""
-        f, m = self._corners[corner]
-        gap = self._face_regions[f][0].corner_gap(m)
-        return self._find(self._offsets[f] + self._face_regions[f][1][gap])
+        f, m = self._frame[2][corner]
+        layout, gap_region, _, offset = self._faces[f]
+        return self._root[offset + gap_region[layout.corner_gap(m)]]
 
     def curves_sharing_region(self, c1, c2):
         s1 = set(self.curve_adjacent[c1])
@@ -397,7 +445,8 @@ class TetGeometry:
 
     def curve_sides(self, c):
         """The two sets of region roots separated by curve c."""
-        graph = {r: [] for r in self.regions}
+        regions = set(self._root)
+        graph = {r: [] for r in regions}
         for c2, (r0, r1) in enumerate(self.curve_adjacent):
             if c2 == c:
                 continue
@@ -412,7 +461,7 @@ class TetGeometry:
                 if r2 not in side:
                     side.add(r2)
                     stack.append(r2)
-        other = set(self.regions) - side
+        other = regions - side
         a, b = (side, other) if min(side) < min(other) else (other, side)
         return frozenset(a), frozenset(b)
 
@@ -670,11 +719,12 @@ class Surface:
                 arcs[(cid, pair)] = {"points": endpoints, "attach": []}
         for tet in range(tri.tet_count):
             geo = self.tet_geometry(tet)
-            for (f, pair), curve in geo.arc_curve.items():
-                cid = tri.face_class_of[(tet, f)]
-                arcs[(cid, pair)]["attach"].append(
-                    (tet, piece_lookup[tet][curve], f, curve, pair)
-                )
+            for f, (cid, _, _) in enumerate(tri.tet_frames[tet][0]):
+                for pair in self.matchings[cid]:
+                    curve = geo.arc_curve(f, pair)
+                    arcs[(cid, pair)]["attach"].append(
+                        (tet, piece_lookup[tet][curve], f, curve, pair)
+                    )
         points = [
             (e, i) for e in range(len(tri.edge_classes)) for i in range(self.weights[e])
         ]

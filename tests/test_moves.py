@@ -180,6 +180,19 @@ def test_f2_prime_merges_adjacent_curves(tri):
     assert inv2 == move
 
 
+def test_curve_of_an_absent_arc_copy_is_an_error(tri):
+    # The arc (0, 9) lies on face 2 in the gaining tet, but neither its
+    # reversal, a pair of face 2's slots that is not an arc, nor any arc
+    # on a face past the tet's four is found.
+    geo = parse_surface(tri, F2_EXAMPLE).tet_geometry(tri.face_classes[2][1][0])
+    f_gain = tri.face_classes[2][1][1]
+    for f, pair in ((f_gain, (9, 0)), (f_gain, (0, 1)), (4, (0, 9)), (-1, (0, 9))):
+        _raises_exactly(
+            SemanticError, "arc {} not found on face {}".format(pair, f),
+            _curve_of_copy, geo, f, pair,
+        )
+
+
 def test_f2_kind_is_symmetric(tri, link):
     # An annulus-count-changing reconnection is F2 from both ends.
     torus = Surface(tri, link.weights, link.matchings, [((0, 1),), ()])

@@ -1,4 +1,5 @@
-"""Source hygiene: no private helper is left behind unused."""
+"""Source hygiene: no private helper is left behind unused, and no
+``TetGeometry`` slot is kept that nothing reads."""
 
 import ast
 import pathlib
@@ -40,3 +41,34 @@ def test_every_private_module_name_is_used():
         if len(re.findall(r"\b{}\b".format(re.escape(name)), everything)) < 2
     ]
     assert unused == []
+
+
+def test_every_tet_geometry_slot_is_read():
+    # Every TetGeometry is kept in the tet-geometry memo, so a slot costs
+    # memory in every entry: each must be read somewhere in the package
+    # outside the class's construction, the methods that assign to its
+    # attributes.  Reads are matched by attribute name.
+    trees = {path.name: ast.parse(path.read_text()) for path in sorted(SRC.glob("*.py"))}
+    cls = next(
+        n for n in trees["surface.py"].body if isinstance(n, ast.ClassDef) and n.name == "TetGeometry"
+    )
+    slots = next(
+        ast.literal_eval(n.value) for n in cls.body
+        if isinstance(n, ast.Assign) and [t.id for t in n.targets] == ["__slots__"]
+    )
+    construction = {
+        id(node)
+        for method in cls.body
+        if isinstance(method, ast.FunctionDef) and any(
+            isinstance(n, ast.Attribute) and isinstance(n.ctx, ast.Store) for n in ast.walk(method)
+        )
+        for node in ast.walk(method)
+    }
+    read = {
+        n.attr
+        for tree in trees.values()
+        for n in ast.walk(tree)
+        if isinstance(n, ast.Attribute) and isinstance(n.ctx, ast.Load) and id(n) not in construction
+    }
+    assert slots and construction
+    assert [slot for slot in slots if slot not in read] == []

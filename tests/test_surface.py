@@ -1,4 +1,6 @@
+import collections
 import itertools
+import random
 
 import pytest
 
@@ -11,15 +13,17 @@ from cansurf import (
     build,
     empty_surface,
     enumerate_surfaces,
+    generators,
     noncrossing_matchings,
     parse_surface,
+    replay,
     vertex_link,
 )
 from cansurf import movegraph, surface
 from cansurf.moves import (
     DEFAULT_MOVE_SET, F2P, PINCH, UNPINCH, Move, V0, apply, default_catalog, neighbors,
 )
-from cansurf.surface import _TET_MEMO, TetGeometry
+from cansurf.surface import _TET_MEMO, _TET_MEMO_ENTRIES, TetGeometry
 
 
 CATALAN = [1, 1, 2, 5, 14, 42]
@@ -209,13 +213,16 @@ def sub(tri):
     return barycentric_subdivide(tri)
 
 
-def _geometry_fields(geo):
+def _geometry_fields(geo, matchings):
+    """Everything a caller reads of a tet's geometry, given the tet's four
+    face matchings: the curve of every arc copy in arc-copy order, and the
+    regions through each curve's two sides."""
     return (
         geo.curves,
         geo.node_curve,
-        geo.arc_curve,
+        [(f, pair, geo.arc_curve(f, pair)) for f, pairs in enumerate(matchings) for pair in pairs],
         geo.curve_adjacent,
-        geo.regions,
+        [geo.curve_sides(c) for c in range(len(geo.curves))],
         [geo.corner_region(c) for c in range(4)],
     )
 
@@ -234,12 +241,12 @@ def test_memoized_geometry_matches_fresh_trace(bed, tri, link, catalog, sub):
             geo = surf.tet_geometry(tet)
             shared.add(id(geo))
             edges, faces = bed_tri.tet_local_classes[tet]
-            fresh = TetGeometry(bed_tri, tet, tuple(surf.weights[e] for e in edges),
-                                tuple(surf.matchings[c] for c in faces))
-            assert _geometry_fields(geo) == _geometry_fields(fresh)
+            matchings = tuple(surf.matchings[c] for c in faces)
+            fresh = TetGeometry(bed_tri, tet, tuple(surf.weights[e] for e in edges), matchings)
+            assert _geometry_fields(geo, matchings) == _geometry_fields(fresh, matchings)
     # The memo does share geometry between surfaces, within its bound.
     assert len(shared) < len(graph.vertices) * bed_tri.tet_count
-    assert len(_TET_MEMO) <= max(128, 4 * bed_tri.tet_count)
+    assert len(_TET_MEMO) <= max(_TET_MEMO_ENTRIES, 4 * bed_tri.tet_count)
 
 
 def test_invalid_encoding_reclassified_after_valid_twin(sub):
@@ -319,6 +326,78 @@ def test_worker_task_repeats_its_geometry_work(tri, link, link_text, catalog, mo
     _, head_then_second = run_batch(batch[:2])
     assert head_then_second[:len(head_alone)] == head_alone
     assert len(head_then_second) - len(head_alone) < len(second_alone)
+
+
+def test_memo_holds_a_closures_working_set(tri, data_dir, catalog, monkeypatch):
+    # A serial build of the weight-2 sphere at budget 6, then a replay of
+    # its loops in a shuffled order, each trace every distinct tet state
+    # exactly once: the memo holds what either phase keeps coming back to.
+    traced = []
+
+    class Counting(TetGeometry):
+        __slots__ = ()
+
+        def __init__(self, tri, tet, weights, matchings):
+            traced.append((tet, weights, matchings))
+            super().__init__(tri, tet, weights, matchings)
+
+    seed = parse_surface(tri, (data_dir.parent / "bench" / "data" / "s3_sphere_w2.surf").read_text())
+    monkeypatch.setattr(surface, "TetGeometry", Counting)
+    monkeypatch.setattr(surface, "_TET_MEMO", collections.OrderedDict())
+    monkeypatch.setattr(movegraph, "_REPLAY_MEMO", collections.OrderedDict())
+    graph = build(seed, 6, catalog=catalog)
+    loops = generators(graph).loops
+    assert len(set(traced)) == len(traced) > 2 * 128
+    traced.clear()
+    surface._TET_MEMO.clear()
+    random.Random(0).shuffle(loops)
+    for loop in loops:
+        assert replay(seed, loop, catalog) == seed
+    assert len(set(traced)) == len(traced) > 2 * 128
+    assert len(surface._TET_MEMO) <= max(_TET_MEMO_ENTRIES, 4 * tri.tet_count)
+
+
+def _pairwise_crossing(cid, pairs):
+    """``face_crossing`` as a scan of every two arcs, the reference."""
+    for p, q in itertools.combinations(pairs, 2):
+        if surface.pairs_cross(p, q):
+            return "invalid: face {} arcs {} and {} cross".format(cid, p, q)
+    return None
+
+
+def _matchings(slots):
+    """Every set of disjoint pairs over these slots, as sorted tuples."""
+    if not slots:
+        yield ()
+        return
+    first, rest = slots[0], slots[1:]
+    yield from _matchings(rest)
+    for k, other in enumerate(rest):
+        for tail in _matchings(rest[:k] + rest[k + 1:]):
+            yield tuple(sorted(((first, other),) + tail))
+
+
+def test_face_crossing_matches_the_pairwise_scan():
+    # Every partial or perfect matching of up to 10 slots, crossing or
+    # not; then every tuple of up to three pairs over 4 slots, with
+    # repeated endpoints, reversed and degenerate pairs, and a few
+    # malformed rows.
+    cases = list(_matchings(tuple(range(10))))
+    assert len(cases) == 9496
+    ordered = list(itertools.product(range(4), repeat=2))
+    cases += [c for k in range(4) for c in itertools.product(ordered, repeat=k)]
+    cases += [((0, 1, 2),), ((0, 3), (1, 2, 4)), ((1, 2), [0, 3]), ((0, 2), (1, 3), (4,))]
+    crossing = 0
+    for pairs in cases:
+        try:
+            expected = _pairwise_crossing(3, pairs)
+        except (TypeError, ValueError) as exc:
+            with pytest.raises(type(exc)):
+                surface.face_crossing(3, pairs)
+            continue
+        assert surface.face_crossing(3, pairs) == expected, pairs
+        crossing += expected is not None
+    assert crossing > 5000
 
 
 def test_layout_tables_match_slot_arithmetic(sub):
