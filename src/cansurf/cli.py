@@ -24,7 +24,7 @@ from . import __version__
 from .bounds import BoundsConfig, parse_config
 from .errors import CansurfError, ParseError, PartialGraphError, SemanticError
 from .movegraph import Limits, build, export_dot, export_json, generators, replay
-from .moves import DEFAULT_MOVE_SET, ALL_KINDS, default_catalog, extend_catalog
+from .moves import DEFAULT_MOVE_SET, default_catalog, extend_catalog
 from .oracle import oracle_closure, oracle_matchings, oracle_surfaces
 from .surface import parse_surface
 from .triangulation import barycentric_subdivide, parse_triangulation
@@ -71,13 +71,7 @@ def _load_triangulation(text, subdivide):
 def _parse_move_set(text):
     if text is None:
         return DEFAULT_MOVE_SET
-    names = [t for t in text.split(",") if t]
-    for name in names:
-        if name not in ALL_KINDS:
-            raise SemanticError(
-                "unknown move kind '{}' (choose from {})".format(name, ",".join(ALL_KINDS))
-            )
-    return frozenset(names)
+    return [t for t in text.split(",") if t]
 
 
 def _load_catalog(tri, args):
@@ -190,7 +184,7 @@ def _run_graph(args, emit_loops):
         "seed_sha256": _sha256(seed_text),
         "parameters": {
             "budget": budget,
-            "move_set": sorted(move_set),
+            "move_set": sorted(graph.move_set),
             "subdivide": args.subdivide,
             "catalog": [e.sphere_id for e in catalog],
             "max_vertices": args.max_vertices,
@@ -198,8 +192,8 @@ def _run_graph(args, emit_loops):
         },
     }
     digests = {}
-    json_text = export_json(graph, provenance)
     if args.out_json:
+        json_text = export_json(graph, provenance)
         with open(args.out_json, "w", encoding="utf-8") as fh:
             fh.write(json_text)
         digests["json"] = _sha256(json_text)
@@ -216,8 +210,8 @@ def _run_graph(args, emit_loops):
             with open(args.out_loops, "w", encoding="utf-8") as fh:
                 fh.write(loops_text)
             digests["loops"] = _sha256(loops_text)
-    if not digests:
-        digests["json"] = _sha256(json_text)
+    if args.manifest and not digests:
+        digests["json"] = _sha256(export_json(graph, provenance))
     wall = time.time() - t0
     status = "PARTIAL" if graph.partial else "complete"
     print(
@@ -364,7 +358,6 @@ def make_parser():
     bounds.add_argument("--margin", type=float, default=0.99)
 
     p = subs.add_parser("bounds", help="compute the search constants", parents=[bounds])
-    p.add_argument("--budget", type=int, default=None, help=argparse.SUPPRESS)
     p.add_argument("--json", action="store_true")
     p.set_defaults(func=cmd_bounds)
 

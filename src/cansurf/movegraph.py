@@ -1,13 +1,13 @@
 """Breadth-first closure of a seed surface under elementary moves, and
 free generators of the resulting graph's fundamental group.
 
-The graph is the connected component of the seed: vertices are canonical
-surface keys with their encodings, edges are moves connecting them.  An
-edge is stored once, as (u, v, move from u, move from v) with u <= v as
-key bytes, and the edge multiset is deduplicated on that quadruple, so
-parallel edges produced by genuinely different moves survive.  Edge
-endpoints are the key objects ``vertices`` holds, each the
-``canonical_key()`` of its stored surface, so no edge keeps a copy.
+The graph is the connected component of the seed: vertices are keyed by
+their canonical texts, edges are moves connecting them.  An edge is
+stored once, as (u, v, move from u, move from v) with u <= v as texts
+(ASCII, so in byte order), and the edge multiset is deduplicated on that
+quadruple, so parallel edges produced by genuinely different moves
+survive.  Edge endpoints are the key objects ``vertices`` holds, each
+the ``canonical_key()`` of its stored surface, so no edge keeps a copy.
 
 Each edge is applied once.  Applying the inverse m' of an edge's move m
 to its target v gives back its source u and m, so when v is expanded the
@@ -35,17 +35,17 @@ A worker clears the process-wide tet-geometry memo (see ``surface``) on
 the first source of each batch only: which worker runs which batch varies
 from run to run, and a memo carried over between batches would make the
 work a batch does depend on that, while within a batch neighbouring
-sources share most of their tetrahedron states.  16 was picked by
-measurement on the 2-tet S3 closure of a weight-2 sphere at budget 6
-(349 vertices, waves of up to 118 sources) with 2 workers, when the tet
-memo held 128 entries: batches of 1, 8, 16 and 32 sources traced tet
-geometry 3,187, 2,065, 1,810 and 1,636 times where a serial build traced
-991, and 8, 16 and 32 built equally fast; 16 still splits every wave of
-50 or more sources into at least four batches for two workers to share.  When a limit stops a pool build,
-batches that have not started are cancelled and the run waits for those
-already running.  Workers know the time limit's deadline and skip every
-source they reach after it, so that wait is at most one source expansion
-per worker.
+sources share most of their tetrahedron states.  16 was measured on the
+2-tet S3 closure of a weight-2 sphere at budget 6 (349 vertices, waves
+of up to 118 sources) with 2 workers, building, exporting and replaying
+its loops: batches of 8, 16 and 32 sources traced tet geometry 1,877,
+1,727 and 1,609 times where the serial run traced 830.  Larger batches
+save traces, but 16 still splits every wave of 50 or more sources into
+at least four batches for two workers to share.  When a limit stops a
+pool build, batches that have not started are cancelled and the run
+waits for those already running.  Workers know the time limit's deadline
+and skip every source they reach after it, so that wait is at most one
+source expansion per worker.
 
 Generators of the fundamental group: a breadth-first spanning tree is
 rooted at the seed, and every non-tree edge (u, v, m) contributes one
@@ -78,10 +78,11 @@ import collections
 import concurrent.futures
 import hashlib
 import json
+import os
 import time
 
 from .errors import PartialGraphError, SemanticError
-from .moves import DEFAULT_MOVE_SET, apply_with_inverse, neighbors, parse_move
+from .moves import DEFAULT_MOVE_SET, apply_with_inverse, check_move_set, neighbors, parse_move
 from .surface import _TET_MEMO, CRUDELY_ALMOST_NORMAL, CRUDELY_NORMAL, parse_surface
 
 
@@ -97,7 +98,7 @@ class MoveGraph:
         self.seed_key = seed_key
         self.budget = budget
         self.move_set = frozenset(move_set)
-        self.vertices = {}          # key bytes -> Surface
+        self.vertices = {}          # canonical text -> Surface
         self.edges = set()          # (u_key, v_key, move_u_to_v, move_v_to_u)
         self.partial = partial
         self.stats = {}
@@ -211,7 +212,7 @@ def _expand_pool(pool, graph, keys, known):
         if found is None:
             yield key, stats, None
         else:
-            yield key, stats, [(m, i, r.encode(), r) for m, i, r in found]
+            yield key, stats, [(m, i, r, r) for m, i, r in found]
 
 
 def build(
@@ -224,12 +225,14 @@ def build(
 ):
     """Breadth-first closure of the seed under the move set.
 
-    The seed must be valid, crudely normal, and within the budget.
-    Raises PartialGraphError (carrying the partial graph) when a limit
-    triggers, instead of silently truncating.  Limits are checked after
-    every new vertex and every expanded source, and a pool worker checks
-    the time limit before every source it expands.
+    The move kinds must be known, and the seed valid, crudely normal and
+    within the budget.  Raises PartialGraphError (carrying the partial
+    graph) when a limit triggers, instead of silently truncating.  Limits
+    are checked after every new vertex and every expanded source, and a
+    pool worker checks the time limit before every source it expands.
+    The pool starts at most ``os.cpu_count()`` processes.
     """
+    move_set = check_move_set(move_set)
     cls = seed.validate()
     if cls != CRUDELY_NORMAL:
         raise SemanticError("seed must be crudely normal, got: {}".format(cls))
@@ -262,7 +265,7 @@ def build(
     pool = None
     if workers > 1:
         pool = concurrent.futures.ProcessPoolExecutor(
-            max_workers=workers,
+            max_workers=min(workers, os.cpu_count() or 1),
             initializer=_worker_init,
             initargs=(tri, budget, graph.move_set, catalog, deadline),
         )

@@ -63,10 +63,11 @@ deletion step.
 
 A move builds one ``Surface``, its result, from the surface it applies
 to as its source.  Face classes and tetrahedra the move leaves alone
-keep the source's own matching and annulus tuples, so the result skips
-them when it validates and prints itself (see ``surface``).  The curves
-of the new encoding, which carry annulus pairs over and locate a tube,
-come from ``surface.tet_geometry_of`` on the new weights and matchings.
+keep the source's own matching and annulus tuples, so the result takes
+their text lines from the source and skips them when it validates (see
+``surface``).  The curves of the new encoding, which carry annulus pairs
+over and locate a tube, come from ``surface.tet_geometry_of`` on the new
+weights and matchings.
 
 The neighbour generator proposes exactly the moves that apply.  Each
 precondition lives in one helper that ``_candidate_moves`` and
@@ -1125,6 +1126,17 @@ def _candidate_moves(surf, move_set, catalog, budget, stats):
                         yield Move(UNPINCH, tet, curve=side)
 
 
+def check_move_set(move_set):
+    """The collection of move kinds as a frozenset; the first kind not in
+    ``ALL_KINDS`` is a SemanticError."""
+    for name in move_set:
+        if name not in ALL_KINDS:
+            raise SemanticError(
+                "unknown move kind '{}' (choose from {})".format(name, ",".join(ALL_KINDS))
+            )
+    return frozenset(move_set)
+
+
 def neighbors(surf, budget, move_set=DEFAULT_MOVE_SET, catalog=None, stats=None, known=()):
     """All single-move neighbours within the weight budget.
 
@@ -1142,8 +1154,9 @@ def neighbors(surf, budget, move_set=DEFAULT_MOVE_SET, catalog=None, stats=None,
     would only repeat the edge.  ``movegraph.build`` uses this to apply
     each edge once: a serial build passes the set it collected for the
     surface, and a pooled build sends it to the worker with the surface's
-    text.
+    text.  An unknown move kind is refused, as ``check_move_set`` says.
     """
+    move_set = check_move_set(move_set)
     if not surf.is_valid():
         raise SemanticError("neighbours of an invalid encoding")
     if surf.weight() > budget:
@@ -1153,7 +1166,7 @@ def neighbors(surf, budget, move_set=DEFAULT_MOVE_SET, catalog=None, stats=None,
     stats.setdefault("budget_rejected", 0)
     stats.setdefault("pinched_spheres", {})
     out = []
-    for move in _candidate_moves(surf, frozenset(move_set), catalog, budget, stats):
+    for move in _candidate_moves(surf, move_set, catalog, budget, stats):
         if move.kind == PINCH:
             counts = stats["pinched_spheres"]
             counts[move.sphere] = counts.get(move.sphere, 0) + 1

@@ -25,16 +25,18 @@ when no other curve of the tetrahedron separates its two curves on the
 boundary sphere, which holds exactly when both curves touch a common
 complementary region.
 
-Encodings are value objects: equality, hashing and the canonical key all
-reduce to the canonical text serialization, whose grammar is::
+Encodings are value objects: equality and hashing reduce to the
+canonical text serialization, which is also the canonical key, and
+whose grammar is::
 
     edges: <w_0> <w_1> ... <w_{E-1}>
     face <c>: <a>-<b> <a>-<b> ...      # one line per face class, slots a<b
     tet <t>: disks                      # or: annulus <i> <j> (curve ids)
 
-Lines starting with '#' are comments.  The serializer emits every face
-and tetrahedron line in class order with pairs sorted, so equal strings
-mean equal encodings and conversely.
+Lines starting with '#' are comments, and no line may repeat another's
+head.  The serializer emits every face and tetrahedron line in class
+order with pairs sorted, so equal strings mean equal encodings and
+conversely.
 
 Geometry is a function of local data, memoized process-wide.  A
 ``FaceLayout`` depends only on its face's three side weights, and a
@@ -59,20 +61,20 @@ edge, class point index) of every slot per incidence and the circular
 gap of every class-order gap per side.  ``Surface.face_layout`` keeps
 each surface's layouts in a list.
 
-A move builds its result from a valid *source* surface, and the result
-reuses what the move did not touch.  A face class's matching tuple or a
-tetrahedron's annulus tuple that is the source's own object is kept as
-it is, not re-sorted, and its text line is the source's line.  The
-*footprint* of the result is what may differ: the face classes whose
+A move builds its result from a valid *source* surface and reuses what
+the move did not touch: a face class's matching tuple or a tetrahedron's
+annulus tuple that is the source's own object is kept, not re-sorted.
+The *footprint* of the result is what may differ: the face classes whose
 side weights changed or whose matching is not the source's object, and
 the tetrahedra of those faces or whose annulus tuple is not the source's
-object.  ``validate`` checks only the footprint, in the order a full
-check would, and takes every other tetrahedron's geometry from the
-source, so it gives the verdict a full check gives.  Weights compare by
-value and tuples by identity, so an equal tuple that is not shared only
-makes the footprint larger.  A surface parsed or built without a source
-is checked in full.  Once a result has both its verdict and its text it
-drops the link to its source.
+object.  The constructor works the footprint out, takes the source's
+geometry outside it and the source's text line for every row it shares,
+and keeps no reference to the source.  ``validate`` then checks only the
+footprint, in the order a full check would, so it gives a full check's
+verdict.  Weights compare by value and tuples by identity, so an equal
+tuple that is not shared only makes the footprint larger.  A surface
+parsed or built without a source is checked in full and formats its
+text on first use.
 """
 
 from __future__ import annotations
@@ -476,6 +478,10 @@ def _normalized(rows, shared=None):
     )
 
 
+def _edges_line(weights):
+    return "edges: " + " ".join(map(str, weights))
+
+
 def _face_line(cid, pairs):
     return "face {}:".format(cid) + "".join([" {}-{}".format(a, b) for a, b in pairs])
 
@@ -495,21 +501,21 @@ class Surface:
     representable but invalid).  Construction performs no validation so
     that invalid encodings can be built and classified.
 
-    ``source``, when given, is a valid surface on the same triangulation,
-    such as the surface a move applies to; one with other vector lengths
-    is ignored.  Rows that are the source's own tuples are kept without
-    normalizing them, and ``validate`` and ``to_text`` redo only the
-    footprint (see the module docstring).
+    ``source``, when given, is a surface classified valid on the same
+    triangulation with as many face classes and tetrahedra, such as the
+    surface a move applies to; any other is ignored.  Rows that are its
+    own tuples are kept without normalizing them, and the result is built
+    from it over the footprint only (see the module docstring).
     """
 
     def __init__(self, tri, weights, matchings, annuli=None, source=None):
         self.tri = tri
         if annuli is None:
             annuli = [()] * tri.tet_count
-        if source is not None and (source.tri is not tri or len(matchings) != len(source.matchings)
+        if source is not None and (source.tri is not tri or source._validation not in _VALID
+                                   or len(matchings) != len(source.matchings)
                                    or len(annuli) != len(source.annuli)):
             source = None
-        self._source = source
         if source is not None and weights is source.weights:
             self.weights = weights
         else:
@@ -519,10 +525,33 @@ class Surface:
         self._tets = {}
         self._layouts = None
         self._text = None
-        self._lines = None
-        self._key = None
         self._validation = None
         self._cell_data = None
+        # (face classes, tetrahedra) left to validate; None means all.
+        self._footprint = None
+        if source is None:
+            return
+        lines = source.to_text().split("\n")
+        faces = set()
+        for cid, (pairs, old) in enumerate(zip(self.matchings, source.matchings)):
+            if pairs is not old:
+                faces.add(cid)
+                lines[1 + cid] = _face_line(cid, pairs)
+        tets = set()
+        for tet, (pairs, old) in enumerate(zip(self.annuli, source.annuli)):
+            if pairs is not old:
+                tets.add(tet)
+                lines[1 + len(self.matchings) + tet] = _tet_line(tet, pairs)
+        if self.weights is not source.weights:
+            for e, (w, old) in enumerate(zip(self.weights, source.weights)):
+                if w != old:
+                    faces.update(cid for cid, _ in tri.edge_sides[e])
+            lines[0] = _edges_line(self.weights)
+        for cid in faces:
+            tets.update(tet for tet, _ in tri.face_classes[cid])
+        self._text = "\n".join(lines)
+        self._footprint = sorted(faces), sorted(tets)
+        self._tets = {tet: geo for tet, geo in source._tets.items() if tet not in tets}
 
     # -- cached geometry ---------------------------------------------------
 
@@ -549,13 +578,11 @@ class Surface:
         return geo
 
     def release_geometry(self):
-        """Drop this surface's per-tet geometry and face layout references,
-        and the text lines kept for results built from it; the shared
-        memos keep recently used geometry."""
+        """Drop this surface's per-tet geometry and face layout
+        references; the shared memos keep recently used geometry."""
         self._tets = {}
         self._layouts = None
         self._cell_data = None
-        self._lines = None
 
     def curves(self, tet):
         """Canonically ordered boundary curves of the given tetrahedron."""
@@ -571,37 +598,16 @@ class Surface:
         surface built from a valid source checks only its footprint.
         """
         if self._validation is None:
-            source = self._source
-            if source is not None and source._validation in _VALID:
-                self._validation = self._validate(source)
-            else:
-                self._validation = self._validate()
-            if self._text is not None:
-                self._source = None
+            self._validation = self._validate()
+            self._footprint = None
         return self._validation
 
     def is_valid(self):
         return self.validate() in _VALID
 
-    def _footprint(self, source):
-        """The face classes and tetrahedra where this surface may differ
-        from ``source``, each sorted; see the module docstring."""
-        tri = self.tri
-        faces = {cid for cid, (m, old) in enumerate(zip(self.matchings, source.matchings))
-                 if m is not old}
-        if self.weights is not source.weights:
-            for e, (w, old) in enumerate(zip(self.weights, source.weights)):
-                if w != old:
-                    faces.update(cid for cid, _ in tri.edge_sides[e])
-        tets = {tet for tet, (a, old) in enumerate(zip(self.annuli, source.annuli)) if a is not old}
-        for cid in faces:
-            tets.update(tet for tet, _ in tri.face_classes[cid])
-        return sorted(faces), sorted(tets)
-
-    def _validate(self, source=None):
-        """The verdict of ``validate``: over every face class and
-        tetrahedron, or with a valid ``source`` over the footprint only,
-        every other tetrahedron taking the source's geometry."""
+    def _validate(self):
+        """The verdict of ``validate``: over the recorded footprint, or
+        over every face class and tetrahedron when there is none."""
         tri = self.tri
         if len(self.weights) != len(tri.edge_classes):
             return "invalid: weight vector length"
@@ -611,14 +617,10 @@ class Surface:
             return "invalid: matching vector length"
         if len(self.annuli) != tri.tet_count:
             return "invalid: annulus vector length"
-        if source is None:
+        if self._footprint is None:
             faces, tets = range(len(tri.face_classes)), range(tri.tet_count)
         else:
-            faces, tets = self._footprint(source)
-            changed = set(tets)
-            for tet, geo in source._tets.items():
-                if tet not in changed:
-                    self._tets.setdefault(tet, geo)
+            faces, tets = self._footprint
         for cid in faces:
             layout = self.face_layout(cid)
             if layout.n % 2:
@@ -812,44 +814,23 @@ class Surface:
     # -- serialization ------------------------------------------------------
 
     def to_text(self):
-        """The canonical text; a surface built from a source takes the
-        source's line for every row it shares with it."""
+        """The canonical text, built once."""
         if self._text is None:
-            source = self._source
-            old = None if source is None else source._text_lines()
-            if old is not None and self.weights == source.weights:
-                lines = [old[0]]
-            else:
-                lines = ["edges: " + " ".join(map(str, self.weights))]
-            for rows, shared, line in (
-                (self.matchings, source and source.matchings, _face_line),
-                (self.annuli, source and source.annuli, _tet_line),
-            ):
-                start = len(lines)
-                for k, pairs in enumerate(rows):
-                    lines.append(old[start + k] if shared and pairs is shared[k] else line(k, pairs))
-            self._text = "\n".join(lines) + "\n"
-            if self._validation is not None:
-                self._source = None
+            self._text = "\n".join(
+                [_edges_line(self.weights)]
+                + [_face_line(cid, pairs) for cid, pairs in enumerate(self.matchings)]
+                + [_tet_line(tet, pairs) for tet, pairs in enumerate(self.annuli)]
+            ) + "\n"
         return self._text
 
-    def _text_lines(self):
-        """The lines of ``to_text()``, kept for the surfaces built from
-        this one until ``release_geometry``."""
-        if self._lines is None:
-            self._lines = self.to_text().split("\n")
-        return self._lines
-
     def canonical_key(self):
-        """Byte string determining the encoding (and its normal isotopy
-        class, under the identifications documented in this module); one
-        object per surface, so that a graph and its edges can share it."""
-        if self._key is None:
-            self._key = self.to_text().encode()
-        return self._key
+        """The canonical text, which determines the encoding (and its
+        normal isotopy class, under the identifications documented in this
+        module); one object per surface, so a graph and its edges share it."""
+        return self.to_text()
 
     def short_hash(self):
-        return hashlib.sha256(self.canonical_key()).hexdigest()[:12]
+        return hashlib.sha256(self.to_text().encode()).hexdigest()[:12]
 
     def __eq__(self, other):
         return (
@@ -876,10 +857,12 @@ def empty_surface(tri):
 
 
 def parse_surface(tri, text):
-    """Parse the canonical surface grammar against a triangulation."""
+    """Parse the canonical surface grammar against a triangulation.  A
+    line whose head repeats an earlier line's is a ParseError."""
     weights = None
     matchings = {}
     annuli = {}
+    seen = set()
     for lineno, raw in enumerate(text.splitlines(), start=1):
         line = raw.split("#", 1)[0].strip()
         if not line:
@@ -887,6 +870,7 @@ def parse_surface(tri, text):
         head, _, rest = line.partition(":")
         parts = head.split()
         if parts == ["edges"]:
+            head = "edges"
             try:
                 weights = tuple(int(x) for x in rest.split())
             except ValueError:
@@ -903,6 +887,7 @@ def parse_surface(tri, text):
                 raise ParseError("bad face id", line=lineno)
             if not (0 <= cid < len(tri.face_classes)):
                 raise SemanticError("face {} does not exist".format(cid))
+            head = "face {}".format(cid)
             pairs = []
             for token in rest.split():
                 a, _, b = token.partition("-")
@@ -920,10 +905,10 @@ def parse_surface(tri, text):
                 raise ParseError("bad tetrahedron id", line=lineno)
             if not (0 <= tet < tri.tet_count):
                 raise SemanticError("tet {} does not exist".format(tet))
+            head = "tet {}".format(tet)
             tokens = rest.split()
-            if tokens == ["disks"] or not tokens:
-                annuli[tet] = ()
-                continue
+            if tokens == ["disks"]:
+                tokens = []
             pairs = []
             while tokens:
                 if tokens[0] != "annulus" or len(tokens) < 3:
@@ -938,6 +923,9 @@ def parse_surface(tri, text):
             annuli[tet] = tuple(pairs)
         else:
             raise ParseError("unrecognized line '{}'".format(line), line=lineno)
+        if head in seen:
+            raise ParseError("repeated '{}:' line".format(head), line=lineno)
+        seen.add(head)
     if weights is None:
         raise SemanticError("missing 'edges:' line")
     return Surface(

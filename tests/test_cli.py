@@ -77,6 +77,61 @@ def test_bounds_output(capsys):
     assert doc["delta"] == pytest.approx(0.99)
 
 
+def test_bounds_has_no_budget_option(capsys):
+    with pytest.raises(SystemExit) as exc:
+        main([
+            "bounds", "--genus", "2", "--sweepout-max-area", "1", "--weight-scale", "2",
+            "--injectivity-radius", "8", "--compression-floor", "2", "--budget", "99",
+        ])
+    assert exc.value.code == 2
+    assert "unrecognized arguments: --budget 99" in capsys.readouterr().err
+
+
+def test_repeated_surface_line_exit_two(capsys, data_dir, tmp_path):
+    surf = tmp_path / "twice.surf"
+    surf.write_text("edges: 9 9 9\n" + (data_dir / "vertex_link.surf").read_text())
+    code, _, err = run(capsys, "validate", str(data_dir / "two_tet_s3.tri"), str(surf))
+    assert code == 2
+    assert err == "parse error: line 4: repeated 'edges:' line\n"
+
+
+@pytest.mark.parametrize("command", ["graph", "oracle"])
+def test_unknown_move_kind_exit_three(capsys, data_dir, command):
+    files = [str(data_dir / "two_tet_s3.tri"), str(data_dir / "vertex_link.surf")]
+    argv = {
+        "graph": ["graph", *files, "--budget", "6", "--moves", "E1,E2,X"],
+        "oracle": ["oracle", "closure", *files, "6", "--moves", "E1,E2,X"],
+    }[command]
+    code, out, err = run(capsys, *argv)
+    assert code == 3
+    assert out == ""
+    assert err == "error: unknown move kind 'E2' (choose from V0,E1,F2,F2',PINCH,UNPINCH)\n"
+
+
+def test_json_export_is_built_only_when_used(capsys, data_dir, tmp_path, monkeypatch):
+    calls = []
+    real = cli.export_json
+
+    def counting(*args):
+        calls.append(args)
+        return real(*args)
+
+    monkeypatch.setattr(cli, "export_json", counting)
+    args = ["graph", str(data_dir / "two_tet_s3.tri"), str(data_dir / "vertex_link.surf"),
+            "--budget", "6"]
+    assert run(capsys, *args, "--out-dot", str(tmp_path / "g.dot"))[0] == 0
+    assert len(calls) == 0
+    assert run(capsys, *args, "--manifest", str(tmp_path / "m1.json"))[0] == 0
+    assert len(calls) == 1
+    # The digest a manifest records without --out-json is that of the file.
+    assert run(capsys, *args, "--out-json", str(tmp_path / "g.json"),
+               "--manifest", str(tmp_path / "m2.json"))[0] == 0
+    digests = [json.loads((tmp_path / m).read_text())["result_digests"] for m in ("m1.json", "m2.json")]
+    assert digests[0] == digests[1] == {
+        "json": hashlib.sha256((tmp_path / "g.json").read_bytes()).hexdigest()
+    }
+
+
 def test_graph_determinism_and_manifest(capsys, data_dir, tmp_path):
     args = [
         "graph", str(data_dir / "two_tet_s3.tri"), str(data_dir / "vertex_link.surf"),

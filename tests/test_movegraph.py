@@ -1,4 +1,6 @@
 import collections
+import json
+import os
 import time
 
 import pytest
@@ -112,7 +114,7 @@ def test_worker_determinism(tri, link, catalog):
 
 
 def test_pool_batches_split_waves_unevenly(tri, link, catalog):
-    # default/8's larger waves span several batches, which three workers
+    # default/8's larger waves span several batches, which the workers
     # share unevenly; the exports still match the serial build's.
     serial = build(link, 8, catalog=catalog)
     pooled = build(link, 8, catalog=catalog, workers=3)
@@ -186,6 +188,51 @@ def test_pool_worker_skips_sources_after_the_deadline(tri, link_text, catalog, m
     movegraph._worker_init(tri, 8, DEFAULT_MOVE_SET, catalog, time.monotonic() + 60.0)
     found, stats = movegraph._worker_neighbors(link_text, True)
     assert found and stats["budget_rejected"] > 0
+
+
+class _InlinePool:
+    """Stands in for the process pool: records the ``max_workers`` asked
+    for, refuses more than ``os.cpu_count()`` before anything starts, and
+    runs the tasks in this process."""
+
+    started = []
+
+    def __init__(self, max_workers, initializer, initargs):
+        if max_workers > os.cpu_count():
+            raise AssertionError("asked for {} worker processes".format(max_workers))
+        self.started.append(max_workers)
+        initializer(*initargs)
+
+    def map(self, fn, *iterables, chunksize=1):
+        return map(fn, *iterables)
+
+    def shutdown(self, cancel_futures=False):
+        pass
+
+
+@pytest.fixture
+def inline_pool(monkeypatch):
+    monkeypatch.setattr(movegraph.concurrent.futures, "ProcessPoolExecutor", _InlinePool)
+    monkeypatch.setattr(movegraph, "_WORKER", {})
+    monkeypatch.setattr(_InlinePool, "started", [])
+    return _InlinePool.started
+
+
+def test_pool_starts_at_most_one_process_per_cpu(link, catalog, inline_pool):
+    g = build(link, 8, catalog=catalog, workers=5000)
+    assert inline_pool == [os.cpu_count()]
+    assert export_json(g) == export_json(build(link, 8, catalog=catalog))
+
+
+def test_cli_records_the_workers_asked_for(data_dir, tmp_path, inline_pool):
+    manifest = tmp_path / "m.json"
+    code = main([
+        "graph", str(data_dir / "two_tet_s3.tri"), str(data_dir / "vertex_link.surf"),
+        "--budget", "6", "--workers", "5000", "--manifest", str(manifest),
+    ])
+    assert code == 0
+    assert inline_pool == [os.cpu_count()]
+    assert json.loads(manifest.read_text())["workers"] == 5000
 
 
 def test_vertex_limit_partial(tri, link, catalog):

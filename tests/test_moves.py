@@ -1,3 +1,4 @@
+import concurrent.futures
 import contextlib
 import gc
 import hashlib
@@ -525,6 +526,18 @@ def _raises_exactly(exc_type, text, fn, *args):
     assert str(err.value) == text
 
 
+def test_unknown_move_kinds_are_refused_by_the_library(link, catalog, monkeypatch):
+    # Refused before a build starts its pool, and by neighbors itself.
+    def no_pool(*args, **kwargs):
+        raise AssertionError("a pool was started")
+
+    monkeypatch.setattr(concurrent.futures, "ProcessPoolExecutor", no_pool)
+    text = "unknown move kind 'E2' (choose from V0,E1,F2,F2',PINCH,UNPINCH)"
+    _raises_exactly(SemanticError, text, build, link, 8, {"E2"})
+    _raises_exactly(SemanticError, text, build, link, 8, {"E1", "E2"}, catalog, None, 2)
+    _raises_exactly(SemanticError, text, neighbors, link, 8, ["E1", "E2", "X"])
+
+
 def test_shared_failures_keep_their_texts(tri, link, catalog):
     # The checks every kind shares, in the order they are made: a
     # location out of range is refused before a missing catalog.
@@ -750,11 +763,11 @@ def test_sphere_move_outcomes_match_recorded_digest(tri):
     digest = hashlib.sha256()
     applied = 0
     for surf, catalog, moves in jobs:
-        digest.update(surf.canonical_key())
+        digest.update(surf.canonical_key().encode())
         for move in moves:
             try:
                 result, inverse = apply_with_inverse(surf, move, catalog)
-                outcome = result.canonical_key() + b" " + inverse.to_text().encode()
+                outcome = result.canonical_key().encode() + b" " + inverse.to_text().encode()
                 applied += 1
             except NotApplicableError:
                 outcome = b"n/a"
@@ -926,11 +939,11 @@ def test_face_move_outcomes_match_recorded_digest(enumerated, closures):
     digest = hashlib.sha256()
     applied = 0
     for surf in corpus:
-        digest.update(surf.canonical_key())
+        digest.update(surf.canonical_key().encode())
         for move in _face_move_candidates(surf):
             try:
                 result, inverse = apply_with_inverse(surf, move)
-                outcome = result.canonical_key() + b" " + inverse.to_text().encode()
+                outcome = result.canonical_key().encode() + b" " + inverse.to_text().encode()
                 applied += 1
             except NotApplicableError:
                 outcome = b"n/a"
@@ -1077,10 +1090,21 @@ def test_result_drops_its_source_once_classified_and_keyed(link, catalog):
     gone = weakref.ref(source)
     del source
     gc.collect()
-    assert gone() is not None  # classified, not yet keyed
     result.canonical_key()
     gc.collect()
     assert gone() is None
+
+
+def test_result_holds_no_reference_to_its_source(link, catalog):
+    # A result is built complete: right after apply, before anything asks
+    # for its key, its source can be collected, and its key is its text.
+    source = apply(link, Move(V0, 0, direction=1))
+    result = apply(source, neighbors(source, 14, move_set={E1})[0].move)
+    gone = weakref.ref(source)
+    del source
+    gc.collect()
+    assert gone() is None
+    assert result.canonical_key() is result.to_text()
 
 
 def test_release_geometry_with_inherited_geometry(tri):

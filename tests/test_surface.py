@@ -7,6 +7,7 @@ import pytest
 from cansurf import (
     CRUDELY_ALMOST_NORMAL,
     CRUDELY_NORMAL,
+    ParseError,
     SemanticError,
     Surface,
     barycentric_subdivide,
@@ -128,6 +129,18 @@ def test_serialization_round_trip(tri, link):
     back = parse_surface(tri, link.to_text())
     assert back == link
     assert back.to_text() == link.to_text()
+
+
+@pytest.mark.parametrize("line, lineno, head", [
+    ("edges: 9 9 9", 4, "edges"),
+    ("face 02: 0-1", 7, "face 2"),
+    ("tet 1: annulus 0 1", 10, "tet 1"),
+])
+def test_repeated_line_is_a_parse_error(tri, link_text, line, lineno, head):
+    # The repeated line comes first; the error names the link's own line.
+    with pytest.raises(ParseError) as err:
+        parse_surface(tri, line + "\n" + link_text)
+    assert str(err.value) == "line {}: repeated '{}:' line".format(lineno, head)
 
 
 def test_noncrossing_counts():
