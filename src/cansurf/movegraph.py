@@ -26,7 +26,9 @@ and every export are those of applying every candidate.
 The serial closure passes Surface objects.  With workers > 1 a frontier
 wave fans out over a process pool, and text crosses only that boundary;
 only results that are new vertices are parsed back, classified from
-their annulus lines without re-tracing.  Each source's
+their annulus lines without re-tracing and keyed by the text the
+worker sent, which is canonical, so the parent formats none of them
+again; a worker keeps the text it was sent in the same way.  Each source's
 neighbours are merged in frontier order as soon as it is expanded, so
 the vertex numbering, the edge set and every export are byte-identical
 regardless of the worker count.  The sorted frontier goes to the pool in
@@ -175,12 +177,21 @@ def _worker_neighbors(surf_text, first_of_batch, known=()):
         return None, None
     if first_of_batch:
         _TET_MEMO.clear()
-    surf = parse_surface(_WORKER["tri"], surf_text)
+    surf = _parse_canonical(_WORKER["tri"], surf_text)
     stats = {}
     found = neighbors(
         surf, _WORKER["budget"], _WORKER["move_set"], _WORKER["catalog"], stats, known=known
     )
     return [(n.move.to_text(), n.inverse.to_text(), n.surface.to_text()) for n in found], stats
+
+
+def _parse_canonical(tri, text):
+    """The surface of a canonical text that another process printed with
+    ``to_text``, keeping that text as its own, so it is not formatted
+    again."""
+    surf = parse_surface(tri, text)
+    surf._text = text
+    return surf
 
 
 def _expand_serial(graph, keys, catalog, known):
@@ -291,12 +302,12 @@ def build(
                     else:
                         if pool is not None:
                             # neighbors returns only valid results, so the
-                            # annulus lines give the classification.
-                            result = parse_surface(tri, result)
+                            # annulus lines give the classification; the
+                            # worker's text is the key.
+                            result = _parse_canonical(tri, result_key)
                             result._validation = (
                                 CRUDELY_ALMOST_NORMAL if any(result.annuli) else CRUDELY_NORMAL
                             )
-                            result_key = result.canonical_key()
                         graph.vertices[result_key] = result
                         next_frontier.append(result_key)
                         known[result_key] = set()

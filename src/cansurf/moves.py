@@ -67,23 +67,39 @@ keep the source's own matching and annulus tuples, so the result takes
 their text lines from the source and skips them when it validates (see
 ``surface``).  The curves of the new encoding, which carry annulus pairs
 over and locate a tube, come from ``surface.tet_geometry_of`` on the new
-weights and matchings.
+weights and matchings, and the result keeps the geometry its move traced
+so that validation does not look it up again.
 
-The neighbour generator proposes exactly the moves that apply.  Each
-precondition lives in one helper that ``_candidate_moves`` and
-``apply_with_inverse`` both call before anything is built:
-``_f2_kind`` labels a face move and ``_f2_separation`` rejects a split
-that separates the losing tetrahedron's annulus pair; ``_e1_finger``
-finds an E1 deletion; ``_bubble`` and ``_tubed_sphere`` find the sphere
-that V0- and UNPINCH split off; and PINCH inserts each catalog sphere
-once per source with ``_insert_sphere``, then checks each tube with
-``_tube``.  V0+ and E1+ are proposed only where the partner or the
-rerouted arc touches the region they move into, which is all they
-need.  ``neighbors`` therefore catches nothing: a generated move that
-fails raises.  ``apply_with_inverse`` keeps every check for user loops
-and replay, result validation included; that validation covers the
-result's footprint, which gives the verdict a full check gives because
-the source is valid.
+The neighbour generator proposes exactly the moves that apply.  It reads
+small tables built once per ``_candidate_moves`` call instead of trying
+every pair, gap or corner.  ``Surface.region_arcs`` lists the arcs
+beside each chord region of a face class: E1+ reroutes the arcs beside
+its gap's region, and its bulk ``budget_rejected`` count reads the same
+table.  ``Surface.arc_labels`` labels each arc with its curve in both
+tetrahedra of its face, and ``_band_pairs`` buckets the arcs beside each
+region by their losing-side curve: a face move pairs two arcs of one
+bucket off the losing tetrahedron's annulus pair, or one arc from each
+of the pair's two buckets.  V0- is tried only at corners of tetrahedra
+with an annulus, and PINCHes over the budget are counted, per
+tetrahedron without an annulus, as its curves times the sphere's.
+
+Each precondition lives in one helper that ``_candidate_moves`` and
+``apply_with_inverse`` both call before anything is built, reading only
+its own move's arcs and nodes, so applying one move builds no table:
+``_f2_kind`` decides a face move, and its kind, from the labels of its
+two arcs, and ``_f2_separation`` rejects a split that separates the
+losing tetrahedron's annulus pair; ``_e1_finger`` finds an E1 deletion
+from the face sides and tetrahedra around its edge; ``_bubble`` and
+``_tubed_sphere`` find the sphere that V0- and UNPINCH split off; and
+PINCH inserts each catalog sphere once per source with
+``_insert_sphere``, then checks each tube with ``_tube``.  V0+ and E1+
+are proposed only where the partner or the rerouted arc touches the
+region they move into, which is all they need.  ``neighbors`` therefore
+catches nothing: a generated move that fails raises.
+``apply_with_inverse`` keeps every check for user loops and replay,
+result validation included; that validation covers the result's
+footprint, which gives the verdict a full check gives because the
+source is valid.
 
 Serialization: ``kind@<loc>[k=v,...]``, e.g. ``V0+@v0[corner=1.2,partner=3]``,
 ``E1-@e2[at=0]``, ``F2'@f1[arcs=0-5:1-2,gain=1]``,
@@ -114,6 +130,7 @@ from __future__ import annotations
 
 import collections
 import functools
+import itertools
 import operator
 import re
 from dataclasses import dataclass
@@ -349,16 +366,19 @@ def _track_curve(old, geo, curve, shift, removed_points=None):
 def _map_annuli(old, weights, matchings, shift, overrides=None, removed_points=None):
     """Carry annulus pairs from ``old`` to the new encoding with these
     weights and matchings, by tracking a surviving node of each member
-    curve.  ``overrides`` replaces whole tetrahedra."""
+    curve.  ``overrides`` replaces whole tetrahedra.  Returns the annuli
+    and {tet: geometry} for the tetrahedra of the new encoding it traced,
+    for the result to keep."""
     overrides = overrides or {}
     annuli = []
+    traced = {}
     for tet, pairs in enumerate(old.annuli):
         if tet in overrides:
             annuli.append(overrides[tet])
             continue
         mapped = []
         for pair in pairs:
-            geo = tet_geometry_of(old.tri, weights, matchings, tet)
+            geo = traced[tet] = tet_geometry_of(old.tri, weights, matchings, tet)
             a, b = (_track_curve(old, geo, c, shift, removed_points) for c in pair)
             if a == b:
                 raise NotApplicableError(
@@ -367,7 +387,7 @@ def _map_annuli(old, weights, matchings, shift, overrides=None, removed_points=N
             mapped.append(tuple(sorted((a, b))))
         mapped = tuple(mapped)
         annuli.append(pairs if mapped == pairs else mapped)
-    return annuli
+    return annuli, traced
 
 
 def _planar_reconnection(rest, p, q, r, s):
@@ -461,11 +481,12 @@ def _sphere_curves(geo, entry, point_map):
 def _insert_sphere(surf, entry):
     """``surf`` plus the catalog sphere at its placement, each sphere
     piece a disk, before anything is built.  Returns ((weights,
-    matchings, annuli, point map, point shift), None), or (None, why)
-    when that encoding is invalid: a sphere arc crosses an arc of
-    ``surf``, or an annulus pair of ``surf`` stops sharing a region.  Only
-    the faces and tetrahedra the sphere meets change, so only they are
-    checked."""
+    matchings, annuli, traced geometry, point map, point shift), None),
+    or (None, why) when that encoding is invalid: a sphere arc crosses an
+    arc of ``surf``, or an annulus pair of ``surf`` stops sharing a
+    region.  Only the faces and tetrahedra the sphere meets change, so
+    only they are checked.  The traced geometry, {tet: TetGeometry} of
+    that encoding, is what ``_map_annuli`` traced."""
     tri = surf.tri
     new_weights = tuple(w + k for w, k in zip(surf.weights, entry.surface.weights))
     point_map = _placement_points(new_weights, entry)
@@ -485,13 +506,12 @@ def _insert_sphere(surf, entry):
         crossing = face_crossing(cid, matchings[cid])
         if crossing:
             return None, crossing
-    annuli = _map_annuli(surf, new_weights, matchings, shift)
+    annuli, traced = _map_annuli(surf, new_weights, matchings, shift)
     for tet, pairs in enumerate(annuli):
         if pairs and not met.isdisjoint(tri.tet_local_classes[tet][1]):
-            geo = tet_geometry_of(tri, new_weights, matchings, tet)
-            if not geo.curves_sharing_region(*pairs[0]):
+            if not traced[tet].curves_sharing_region(*pairs[0]):
                 return None, "invalid: annulus separation in tet {}".format(tet)
-    return (new_weights, matchings, annuli, point_map, shift), None
+    return (new_weights, matchings, annuli, traced, point_map, shift), None
 
 
 def _tube(surf, entry, inserted, tet, curve, s_curve):
@@ -505,7 +525,7 @@ def _tube(surf, entry, inserted, tet, curve, s_curve):
         return None, "no curve {} in tet {}".format(curve, tet)
     if not (0 <= s_curve < len(entry.surface.tet_geometry(tet).curves)):
         return None, "sphere {} has no curve {} in tet {}".format(entry.sphere_id, s_curve, tet)
-    weights, matchings, _, point_map, shift = inserted
+    weights, matchings, _, _, point_map, shift = inserted
     geo = tet_geometry_of(surf.tri, weights, matchings, tet)
     c1 = _track_curve(surf, geo, curve, shift)
     c2 = {sc: c for c, sc in _sphere_curves(geo, entry, point_map).items()}[s_curve]
@@ -527,7 +547,7 @@ def _add_sphere(surf, move, entry, tube=None):
     if inserted is None:
         name = _FORMS[move.kind, move.direction > 0].name
         raise NotApplicableError("{}: result {}".format(name, why))
-    weights, matchings, annuli, _, _ = inserted
+    weights, matchings, annuli, traced, _, _ = inserted
     c2 = None
     if tube is not None:
         pair, why = _tube(surf, entry, inserted, *tube)
@@ -535,7 +555,7 @@ def _add_sphere(surf, move, entry, tube=None):
             raise NotApplicableError(why)
         annuli[tube[0]] = (tuple(sorted(pair)),)
         c2 = pair[1]
-    return Surface(surf.tri, weights, matchings, annuli, source=surf), c2
+    return Surface(surf.tri, weights, matchings, annuli, source=surf, geometry=traced), c2
 
 
 # A catalog sphere found at its placement: the points and arcs to delete,
@@ -607,8 +627,8 @@ def _delete_cells(surf, removals, drop, add=(), tube=None):
         stripped[cid] += (pair,)
     matchings = _remap_matchings(surf, new_weights, shift, stripped)
     overrides = {} if tube is None else {tube[0]: ()}
-    annuli = _map_annuli(surf, new_weights, matchings, shift, overrides, removals)
-    result = Surface(tri, new_weights, matchings, annuli, source=surf)
+    annuli, traced = _map_annuli(surf, new_weights, matchings, shift, overrides, removals)
+    result = Surface(tri, new_weights, matchings, annuli, source=surf, geometry=traced)
     if tube is None:
         return result, shift, None
     return result, shift, _track_curve(surf, result.tet_geometry(tube[0]), tube[1], shift, removals)
@@ -641,8 +661,10 @@ def _bubble(surf, v, corner):
     if corner is not None:
         tet, c = corner
         pairs = surf.annuli[tet]
-        node = _corner_node(tri, surf.weights, tet, c)
-        side = surf.tet_geometry(tet).node_curve.get(node) if pairs else None
+        side = None
+        if pairs:
+            node = _corner_node(tri, surf.weights, tet, c)
+            side = surf.tet_geometry(tet).node_curve.get(node)
         if side is None or side not in pairs[0]:
             return None, "bubble corner at {}.{} is not fused into an annulus".format(tet, c)
         tube = (tet, side)
@@ -709,8 +731,8 @@ def _apply_e1_insert(surf, move, catalog):
     if chosen is None:
         raise NotApplicableError("no planar rerouting through face {}".format(chat))
     matchings[chat] = tuple(sorted(rest + chosen))
-    annuli = _map_annuli(surf, new_weights, matchings, shift)
-    result = Surface(tri, new_weights, matchings, annuli, source=surf)
+    annuli, traced = _map_annuli(surf, new_weights, matchings, shift)
+    result = Surface(tri, new_weights, matchings, annuli, source=surf, geometry=traced)
     return result, Move(E1, e, direction=-1, gap=gap)
 
 
@@ -720,21 +742,25 @@ def _e1_finger(surf, e, k):
     the sleeve curves those arcs close bound disks; on the remaining side
     the points end two arcs that run on to other slots x and y.  Returns
     (returning arcs, rerouted incidence, s1, s2, x, y), arcs as (face
-    class, pair) and s1, s2 the slots of the points on that side."""
+    class, pair) and s1, s2 the slots of the points on that side.  Reads
+    only the face sides and tetrahedra around e, and stops at the first
+    that rules the finger out."""
     tri = surf.tri
     bigons = []
-    reroutes = []
+    reroute = None
     for cid, kk in tri.edge_sides[e]:
         lay = surf.face_layout(cid)
         s1, s2 = lay.slot_of_point(kk, k), lay.slot_of_point(kk, k + 1)
-        pair = tuple(sorted((s1, s2)))
+        pair = (s1, s2) if s1 < s2 else (s2, s1)
         if pair in surf.matchings[cid]:
             bigons.append((cid, pair))
+        elif reroute is None:
+            reroute = (cid, kk, s1, s2)
         else:
-            reroutes.append((cid, kk, s1, s2))
-    if len(reroutes) != 1:
+            return None
+    if reroute is None:
         return None
-    chat, khat, s1, s2 = reroutes[0]
+    chat, khat, s1, s2 = reroute
     partner = {}
     for a, b in surf.matchings[chat]:
         partner[a] = b
@@ -742,21 +768,18 @@ def _e1_finger(surf, e, k):
     x, y = partner[s1], partner[s2]
     if x in (s1, s2) or y in (s1, s2):
         return None
-    for tet in range(tri.tet_count):
+    for tet, e_local in tri.edge_classes[e]:
         if not surf.annuli[tet]:
             continue
         geo = surf.tet_geometry(tet)
         paired = {c for pair in surf.annuli[tet] for c in pair}
-        for e_local in range(6):
-            if tri.edge_class_of[(tet, e_local)] != e:
-                continue
-            for pt in (k, k + 1):
-                cid = geo.node_curve.get((e_local, pt))
-                if cid in paired and all(
-                    n[1] in (k, k + 1) and tri.edge_class_of[(tet, n[0])] == e
-                    for n in geo.curves[cid]
-                ):
-                    return None
+        for pt in (k, k + 1):
+            cid = geo.node_curve.get((e_local, pt))
+            if cid in paired and all(
+                n[1] in (k, k + 1) and tri.edge_class_of[(tet, n[0])] == e
+                for n in geo.curves[cid]
+            ):
+                return None
     return bigons, (chat, khat), s1, s2, x, y
 
 
@@ -782,18 +805,18 @@ def _apply_e1_delete(surf, move, catalog):
 # F2 / F2'
 
 
-def _f2_kind(surf, cid, alpha, beta, gain):
+def _f2_kind(surf, cid, alpha, beta, gain, labels):
     """F2 or F2' for the face move on arcs alpha, beta of face class cid
     that gains into incidence ``gain``, or None when its strands do not
-    allow it.  Decided on the encoding the move applies to: the losing
-    strands lie on one curve off the annulus pair or on the two curves of
-    the pair, and the gaining strands on one curve of a tet without an
-    annulus or on two curves off the pair."""
+    allow it; ``labels`` holds at least their entries of
+    ``Surface.arc_labels``.  Decided on the encoding the move applies to:
+    the losing strands lie on one curve off the annulus pair or on the
+    two curves of the pair, and the gaining strands on one curve of a tet
+    without an annulus or on two curves off the pair."""
     incidences = surf.tri.face_classes[cid]
-    (t_l, f_l), (t_g, f_g) = incidences[1 - gain], incidences[gain]
-    geo_l, geo_g = surf.tet_geometry(t_l), surf.tet_geometry(t_g)
-    u_a, u_b = _curve_of_copy(geo_l, f_l, alpha), _curve_of_copy(geo_l, f_l, beta)
-    v_a, v_b = _curve_of_copy(geo_g, f_g, alpha), _curve_of_copy(geo_g, f_g, beta)
+    t_l, t_g = incidences[1 - gain][0], incidences[gain][0]
+    lose, win = labels[1 - gain], labels[gain]
+    u_a, u_b, v_a, v_b = lose[alpha], lose[beta], win[alpha], win[beta]
     if u_a == u_b:
         if any(u_a in pair for pair in surf.annuli[t_l]):
             return None
@@ -807,16 +830,14 @@ def _f2_kind(surf, cid, alpha, beta, gain):
     return F2 if (u_a == u_b) == (v_a == v_b) else F2P
 
 
-def _f2_separation(surf, cid, alpha, beta, gain):
+def _f2_separation(surf, cid, alpha, beta, gain, labels):
     """Whether the face move on arcs alpha, beta of face class cid that
     gains into incidence ``gain`` splits a curve of the losing tetrahedron
     so that the tet's annulus pair stops sharing a region.  Decided on
     that one tetrahedron's geometry after the reconnection."""
-    t_l, f_l = surf.tri.face_classes[cid][1 - gain]
-    if not surf.annuli[t_l]:
-        return False
-    geo = surf.tet_geometry(t_l)
-    if _curve_of_copy(geo, f_l, alpha) != _curve_of_copy(geo, f_l, beta):
+    t_l, _ = surf.tri.face_classes[cid][1 - gain]
+    lose = labels[1 - gain]
+    if not surf.annuli[t_l] or lose[alpha] != lose[beta]:
         return False
     rest = tuple(p for p in surf.matchings[cid] if p not in (alpha, beta))
     chosen = _planar_reconnection(rest, *alpha, *beta)
@@ -825,8 +846,31 @@ def _f2_separation(surf, cid, alpha, beta, gain):
     matchings = list(surf.matchings)
     matchings[cid] = tuple(sorted(rest + chosen))
     after = tet_geometry_of(surf.tri, surf.weights, matchings, t_l)
+    geo = surf.tet_geometry(t_l)
     (pair,) = surf.annuli[t_l]
     return not after.curves_sharing_region(*(after.node_curve[geo.curves[c][0]] for c in pair))
+
+
+def _band_pairs(regions, lose, annulus):
+    """The pairs of arcs of a face, in order, that lie beside one of the
+    ``regions`` (each the list of its arcs, in order) and whose
+    losing-side curves ``lose`` are one curve off the losing
+    tetrahedron's ``annulus`` pair or the two curves of that pair: the
+    only pairs ``_f2_kind`` can accept."""
+    pairs = []
+    for arcs in regions:
+        if len(arcs) < 2:
+            continue
+        buckets = {}
+        for arc in arcs:
+            buckets.setdefault(lose[arc], []).append(arc)
+        for curve, bucket in buckets.items():
+            if curve not in annulus:
+                pairs += itertools.combinations(bucket, 2)
+        if annulus:
+            across = itertools.product(buckets.get(annulus[0], ()), buckets.get(annulus[1], ()))
+            pairs += (tuple(sorted(pair)) for pair in across)
+    return pairs
 
 
 def _apply_f2(surf, move, catalog):
@@ -849,7 +893,8 @@ def _apply_f2(surf, move, catalog):
         raise NotApplicableError("arcs {} and {} do not bound a common region".format(alpha, beta))
     if move.gain not in (0, 1):
         raise NotApplicableError("gain side must be 0 or 1")
-    kind = _f2_kind(surf, cid, alpha, beta, move.gain)
+    labels = surf.arc_labels(cid, (alpha, beta))
+    kind = _f2_kind(surf, cid, alpha, beta, move.gain, labels)
     if kind is None:
         raise NotApplicableError("strands of arcs {} and {} do not form a band".format(alpha, beta))
     if move.kind != kind:
@@ -861,7 +906,7 @@ def _apply_f2(surf, move, catalog):
     if chosen is None:
         raise NotApplicableError("no planar reconnection of {} and {}".format(alpha, beta))
     (t_l, f_l), (t_g, f_g) = incidences[1 - move.gain], incidences[move.gain]
-    if _f2_separation(surf, cid, alpha, beta, move.gain):
+    if _f2_separation(surf, cid, alpha, beta, move.gain, labels):
         raise NotApplicableError(
             "face move: result invalid: annulus separation in tet {}".format(t_l)
         )
@@ -878,8 +923,9 @@ def _apply_f2(surf, move, catalog):
         overrides[t_l] = ()
     if len(split) == 2:
         overrides[t_g] = (tuple(sorted(split)),)
-    annuli = _map_annuli(surf, surf.weights, matchings, lambda e, i: i, overrides)
-    result = Surface(tri, surf.weights, matchings, annuli, source=surf)
+    annuli, traced = _map_annuli(surf, surf.weights, matchings, lambda e, i: i, overrides)
+    traced.update({t_l: geo_l, t_g: geo_g})
+    result = Surface(tri, surf.weights, matchings, annuli, source=surf, geometry=traced)
     return result, Move(kind, cid, arcs=tuple(sorted(chosen)), gain=1 - move.gain)
 
 
@@ -1047,11 +1093,12 @@ Neighbor = collections.namedtuple("Neighbor", "move inverse surface")
 def _candidate_moves(surf, move_set, catalog, budget, stats):
     tri = surf.tri
     weight = surf.weight()
+    regions = {}  # face class -> its Surface.region_arcs, for E1 and face moves
     if V0 in move_set:
         for v in range(len(tri.vertex_classes)):
             over = weight + tri.vertex_degree(v) > budget
             for tet, corner in tri.vertex_classes[v]:
-                if surf.annuli[tet]:
+                if surf.annuli[tet] or not surf.curves(tet):
                     continue
                 geo = surf.tet_geometry(tet)
                 region = geo.corner_region(corner)
@@ -1062,62 +1109,63 @@ def _candidate_moves(surf, move_set, catalog, budget, stats):
                 for c in partners:
                     yield Move(V0, v, direction=1, corner=(tet, corner), partner=c)
             for tet, corner in tri.vertex_classes[v]:
-                if _bubble(surf, v, (tet, corner))[0] is not None:
+                if surf.annuli[tet] and _bubble(surf, v, (tet, corner))[0] is not None:
                     yield Move(V0, v, direction=-1, corner=(tet, corner))
     if E1 in move_set:
+        over = weight + 2 > budget
+        for cid, sides in enumerate(tri.face_sides):
+            if not surf.matchings[cid]:
+                continue
+            gap_region, beside = regions[cid] = surf.region_arcs(cid)
+            for k, (e, *_) in enumerate(sides):
+                if tri.edge_degree(e) < 2:
+                    continue
+                near = [beside[gap_region[g]] for g in surf.face_layout(cid).class_gaps[k]]
+                if over:
+                    stats["budget_rejected"] += sum(map(len, near))
+                    continue
+                for gap, arcs in enumerate(near):
+                    for arc in arcs:
+                        yield Move(E1, e, direction=1, gap=gap, incidence=(cid, k), arc=arc)
         for e in range(len(tri.edge_classes)):
             if tri.edge_degree(e) < 2:
                 continue
-            over = weight + 2 > budget
-            for gap in range(surf.weights[e] + 1):
-                for cid, k in tri.edge_sides[e]:
-                    _, gap_region, chord_sides = surf.face_regions(cid)
-                    r = gap_region[surf.face_layout(cid).class_gaps[k][gap]]
-                    if over:
-                        # A region's boundary alternates between gaps and
-                        # arcs, so it meets as many arcs as gaps.
-                        stats["budget_rejected"] += gap_region.count(r) if chord_sides else 0
-                        continue
-                    for arc, sides in chord_sides.items():
-                        if r in sides:
-                            yield Move(E1, e, direction=1, gap=gap, incidence=(cid, k), arc=arc)
             for k in range(surf.weights[e] - 1):
                 if _e1_finger(surf, e, k) is not None:
                     yield Move(E1, e, direction=-1, gap=k)
     if F2 in move_set or F2P in move_set:
-        for cid in range(len(tri.face_classes)):
-            (t0, _), (t1, _) = tri.face_classes[cid]
-            if t0 == t1:
+        for cid, ((t0, _), (t1, _)) in enumerate(tri.face_classes):
+            arcs = surf.matchings[cid]
+            if t0 == t1 or len(arcs) < 2:
                 continue
-            _, _, chord_sides = surf.face_regions(cid)
-            chords = sorted(chord_sides)
-            for i, alpha in enumerate(chords):
-                for beta in chords[i + 1:]:
-                    if not set(chord_sides[alpha]) & set(chord_sides[beta]):
+            labels = surf.arc_labels(cid, arcs)
+            beside = (regions.get(cid) or surf.region_arcs(cid))[1]
+            for gain, t_l in ((0, t1), (1, t0)):
+                annulus = surf.annuli[t_l][0] if surf.annuli[t_l] else ()
+                for alpha, beta in _band_pairs(beside, labels[1 - gain], annulus):
+                    kind = _f2_kind(surf, cid, alpha, beta, gain, labels)
+                    if kind not in move_set or _f2_separation(surf, cid, alpha, beta, gain, labels):
                         continue
-                    for gain in (0, 1):
-                        kind = _f2_kind(surf, cid, alpha, beta, gain)
-                        if kind in move_set and not _f2_separation(surf, cid, alpha, beta, gain):
-                            yield Move(kind, cid, arcs=(alpha, beta), gain=gain)
+                    yield Move(kind, cid, arcs=(alpha, beta), gain=gain)
     if PINCH in move_set and catalog is not None:
+        curves = [(t, len(surf.curves(t))) for t in range(tri.tet_count) if not surf.annuli[t]]
         for entry in catalog:
+            # The tubes (tet, curve, sphere curve), as (tet, curves, sphere curves).
             tubes = [
-                (tet, c1, c2)
-                for tet in range(tri.tet_count) if not surf.annuli[tet]
-                for c1 in range(len(surf.tet_geometry(tet).curves))
-                for c2 in range(len(entry.surface.tet_geometry(tet).curves))
+                (tet, n, m) for tet, n in curves if n and (m := len(entry.surface.curves(tet)))
             ]
             if weight + entry.weight() > budget:
-                stats["budget_rejected"] += len(tubes)
+                stats["budget_rejected"] += sum(n * m for _, n, m in tubes)
                 continue
             if not tubes:
                 continue
             inserted, _ = _insert_sphere(surf, entry)
             if inserted is None:
                 continue
-            for tet, c1, c2 in tubes:
-                if _tube(surf, entry, inserted, tet, c1, c2)[0] is not None:
-                    yield Move(PINCH, tet, curve=c1, sphere=entry.sphere_id, sphere_curve=c2)
+            for tet, n, m in tubes:
+                for c1, c2 in itertools.product(range(n), range(m)):
+                    if _tube(surf, entry, inserted, tet, c1, c2)[0] is not None:
+                        yield Move(PINCH, tet, curve=c1, sphere=entry.sphere_id, sphere_curve=c2)
     if UNPINCH in move_set and catalog is not None:
         for tet in range(tri.tet_count):
             for pair in surf.annuli[tet]:

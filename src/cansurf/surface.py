@@ -69,12 +69,12 @@ side weights changed or whose matching is not the source's object, and
 the tetrahedra of those faces or whose annulus tuple is not the source's
 object.  The constructor works the footprint out, takes the source's
 geometry outside it and the source's text line for every row it shares,
-and keeps no reference to the source.  ``validate`` then checks only the
-footprint, in the order a full check would, so it gives a full check's
-verdict.  Weights compare by value and tuples by identity, so an equal
-tuple that is not shared only makes the footprint larger.  A surface
-parsed or built without a source is checked in full and formats its
-text on first use.
+keeps the geometry the move traced inside it, and keeps no reference to
+the source.  ``validate`` then checks only the footprint, in the order a
+full check would, so it gives a full check's verdict.  Weights compare
+by value and tuples by identity, so an equal tuple that is not shared
+only makes the footprint larger.  A surface parsed or built without a
+source is checked in full and formats its text on first use.
 """
 
 from __future__ import annotations
@@ -421,12 +421,17 @@ class TetGeometry:
     def arc_curve(self, f, pair):
         """The curve through the arc copy ``pair`` of face f (0..3), or None
         when that face has no such arc."""
-        if not 0 <= f < 4:
+        if not 0 <= f < 4 or pair not in self._faces[f][2]:
             return None
-        layout, _, chord_sides, _ = self._faces[f]
-        if pair not in chord_sides:
-            return None
-        return self.node_curve[layout.slot_nodes[self._frame[0][f][1]][pair[0]]]
+        return self.arc_curves(f, (pair,))[pair]
+
+    def arc_curves(self, f, arcs):
+        """{arc: the curve through it} for arc copies of face f (0..3),
+        each of which must be an arc of that face."""
+        layout = self._faces[f][0]
+        nodes = layout.slot_nodes[self._frame[0][f][1]]
+        node_curve = self.node_curve
+        return {arc: node_curve[nodes[arc[0]]] for arc in arcs}
 
     def chord_side_roots(self, f, pair):
         """Region roots on the (outer, inner) sides of an arc copy."""
@@ -506,9 +511,13 @@ class Surface:
     surface a move applies to; any other is ignored.  Rows that are its
     own tuples are kept without normalizing them, and the result is built
     from it over the footprint only (see the module docstring).
+    ``geometry``, when given, maps tetrahedra to the ``TetGeometry``
+    already traced for them on these weights and matchings, as a move
+    traces some of its result's; the surface keeps it, so that
+    validation does not look it up again.
     """
 
-    def __init__(self, tri, weights, matchings, annuli=None, source=None):
+    def __init__(self, tri, weights, matchings, annuli=None, source=None, geometry=None):
         self.tri = tri
         if annuli is None:
             annuli = [()] * tri.tet_count
@@ -522,7 +531,7 @@ class Surface:
             self.weights = tuple(int(x) for x in weights)
         self.matchings = _normalized(matchings, source and source.matchings)
         self.annuli = _normalized(annuli, source and source.annuli)
-        self._tets = {}
+        self._tets = dict(geometry or ())
         self._layouts = None
         self._text = None
         self._validation = None
@@ -551,7 +560,7 @@ class Surface:
             tets.update(tet for tet, _ in tri.face_classes[cid])
         self._text = "\n".join(lines)
         self._footprint = sorted(faces), sorted(tets)
-        self._tets = {tet: geo for tet, geo in source._tets.items() if tet not in tets}
+        self._tets.update((tet, geo) for tet, geo in source._tets.items() if tet not in tets)
 
     # -- cached geometry ---------------------------------------------------
 
@@ -568,6 +577,24 @@ class Surface:
 
     def face_regions(self, cid):
         return _face_chord_regions(self.face_layout(cid).n, self.matchings[cid])
+
+    def region_arcs(self, cid):
+        """Face class cid's ``gap_region`` (see ``_face_chord_regions``)
+        and, per chord region, the arcs beside it in order; built anew on
+        each call."""
+        count, gap_region, chord_sides = self.face_regions(cid)
+        arcs = [[] for _ in range(count)]
+        for arc, sides in chord_sides.items():
+            for r in sides:
+                arcs[r].append(arc)
+        return gap_region, arcs
+
+    def arc_labels(self, cid, arcs):
+        """Per incidence of face class cid, {arc: its curve in that
+        incidence's tetrahedron} for these arcs of the face."""
+        return tuple(
+            self.tet_geometry(t).arc_curves(f, arcs) for t, f in self.tri.face_classes[cid]
+        )
 
     def tet_geometry(self, tet):
         """The tetrahedron's curve system, from this surface's own cache

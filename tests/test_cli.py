@@ -2,6 +2,9 @@ import contextlib
 import hashlib
 import io
 import json
+import os
+import subprocess
+import sys
 
 import pytest
 from hypothesis import given, settings, strategies as st
@@ -24,6 +27,21 @@ def test_validate_reports_counts(capsys, data_dir):
     assert code == 0
     assert "2 tetrahedra, 1 vertices, 3 edges, 4 faces" in out
     assert "crudely_normal, weight 6, chi 2, genus 0, connected" in out
+
+
+def test_module_runs_from_a_checkout(data_dir):
+    # python -m cansurf with only the source tree on the path.
+    src = data_dir.parent / "src"
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join(
+        [str(src)] + [p for p in [os.environ.get("PYTHONPATH")] if p]
+    ))
+    argv = ["validate", "data/two_tet_s3.tri", "data/vertex_link.surf"]
+    proc = subprocess.run(
+        [sys.executable, "-m", "cansurf", *argv],
+        cwd=data_dir.parent, env=env, capture_output=True, text=True, timeout=120,
+    )
+    assert proc.returncode == 0, proc.stderr
+    assert "crudely_normal, weight 6, chi 2, genus 0, connected" in proc.stdout
 
 
 def test_validate_builds_the_cells_once(capsys, data_dir, monkeypatch):

@@ -155,6 +155,26 @@ def test_pool_export_traces_nothing(tri, link, catalog, monkeypatch):
     assert traced == []
 
 
+def test_pool_build_keys_new_vertices_by_the_texts_it_received(tri, catalog, monkeypatch):
+    # The parent parses each new vertex's text and keeps it as the key, so
+    # it formats no surface text; the seed's is formatted beforehand.
+    seed = vertex_link(tri, 0)
+    seed.to_text()
+    formatted = []
+    to_text = surface.Surface.to_text
+
+    def counting(self):
+        if self._text is None:
+            formatted.append(self)
+        return to_text(self)
+
+    monkeypatch.setattr(surface.Surface, "to_text", counting)
+    g = build(seed, 8, catalog=catalog, workers=2)
+    assert len(g.vertices) == 126
+    assert formatted == []
+    assert all(key is surf.to_text() for key, surf in g.vertices.items())
+
+
 def test_serial_build_passes_surfaces(tri, link, catalog, monkeypatch):
     def no_parse(*args):
         raise AssertionError("the serial build parsed a surface")

@@ -1,3 +1,4 @@
+import collections
 import concurrent.futures
 import contextlib
 import gc
@@ -403,17 +404,22 @@ def test_budget_rejection_counted(tri, link, catalog):
 
 
 def test_budget_rejections_count_the_moves_over_the_budget(tri, link, catalog):
-    # At a budget equal to the weight every V0+ and E1+ is over it; the
-    # bulk counts must equal the number of those moves generated when
-    # the budget allows them all.  Every third vertex of the V0/E1
-    # closures of the vertex link at budget 8 and of a weight-2 sphere,
-    # whose faces without points have no arcs to count, at budget 6.
+    # At a budget equal to the weight every V0+, E1+ and PINCH is over
+    # it.  The bulk V0 and E1 counts must equal the number of those moves
+    # generated when the budget allows them all, and the PINCH count the
+    # number of tubes _sphere_insertions lists, whether they apply or
+    # not.  Every third vertex of the V0/E1 closures of the vertex link
+    # at budget 8 and of a weight-2 sphere, whose faces without points
+    # have no arcs to count, at budget 6, and of the PINCH/UNPINCH
+    # closure of the vertex link at budget 12, whose annuli no tube
+    # enters.
     sphere = parse_surface(tri, "edges: 0 0 2\nface 0: 0-1\n")
     surfaces = []
-    for seed, budget in ((link, 8), (sphere, 6)):
-        g = build(seed, budget, move_set={V0, E1}, catalog=catalog)
+    for seed, budget, kinds in ((link, 8, {V0, E1}), (sphere, 6, {V0, E1}),
+                                (link, 12, {PINCH, UNPINCH})):
+        g = build(seed, budget, move_set=kinds, catalog=catalog)
         surfaces += [g.vertices[k] for k in sorted(g.vertices)[::3]]
-    rejected = 0
+    rejected = pinches = 0
     for surf in surfaces:
         tight = {"budget_rejected": 0}
         assert all(
@@ -423,7 +429,45 @@ def test_budget_rejections_count_the_moves_over_the_budget(tri, link, catalog):
         loose = _candidate_moves(surf, {V0, E1}, catalog, 10 ** 6, {"budget_rejected": 0})
         assert tight["budget_rejected"] == sum(m.direction > 0 for m in loose)
         rejected += tight["budget_rejected"]
+        pinch = {"budget_rejected": 0}
+        assert not list(_candidate_moves(surf, {PINCH}, catalog, surf.weight(), pinch))
+        tubes = sum(m.kind == PINCH for m in _sphere_insertions(surf, catalog))
+        assert pinch["budget_rejected"] == tubes
+        pinches += tubes
     assert rejected > 1000
+    assert any(map(any, (s.annuli for s in surfaces)))
+    assert pinches > 1000
+
+
+def test_generation_tries_only_what_the_tables_leave(tri, closure_graphs, catalog, monkeypatch):
+    # On every vertex of the s3-sphere-b6 closure with every move kind
+    # at budget 6, _f2_kind runs only on pairs of arcs beside one region
+    # whose losing-side curves allow a band, so no more often than face
+    # moves are generated; and _bubble only at the corners of
+    # tetrahedra with an annulus.
+    calls = collections.Counter()
+
+    def counted(name):
+        helper = getattr(moves, name)
+
+        def call(*args):
+            calls[name] += 1
+            return helper(*args)
+        return call
+
+    for name in ("_f2_kind", "_bubble"):
+        monkeypatch.setattr(moves, name, counted(name))
+    g = closure_graphs[1]
+    face_moves = corners = 0
+    for key in sorted(g.vertices):
+        surf = g.vertices[key]
+        stats = {"budget_rejected": 0}
+        for move in _candidate_moves(surf, set(ALL_KINDS), catalog, g.budget, stats):
+            face_moves += move.kind in (F2, F2P)
+        corners += 4 * sum(1 for pairs in surf.annuli if pairs)
+    assert (len(g.vertices), g.budget, face_moves) == (349, 6, 1148)
+    assert calls["_f2_kind"] <= face_moves
+    assert calls["_bubble"] <= corners
 
 
 def test_neighbors_known_skips_exactly_those_moves(tri, link, catalog):
