@@ -14,40 +14,43 @@ to its target v gives back its source u and m, so when v is expanded the
 candidate m' would only find the edge again.  ``build`` therefore keeps,
 for every vertex found but not yet expanded, the set of inverse texts of
 the edges found into it, and ``neighbors(..., known=...)`` generates and
-counts those moves but does not apply them.  A serial build pops a
-vertex's set as it expands the vertex, so an edge between two sources of
-one wave is applied from the first of them only.  A pool build pops the
-sets of a whole wave when it dispatches the wave and sends each with its
-source text; results within the dispatched wave get no entry, so an
-edge between two of its sources is applied from both ends.  Either way
-the map holds only frontier vertices, and the edge set, the statistics
-and every export are those of applying every candidate.
+counts those moves but does not apply them.  A vertex's set is popped as
+the build expands the vertex, or when it sends the vertex to a worker
+with its text; results found after that add nothing to it, so an edge
+between a worker's source and an earlier source of the same wave is
+applied from both ends.  Either way the map holds only frontier
+vertices, and the edge set, the statistics and every export are those
+of applying every candidate.
 
-The serial closure passes Surface objects.  With workers > 1 a frontier
-wave fans out over a process pool, and text crosses only that boundary;
-only results that are new vertices are parsed back, classified from
-their annulus lines without re-tracing and keyed by the text the
-worker sent, which is canonical, so the parent formats none of them
-again; a worker keeps the text it was sent in the same way.  Each source's
-neighbours are merged in frontier order as soon as it is expanded, so
-the vertex numbering, the edge set and every export are byte-identical
-regardless of the worker count.  The sorted frontier goes to the pool in
-batches of ``_POOL_BATCH`` (16) consecutive sources, one batch per task.
-A worker clears the process-wide tet-geometry memo (see ``surface``) on
-the first source of each batch only: which worker runs which batch varies
-from run to run, and a memo carried over between batches would make the
-work a batch does depend on that, while within a batch neighbouring
-sources share most of their tetrahedron states.  16 was measured on the
-2-tet S3 closure of a weight-2 sphere at budget 6 (349 vertices, waves
-of up to 118 sources) with 2 workers, building, exporting and replaying
-its loops: batches of 8, 16 and 32 sources traced tet geometry 1,877,
-1,727 and 1,609 times where the serial run traced 830.  Larger batches
-save traces, but 16 still splits every wave of 50 or more sources into
-at least four batches for two workers to share.  When a limit stops a
-pool build, batches that have not started are cancelled and the run
-waits for those already running.  Workers know the time limit's deadline
-and skip every source they reach after it, so that wait is at most one
-source expansion per worker.
+The serial closure passes Surface objects.  With workers > 1 the build
+runs n = ``min(workers, os.cpu_count())`` processes, the parent included,
+and at least one worker: n - 1 worker processes live for the whole build,
+each talking to the parent over its own pipe, so the parent runs no
+threads.  Each sorted wave is cut into n contiguous shares of equal
+size, give or take one, the parent's never the larger.  The parent sends
+shares 2..n to the workers, expands share 1 itself as a serial build
+does, on Surface objects and with its own warm tet-geometry memo (see
+``surface``), and then merges the workers' results share by share, so
+every source's neighbours are merged in frontier order and the vertex
+numbering, the edge set and every export are byte-identical regardless
+of the worker count.  Text crosses only the pipes: a worker parses each
+source from the text it was sent, keeping that text as the surface's
+own, and returns (move, inverse, result) texts; only results that are
+new vertices are parsed back, classified from their annulus lines
+without re-tracing and keyed by the worker's text, which is canonical,
+so the parent formats none of them again.  A worker clears its memo once,
+when it starts; since it always gets the same share of the same wave,
+its memo, and so the work it does, is the same on every run.  Building
+the 2-tet S3 closure of a weight-2 sphere at budget 6 (349 vertices)
+from a cleared memo on two processes traces 577 tet states, parent and
+worker together, against 417 serial.  Workers start by the platform's
+default method; on Linux that is fork, which there costs about 2 ms
+where spawn, importing the package afresh, doubled the build time of
+that closure.  When a limit stops a pooled build, or an error or
+KeyboardInterrupt leaves it, the workers are terminated and joined
+without waiting for their shares.  Workers know the time limit's
+deadline and stop at the first source they reach after it, so a build
+that waits on a share waits at most one source expansion past it.
 
 Generators of the fundamental group: a breadth-first spanning tree is
 rooted at the seed, and every non-tree edge (u, v, m) contributes one
@@ -77,7 +80,6 @@ replayed in any order trace each state they visit once.
 from __future__ import annotations
 
 import collections
-import concurrent.futures
 import hashlib
 import json
 import os
@@ -154,35 +156,49 @@ class GeneratorSet:
 # ---------------------------------------------------------------------------
 # Parallel workers
 
-_WORKER = {}
 
-# Sources per pool task; see the module docstring.
-_POOL_BATCH = 16
+def _worker_main(conn, parent_ends, tri, budget, move_set, catalog, deadline):
+    """A pool worker: expands each share the parent sends on ``conn``
+    until the parent closes its end.  ``parent_ends`` are the parent's
+    pipe ends this process may have inherited; closing them lets it see
+    the parent go away."""
+    import signal
+
+    signal.signal(signal.SIGINT, signal.SIG_IGN)  # the parent ends the pool
+    for end in parent_ends:
+        end.close()
+    _TET_MEMO.clear()
+    try:
+        while True:
+            texts, skips = conn.recv()
+            try:
+                reply = _expand_share(tri, budget, move_set, catalog, deadline, texts, skips)
+            except Exception as exc:  # raised again in the parent
+                reply = exc
+            conn.send(reply)
+    except (EOFError, BrokenPipeError):
+        pass
 
 
-def _worker_init(tri, budget, move_set, catalog, deadline):
-    _WORKER["tri"] = tri
-    _WORKER["budget"] = budget
-    _WORKER["move_set"] = move_set
-    _WORKER["catalog"] = catalog
-    _WORKER["deadline"] = deadline
-
-
-def _worker_neighbors(surf_text, first_of_batch, known=()):
-    """(found, stats) for one source of a batch, skipping the moves in
-    ``known`` (see ``neighbors``); (None, None) once the build's deadline
-    (a ``time.monotonic`` value) has passed."""
-    deadline = _WORKER["deadline"]
-    if deadline is not None and time.monotonic() > deadline:
-        return None, None
-    if first_of_batch:
-        _TET_MEMO.clear()
-    surf = _parse_canonical(_WORKER["tri"], surf_text)
-    stats = {}
-    found = neighbors(
-        surf, _WORKER["budget"], _WORKER["move_set"], _WORKER["catalog"], stats, known=known
-    )
-    return [(n.move.to_text(), n.inverse.to_text(), n.surface.to_text()) for n in found], stats
+def _expand_share(tri, budget, move_set, catalog, deadline, texts, skips):
+    """(found, stats) per source text of a share, in order, skipping the
+    moves in the source's ``skips`` entry (see ``neighbors``); found holds
+    (move text, inverse text, result text).  Stops at the first source
+    reached after the deadline (a ``time.monotonic`` value), so a short
+    list means the time limit."""
+    out = []
+    for text, known in zip(texts, skips):
+        if deadline is not None and time.monotonic() > deadline:
+            break
+        stats = {}
+        found = neighbors(
+            _parse_canonical(tri, text), budget, move_set, catalog, stats, known=known
+        )
+        out.append((
+            [(n.move.to_text(), n.inverse.to_text(), n.surface.to_text()) for n in found],
+            stats,
+        ))
+    return out
 
 
 def _parse_canonical(tri, text):
@@ -210,22 +226,6 @@ def _expand_serial(graph, keys, catalog, known):
         ]
 
 
-def _expand_pool(pool, graph, keys, known):
-    """As _expand_serial, over the pool in batches of _POOL_BATCH
-    consecutive sources; the whole wave is dispatched, and its ``known``
-    entries popped, before the first result.  Results stay text until
-    merged."""
-    texts = [graph.vertices[k].to_text() for k in keys]
-    firsts = [i % _POOL_BATCH == 0 for i in range(len(texts))]
-    skips = [known.pop(k) for k in keys]
-    results = pool.map(_worker_neighbors, texts, firsts, skips, chunksize=_POOL_BATCH)
-    for key, (found, stats) in zip(keys, results):
-        if found is None:
-            yield key, stats, None
-        else:
-            yield key, stats, [(m, i, r, r) for m, i, r in found]
-
-
 def build(
     seed,
     budget,
@@ -241,7 +241,11 @@ def build(
     graph) when a limit triggers, instead of silently truncating.  Limits
     are checked after every new vertex and every expanded source, and a
     pool worker checks the time limit before every source it expands.
-    The pool starts at most ``os.cpu_count()`` processes.
+    With ``workers`` > 1 the build runs ``min(workers, os.cpu_count())``
+    processes, the parent included, and at least one worker; no worker
+    outlives the call.  ``stats`` counts the sources the workers expanded
+    (``pool_sources``) and the bytes of the texts they returned
+    (``pool_text_bytes``); both are 0 for a serial build.
     """
     move_set = check_move_set(move_set)
     cls = seed.validate()
@@ -254,14 +258,20 @@ def build(
     limits = limits or Limits()
     tri = seed.tri
     graph = MoveGraph(tri, seed.canonical_key(), budget, move_set)
-    graph.stats = {"budget_rejected": 0, "pinched_spheres": collections.Counter()}
+    graph.stats = {
+        "budget_rejected": 0,
+        "pinched_spheres": collections.Counter(),
+        "pool_sources": 0,
+        "pool_text_bytes": 0,
+    }
     graph.vertices[seed.canonical_key()] = seed
     start_time = time.monotonic()
     deadline = None if limits.max_seconds is None else start_time + limits.max_seconds
     frontier = [seed.canonical_key()]
-    # Vertex not yet expanded (or dispatched) -> inverse texts of the
-    # edges found into it; see the module docstring.
+    # Vertex not yet expanded (or sent to a worker) -> inverse texts of
+    # the edges found into it; see the module docstring.
     known = {seed.canonical_key(): set()}
+    next_frontier = []
 
     def stop(reason):
         graph.partial = True
@@ -273,53 +283,85 @@ def build(
         if deadline is not None and time.monotonic() > deadline:
             stop("time limit {}s exceeded".format(limits.max_seconds))
 
-    pool = None
-    if workers > 1:
-        pool = concurrent.futures.ProcessPoolExecutor(
-            max_workers=min(workers, os.cpu_count() or 1),
-            initializer=_worker_init,
-            initargs=(tri, budget, graph.move_set, catalog, deadline),
-        )
-    try:
-        while frontier:
-            frontier.sort()
-            if pool is None:
-                wave = _expand_serial(graph, frontier, catalog, known)
+    def merge(src_key, stats, found):
+        graph.stats["budget_rejected"] += stats["budget_rejected"]
+        graph.stats["pinched_spheres"].update(stats["pinched_spheres"])
+        for move_text, inverse_text, result_key, result in found:
+            stored = graph.vertices.get(result_key)
+            if stored is not None:
+                # The key object the graph holds, not a copy.
+                result_key = stored.canonical_key()
             else:
-                wave = _expand_pool(pool, graph, frontier, known)
-            next_frontier = []
-            for src_key, stats, found in wave:
-                if found is None:
-                    # A worker reached the deadline before this source.
-                    stop("time limit {}s exceeded".format(limits.max_seconds))
-                graph.stats["budget_rejected"] += stats["budget_rejected"]
-                graph.stats["pinched_spheres"].update(stats["pinched_spheres"])
-                for move_text, inverse_text, result_key, result in found:
-                    stored = graph.vertices.get(result_key)
-                    if stored is not None:
-                        # The key object the graph holds, not a copy.
-                        result_key = stored.canonical_key()
-                    else:
-                        if pool is not None:
-                            # neighbors returns only valid results, so the
-                            # annulus lines give the classification; the
-                            # worker's text is the key.
-                            result = _parse_canonical(tri, result_key)
-                            result._validation = (
-                                CRUDELY_ALMOST_NORMAL if any(result.annuli) else CRUDELY_NORMAL
-                            )
-                        graph.vertices[result_key] = result
-                        next_frontier.append(result_key)
-                        known[result_key] = set()
-                        check_limits()
-                    graph.add_edge(src_key, result_key, move_text, inverse_text)
-                    if result_key in known:
-                        known[result_key].add(inverse_text)
+                if result is None:
+                    # A worker's text: neighbors returns only valid
+                    # results, so the annulus lines give the
+                    # classification, and the text is the key.
+                    result = _parse_canonical(tri, result_key)
+                    result._validation = (
+                        CRUDELY_ALMOST_NORMAL if any(result.annuli) else CRUDELY_NORMAL
+                    )
+                graph.vertices[result_key] = result
+                next_frontier.append(result_key)
+                known[result_key] = set()
                 check_limits()
-            frontier = next_frontier
+            graph.add_edge(src_key, result_key, move_text, inverse_text)
+            if result_key in known:
+                known[result_key].add(inverse_text)
+        check_limits()
+
+    ends, procs = [], []
+    try:
+        if workers > 1:
+            import multiprocessing
+
+            for _ in range(max(min(workers, os.cpu_count() or 1) - 1, 1)):
+                end, child = multiprocessing.Pipe()
+                ends.append(end)
+                proc = multiprocessing.Process(
+                    target=_worker_main,
+                    args=(child, list(ends), tri, budget, graph.move_set, catalog, deadline),
+                    daemon=True,
+                )
+                proc.start()
+                procs.append(proc)
+                child.close()
+        while frontier:
+            # Contiguous shares of the sorted wave: the parent expands the
+            # first and the workers the others, and they merge in order.
+            frontier.sort()
+            cuts = [len(frontier) * i // (len(ends) + 1) for i in range(len(ends) + 2)]
+            shares = [frontier[a:b] for a, b in zip(cuts, cuts[1:])]
+            for end, share in zip(ends, shares[1:]):
+                end.send((share, [known.pop(key) for key in share]))
+                for key in share:
+                    # Expanded by a worker, so the parent needs no geometry.
+                    graph.vertices[key].release_geometry()
+            for src_key, stats, found in _expand_serial(graph, shares[0], catalog, known):
+                merge(src_key, stats, found)
+            for end, share in zip(ends, shares[1:]):
+                results = end.recv()
+                if isinstance(results, Exception):
+                    raise results
+                for src_key, (found, stats) in zip(share, results):
+                    graph.stats["pool_sources"] += 1
+                    # Texts are ASCII, one byte per character.
+                    graph.stats["pool_text_bytes"] += sum(
+                        len(m) + len(i) + len(r) for m, i, r in found
+                    )
+                    merge(src_key, stats, [(m, i, r, None) for m, i, r in found])
+                if len(results) < len(share):
+                    # The worker reached the deadline before the rest.
+                    stop("time limit {}s exceeded".format(limits.max_seconds))
+            frontier, next_frontier = next_frontier, []
+    except BaseException:
+        for proc in procs:
+            proc.terminate()
+        raise
     finally:
-        if pool is not None:
-            pool.shutdown(cancel_futures=True)
+        for end in ends:
+            end.close()
+        for proc in procs:
+            proc.join()
     graph.stats["vertices"] = len(graph.vertices)
     graph.stats["edges"] = len(graph.edges)
     graph.stats["rank"] = graph.rank()

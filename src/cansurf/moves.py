@@ -172,12 +172,20 @@ class Move:
     sphere_curve: Optional[int] = None    # PINCH: curve id inside the sphere
 
     def to_text(self):
-        form = _FORMS.get((self.kind, self.direction > 0))
-        if form is None:
-            raise SemanticError("unknown move kind {}".format(self.kind))
-        if form.free is not None and self.corner is None:
-            return form.free.format(self.location)
-        return form.text.format(*form.values(self))
+        """The move's one text, formatted on the first call and kept on
+        the instance outside the fields, so ``==``, ``hash`` and ``repr``
+        do not see it."""
+        text = self.__dict__.get("_text")
+        if text is None:
+            form = _FORMS.get((self.kind, self.direction > 0))
+            if form is None:
+                raise SemanticError("unknown move kind {}".format(self.kind))
+            if form.free is not None and self.corner is None:
+                text = form.free.format(self.location)
+            else:
+                text = form.text.format(*form.values(self))
+            object.__setattr__(self, "_text", text)
+        return text
 
     def __str__(self):
         return self.to_text()

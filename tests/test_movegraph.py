@@ -1,5 +1,6 @@
 import collections
 import json
+import multiprocessing
 import os
 import time
 
@@ -113,16 +114,56 @@ def test_worker_determinism(tri, link, catalog):
     assert generators(g1).to_text() == generators(g2).to_text()
 
 
-def test_pool_batches_split_waves_unevenly(tri, link, catalog):
-    # default/8's larger waves span several batches, which the workers
-    # share unevenly; the exports still match the serial build's.
+def test_pool_exports_match_at_one_two_and_three_workers(tri, link, catalog):
+    # default/8's largest wave fills every share, and each build merges
+    # its vertices in the serial build's order.
     serial = build(link, 8, catalog=catalog)
-    pooled = build(link, 8, catalog=catalog, workers=3)
+    assert max(collections.Counter(_bfs_levels(serial).values()).values()) >= 3
+    for workers in (2, 3):
+        pooled = build(link, 8, catalog=catalog, workers=workers)
+        assert pooled.stats["pool_sources"] > 0
+        assert list(pooled.vertices) == list(serial.vertices)
+        assert export_json(pooled) == export_json(serial)
+        assert export_dot(pooled) == export_dot(serial)
+        assert generators(pooled).to_text() == generators(serial).to_text()
+
+
+def test_waves_smaller_than_the_pool_merge_in_frontier_order(tri, catalog, data_dir, monkeypatch):
+    # Waves of 1, 2 and 2 sources over four processes leave most shares
+    # empty; the vertices still arrive in the serial order.
+    sphere_text = (data_dir.parent / "bench" / "data" / "s3_sphere_w2.surf").read_text()
+    sphere = parse_surface(tri, sphere_text)
+    serial = build(sphere, 4, move_set={E1, F2P}, catalog=catalog)
     waves = collections.Counter(_bfs_levels(serial).values())
-    assert max(waves.values()) > 3 * movegraph._POOL_BATCH
+    assert sorted(waves.items()) == [(0, 1), (1, 2), (2, 2)]
+    monkeypatch.setattr(os, "cpu_count", lambda: 4)
+    pooled = build(sphere, 4, move_set={E1, F2P}, catalog=catalog, workers=4)
+    assert pooled.stats["pool_sources"] > 0
+    assert list(pooled.vertices) == list(serial.vertices)
     assert export_json(pooled) == export_json(serial)
-    assert export_dot(pooled) == export_dot(serial)
-    assert generators(pooled).to_text() == generators(serial).to_text()
+
+
+class _MemoSize(Exception):
+    pass
+
+
+@pytest.mark.skipif(
+    multiprocessing.get_start_method() != "fork",
+    reason="the worker sees this module's patch only when forked",
+)
+def test_worker_starts_from_an_empty_memo(tri, link, catalog, monkeypatch):
+    # The worker's first share reports the memo it found, as an error the
+    # parent raises again; the parent's own memo is not empty.
+    def report(*args):
+        raise _MemoSize(len(surface._TET_MEMO))
+
+    monkeypatch.setattr(movegraph, "_expand_share", report)
+    vertex_link(tri, 0).tet_geometry(0)
+    assert len(surface._TET_MEMO) > 0
+    with pytest.raises(_MemoSize) as err:
+        build(link, 8, catalog=catalog, workers=2)
+    assert err.value.args == (0,)
+    assert multiprocessing.active_children() == []
 
 
 def _bfs_levels(graph):
@@ -179,11 +220,24 @@ def test_serial_build_passes_surfaces(tri, link, catalog, monkeypatch):
     def no_parse(*args):
         raise AssertionError("the serial build parsed a surface")
 
+    def no_worker(*args, **kwargs):
+        raise AssertionError("the serial build started a worker")
+
     monkeypatch.setattr(movegraph, "parse_surface", no_parse)
-    monkeypatch.setattr(movegraph, "_WORKER", {})
+    monkeypatch.setattr(multiprocessing, "Process", no_worker)
     g = build(link, 8, catalog=catalog)
     assert len(g.vertices) == 126
-    assert movegraph._WORKER == {}
+    assert g.stats["pool_sources"] == g.stats["pool_text_bytes"] == 0
+
+
+def test_pool_counters_repeat_and_stay_out_of_the_export(tri, link, catalog):
+    serial = build(link, 8, catalog=catalog)
+    runs = [build(link, 8, catalog=catalog, workers=2) for _ in range(2)]
+    counters = [(g.stats["pool_sources"], g.stats["pool_text_bytes"]) for g in runs]
+    assert counters[0] == counters[1]
+    assert 0 < counters[0][0] < len(serial.vertices) and counters[0][1] > 0
+    assert export_json(runs[0]) == export_json(serial)
+    assert "pool_" not in export_json(runs[0])
 
 
 def test_serial_time_limit_overrun_bounded(tri, catalog):
@@ -201,57 +255,105 @@ def test_pool_time_limit_overrun_bounded(tri, catalog):
     assert time.monotonic() - start < 2.0
 
 
-def test_pool_worker_skips_sources_after_the_deadline(tri, link_text, catalog, monkeypatch):
-    monkeypatch.setattr(movegraph, "_WORKER", {})
-    movegraph._worker_init(tri, 8, DEFAULT_MOVE_SET, catalog, time.monotonic() - 1.0)
-    assert movegraph._worker_neighbors(link_text, True) == (None, None)
-    movegraph._worker_init(tri, 8, DEFAULT_MOVE_SET, catalog, time.monotonic() + 60.0)
-    found, stats = movegraph._worker_neighbors(link_text, True)
+def test_pool_worker_skips_sources_after_the_deadline(tri, link_text, catalog):
+    args = (tri, 8, DEFAULT_MOVE_SET, catalog)
+    share = ([link_text], [set()])
+    assert movegraph._expand_share(*args, time.monotonic() - 1.0, *share) == []
+    [(found, stats)] = movegraph._expand_share(*args, time.monotonic() + 60.0, *share)
     assert found and stats["budget_rejected"] > 0
 
 
-class _InlinePool:
-    """Stands in for the process pool: records the ``max_workers`` asked
-    for, refuses more than ``os.cpu_count()`` before anything starts, and
-    runs the tasks in this process."""
+@pytest.mark.parametrize("stop", ["vertex limit", "time limit", "merge error", "interrupt"])
+def test_no_worker_outlives_a_stopped_build(tri, catalog, monkeypatch, stop):
+    # The build stops in the parent's share of default/10's second wave.
+    # A forked worker sleeps through its share of that wave, so a build
+    # that waited for it would overrun the bound; the worker reaches the
+    # deadline itself in the time-limit case.
+    limits = {
+        "vertex limit": Limits(max_vertices=100),
+        "time limit": Limits(max_seconds=0.3),
+    }.get(stop)
+    expand_share = movegraph._expand_share
 
+    def sleepy(*args):
+        if len(args[-1]) > 1:
+            time.sleep(30)
+        return expand_share(*args)
+
+    if stop != "time limit" and multiprocessing.get_start_method() == "fork":
+        monkeypatch.setattr(movegraph, "_expand_share", sleepy)
+    if stop in ("merge error", "interrupt"):
+        error = SemanticError("merge error") if stop == "merge error" else KeyboardInterrupt()
+        add_edge = MoveGraph.add_edge
+
+        def failing(self, *args):
+            if len(self.edges) >= 100:
+                raise error
+            add_edge(self, *args)
+
+        monkeypatch.setattr(MoveGraph, "add_edge", failing)
+    expected = PartialGraphError if limits else type(error)
+    start = time.monotonic()
+    with pytest.raises(expected):
+        build(vertex_link(tri, 0), 10, catalog=catalog, limits=limits, workers=2)
+    assert time.monotonic() - start < 3.0
+    assert multiprocessing.active_children() == []
+
+
+def test_a_failed_worker_start_leaves_no_worker(link, catalog, monkeypatch):
+    # The second of two workers fails to start: its error is the one
+    # raised, and the first worker is ended.
     started = []
 
-    def __init__(self, max_workers, initializer, initargs):
-        if max_workers > os.cpu_count():
-            raise AssertionError("asked for {} worker processes".format(max_workers))
-        self.started.append(max_workers)
-        initializer(*initargs)
+    class Failing(multiprocessing.Process):
+        def start(self):
+            if started:
+                raise OSError("no more processes")
+            started.append(self)
+            super().start()
 
-    def map(self, fn, *iterables, chunksize=1):
-        return map(fn, *iterables)
-
-    def shutdown(self, cancel_futures=False):
-        pass
+    monkeypatch.setattr(os, "cpu_count", lambda: 3)
+    monkeypatch.setattr(multiprocessing, "Process", Failing)
+    with pytest.raises(OSError, match="no more processes"):
+        build(link, 8, catalog=catalog, workers=3)
+    assert len(started) == 1
+    assert multiprocessing.active_children() == []
 
 
 @pytest.fixture
-def inline_pool(monkeypatch):
-    monkeypatch.setattr(movegraph.concurrent.futures, "ProcessPoolExecutor", _InlinePool)
-    monkeypatch.setattr(movegraph, "_WORKER", {})
-    monkeypatch.setattr(_InlinePool, "started", [])
-    return _InlinePool.started
+def started_workers(monkeypatch):
+    """The worker processes a build starts.  Starting one that would make
+    more than ``os.cpu_count()`` processes with the parent fails before
+    the process runs."""
+    started = []
+    cap = max(os.cpu_count() - 1, 1)
+
+    class Counted(multiprocessing.Process):
+        def start(self):
+            if len(started) >= cap:
+                raise AssertionError("asked for more than {} worker processes".format(cap))
+            started.append(self)
+            super().start()
+
+    monkeypatch.setattr(multiprocessing, "Process", Counted)
+    return started
 
 
-def test_pool_starts_at_most_one_process_per_cpu(link, catalog, inline_pool):
+def test_pool_starts_at_most_one_process_per_cpu(link, catalog, started_workers):
     g = build(link, 8, catalog=catalog, workers=5000)
-    assert inline_pool == [os.cpu_count()]
+    assert len(started_workers) == max(os.cpu_count() - 1, 1)
+    assert multiprocessing.active_children() == []
     assert export_json(g) == export_json(build(link, 8, catalog=catalog))
 
 
-def test_cli_records_the_workers_asked_for(data_dir, tmp_path, inline_pool):
+def test_cli_records_the_workers_asked_for(data_dir, tmp_path, started_workers):
     manifest = tmp_path / "m.json"
     code = main([
         "graph", str(data_dir / "two_tet_s3.tri"), str(data_dir / "vertex_link.surf"),
         "--budget", "6", "--workers", "5000", "--manifest", str(manifest),
     ])
     assert code == 0
-    assert inline_pool == [os.cpu_count()]
+    assert len(started_workers) == max(os.cpu_count() - 1, 1)
     assert json.loads(manifest.read_text())["workers"] == 5000
 
 

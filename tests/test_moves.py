@@ -1,9 +1,9 @@
 import collections
-import concurrent.futures
 import contextlib
 import gc
 import hashlib
 import itertools
+import multiprocessing
 import weakref
 from unittest import mock
 
@@ -510,6 +510,26 @@ def test_skipping_known_inverses_keeps_the_exports(link, catalog):
     assert hashlib.sha256(pooled.encode()).hexdigest() == POOLED_DEFAULT8_SHA256
 
 
+def test_a_move_formats_its_text_once(link, catalog, monkeypatch):
+    # The text is kept outside the fields: equality, hashing and repr of
+    # a move that has printed match those of one that has not.
+    move = neighbors(link, 8, catalog=catalog)[0].move
+    fresh = parse_move(move.to_text())
+    twin = Move(**{f: getattr(fresh, f) for f in fresh.__dataclass_fields__})
+    assert (twin == fresh, hash(twin), repr(twin)) == (True, hash(fresh), repr(fresh))
+    formats = []
+
+    class Counting(dict):
+        def get(self, key, default=None):
+            formats.append(key)
+            return super().get(key, default)
+
+    monkeypatch.setattr(moves, "_FORMS", Counting(moves._FORMS))
+    texts = {twin.to_text() for _ in range(5)} | {str(twin)}
+    assert texts == {move.to_text()}
+    assert formats == [(twin.kind, twin.direction > 0)]
+
+
 def test_move_serialization_round_trip(tri, link, catalog):
     for n in neighbors(link, 12, move_set=DEFAULT_MOVE_SET, catalog=catalog):
         assert parse_move(n.move.to_text()) == n.move
@@ -571,11 +591,11 @@ def _raises_exactly(exc_type, text, fn, *args):
 
 
 def test_unknown_move_kinds_are_refused_by_the_library(link, catalog, monkeypatch):
-    # Refused before a build starts its pool, and by neighbors itself.
-    def no_pool(*args, **kwargs):
-        raise AssertionError("a pool was started")
+    # Refused before a build starts a worker, and by neighbors itself.
+    def no_worker(*args, **kwargs):
+        raise AssertionError("a worker was started")
 
-    monkeypatch.setattr(concurrent.futures, "ProcessPoolExecutor", no_pool)
+    monkeypatch.setattr(multiprocessing, "Process", no_worker)
     text = "unknown move kind 'E2' (choose from V0,E1,F2,F2',PINCH,UNPINCH)"
     _raises_exactly(SemanticError, text, build, link, 8, {"E2"})
     _raises_exactly(SemanticError, text, build, link, 8, {"E1", "E2"}, catalog, None, 2)

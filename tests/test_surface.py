@@ -21,9 +21,7 @@ from cansurf import (
     vertex_link,
 )
 from cansurf import movegraph, surface
-from cansurf.moves import (
-    DEFAULT_MOVE_SET, F2P, PINCH, UNPINCH, Move, V0, apply, default_catalog, neighbors,
-)
+from cansurf.moves import F2P, PINCH, UNPINCH, Move, V0, apply, default_catalog
 from cansurf.surface import _TET_MEMO, _TET_MEMO_ENTRIES, TetGeometry
 
 
@@ -299,46 +297,6 @@ def test_tracing_error_is_not_memoized(tri, link):
         assert len(_TET_MEMO) == size
     assert "perfect pairing" in Surface(tri, link.weights, unmatched).validate()
     assert Surface(tri, link.weights, link.matchings).validate() == CRUDELY_NORMAL
-
-
-def test_worker_task_repeats_its_geometry_work(tri, link, link_text, catalog, monkeypatch):
-    # A pool task is a batch of consecutive sources.  The worker clears the
-    # memo on a batch's first item only, so a batch traces the same
-    # geometry whatever that worker ran before, and its later items reuse
-    # what its earlier ones traced.
-    traced = []
-
-    class Counting(TetGeometry):
-        def __init__(self, tri, tet, weights, matchings):
-            traced.append((tet, weights, matchings))
-            super().__init__(tri, tet, weights, matchings)
-
-    texts = [s.to_text() for s in sorted(
-        (n.surface for n in neighbors(link, 8, DEFAULT_MOVE_SET, catalog)),
-        key=Surface.canonical_key,
-    )]
-    monkeypatch.setattr(surface, "TetGeometry", Counting)
-    monkeypatch.setattr(movegraph, "_WORKER", {})
-    movegraph._worker_init(tri, 8, DEFAULT_MOVE_SET, catalog, None)
-
-    def run_batch(batch):
-        start = len(traced)
-        found = [movegraph._worker_neighbors(text, i == 0) for i, text in enumerate(batch)]
-        return found, traced[start:]
-
-    batch = texts[:4]
-    first, first_traced = run_batch(batch)
-    run_batch(texts[4:8])
-    run_batch([link_text])
-    again, again_traced = run_batch(batch)
-    assert first_traced
-    assert again == first
-    assert again_traced == first_traced
-    _, head_alone = run_batch(batch[:1])
-    _, second_alone = run_batch(batch[1:2])
-    _, head_then_second = run_batch(batch[:2])
-    assert head_then_second[:len(head_alone)] == head_alone
-    assert len(head_then_second) - len(head_alone) < len(second_alone)
 
 
 def test_memo_holds_a_closures_working_set(tri, data_dir, catalog, monkeypatch):
