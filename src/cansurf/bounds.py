@@ -18,24 +18,28 @@ its upper bound by margin.
 
 from __future__ import annotations
 
+import collections
 import math
-from dataclasses import dataclass
 
 from .errors import ParseError, SemanticError
 
 DEFAULT_MARGIN = 0.99
 
 
-@dataclass(frozen=True)
-class BoundsConfig:
-    genus: int
-    sweepout_max_area: float
-    weight_scale: float          # the constant multiplying (C + 1); > 1
-    injectivity_radius: float
-    compression_floor: float
-    margin: float = DEFAULT_MARGIN
+class BoundsConfig(collections.namedtuple("BoundsConfig", [
+    "genus",
+    "sweepout_max_area",
+    "weight_scale",          # the constant multiplying (C + 1); > 1
+    "injectivity_radius",
+    "compression_floor",
+    "margin",
+], defaults=(DEFAULT_MARGIN,))):
+    """The geometric inputs, read-only and checked on construction."""
 
-    def __post_init__(self):
+    __slots__ = ()
+
+    def __new__(cls, *args, **kwargs):
+        self = super().__new__(cls, *args, **kwargs)
         if self.genus < 1:
             raise SemanticError("genus must be a positive integer")
         for name in ("sweepout_max_area", "weight_scale", "injectivity_radius",
@@ -46,6 +50,7 @@ class BoundsConfig:
             raise SemanticError("margin must lie in (0, 1)")
         if self.weight_scale <= 1:
             raise SemanticError("weight_scale must exceed 1")
+        return self
 
     def area_constant(self):
         return area_constant(self.genus, self.sweepout_max_area, self.margin)

@@ -25,7 +25,6 @@ from .bounds import BoundsConfig, parse_config
 from .errors import CansurfError, ParseError, PartialGraphError, SemanticError
 from .movegraph import Limits, build, export_dot, export_json, generators, replay
 from .moves import DEFAULT_MOVE_SET, default_catalog, extend_catalog
-from .oracle import oracle_closure, oracle_matchings, oracle_surfaces
 from .surface import parse_surface
 from .triangulation import barycentric_subdivide, parse_triangulation
 
@@ -284,6 +283,8 @@ def cmd_replay(args):
 
 
 def cmd_oracle(args):
+    from .oracle import oracle_closure, oracle_matchings, oracle_surfaces
+
     if args.what == "matchings":
         count, ms = oracle_matchings(tuple(args.ints))
         print(count)

@@ -27,7 +27,8 @@ runs n = ``min(workers, os.cpu_count())`` processes, the parent included,
 and at least one worker: n - 1 worker processes live for the whole build,
 each talking to the parent over its own pipe, so the parent runs no
 threads.  Each sorted wave is cut into n contiguous shares of equal
-size, give or take one, the parent's never the larger.  The parent sends
+size, give or take one, the parent's never the smaller, so a wave of one
+source (the seed's) stays in the parent.  The parent sends the non-empty
 shares 2..n to the workers, expands share 1 itself as a serial build
 does, on Surface objects and with its own warm tet-geometry memo (see
 ``surface``), and then merges the workers' results share by share, so
@@ -327,18 +328,20 @@ def build(
                 child.close()
         while frontier:
             # Contiguous shares of the sorted wave: the parent expands the
-            # first and the workers the others, and they merge in order.
+            # first, never the smaller, and the workers the others, and
+            # they merge in order.  A worker with no sources is sent none.
             frontier.sort()
-            cuts = [len(frontier) * i // (len(ends) + 1) for i in range(len(ends) + 2)]
+            cuts = [-(-len(frontier) * i // (len(ends) + 1)) for i in range(len(ends) + 2)]
             shares = [frontier[a:b] for a, b in zip(cuts, cuts[1:])]
-            for end, share in zip(ends, shares[1:]):
+            sent = [(end, share) for end, share in zip(ends, shares[1:]) if share]
+            for end, share in sent:
                 end.send((share, [known.pop(key) for key in share]))
                 for key in share:
                     # Expanded by a worker, so the parent needs no geometry.
                     graph.vertices[key].release_geometry()
             for src_key, stats, found in _expand_serial(graph, shares[0], catalog, known):
                 merge(src_key, stats, found)
-            for end, share in zip(ends, shares[1:]):
+            for end, share in sent:
                 results = end.recv()
                 if isinstance(results, Exception):
                     raise results

@@ -133,8 +133,6 @@ import functools
 import itertools
 import operator
 import re
-from dataclasses import dataclass
-from typing import Optional
 
 from .errors import NotApplicableError, ParseError, SemanticError
 from .surface import (
@@ -155,21 +153,23 @@ ALL_KINDS = (V0, E1, F2, F2P, PINCH, UNPINCH)
 DEFAULT_MOVE_SET = frozenset({V0, E1, F2P, PINCH, UNPINCH})
 
 
-@dataclass(frozen=True)
-class Move:
-    kind: str
-    location: int
-    direction: int = 1
-    corner: Optional[tuple] = None        # V0 fused: (tet, corner label)
-    partner: Optional[int] = None         # V0 fused emit: target curve id
-    gap: Optional[int] = None             # E1: insertion gap / deletion index
-    incidence: Optional[tuple] = None     # E1 emit: (face class, side)
-    arc: Optional[tuple] = None           # E1 emit: arc to reroute
-    arcs: Optional[tuple] = None          # F2-type: the two arcs
-    gain: Optional[int] = None            # F2-type: gaining incidence 0/1
-    curve: Optional[int] = None           # PINCH: surface curve / UNPINCH: sphere side
-    sphere: Optional[str] = None          # PINCH: catalog id
-    sphere_curve: Optional[int] = None    # PINCH: curve id inside the sphere
+class Move(collections.namedtuple("Move", [
+    "kind",
+    "location",
+    "direction",
+    "corner",        # V0 fused: (tet, corner label)
+    "partner",       # V0 fused emit: target curve id
+    "gap",           # E1: insertion gap / deletion index
+    "incidence",     # E1 emit: (face class, side)
+    "arc",           # E1 emit: arc to reroute
+    "arcs",          # F2-type: the two arcs
+    "gain",          # F2-type: gaining incidence 0/1
+    "curve",         # PINCH: surface curve / UNPINCH: sphere side
+    "sphere",        # PINCH: catalog id
+    "sphere_curve",  # PINCH: curve id inside the sphere
+], defaults=(1,) + (None,) * 10)):
+    """A move by its fields, read-only: ``direction`` defaults to 1 and
+    every other optional field to None."""
 
     def to_text(self):
         """The move's one text, formatted on the first call and kept on
@@ -184,7 +184,7 @@ class Move:
                 text = form.free.format(self.location)
             else:
                 text = form.text.format(*form.values(self))
-            object.__setattr__(self, "_text", text)
+            self._text = text
         return text
 
     def __str__(self):

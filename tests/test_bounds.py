@@ -90,3 +90,38 @@ def test_config_validation():
         BoundsConfig(2, 1.0, 0.5, 8.0, 2.0)
     with pytest.raises(SemanticError, match="margin"):
         BoundsConfig(2, 1.0, 2.0, 8.0, 2.0, margin=1.5)
+
+
+def test_config_is_a_read_only_record_built_by_keyword():
+    by_keyword = BoundsConfig(
+        genus=2, sweepout_max_area=1.0, weight_scale=2.0,
+        injectivity_radius=8.0, compression_floor=2.0,
+    )
+    assert by_keyword == BoundsConfig(2, 1.0, 2.0, 8.0, 2.0, 0.99)
+    assert hash(by_keyword) == hash(BoundsConfig(2, 1.0, 2.0, 8.0, 2.0))
+    assert by_keyword != BoundsConfig(2, 1.0, 2.0, 8.0, 2.0, margin=0.5)
+    assert by_keyword.margin == 0.99
+    assert by_keyword.weight_budget() == 27
+    for field in ("genus", "margin", "extra"):
+        with pytest.raises(AttributeError):
+            setattr(by_keyword, field, 3)
+    assert by_keyword.genus == 2
+
+
+@pytest.mark.parametrize("change, message", [
+    ({"genus": 0}, "genus must be a positive integer"),
+    ({"sweepout_max_area": 0.0}, "sweepout_max_area must be positive"),
+    ({"weight_scale": -1.0}, "weight_scale must be positive"),
+    ({"injectivity_radius": 0.0}, "injectivity_radius must be positive"),
+    ({"compression_floor": -2.0}, "compression_floor must be positive"),
+    ({"margin": 0.0}, r"margin must lie in \(0, 1\)"),
+    ({"margin": 1.0}, r"margin must lie in \(0, 1\)"),
+    ({"weight_scale": 1.0}, "weight_scale must exceed 1"),
+])
+def test_config_construction_checks(change, message):
+    fields = dict(
+        genus=2, sweepout_max_area=1.0, weight_scale=2.0,
+        injectivity_radius=8.0, compression_floor=2.0,
+    )
+    with pytest.raises(SemanticError, match="^{}$".format(message)):
+        BoundsConfig(**dict(fields, **change))

@@ -1,6 +1,7 @@
 import collections
 import json
 import multiprocessing
+import multiprocessing.connection
 import os
 import time
 
@@ -121,7 +122,7 @@ def test_pool_exports_match_at_one_two_and_three_workers(tri, link, catalog):
     assert max(collections.Counter(_bfs_levels(serial).values()).values()) >= 3
     for workers in (2, 3):
         pooled = build(link, 8, catalog=catalog, workers=workers)
-        assert pooled.stats["pool_sources"] > 0
+        assert pooled.stats["pool_sources"] == _worker_sources(serial, workers) > 0
         assert list(pooled.vertices) == list(serial.vertices)
         assert export_json(pooled) == export_json(serial)
         assert export_dot(pooled) == export_dot(serial)
@@ -130,15 +131,26 @@ def test_pool_exports_match_at_one_two_and_three_workers(tri, link, catalog):
 
 def test_waves_smaller_than_the_pool_merge_in_frontier_order(tri, catalog, data_dir, monkeypatch):
     # Waves of 1, 2 and 2 sources over four processes leave most shares
-    # empty; the vertices still arrive in the serial order.
+    # empty, and an empty share is not sent; the vertices still arrive in
+    # the serial order.
     sphere_text = (data_dir.parent / "bench" / "data" / "s3_sphere_w2.surf").read_text()
     sphere = parse_surface(tri, sphere_text)
     serial = build(sphere, 4, move_set={E1, F2P}, catalog=catalog)
     waves = collections.Counter(_bfs_levels(serial).values())
     assert sorted(waves.items()) == [(0, 1), (1, 2), (2, 2)]
     monkeypatch.setattr(os, "cpu_count", lambda: 4)
+    shares = []
+    send = multiprocessing.connection.Connection.send
+
+    def recording_send(conn, obj):
+        if isinstance(obj, tuple):  # a share from the parent, not a reply
+            shares.append(len(obj[0]))
+        send(conn, obj)
+
+    monkeypatch.setattr(multiprocessing.connection.Connection, "send", recording_send)
     pooled = build(sphere, 4, move_set={E1, F2P}, catalog=catalog, workers=4)
-    assert pooled.stats["pool_sources"] > 0
+    assert shares == [1, 1]
+    assert pooled.stats["pool_sources"] == _worker_sources(serial, 4) == 2
     assert list(pooled.vertices) == list(serial.vertices)
     assert export_json(pooled) == export_json(serial)
 
@@ -164,6 +176,15 @@ def test_worker_starts_from_an_empty_memo(tri, link, catalog, monkeypatch):
         build(link, 8, catalog=catalog, workers=2)
     assert err.value.args == (0,)
     assert multiprocessing.active_children() == []
+
+
+def _worker_sources(serial, workers):
+    """The sources a pooled build sends to its workers: all but the
+    parent's share of each wave, the first ceil(len / n) of n processes,
+    so the seed's wave of one stays in the parent."""
+    n = max(min(workers, os.cpu_count() or 1), 2)
+    waves = collections.Counter(_bfs_levels(serial).values()).values()
+    return sum(size - -(-size // n) for size in waves)
 
 
 def _bfs_levels(graph):

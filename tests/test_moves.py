@@ -515,7 +515,7 @@ def test_a_move_formats_its_text_once(link, catalog, monkeypatch):
     # a move that has printed match those of one that has not.
     move = neighbors(link, 8, catalog=catalog)[0].move
     fresh = parse_move(move.to_text())
-    twin = Move(**{f: getattr(fresh, f) for f in fresh.__dataclass_fields__})
+    twin = Move(**{f: getattr(fresh, f) for f in fresh._fields})
     assert (twin == fresh, hash(twin), repr(twin)) == (True, hash(fresh), repr(fresh))
     formats = []
 
@@ -528,6 +528,24 @@ def test_a_move_formats_its_text_once(link, catalog, monkeypatch):
     texts = {twin.to_text() for _ in range(5)} | {str(twin)}
     assert texts == {move.to_text()}
     assert formats == [(twin.kind, twin.direction > 0)]
+
+
+def test_a_move_is_a_read_only_record_built_by_keyword():
+    # Keyword construction defaults direction to 1 and every other
+    # optional field to None, and each such move round-trips its text.
+    built = [
+        Move(V0, 0),
+        Move(kind=E1, location=2, direction=-1, gap=0),
+        Move(PINCH, location=0, curve=2, sphere="v0", sphere_curve=1),
+    ]
+    assert built[0] == Move(V0, 0, 1, *(None,) * 10)
+    for move in built:
+        assert parse_move(move.to_text()) == move
+    with pytest.raises(AttributeError):
+        built[1].gap = 1
+    with pytest.raises(AttributeError):
+        built[1].kind = V0
+    assert built[1].gap == 0 and built[1].kind == E1
 
 
 def test_move_serialization_round_trip(tri, link, catalog):
