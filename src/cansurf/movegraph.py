@@ -69,18 +69,23 @@ seed is validated in full at the first step and every later source is a
 result already found valid; each result is therefore validated over its
 footprint (see ``surface``), as in ``build``, with no second full pass.
 A malformed move text and any error other than ``SemanticError`` are
-never cached.  The memo is least-recently-used and holds at most
-``_REPLAY_MEMO_TET_ENTRIES // tet_count`` entries, which keeps it under
-64 MB (see that constant).  Memoized surfaces pin no tet geometry:
-``replay`` releases each surface's geometry when it steps off it, and
-``surface._TET_MEMO`` keeps the recent geometry.  That memo holds a
-small closure's tet states (see ``surface._TET_MEMO_ENTRIES``), so loops
-replayed in any order trace each state they visit once.
+never cached.  A miss takes its move from ``_replay_move``, which parses
+each distinct text once per process and keeps the last 4,096 parsed
+moves (the 817 misses of replaying the ``s3-sphere-b6`` loops use 170
+texts); a ParseError is raised again on every call.  The memo is
+least-recently-used and holds at most ``_REPLAY_MEMO_TET_ENTRIES //
+tet_count`` entries, which keeps it under 64 MB (see that constant).
+Memoized surfaces pin no tet geometry: ``replay`` releases each
+surface's geometry when it steps off it, and ``surface._TET_MEMO`` keeps
+the recent geometry.  That memo holds a small closure's tet states (see
+``surface._TET_MEMO_ENTRIES``), so loops replayed in any order trace
+each state they visit once.
 """
 
 from __future__ import annotations
 
 import collections
+import functools
 import hashlib
 import json
 import os
@@ -420,6 +425,13 @@ _REPLAY_MEMO = collections.OrderedDict()
 _REPLAY_MEMO_TET_ENTRIES = (64 << 20) // (4 << 10)
 
 
+@functools.lru_cache(maxsize=1 << 12)
+def _replay_move(text):
+    """``parse_move`` of a replayed text, kept for the last 4,096 distinct
+    texts; a ParseError is raised each time, never cached."""
+    return parse_move(text)
+
+
 def replay(seed, move_texts, catalog=None):
     """Apply a sequence of serialized moves from the seed; returns the
     final surface, which may be shared with other calls.  Raises
@@ -434,7 +446,7 @@ def replay(seed, move_texts, catalog=None):
         key = (tri, book, surf.canonical_key(), text)
         verdict = _REPLAY_MEMO.get(key)
         if verdict is None:
-            move = parse_move(text)
+            move = _replay_move(text)
             try:
                 verdict, _ = apply_with_inverse(surf, move, catalog)
             except SemanticError as exc:

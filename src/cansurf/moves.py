@@ -128,6 +128,7 @@ as an invalid result, under the name from the same table.
 
 from __future__ import annotations
 
+import bisect
 import collections
 import functools
 import itertools
@@ -280,57 +281,66 @@ def _point_map_for_insertions(weights, inserts):
     """Maps for inserting new points into edge classes.
 
     ``inserts[e]`` is a sorted list of class gaps.  Returns
-    (new_weights, shift, inserted) where shift(e, i) is the new index of
-    old point i and inserted[e][k] the new index of the k-th insertion.
+    (new_weights, shift, inserted) where shift[e] lists the new index of
+    each old point of edge class e and inserted[e][k] the new index of
+    the k-th insertion; the points of a class not in ``inserts`` keep
+    their indices.
     """
     new_weights = list(weights)
+    shift = {}
     inserted = {}
     for e, gaps in inserts.items():
         new_weights[e] += len(gaps)
+        shift[e] = [i + bisect.bisect_right(gaps, i) for i in range(weights[e])]
         inserted[e] = [g + k for k, g in enumerate(gaps)]
-
-    def shift(e, i):
-        gaps = inserts.get(e)
-        if not gaps:
-            return i
-        return i + sum(1 for g in gaps if g <= i)
-
     return tuple(new_weights), shift, inserted
 
 
 def _point_map_for_deletions(weights, removals):
-    """Maps for deleting points.  ``removals[e]`` is a sorted index list."""
+    """Maps for deleting points.  ``removals[e]`` is a sorted index list.
+    Returns (new_weights, shift), shift as for insertions with None for a
+    deleted point."""
     new_weights = list(weights)
+    shift = {}
     for e, idx in removals.items():
         new_weights[e] -= len(idx)
         if new_weights[e] < 0:
             raise NotApplicableError("removing more points than exist on edge {}".format(e))
-
-    def shift(e, i):
-        idx = removals.get(e)
-        if not idx:
-            return i
-        if i in idx:
-            raise NotApplicableError("a surviving arc still references a deleted point")
-        return i - sum(1 for r in idx if r < i)
-
+        shift[e] = [None if i in idx else i - bisect.bisect_left(idx, i) for i in range(weights[e])]
     return tuple(new_weights), shift
 
 
-def _carry(old, new, s, index):
-    """Slot s of layout ``old`` carried to layout ``new`` of the same face
-    class: the slot on the same side of the point ``index(edge class,
-    class point index)`` that slot s holds."""
-    k, _ = old.side_of_slot(s)
-    return new.slot_of_point(k, index(*old.point_of_slot(s)))
+def _carry(old, new, pairs, shift):
+    """The pairs of a face class in the slots of layout ``old``, carried to
+    layout ``new`` of the same class in one pass over its three sides.
+    Each slot keeps its side and follows its point to the new index
+    ``shift`` gives it (see ``_point_map_for_insertions``); an arc at a
+    point ``shift`` deletes is an error.  Shifts keep the order of
+    points, so pairs normalized as ``Surface`` stores them stay
+    normalized."""
+    slots = []
+    for (e, net, _, _), w, new_w, start in zip(old.sides, old.side_w, new.side_w, new.side_start):
+        points = shift.get(e)
+        if points is None:
+            slots += range(start, start + w)
+        elif net > 0:
+            slots += [None if i is None else start + i for i in points]
+        else:
+            last = start + new_w - 1
+            slots += [None if i is None else last - i for i in reversed(points)]
+    carried = tuple([(slots[a], slots[b]) for a, b in pairs])
+    if None in slots and any(None in pair for pair in carried):
+        raise NotApplicableError("a surviving arc still references a deleted point")
+    return carried
 
 
 def _remap_matchings(surf, new_weights, shift, matchings=None):
-    """Re-express matchings in the slot space of the new weights, each
-    normalized as ``Surface`` stores it.  A face whose sides keep their
-    weights gained or lost no points, so its slots stay as they are, and
-    one that is also ``surf``'s own tuple passes through as that object,
-    which keeps it out of the result's footprint (see ``surface``)."""
+    """Re-express matchings, each normalized as ``Surface`` stores it, in
+    the slot space of the new weights; they stay normalized.  A face
+    whose sides keep their weights gained or lost no points, so its
+    slots stay as they are, and one that is also ``surf``'s own tuple
+    passes through as that object, which keeps it out of the result's
+    footprint (see ``surface``)."""
     tri = surf.tri
     if matchings is None:
         matchings = surf.matchings
@@ -339,39 +349,29 @@ def _remap_matchings(surf, new_weights, shift, matchings=None):
         for e, (w, old) in enumerate(zip(new_weights, surf.weights)) if w != old
         for cid, _ in tri.edge_sides[e]
     }
-    out = []
-    for cid, pairs in enumerate(matchings):
-        if cid not in moved:
-            out.append(pairs if pairs is surf.matchings[cid] else tuple(sorted(pairs)))
-            continue
-        old = surf.face_layout(cid)
-        new = face_layout(tri, new_weights, cid)
-        out.append(tuple(sorted(
-            tuple(sorted([_carry(old, new, s, shift) for s in pair])) for pair in pairs
-        )))
-    return out
+    return [
+        _carry(surf.face_layout(cid), face_layout(tri, new_weights, cid), pairs, shift)
+        if cid in moved else pairs
+        for cid, pairs in enumerate(matchings)
+    ]
 
 
-def _shift_node(tri, tet, shift, node):
-    edge_local, i = node
-    e = tri.edge_class_of[(tet, edge_local)]
-    return edge_local, shift(e, i)
-
-
-def _track_curve(old, geo, curve, shift, removed_points=None):
+def _track_curve(old, geo, curve, shift):
     """The id in ``geo``, the new encoding's geometry of a tetrahedron, of
-    a curve of ``old`` there, followed through its first node that is not
-    among the removed points."""
+    a curve of ``old`` there, followed through its first node that
+    ``shift`` does not delete."""
     tri = old.tri
     tet = geo.tet
-    removed = removed_points or {}
-    for node in old.tet_geometry(tet).curves[curve]:
-        if node[1] not in removed.get(tri.edge_class_of[(tet, node[0])], ()):
-            return geo.node_curve[_shift_node(tri, tet, shift, node)]
+    for e_local, i in old.tet_geometry(tet).curves[curve]:
+        moved = shift.get(tri.edge_class_of[(tet, e_local)])
+        if moved is not None:
+            i = moved[i]
+        if i is not None:
+            return geo.node_curve[(e_local, i)]
     raise NotApplicableError("curve {} of tet {} would be deleted".format(curve, tet))
 
 
-def _map_annuli(old, weights, matchings, shift, overrides=None, removed_points=None):
+def _map_annuli(old, weights, matchings, shift, overrides=None):
     """Carry annulus pairs from ``old`` to the new encoding with these
     weights and matchings, by tracking a surviving node of each member
     curve.  ``overrides`` replaces whole tetrahedra.  Returns the annuli
@@ -387,7 +387,7 @@ def _map_annuli(old, weights, matchings, shift, overrides=None, removed_points=N
         mapped = []
         for pair in pairs:
             geo = traced[tet] = tet_geometry_of(old.tri, weights, matchings, tet)
-            a, b = (_track_curve(old, geo, c, shift, removed_points) for c in pair)
+            a, b = (_track_curve(old, geo, c, shift) for c in pair)
             if a == b:
                 raise NotApplicableError(
                     "annulus curves in tet {} would merge".format(tet)
@@ -410,10 +410,13 @@ def _planar_reconnection(rest, p, q, r, s):
 
 
 def _curve_of_copy(geo, f, pair):
-    curve = geo.arc_curve(f, pair)
-    if curve is None:
-        raise SemanticError("arc {} not found on face {}".format(pair, f))
-    return curve
+    """The curve of ``geo`` through the arc copy ``pair`` of its face f,
+    read from the face's slot nodes."""
+    if 0 <= f < 4:
+        layout, _, chord_sides, _ = geo._faces[f]
+        if pair in chord_sides:
+            return geo.node_curve[layout.slot_nodes[geo._frame[0][f][1]][pair[0]]]
+    raise SemanticError("arc {} not found on face {}".format(pair, f))
 
 
 # ---------------------------------------------------------------------------
@@ -441,35 +444,29 @@ def _vertex_sphere(tri, v):
 
 def _placement_points(weights, entry):
     """Where the catalog sphere's points sit in a surface with these
-    weights that holds it at its placement: {(e, sphere index): index}.
-    A vertex link sits innermost at its vertex; any other sphere sits at
-    the low end of every edge class."""
+    weights that holds it at its placement: {e: the index of each of the
+    sphere's points on edge class e}, in increasing order.  A vertex
+    link sits innermost at its vertex; any other sphere sits at the low
+    end of every edge class."""
     sphere = entry.surface
     if entry.vertex is None:
-        return {(e, i): i for e, k in enumerate(sphere.weights) for i in range(k)}
-    return {
-        (e, _bubble_point(sphere.weights, e, end)): _bubble_point(weights, e, end)
-        for e, end in sphere.tri.vertex_edge_ends[entry.vertex]
-    }
+        return {e: list(range(k)) for e, k in enumerate(sphere.weights) if k}
+    points = {}
+    for e, end in sphere.tri.vertex_edge_ends[entry.vertex]:
+        points.setdefault(e, []).append(_bubble_point(weights, e, end))
+    return points
 
 
 def _sphere_arcs(entry, weights, point_map):
     """The catalog sphere's arcs as (face class, pair), in the slots of a
     surface with these weights whose points ``point_map`` gives."""
     sphere = entry.surface
-
-    def index(e, i):
-        return point_map[(e, i)]
-
-    arcs = []
-    for cid, pairs in enumerate(sphere.matchings):
-        if not pairs:
-            continue
-        s_lay = sphere.face_layout(cid)
-        u_lay = face_layout(sphere.tri, weights, cid)
-        for pair in pairs:
-            arcs.append((cid, tuple(sorted([_carry(s_lay, u_lay, s, index) for s in pair]))))
-    return arcs
+    return [
+        (cid, pair)
+        for cid, pairs in enumerate(sphere.matchings) if pairs
+        for pair in _carry(sphere.face_layout(cid), face_layout(sphere.tri, weights, cid),
+                           pairs, point_map)
+    ]
 
 
 def _sphere_curves(geo, entry, point_map):
@@ -482,7 +479,7 @@ def _sphere_curves(geo, entry, point_map):
     for s_curve, nodes in enumerate(entry.surface.tet_geometry(tet).curves):
         e_local, i = nodes[0]
         e = tri.edge_class_of[(tet, e_local)]
-        out[geo.node_curve[(e_local, point_map[(e, i)])]] = s_curve
+        out[geo.node_curve[(e_local, point_map[e][i])]] = s_curve
     return out
 
 
@@ -499,10 +496,7 @@ def _insert_sphere(surf, entry):
     new_weights = tuple(w + k for w, k in zip(surf.weights, entry.surface.weights))
     point_map = _placement_points(new_weights, entry)
     # The r-th placed point on an edge, at new index u, fills old gap u - r.
-    inserts = {}
-    for (e, _), u in sorted(point_map.items(), key=lambda item: item[1]):
-        gaps = inserts.setdefault(e, [])
-        gaps.append(u - len(gaps))
+    inserts = {e: [u - r for r, u in enumerate(points)] for e, points in point_map.items()}
     _, shift, _ = _point_map_for_insertions(surf.weights, inserts)
     matchings = _remap_matchings(surf, new_weights, shift)
     met = set()
@@ -609,12 +603,7 @@ def _find_sphere(surf, entry, tube=None):
         paired = {c for pair in pairs for c in pair}
         if paired & set(_sphere_curves(surf.tet_geometry(tet), entry, point_map)):
             why = "sphere {} is paired into the annulus of tet {}".format(entry.sphere_id, tet)
-    removals = {}
-    for (e, _), u in point_map.items():
-        removals.setdefault(e, []).append(u)
-    for idx in removals.values():
-        idx.sort()
-    return _Found(removals, arcs, s_curve, keep, why)
+    return _Found(point_map, arcs, s_curve, keep, why)
 
 
 def _delete_cells(surf, removals, drop, add=(), tube=None):
@@ -632,14 +621,14 @@ def _delete_cells(surf, removals, drop, add=(), tube=None):
         for cid, pairs in enumerate(surf.matchings)
     ]
     for cid, pair in add:
-        stripped[cid] += (pair,)
+        stripped[cid] = tuple(sorted(stripped[cid] + (pair,)))
     matchings = _remap_matchings(surf, new_weights, shift, stripped)
     overrides = {} if tube is None else {tube[0]: ()}
-    annuli, traced = _map_annuli(surf, new_weights, matchings, shift, overrides, removals)
+    annuli, traced = _map_annuli(surf, new_weights, matchings, shift, overrides)
     result = Surface(tri, new_weights, matchings, annuli, source=surf, geometry=traced)
     if tube is None:
         return result, shift, None
-    return result, shift, _track_curve(surf, result.tet_geometry(tube[0]), tube[1], shift, removals)
+    return result, shift, _track_curve(surf, result.tet_geometry(tube[0]), tube[1], shift)
 
 
 # ---------------------------------------------------------------------------
@@ -732,10 +721,10 @@ def _apply_e1_insert(surf, move, catalog):
         matchings[cid] = tuple(sorted(matchings[cid] + (tuple(sorted((s1, s2))),)))
     # Reroute through the chosen face.
     lay = face_layout(tri, new_weights, chat)
-    a_new = [_carry(layout, lay, s, shift) for s in arc]
+    (a_new,) = _carry(layout, lay, (arc,), shift)
     pa, pb = lay.slot_of_point(khat, p_lo), lay.slot_of_point(khat, p_hi)
-    rest = tuple(p for p in matchings[chat] if p != tuple(sorted(a_new)))
-    chosen = _planar_reconnection(rest, a_new[0], a_new[1], pa, pb)
+    rest = tuple(p for p in matchings[chat] if p != a_new)
+    chosen = _planar_reconnection(rest, *a_new, pa, pb)
     if chosen is None:
         raise NotApplicableError("no planar rerouting through face {}".format(chat))
     matchings[chat] = tuple(sorted(rest + chosen))
@@ -801,12 +790,10 @@ def _apply_e1_delete(surf, move, catalog):
         raise NotApplicableError("points {}..{} on edge {} are not a finger".format(k, k + 1, e))
     bigons, (chat, khat), s1, s2, x, y = finger
     drop = bigons + [(chat, tuple(sorted((s1, x)))), (chat, tuple(sorted((s2, y))))]
-    result, shift, _ = _delete_cells(
-        surf, {e: [k, k + 1]}, drop, add=[(chat, tuple(sorted((x, y))))]
-    )
-    old, new = surf.face_layout(chat), result.face_layout(chat)
-    restored = sorted([_carry(old, new, s, shift) for s in (x, y)])
-    return result, Move(E1, e, direction=1, gap=k, incidence=(chat, khat), arc=tuple(restored))
+    arc = tuple(sorted((x, y)))
+    result, shift, _ = _delete_cells(surf, {e: [k, k + 1]}, drop, add=[(chat, arc)])
+    (restored,) = _carry(surf.face_layout(chat), result.face_layout(chat), (arc,), shift)
+    return result, Move(E1, e, direction=1, gap=k, incidence=(chat, khat), arc=restored)
 
 
 # ---------------------------------------------------------------------------
@@ -931,7 +918,7 @@ def _apply_f2(surf, move, catalog):
         overrides[t_l] = ()
     if len(split) == 2:
         overrides[t_g] = (tuple(sorted(split)),)
-    annuli, traced = _map_annuli(surf, surf.weights, matchings, lambda e, i: i, overrides)
+    annuli, traced = _map_annuli(surf, surf.weights, matchings, {}, overrides)
     traced.update({t_l: geo_l, t_g: geo_g})
     result = Surface(tri, surf.weights, matchings, annuli, source=surf, geometry=traced)
     return result, Move(kind, cid, arcs=tuple(sorted(chosen)), gain=1 - move.gain)

@@ -55,11 +55,13 @@ triangulation alone lives on it: ``face_sides`` (each face class's sides
 in slot order), ``edge_sides`` and the per-tetrahedron ``tet_frames``.
 What also depends on the three side weights of a face lives on its
 ``FaceLayout``, one per (sides, side weights), built by ``face_layout``
-and cached in ``_side_layout``: the methods that number slots, and two
-tables a trace reads instead of the methods, the node (tetrahedron
-edge, class point index) of every slot per incidence and the circular
-gap of every class-order gap per side.  ``Surface.face_layout`` keeps
-each surface's layouts in a list.
+and cached in ``_side_layout``: the weight and first slot of each side
+(``side_w``, ``side_start``), from which ``moves._carry`` re-indexes a
+whole face side by side when weights change; ``point_of_slot`` and
+``slot_of_point``, which number one slot; and two tables a trace reads,
+the node (tetrahedron edge, class point index) of every slot per
+incidence and the circular gap of every class-order gap per side.
+``Surface.face_layout`` keeps each surface's layouts in a list.
 
 A move builds its result from a valid *source* surface and reuses what
 the move did not touch: a face class's matching tuple or a tetrahedron's
@@ -231,16 +233,10 @@ class FaceLayout:
             for start, w, (_, net, _, _) in zip(self.side_start, self.side_w, self.sides)
         )
 
-    def side_of_slot(self, s):
-        if s < self.side_start[1]:
-            return 0, s
-        if s < self.side_start[2]:
-            return 1, s - self.side_start[1]
-        return 2, s - self.side_start[2]
-
     def point_of_slot(self, s):
         """The (edge class, class point index) of boundary slot s."""
-        k, j = self.side_of_slot(s)
+        k = (s >= self.side_start[1]) + (s >= self.side_start[2])
+        j = s - self.side_start[k]
         e, net = self.sides[k][:2]
         return e, (j if net > 0 else self.side_w[k] - 1 - j)
 
@@ -319,7 +315,7 @@ class TetGeometry:
     of every node), ``curve_adjacent`` (the two region roots beside each
     curve) and, per face, its layout and chord regions with the region
     root of every chord region.  The curve of an arc copy is the curve of
-    its first slot's node and is looked up by ``arc_curve``; the set of
+    its first slot's node and is looked up by ``arc_curves``; the set of
     regions is the set of those roots.
     """
 
@@ -352,16 +348,17 @@ class TetGeometry:
         # Each walk starts at the least node not yet traced, which is the
         # least node of its curve, so curves come out in canonical order.
         curves = []
-        visited = set()
+        self.node_curve = node_curve = {}
         for start in sorted(joined):
-            if start in visited:
+            if start in node_curve:
                 continue
+            c = len(curves)
             walk = []
             node = start
             prev = None
             while True:
                 walk.append(node)
-                visited.add(node)
+                node_curve[node] = c
                 ends = joined[node]
                 if len(ends) != 2:
                     raise SemanticError(
@@ -374,12 +371,9 @@ class TetGeometry:
                 node = nxt
                 if node == start:
                     break
-            curves.append(tuple(sorted(walk)))
+            walk.sort()
+            curves.append(tuple(walk))
         self.curves = tuple(curves)
-        self.node_curve = node_curve = {}
-        for c, nodes in enumerate(curves):
-            for node in nodes:
-                node_curve[node] = c
         self._build_regions(matchings, layouts)
 
     def _build_regions(self, matchings, layouts):
@@ -417,13 +411,6 @@ class TetGeometry:
                     outer, inner = chord_sides[pair]
                     adj[c] = (root[offset + outer], root[offset + inner])
         self.curve_adjacent = adj
-
-    def arc_curve(self, f, pair):
-        """The curve through the arc copy ``pair`` of face f (0..3), or None
-        when that face has no such arc."""
-        if not 0 <= f < 4 or pair not in self._faces[f][2]:
-            return None
-        return self.arc_curves(f, (pair,))[pair]
 
     def arc_curves(self, f, arcs):
         """{arc: the curve through it} for arc copies of face f (0..3),
@@ -525,14 +512,16 @@ class Surface:
                                    or len(matchings) != len(source.matchings)
                                    or len(annuli) != len(source.annuli)):
             source = None
+        self._layouts = None
         if source is not None and weights is source.weights:
+            # Same weights, same face layouts: share the source's list.
             self.weights = weights
+            self._layouts = source._layouts
         else:
             self.weights = tuple(int(x) for x in weights)
         self.matchings = _normalized(matchings, source and source.matchings)
         self.annuli = _normalized(annuli, source and source.annuli)
         self._tets = dict(geometry or ())
-        self._layouts = None
         self._text = None
         self._validation = None
         self._cell_data = None
@@ -749,8 +738,7 @@ class Surface:
         for tet in range(tri.tet_count):
             geo = self.tet_geometry(tet)
             for f, (cid, _, _) in enumerate(tri.tet_frames[tet][0]):
-                for pair in self.matchings[cid]:
-                    curve = geo.arc_curve(f, pair)
+                for pair, curve in geo.arc_curves(f, self.matchings[cid]).items():
                     arcs[(cid, pair)]["attach"].append(
                         (tet, piece_lookup[tet][curve], f, curve, pair)
                     )

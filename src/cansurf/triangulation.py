@@ -151,6 +151,7 @@ class Triangulation:
         self.gluings = tuple(
             tuple((int(n), tuple(p)) for (n, p) in row) for row in gluings
         )
+        self._hash = hash(self.gluings)
         self.tet_count = len(self.gluings)
         if self.tet_count == 0:
             raise SemanticError("no tetrahedra")
@@ -383,10 +384,7 @@ class Triangulation:
         return isinstance(other, Triangulation) and self.gluings == other.gluings
 
     def __hash__(self):
-        h = getattr(self, "_hash", None)
-        if h is None:
-            h = self._hash = hash(self.gluings)
-        return h
+        return self._hash
 
     def __repr__(self):
         return "<Triangulation: {} tets, {} vertices, {} edges, {} faces>".format(

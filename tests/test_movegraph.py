@@ -3,6 +3,8 @@ import json
 import multiprocessing
 import multiprocessing.connection
 import os
+import subprocess
+import sys
 import time
 
 import pytest
@@ -606,6 +608,45 @@ def test_replay_bad_token_is_a_parse_error_every_time(link, catalog, default8_lo
         with pytest.raises(ParseError):
             replay(link, [default8_loops[0][0], "bogus"], catalog)
     assert all(text != "bogus" for (_, _, _, text) in fresh_memo)
+
+
+_REPLAY_COUNTING_PARSES = """
+import sys
+from cansurf import default_catalog, movegraph, parse_surface, parse_triangulation, replay
+
+tri_path, seed_path, loops_path = sys.argv[1:]
+tri = parse_triangulation(open(tri_path).read())
+seed = parse_surface(tri, open(seed_path).read())
+catalog = default_catalog(tri)
+parsed = []
+parse_move = movegraph.parse_move
+movegraph.parse_move = lambda text: parsed.append(text) or parse_move(text)
+for line in open(loops_path):
+    assert replay(seed, line.split(), catalog).canonical_key() == seed.canonical_key()
+print(len(parsed), len(set(parsed)), movegraph._replay_move.cache_info().maxsize)
+"""
+
+
+def test_replay_parses_each_distinct_move_text_once(data_dir, default8_loops, tmp_path):
+    # In a fresh process, whose caches start empty, replaying every loop
+    # of default/8 parses each distinct move text once, through a bounded
+    # cache that holds them all.
+    path = tmp_path / "loops.txt"
+    path.write_text("".join(" ".join(loop) + "\n" for loop in default8_loops))
+    src = os.path.dirname(os.path.dirname(movegraph.__file__))
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join(
+        [src] + [p for p in [os.environ.get("PYTHONPATH")] if p]
+    ))
+    proc = subprocess.run(
+        [sys.executable, "-c", _REPLAY_COUNTING_PARSES, str(data_dir / "two_tet_s3.tri"),
+         str(data_dir / "vertex_link.surf"), str(path)],
+        env=env, capture_output=True, text=True, timeout=120,
+    )
+    assert proc.returncode == 0, proc.stderr
+    parses, distinct, bound = map(int, proc.stdout.split())
+    texts = {text for loop in default8_loops for text in loop}
+    assert parses == distinct == len(texts)
+    assert len(texts) <= bound
 
 
 def test_replay_memo_eviction_keeps_verdicts(tri, link, catalog, default8_loops, fresh_memo,

@@ -27,7 +27,7 @@ from cansurf import (
     parse_surface,
     vertex_link,
 )
-from cansurf import moves
+from cansurf import moves, oracle, surface
 from cansurf.moves import (
     ALL_KINDS,
     DEFAULT_MOVE_SET,
@@ -1208,3 +1208,88 @@ def test_release_geometry_with_inherited_geometry(tri):
         assert result.curves(tet) == fresh.curves(tet)
     # The link and a free bubble: two spheres.
     assert result.euler_characteristic() == fresh.euler_characteristic() == 4
+
+
+# ---------------------------------------------------------- slot re-indexing
+
+
+@settings(max_examples=200, deadline=None)
+@given(data=st.data())
+def test_point_maps_match_a_list_model(tri, data):
+    # The points of an edge class as a list: inserting into gaps or
+    # deleting points edits the list, and every old point moves to its
+    # place in the edited list.  A face carried past a deleted point that
+    # one of its arcs still ends at fails.
+    weights = tuple(data.draw(st.lists(st.integers(0, 5), min_size=3, max_size=3)))
+    e = data.draw(st.integers(0, 2))
+    w = weights[e]
+    gaps = sorted(data.draw(st.lists(st.integers(0, w), max_size=3)))
+    model = []
+    for i in range(w + 1):
+        model += [None] * gaps.count(i)
+        model += [i] if i < w else []
+    new_weights, shift, inserted = moves._point_map_for_insertions(weights, {e: gaps})
+    assert new_weights == weights[:e] + (len(model),) + weights[e + 1:]
+    assert shift == {e: [model.index(i) for i in range(w)]}
+    assert inserted == {e: [k for k, i in enumerate(model) if i is None]}
+
+    removed = sorted(data.draw(st.sets(st.sampled_from(range(w))))) if w else []
+    kept = [i for i in range(w) if i not in removed]
+    new_weights, shift = moves._point_map_for_deletions(weights, {e: removed})
+    assert new_weights == weights[:e] + (len(kept),) + weights[e + 1:]
+    assert shift == {e: [kept.index(i) if i in kept else None for i in range(w)]}
+    _raises_exactly(
+        NotApplicableError, "removing more points than exist on edge {}".format(e),
+        moves._point_map_for_deletions, weights, {e: list(range(w + 1))},
+    )
+    if removed:
+        cid, k = tri.edge_sides[e][0]
+        old = surface.face_layout(tri, weights, cid)
+        new = surface.face_layout(tri, new_weights, cid)
+        s = old.slot_of_point(k, data.draw(st.sampled_from(removed)))
+        _raises_exactly(
+            NotApplicableError, "a surviving arc still references a deleted point",
+            moves._carry, old, new, [(s, (s + 1) % old.n)], shift,
+        )
+
+
+def test_carried_slots_match_the_oracle(closure_graphs, monkeypatch):
+    # Every E1, V0, PINCH and UNPINCH edge of the default/8 and sub48/12
+    # closures, applied from both ends, carries slots from an old layout
+    # to a new one.  The oracle's own slot decoding finds every carried
+    # slot on the side it came from, at the new index of its point.
+    carried = []
+
+    def spy(old, new, pairs, shift, carry=moves._carry):
+        out = carry(old, new, pairs, shift)
+        carried.append((old, new, pairs, shift, out))
+        return out
+
+    monkeypatch.setattr(moves, "_carry", spy)
+    applied = collections.Counter()
+    for graph in (closure_graphs[0], closure_graphs[2]):
+        tri = graph.tri
+        catalog = default_catalog(tri)
+        ref = oracle._OracleTri(tri.to_text())
+        face_of = {sides: cid for cid, sides in enumerate(tri.face_sides)}
+        for u, v, muv, mvu in graph.edges:
+            for key, text in ((u, muv), (v, mvu)):
+                move = parse_move(text)
+                if move.kind not in (E1, V0, PINCH, UNPINCH):
+                    continue
+                del carried[:]
+                apply_with_inverse(graph.vertices[key], move, catalog)
+                assert carried, text
+                applied[move.kind, move.direction] += 1
+                for old, new, pairs, shift, out in carried:
+                    sides = ref.face_sides(face_of[old.sides])
+                    edges = [e for e, *_ in sides]
+                    before = oracle._SlotTable(sides, dict(zip(edges, old.side_w)))
+                    after = oracle._SlotTable(sides, dict(zip(edges, new.side_w)))
+                    assert len(out) == len(pairs)
+                    for pair, image in zip(pairs, out):
+                        for s, t in zip(pair, image):
+                            k, e, i, _, _ = before.decode(s)
+                            moved = shift.get(e)
+                            assert after.decode(t)[:3] == (k, e, i if moved is None else moved[i])
+    assert set(applied) == {(E1, 1), (E1, -1), (V0, 1), (V0, -1), (PINCH, 1), (UNPINCH, 1)}

@@ -20,7 +20,7 @@ from cansurf import (
     replay,
     vertex_link,
 )
-from cansurf import movegraph, surface
+from cansurf import movegraph, oracle, surface
 from cansurf.moves import F2P, PINCH, UNPINCH, Move, V0, apply, default_catalog
 from cansurf.surface import _TET_MEMO, _TET_MEMO_ENTRIES, TetGeometry
 
@@ -231,7 +231,8 @@ def _geometry_fields(geo, matchings):
     return (
         geo.curves,
         geo.node_curve,
-        [(f, pair, geo.arc_curve(f, pair)) for f, pairs in enumerate(matchings) for pair in pairs],
+        [(f, pair, curve) for f, pairs in enumerate(matchings)
+         for pair, curve in geo.arc_curves(f, pairs).items()],
         geo.curve_adjacent,
         [geo.curve_sides(c) for c in range(len(geo.curves))],
         [geo.corner_region(c) for c in range(4)],
@@ -372,7 +373,8 @@ def test_face_crossing_matches_the_pairwise_scan():
 
 
 def test_layout_tables_match_slot_arithmetic(sub):
-    # The tables a trace reads agree with the per-slot methods moves use.
+    # The tables a trace reads, and the layout's own slot numbering, agree
+    # with the oracle's slot decoding.
     # Circular gap g lies between slots g - 1 and g; class gap q lies
     # between class points q - 1 and q, and its end gaps are the side's
     # corner gaps, gap 0 at the corner where the edge class starts.
@@ -380,11 +382,16 @@ def test_layout_tables_match_slot_arithmetic(sub):
         for cid, ((t, f), _) in enumerate(sub.face_classes):
             layout = surface.FaceLayout(sub.face_sides[cid], side_w)
             n = layout.n
+            # The subdivision has no face with one edge class on two sides,
+            # so any three side weights are the weights of some encoding.
+            edges = [e for e, *_ in layout.sides]
+            table = oracle._SlotTable(layout.sides, dict(zip(edges, side_w)))
+            assert table.w == list(side_w)
+            decoded = [table.decode(s) for s in range(n)]
+            assert [layout.point_of_slot(s) for s in range(n)] == [d[1:3] for d in decoded]
             for inc in (0, 1):
                 assert layout.slot_nodes[inc] == tuple(
-                    (layout.sides[layout.side_of_slot(s)[0]][2 + inc],
-                     layout.point_of_slot(s)[1])
-                    for s in range(n)
+                    ((e_rep, e_oth)[inc], i) for _, _, i, e_rep, e_oth in decoded
                 )
             corners = [u for u in range(4) if u != f]
             for k, w in enumerate(side_w):
