@@ -25,11 +25,12 @@ of applying every candidate.
 The serial closure passes Surface objects.  With workers > 1 the build
 runs n = ``min(workers, os.cpu_count())`` processes, the parent included,
 and at least one worker: n - 1 worker processes live for the whole build,
-each talking to the parent over its own pipe, so the parent runs no
-threads.  Each sorted wave is cut into n contiguous shares of equal
-size, give or take one, the parent's never the smaller, so a wave of one
-source (the seed's) stays in the parent.  The parent sends the non-empty
-shares 2..n to the workers, expands share 1 itself as a serial build
+each talking to the parent over its own pair of OS pipes (shares in,
+replies out, one pickle each), so the parent runs no threads.  Each
+sorted wave is cut into n contiguous shares of equal size, give or take
+one, the parent's never the smaller, so a wave of one source (the
+seed's) stays in the parent.  The parent sends the non-empty shares 2..n
+to the workers, expands share 1 itself as a serial build
 does, on Surface objects and with its own warm tet-geometry memo (see
 ``surface``), and then merges the workers' results share by share, so
 every source's neighbours are merged in frontier order and the vertex
@@ -44,14 +45,18 @@ when it starts; since it always gets the same share of the same wave,
 its memo, and so the work it does, is the same on every run.  Building
 the 2-tet S3 closure of a weight-2 sphere at budget 6 (349 vertices)
 from a cleared memo on two processes traces 577 tet states, parent and
-worker together, against 417 serial.  Workers start by the platform's
-default method; on Linux that is fork, which there costs about 2 ms
-where spawn, importing the package afresh, doubled the build time of
-that closure.  When a limit stops a pooled build, or an error or
-KeyboardInterrupt leaves it, the workers are terminated and joined
-without waiting for their shares.  Workers know the time limit's
-deadline and stop at the first source they reach after it, so a build
-that waits on a share waits at most one source expansion past it.
+worker together, against 417 serial.  The parent starts each worker with
+``os.fork`` itself, so the pool imports no process-pool module (only
+``pickle``), and a worker inherits the parent's tables instead of
+importing the package afresh (spawning, which does, doubled the build
+time of that closure).  A worker leaves by ``os._exit``, running none of
+the parent's cleanup.  Where the platform has no ``os.fork`` the build
+starts no workers and the parent expands every wave whole.  When a limit
+stops a pooled build, or an error or KeyboardInterrupt leaves it, the
+workers are sent SIGTERM without waiting for their shares; every worker
+is reaped before ``build`` returns or raises.  Workers know the time
+limit's deadline and stop at the first source they reach after it, so a
+build that waits on a share waits at most one source expansion past it.
 
 Generators of the fundamental group: a breadth-first spanning tree is
 rooted at the seed, and every non-tree edge (u, v, m) contributes one
@@ -163,25 +168,57 @@ class GeneratorSet:
 # Parallel workers
 
 
-def _worker_main(conn, parent_ends, tri, budget, move_set, catalog, deadline):
-    """A pool worker: expands each share the parent sends on ``conn``
-    until the parent closes its end.  ``parent_ends`` are the parent's
-    pipe ends this process may have inherited; closing them lets it see
-    the parent go away."""
+def _start_worker(pool, args):
+    """Fork a pool worker that runs ``_worker_main(share reader, reply
+    writer, *args)`` over two new pipes, and add (pid, share writer, reply
+    reader) to ``pool``.  The worker closes the parent's ends of its own
+    pipes and of the workers before it, so each sees end of file when the
+    parent closes its end, and leaves by ``os._exit``: it runs none of the
+    parent's cleanup and flushes none of its buffers."""
+    share_in, share_out = os.pipe()
+    reply_in, reply_out = os.pipe()
+    try:
+        pid = os.fork()
+    except BaseException:
+        for fd in (share_in, share_out, reply_in, reply_out):
+            os.close(fd)
+        raise
+    if pid == 0:
+        code = 1
+        try:
+            for fd in [share_out, reply_in] + [f.fileno() for w in pool for f in w[1:]]:
+                os.close(fd)
+            _worker_main(open(share_in, "rb"), open(reply_out, "wb"), *args)
+            code = 0
+        except BaseException:  # reported here: the worker never unwinds into the parent's frames
+            import traceback
+
+            os.write(2, traceback.format_exc().encode())  # past sys.stderr and its buffer
+        finally:
+            os._exit(code)
+    os.close(share_in)
+    os.close(reply_out)
+    pool.append((pid, open(share_out, "wb"), open(reply_in, "rb")))
+
+
+def _worker_main(share_in, reply_out, tri, budget, move_set, catalog, deadline):
+    """A pool worker: expands each share the parent pickles to
+    ``share_in``, pickling its reply to ``reply_out``, until the parent
+    closes its end."""
+    import pickle
     import signal
 
     signal.signal(signal.SIGINT, signal.SIG_IGN)  # the parent ends the pool
-    for end in parent_ends:
-        end.close()
     _TET_MEMO.clear()
     try:
         while True:
-            texts, skips = conn.recv()
+            texts, skips = pickle.load(share_in)
             try:
                 reply = _expand_share(tri, budget, move_set, catalog, deadline, texts, skips)
             except Exception as exc:  # raised again in the parent
                 reply = exc
-            conn.send(reply)
+            pickle.dump(reply, reply_out)
+            reply_out.flush()
     except (EOFError, BrokenPipeError):
         pass
 
@@ -248,8 +285,9 @@ def build(
     are checked after every new vertex and every expanded source, and a
     pool worker checks the time limit before every source it expands.
     With ``workers`` > 1 the build runs ``min(workers, os.cpu_count())``
-    processes, the parent included, and at least one worker; no worker
-    outlives the call.  ``stats`` counts the sources the workers expanded
+    processes, the parent included, and at least one worker where the
+    platform has ``os.fork`` (elsewhere none); no worker outlives the
+    call.  ``stats`` counts the sources the workers expanded
     (``pool_sources``) and the bytes of the texts they returned
     (``pool_text_bytes``); both are 0 for a serial build.
     """
@@ -315,39 +353,31 @@ def build(
                 known[result_key].add(inverse_text)
         check_limits()
 
-    ends, procs = [], []
+    pool = []  # (pid, share writer, reply reader) per worker
     try:
-        if workers > 1:
-            import multiprocessing
+        if workers > 1 and hasattr(os, "fork"):
+            import pickle
 
             for _ in range(max(min(workers, os.cpu_count() or 1) - 1, 1)):
-                end, child = multiprocessing.Pipe()
-                ends.append(end)
-                proc = multiprocessing.Process(
-                    target=_worker_main,
-                    args=(child, list(ends), tri, budget, graph.move_set, catalog, deadline),
-                    daemon=True,
-                )
-                proc.start()
-                procs.append(proc)
-                child.close()
+                _start_worker(pool, (tri, budget, graph.move_set, catalog, deadline))
         while frontier:
             # Contiguous shares of the sorted wave: the parent expands the
             # first, never the smaller, and the workers the others, and
             # they merge in order.  A worker with no sources is sent none.
             frontier.sort()
-            cuts = [-(-len(frontier) * i // (len(ends) + 1)) for i in range(len(ends) + 2)]
+            cuts = [-(-len(frontier) * i // (len(pool) + 1)) for i in range(len(pool) + 2)]
             shares = [frontier[a:b] for a, b in zip(cuts, cuts[1:])]
-            sent = [(end, share) for end, share in zip(ends, shares[1:]) if share]
-            for end, share in sent:
-                end.send((share, [known.pop(key) for key in share]))
+            sent = [(worker, share) for worker, share in zip(pool, shares[1:]) if share]
+            for (_, share_out, _), share in sent:
+                pickle.dump((share, [known.pop(key) for key in share]), share_out)
+                share_out.flush()
                 for key in share:
                     # Expanded by a worker, so the parent needs no geometry.
                     graph.vertices[key].release_geometry()
             for src_key, stats, found in _expand_serial(graph, shares[0], catalog, known):
                 merge(src_key, stats, found)
-            for end, share in sent:
-                results = end.recv()
+            for (_, _, reply_in), share in sent:
+                results = pickle.load(reply_in)
                 if isinstance(results, Exception):
                     raise results
                 for src_key, (found, stats) in zip(share, results):
@@ -362,14 +392,20 @@ def build(
                     stop("time limit {}s exceeded".format(limits.max_seconds))
             frontier, next_frontier = next_frontier, []
     except BaseException:
-        for proc in procs:
-            proc.terminate()
+        import signal
+
+        for pid, _, _ in pool:
+            os.kill(pid, signal.SIGTERM)
         raise
     finally:
-        for end in ends:
-            end.close()
-        for proc in procs:
-            proc.join()
+        for _, share_out, reply_in in pool:
+            reply_in.close()
+            try:
+                share_out.close()
+            except BrokenPipeError:  # unsent bytes for a worker that died
+                pass
+        for pid, _, _ in pool:
+            os.waitpid(pid, 0)
     graph.stats["vertices"] = len(graph.vertices)
     graph.stats["edges"] = len(graph.edges)
     graph.stats["rank"] = graph.rank()

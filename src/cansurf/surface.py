@@ -290,8 +290,8 @@ def tet_geometry_of(tri, weights, matchings, tet):
     weights and four face matchings, and traced only on a miss.  The memo
     drops its least recently used entries beyond ``max(_TET_MEMO_ENTRIES,
     4 * tet_count)``; a tracing error is raised, not cached."""
-    edges, faces = tri.tet_local_classes[tet]
-    key = (tri, tet, tuple([weights[e] for e in edges]), tuple([matchings[c] for c in faces]))
+    edges, faces = tri.tet_local_getters[tet]
+    key = (tri, tet, edges(weights), faces(matchings))
     geo = _TET_MEMO.get(key)
     if geo is None:
         geo = TetGeometry(*key)

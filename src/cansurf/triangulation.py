@@ -57,6 +57,7 @@ nonzero Euler characteristic.
 from __future__ import annotations
 
 import functools
+import operator
 
 from .errors import ParseError, SemanticError
 
@@ -293,6 +294,12 @@ class Triangulation:
                 tuple(self.face_class_of[(t, f)] for f in range(4)),
             )
             for t in range(self.tet_count)
+        )
+        # Per tetrahedron: getters of those classes' entries from a
+        # sequence indexed by class, as tuples.
+        self.tet_local_getters = tuple(
+            (operator.itemgetter(*edges), operator.itemgetter(*faces))
+            for edges, faces in self.tet_local_classes
         )
 
     # -- face and frame tables --------------------------------------------

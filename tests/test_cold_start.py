@@ -1,7 +1,7 @@
 """Importing the package loads only the standard-library modules its
 processes use: no ``dataclasses`` (which brings ``inspect``, ``ast`` and
-``dis``), no process pool until a build asks for workers, and no oracle
-in the command line until ``cansurf oracle`` runs."""
+``dis``), no ``multiprocessing`` even when a build starts workers, and
+no oracle in the command line until ``cansurf oracle`` runs."""
 
 import os
 import pathlib
@@ -33,6 +33,17 @@ def _loaded_by(statement, names):
 def test_importing_the_package_loads_no_heavy_standard_modules():
     names = ["dataclasses", "inspect", "multiprocessing", "concurrent.futures"]
     assert _loaded_by("import cansurf", names) == []
+
+
+def test_a_pooled_build_loads_no_process_pool_modules():
+    # The pool forks its workers itself and talks to them over OS pipes.
+    statement = (
+        "import cansurf\n"
+        "tri = cansurf.parse_triangulation(open({!r}).read())\n"
+        "cansurf.build(cansurf.vertex_link(tri, 0), 6, catalog=cansurf.default_catalog(tri),"
+        " workers=2)"
+    ).format(str(SRC.parent / "data" / "two_tet_s3.tri"))
+    assert _loaded_by(statement, ["multiprocessing", "socket"]) == []
 
 
 def test_the_command_line_loads_the_oracle_only_for_its_command():

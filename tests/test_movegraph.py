@@ -1,8 +1,7 @@
 import collections
 import json
-import multiprocessing
-import multiprocessing.connection
 import os
+import pickle
 import subprocess
 import sys
 import time
@@ -131,6 +130,16 @@ def test_pool_exports_match_at_one_two_and_three_workers(tri, link, catalog):
         assert generators(pooled).to_text() == generators(serial).to_text()
 
 
+def test_pool_runs_serially_where_the_platform_cannot_fork(link, catalog, monkeypatch):
+    serial = build(link, 8, catalog=catalog)
+    monkeypatch.delattr(os, "fork")
+    pooled = build(link, 8, catalog=catalog, workers=2)
+    assert pooled.stats["pool_sources"] == 0
+    assert export_json(pooled) == export_json(serial)
+    assert export_dot(pooled) == export_dot(serial)
+    assert generators(pooled).to_text() == generators(serial).to_text()
+
+
 def test_waves_smaller_than_the_pool_merge_in_frontier_order(tri, catalog, data_dir, monkeypatch):
     # Waves of 1, 2 and 2 sources over four processes leave most shares
     # empty, and an empty share is not sent; the vertices still arrive in
@@ -142,14 +151,14 @@ def test_waves_smaller_than_the_pool_merge_in_frontier_order(tri, catalog, data_
     assert sorted(waves.items()) == [(0, 1), (1, 2), (2, 2)]
     monkeypatch.setattr(os, "cpu_count", lambda: 4)
     shares = []
-    send = multiprocessing.connection.Connection.send
+    dump = pickle.dump
 
-    def recording_send(conn, obj):
+    def recording_dump(obj, file):
         if isinstance(obj, tuple):  # a share from the parent, not a reply
             shares.append(len(obj[0]))
-        send(conn, obj)
+        dump(obj, file)
 
-    monkeypatch.setattr(multiprocessing.connection.Connection, "send", recording_send)
+    monkeypatch.setattr(pickle, "dump", recording_dump)
     pooled = build(sphere, 4, move_set={E1, F2P}, catalog=catalog, workers=4)
     assert shares == [1, 1]
     assert pooled.stats["pool_sources"] == _worker_sources(serial, 4) == 2
@@ -161,11 +170,7 @@ class _MemoSize(Exception):
     pass
 
 
-@pytest.mark.skipif(
-    multiprocessing.get_start_method() != "fork",
-    reason="the worker sees this module's patch only when forked",
-)
-def test_worker_starts_from_an_empty_memo(tri, link, catalog, monkeypatch):
+def test_worker_starts_from_an_empty_memo(tri, link, catalog, monkeypatch, started_workers):
     # The worker's first share reports the memo it found, as an error the
     # parent raises again; the parent's own memo is not empty.
     def report(*args):
@@ -177,7 +182,8 @@ def test_worker_starts_from_an_empty_memo(tri, link, catalog, monkeypatch):
     with pytest.raises(_MemoSize) as err:
         build(link, 8, catalog=catalog, workers=2)
     assert err.value.args == (0,)
-    assert multiprocessing.active_children() == []
+    assert len(started_workers) == 1
+    _assert_reaped(started_workers)
 
 
 def _worker_sources(serial, workers):
@@ -247,7 +253,7 @@ def test_serial_build_passes_surfaces(tri, link, catalog, monkeypatch):
         raise AssertionError("the serial build started a worker")
 
     monkeypatch.setattr(movegraph, "parse_surface", no_parse)
-    monkeypatch.setattr(multiprocessing, "Process", no_worker)
+    monkeypatch.setattr(os, "fork", no_worker)
     g = build(link, 8, catalog=catalog)
     assert len(g.vertices) == 126
     assert g.stats["pool_sources"] == g.stats["pool_text_bytes"] == 0
@@ -287,7 +293,7 @@ def test_pool_worker_skips_sources_after_the_deadline(tri, link_text, catalog):
 
 
 @pytest.mark.parametrize("stop", ["vertex limit", "time limit", "merge error", "interrupt"])
-def test_no_worker_outlives_a_stopped_build(tri, catalog, monkeypatch, stop):
+def test_no_worker_outlives_a_stopped_build(tri, catalog, monkeypatch, started_workers, stop):
     # The build stops in the parent's share of default/10's second wave.
     # A forked worker sleeps through its share of that wave, so a build
     # that waited for it would overrun the bound; the worker reaches the
@@ -303,7 +309,7 @@ def test_no_worker_outlives_a_stopped_build(tri, catalog, monkeypatch, stop):
             time.sleep(30)
         return expand_share(*args)
 
-    if stop != "time limit" and multiprocessing.get_start_method() == "fork":
+    if stop != "time limit":
         monkeypatch.setattr(movegraph, "_expand_share", sleepy)
     if stop in ("merge error", "interrupt"):
         error = SemanticError("merge error") if stop == "merge error" else KeyboardInterrupt()
@@ -320,52 +326,60 @@ def test_no_worker_outlives_a_stopped_build(tri, catalog, monkeypatch, stop):
     with pytest.raises(expected):
         build(vertex_link(tri, 0), 10, catalog=catalog, limits=limits, workers=2)
     assert time.monotonic() - start < 3.0
-    assert multiprocessing.active_children() == []
+    assert len(started_workers) == 1
+    _assert_reaped(started_workers)
 
 
-def test_a_failed_worker_start_leaves_no_worker(link, catalog, monkeypatch):
+def test_a_failed_worker_start_leaves_no_worker(link, catalog, monkeypatch, started_workers):
     # The second of two workers fails to start: its error is the one
     # raised, and the first worker is ended.
-    started = []
+    fork = os.fork
 
-    class Failing(multiprocessing.Process):
-        def start(self):
-            if started:
-                raise OSError("no more processes")
-            started.append(self)
-            super().start()
+    def failing():
+        if started_workers:
+            raise OSError("no more processes")
+        return fork()
 
     monkeypatch.setattr(os, "cpu_count", lambda: 3)
-    monkeypatch.setattr(multiprocessing, "Process", Failing)
+    monkeypatch.setattr(os, "fork", failing)
     with pytest.raises(OSError, match="no more processes"):
         build(link, 8, catalog=catalog, workers=3)
-    assert len(started) == 1
-    assert multiprocessing.active_children() == []
+    assert len(started_workers) == 1
+    _assert_reaped(started_workers)
 
 
 @pytest.fixture
 def started_workers(monkeypatch):
-    """The worker processes a build starts.  Starting one that would make
-    more than ``os.cpu_count()`` processes with the parent fails before
-    the process runs."""
+    """The pids of the worker processes builds fork.  Forking one that
+    would make more than ``os.cpu_count()`` processes with the parent
+    fails before the process runs."""
     started = []
-    cap = max(os.cpu_count() - 1, 1)
+    fork = os.fork
 
-    class Counted(multiprocessing.Process):
-        def start(self):
-            if len(started) >= cap:
-                raise AssertionError("asked for more than {} worker processes".format(cap))
-            started.append(self)
-            super().start()
+    def counted():
+        cap = max(os.cpu_count() - 1, 1)
+        if len(started) >= cap:
+            raise AssertionError("asked for more than {} worker processes".format(cap))
+        pid = fork()
+        if pid:
+            started.append(pid)
+        return pid
 
-    monkeypatch.setattr(multiprocessing, "Process", Counted)
+    monkeypatch.setattr(os, "fork", counted)
     return started
+
+
+def _assert_reaped(pids):
+    """No worker is left: the build has already waited for every pid."""
+    for pid in pids:
+        with pytest.raises(ChildProcessError):
+            os.waitpid(pid, os.WNOHANG)
 
 
 def test_pool_starts_at_most_one_process_per_cpu(link, catalog, started_workers):
     g = build(link, 8, catalog=catalog, workers=5000)
     assert len(started_workers) == max(os.cpu_count() - 1, 1)
-    assert multiprocessing.active_children() == []
+    _assert_reaped(started_workers)
     assert export_json(g) == export_json(build(link, 8, catalog=catalog))
 
 

@@ -3,7 +3,7 @@ import contextlib
 import gc
 import hashlib
 import itertools
-import multiprocessing
+import os
 import weakref
 from unittest import mock
 
@@ -613,7 +613,7 @@ def test_unknown_move_kinds_are_refused_by_the_library(link, catalog, monkeypatc
     def no_worker(*args, **kwargs):
         raise AssertionError("a worker was started")
 
-    monkeypatch.setattr(multiprocessing, "Process", no_worker)
+    monkeypatch.setattr(os, "fork", no_worker)
     text = "unknown move kind 'E2' (choose from V0,E1,F2,F2',PINCH,UNPINCH)"
     _raises_exactly(SemanticError, text, build, link, 8, {"E2"})
     _raises_exactly(SemanticError, text, build, link, 8, {"E1", "E2"}, catalog, None, 2)
