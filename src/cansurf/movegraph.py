@@ -17,8 +17,8 @@ the edges found into it, and ``neighbors(..., known=...)`` generates and
 counts those moves but does not apply them.  A vertex's set is popped as
 the build expands the vertex, or when it sends the vertex to a worker
 with its text; results found after that add nothing to it, so an edge
-between a worker's source and an earlier source of the same wave is
-applied from both ends.  Either way the map holds only frontier
+between a worker's source and another process's source of the same
+wave is applied from both ends.  Either way the map holds only frontier
 vertices, and the edge set, the statistics and every export are those
 of applying every candidate.
 
@@ -26,37 +26,51 @@ The serial closure passes Surface objects.  With workers > 1 the build
 runs n = ``min(workers, os.cpu_count())`` processes, the parent included,
 and at least one worker: n - 1 worker processes live for the whole build,
 each talking to the parent over its own pair of OS pipes (shares in,
-replies out, one pickle each), so the parent runs no threads.  Each
-sorted wave is cut into n contiguous shares of equal size, give or take
-one, the parent's never the smaller, so a wave of one source (the
-seed's) stays in the parent.  The parent sends the non-empty shares 2..n
-to the workers, expands share 1 itself as a serial build
-does, on Surface objects and with its own warm tet-geometry memo (see
-``surface``), and then merges the workers' results share by share, so
-every source's neighbours are merged in frontier order and the vertex
-numbering, the edge set and every export are byte-identical regardless
-of the worker count.  Text crosses only the pipes: a worker parses each
-source from the text it was sent, keeping that text as the surface's
-own, and returns (move, inverse, result) texts; only results that are
-new vertices are parsed back, classified from their annulus lines
-without re-tracing and keyed by the worker's text, which is canonical,
-so the parent formats none of them again.  A worker clears its memo once,
-when it starts; since it always gets the same share of the same wave,
-its memo, and so the work it does, is the same on every run.  Building
-the 2-tet S3 closure of a weight-2 sphere at budget 6 (349 vertices)
-from a cleared memo on two processes traces 577 tet states, parent and
-worker together, against 417 serial.  The parent starts each worker with
-``os.fork`` itself, so the pool imports no process-pool module (only
-``pickle``), and a worker inherits the parent's tables instead of
-importing the package afresh (spawning, which does, doubled the build
-time of that closure).  A worker leaves by ``os._exit``, running none of
-the parent's cleanup.  Where the platform has no ``os.fork`` the build
-starts no workers and the parent expands every wave whole.  When a limit
-stops a pooled build, or an error or KeyboardInterrupt leaves it, the
-workers are sent SIGTERM without waiting for their shares; every worker
-is reaped before ``build`` returns or raises.  Workers know the time
-limit's deadline and stop at the first source they reach after it, so a
-build that waits on a share waits at most one source expansion past it.
+replies out, one ``marshal`` frame each; only a worker's error crosses
+as a pickle), so the parent runs no threads and loads no ``pickle``
+unless a worker fails.  A vertex is expanded by the process that found
+it: the process whose share held the first source, in sorted frontier
+order, that reported it (the seed is the parent's).  Each wave, a
+process's share is the sources it found, in sorted order, and the
+shares keep the sizes of n contiguous cuts of the sorted wave, equal
+give or take one and the parent's never the smaller, so a wave of one
+source stays in the parent.  A share over its size hands its last
+sources, as text, to the short shares in process order
+(``stats["pool_handovers"]`` counts them).  The parent sends the
+non-empty worker shares, expands its own as a serial build does, on the
+Surfaces it holds, and merges every result in frontier order, each as
+soon as every source before it has been merged; it adds the inverses of
+its results to the ``known`` sets of its later sources as it goes, and
+checks the limits before each of its sources.  So the vertex numbering,
+the edge set and every export are byte-identical regardless of the
+worker count.  A worker keeps the result Surfaces of its last share,
+with the geometry their moves traced, by text, and takes each source
+it is sent from them, so it parses only the sources handed over to it;
+it drops the rest when the next share arrives.  It returns (move,
+inverse, result) texts; the parent parses only results that are new
+vertices, classified from their annulus lines without re-tracing and
+keyed by the worker's text, which is canonical, so it formats none of
+them again.  Until it parses one, ``graph.vertices`` holds the vertex
+as its text: the parent parses the vertices a wave's workers found
+after expanding its own share of the next wave, before it waits for
+the workers' replies, or when it needs one as a source, stops or
+returns.  A worker clears its memo once, when it starts; since it
+always gets the same share of the same wave, its memo, and so the work
+it does, is the same on every run.  Building the 2-tet S3 closure of a
+weight-2 sphere at budget 6 (349 vertices, 3 handovers) from a cleared
+memo on two processes traces 470 tet states, 237 in the parent and 233
+in the worker, against 417 serial.  The parent starts each worker with
+``os.fork`` itself, so the pool imports no process-pool module, and a
+worker inherits the parent's tables instead of importing the package
+afresh (spawning, which does, doubled the build time of that closure).
+A worker leaves by ``os._exit``, running none of the parent's cleanup.
+Where the platform has no ``os.fork`` the build starts no workers and
+the parent expands every wave whole.  When a limit stops a pooled
+build, or an error or KeyboardInterrupt leaves it, the workers are sent
+SIGTERM without waiting for their shares; every worker is reaped before
+``build`` returns or raises.  Workers know the time limit's deadline and
+stop at the first source they reach after it, so a build that waits on
+a share waits at most one source expansion past it.
 
 Generators of the fundamental group: a breadth-first spanning tree is
 rooted at the seed, and every non-tree edge (u, v, m) contributes one
@@ -93,6 +107,7 @@ import collections
 import functools
 import hashlib
 import json
+import marshal
 import os
 import time
 
@@ -201,44 +216,73 @@ def _start_worker(pool, args):
     pool.append((pid, open(share_out, "wb"), open(reply_in, "rb")))
 
 
+def _send(out, obj):
+    """Write ``obj`` to a pipe as one frame: its length in 8 bytes, then
+    its ``marshal`` bytes."""
+    data = marshal.dumps(obj)
+    out.write(len(data).to_bytes(8, "little"))
+    out.write(data)
+    out.flush()
+
+
+def _recv(inp):
+    """The next object ``_send`` wrote to this pipe; EOFError at its end
+    (``marshal`` reads no object from a short frame)."""
+    return marshal.loads(inp.read(int.from_bytes(inp.read(8), "little")))
+
+
 def _worker_main(share_in, reply_out, tri, budget, move_set, catalog, deadline):
-    """A pool worker: expands each share the parent pickles to
-    ``share_in``, pickling its reply to ``reply_out``, until the parent
-    closes its end."""
-    import pickle
+    """A pool worker: expands each share the parent sends to ``share_in``,
+    sending its reply to ``reply_out``, until the parent closes its end.
+
+    It keeps the results of its last share as Surfaces, by text, and
+    takes each source it is sent from them, so it parses only the sources
+    another process found and handed over.  A reply is (found, stats) per
+    source expanded, found holding (move text, inverse text, result
+    text); an error is sent as its pickle, which the parent raises."""
     import signal
 
     signal.signal(signal.SIGINT, signal.SIG_IGN)  # the parent ends the pool
     _TET_MEMO.clear()
+    kept = {}
     try:
         while True:
-            texts, skips = pickle.load(share_in)
+            texts, skips = _recv(share_in)
+            sources, kept = [kept.get(text, text) for text in texts], {}
             try:
-                reply = _expand_share(tri, budget, move_set, catalog, deadline, texts, skips)
+                reply = []
+                for found, stats in _expand_share(
+                    tri, budget, move_set, catalog, deadline, sources, skips
+                ):
+                    for _, _, result in found:
+                        kept.setdefault(result.to_text(), result)
+                    reply.append(([(m, i, r.to_text()) for m, i, r in found], stats))
             except Exception as exc:  # raised again in the parent
-                reply = exc
-            pickle.dump(reply, reply_out)
-            reply_out.flush()
+                import pickle
+
+                reply = pickle.dumps(exc)
+            _send(reply_out, reply)
     except (EOFError, BrokenPipeError):
         pass
 
 
-def _expand_share(tri, budget, move_set, catalog, deadline, texts, skips):
-    """(found, stats) per source text of a share, in order, skipping the
-    moves in the source's ``skips`` entry (see ``neighbors``); found holds
-    (move text, inverse text, result text).  Stops at the first source
+def _expand_share(tri, budget, move_set, catalog, deadline, sources, skips):
+    """(found, stats) per source of a share, in order, skipping the moves
+    in the source's ``skips`` entry (see ``neighbors``); found holds (move
+    text, inverse text, result Surface).  A source is a Surface, or the
+    canonical text of one, parsed here.  Stops at the first source
     reached after the deadline (a ``time.monotonic`` value), so a short
     list means the time limit."""
     out = []
-    for text, known in zip(texts, skips):
+    for source, known in zip(sources, skips):
         if deadline is not None and time.monotonic() > deadline:
             break
+        surf = _parse_canonical(tri, source) if isinstance(source, str) else source
         stats = {}
-        found = neighbors(
-            _parse_canonical(tri, text), budget, move_set, catalog, stats, known=known
-        )
+        found = neighbors(surf, budget, move_set, catalog, stats, known=known)
+        surf.release_geometry()
         out.append((
-            [(n.move.to_text(), n.inverse.to_text(), n.surface.to_text()) for n in found],
+            [(n.move.to_text(), n.inverse.to_text(), n.surface) for n in found],
             stats,
         ))
     return out
@@ -247,19 +291,51 @@ def _expand_share(tri, budget, move_set, catalog, deadline, texts, skips):
 def _parse_canonical(tri, text):
     """The surface of a canonical text that another process printed with
     ``to_text``, keeping that text as its own, so it is not formatted
-    again."""
+    again.  The text is of a result ``neighbors`` returned, so valid: its
+    annulus lines give its classification, with no tracing."""
     surf = parse_surface(tri, text)
     surf._text = text
+    surf._validation = CRUDELY_ALMOST_NORMAL if any(surf.annuli) else CRUDELY_NORMAL
     return surf
+
+
+def _shares(frontier, finder, n):
+    """Cut a sorted wave into n shares, the parent's first: (shares,
+    handovers).  A process's share is the sources it found (``finder``
+    maps each to its process, popped; the parent's are absent), in order.
+    The shares' sizes are those of n contiguous cuts, equal give or take
+    one and the parent's never the smaller; a share over its size hands
+    its last sources to the short shares, in process order, and
+    ``handovers`` counts them."""
+    cuts = [-(-len(frontier) * i // n) for i in range(n + 1)]
+    sizes = [b - a for a, b in zip(cuts, cuts[1:])]
+    shares = [[] for _ in range(n)]
+    for key in frontier:
+        shares[finder.pop(key, 0)].append(key)
+    spare = []
+    for share, size in zip(shares, sizes):
+        spare += share[size:]
+        del share[size:]
+    handovers = len(spare)
+    for share, size in zip(shares, sizes):
+        short = size - len(share)
+        if short > 0:
+            share += spare[:short]
+            del spare[:short]
+            share.sort()
+    return shares, handovers
 
 
 def _expand_serial(graph, keys, catalog, known):
     """Expand vertices in process, each as it is reached: (key, stats,
     found) per source, found holding (move text, inverse text, result
     key, result Surface) for the moves not in the source's ``known``
-    entry, which is popped."""
+    entry, which is popped.  A vertex still held as its text (see
+    ``build``) is parsed first."""
     for key in keys:
         surf = graph.vertices[key]
+        if isinstance(surf, str):
+            surf = graph.vertices[key] = _parse_canonical(graph.tri, key)
         stats = {}
         found = neighbors(surf, graph.budget, graph.move_set, catalog, stats, known=known.pop(key))
         surf.release_geometry()
@@ -282,14 +358,17 @@ def build(
     The move kinds must be known, and the seed valid, crudely normal and
     within the budget.  Raises PartialGraphError (carrying the partial
     graph) when a limit triggers, instead of silently truncating.  Limits
-    are checked after every new vertex and every expanded source, and a
-    pool worker checks the time limit before every source it expands.
-    With ``workers`` > 1 the build runs ``min(workers, os.cpu_count())``
-    processes, the parent included, and at least one worker where the
-    platform has ``os.fork`` (elsewhere none); no worker outlives the
-    call.  ``stats`` counts the sources the workers expanded
-    (``pool_sources``) and the bytes of the texts they returned
-    (``pool_text_bytes``); both are 0 for a serial build.
+    are checked after every merged vertex and source, and before every
+    source the parent expands, and a pool worker checks the time limit
+    before every source it expands.  With ``workers`` > 1 the build runs
+    ``min(workers, os.cpu_count())`` processes, the parent included, and
+    at least one worker where the platform has ``os.fork`` (elsewhere
+    none); each process expands the vertices it found, and no worker
+    outlives the call.  ``stats`` counts the sources the workers expanded
+    (``pool_sources``), the bytes of the texts they returned
+    (``pool_text_bytes``) and the sources handed to a process other than
+    the one that found them (``pool_handovers``); all are 0 for a serial
+    build and stay out of every export.
     """
     move_set = check_move_set(move_set)
     cls = seed.validate()
@@ -307,6 +386,7 @@ def build(
         "pinched_spheres": collections.Counter(),
         "pool_sources": 0,
         "pool_text_bytes": 0,
+        "pool_handovers": 0,
     }
     graph.vertices[seed.canonical_key()] = seed
     start_time = time.monotonic()
@@ -316,8 +396,19 @@ def build(
     # the edges found into it; see the module docstring.
     known = {seed.canonical_key(): set()}
     next_frontier = []
+    finder = {}  # next-wave vertex found first by a worker -> its process
+    # Vertices a worker found, which ``graph.vertices`` holds as their key
+    # text until the parent parses them, while the workers may be busy.
+    unparsed = []
+
+    def parse_found():
+        for key in unparsed:
+            if isinstance(graph.vertices[key], str):
+                graph.vertices[key] = _parse_canonical(tri, key)
+        unparsed.clear()
 
     def stop(reason):
+        parse_found()
         graph.partial = True
         raise PartialGraphError(reason, graph)
 
@@ -327,23 +418,19 @@ def build(
         if deadline is not None and time.monotonic() > deadline:
             stop("time limit {}s exceeded".format(limits.max_seconds))
 
-    def merge(src_key, stats, found):
+    def merge(src_key, process, stats, found):
         graph.stats["budget_rejected"] += stats["budget_rejected"]
         graph.stats["pinched_spheres"].update(stats["pinched_spheres"])
         for move_text, inverse_text, result_key, result in found:
             stored = graph.vertices.get(result_key)
             if stored is not None:
                 # The key object the graph holds, not a copy.
-                result_key = stored.canonical_key()
+                result_key = stored if isinstance(stored, str) else stored.canonical_key()
             else:
-                if result is None:
-                    # A worker's text: neighbors returns only valid
-                    # results, so the annulus lines give the
-                    # classification, and the text is the key.
-                    result = _parse_canonical(tri, result_key)
-                    result._validation = (
-                        CRUDELY_ALMOST_NORMAL if any(result.annuli) else CRUDELY_NORMAL
-                    )
+                if result is None:  # a worker's text, held until parsed
+                    result = result_key
+                    unparsed.append(result_key)
+                    finder[result_key] = process
                 graph.vertices[result_key] = result
                 next_frontier.append(result_key)
                 known[result_key] = set()
@@ -353,44 +440,65 @@ def build(
                 known[result_key].add(inverse_text)
         check_limits()
 
+    def merge_ready(merged):
+        """Merge the wave's waiting results in frontier order from index
+        ``merged`` on, up to the first source still out; returns the
+        index reached."""
+        while merged < len(frontier) and frontier[merged] in results:
+            merge(frontier[merged], *results.pop(frontier[merged]))
+            merged += 1
+        return merged
+
     pool = []  # (pid, share writer, reply reader) per worker
     try:
         if workers > 1 and hasattr(os, "fork"):
-            import pickle
-
             for _ in range(max(min(workers, os.cpu_count() or 1) - 1, 1)):
                 _start_worker(pool, (tri, budget, graph.move_set, catalog, deadline))
         while frontier:
-            # Contiguous shares of the sorted wave: the parent expands the
-            # first, never the smaller, and the workers the others, and
-            # they merge in order.  A worker with no sources is sent none.
+            # Each process expands the sources it found; a worker with no
+            # sources is sent none.  Results merge in frontier order, each
+            # as soon as every source before it is merged.
             frontier.sort()
-            cuts = [-(-len(frontier) * i // (len(pool) + 1)) for i in range(len(pool) + 2)]
-            shares = [frontier[a:b] for a, b in zip(cuts, cuts[1:])]
-            sent = [(worker, share) for worker, share in zip(pool, shares[1:]) if share]
-            for (_, share_out, _), share in sent:
-                pickle.dump((share, [known.pop(key) for key in share]), share_out)
-                share_out.flush()
+            shares, handovers = _shares(frontier, finder, len(pool) + 1)
+            graph.stats["pool_handovers"] += handovers
+            sent = [(w, share) for w, share in enumerate(shares[1:], 1) if share]
+            for w, share in sent:
+                _send(pool[w - 1][1], (share, [known.pop(key) for key in share]))
                 for key in share:
                     # Expanded by a worker, so the parent needs no geometry.
-                    graph.vertices[key].release_geometry()
+                    if not isinstance(graph.vertices[key], str):
+                        graph.vertices[key].release_geometry()
+            results = {}  # source -> (process, stats, found) until merged
+            merged = 0
             for src_key, stats, found in _expand_serial(graph, shares[0], catalog, known):
-                merge(src_key, stats, found)
-            for (_, _, reply_in), share in sent:
-                results = pickle.load(reply_in)
-                if isinstance(results, Exception):
-                    raise results
-                for src_key, (found, stats) in zip(share, results):
+                results[src_key] = (0, stats, found)
+                # The parent's later sources skip these edges even when
+                # an earlier worker source holds back the merge.
+                for _, inverse_text, result_key, _ in found:
+                    if result_key in known:
+                        known[result_key].add(inverse_text)
+                merged = merge_ready(merged)
+                check_limits()
+            parse_found()
+            for w, share in sent:
+                reply = _recv(pool[w - 1][2])
+                if isinstance(reply, bytes):  # the worker's error, pickled
+                    import pickle
+
+                    raise pickle.loads(reply)
+                for src_key, (found, stats) in zip(share, reply):
                     graph.stats["pool_sources"] += 1
                     # Texts are ASCII, one byte per character.
                     graph.stats["pool_text_bytes"] += sum(
                         len(m) + len(i) + len(r) for m, i, r in found
                     )
-                    merge(src_key, stats, [(m, i, r, None) for m, i, r in found])
-                if len(results) < len(share):
+                    results[src_key] = (w, stats, [(m, i, r, None) for m, i, r in found])
+                if len(reply) < len(share):
                     # The worker reached the deadline before the rest.
                     stop("time limit {}s exceeded".format(limits.max_seconds))
+            merge_ready(merged)
             frontier, next_frontier = next_frontier, []
+        parse_found()
     except BaseException:
         import signal
 

@@ -469,6 +469,17 @@ def _sphere_arcs(entry, weights, point_map):
     ]
 
 
+@functools.lru_cache(maxsize=256)
+def _sphere_cells(entry, weights):
+    """(``_placement_points``, ``_sphere_arcs``) of the catalog sphere in
+    a surface with these weights, kept for the last 256 (entry, weights)
+    pairs: ``_find_sphere`` asks for them at every corner and annulus side
+    of a surface, and ``_insert_sphere`` for every PINCH or V0+ candidate
+    and again when one is applied.  Shared, so read-only."""
+    point_map = _placement_points(weights, entry)
+    return point_map, _sphere_arcs(entry, weights, point_map)
+
+
 def _sphere_curves(geo, entry, point_map):
     """{curve of geo: sphere curve} for the catalog sphere's curves in the
     tetrahedron of ``geo``, the sphere's points being where ``point_map``
@@ -494,13 +505,13 @@ def _insert_sphere(surf, entry):
     that encoding, is what ``_map_annuli`` traced."""
     tri = surf.tri
     new_weights = tuple(w + k for w, k in zip(surf.weights, entry.surface.weights))
-    point_map = _placement_points(new_weights, entry)
+    point_map, arcs = _sphere_cells(entry, new_weights)
     # The r-th placed point on an edge, at new index u, fills old gap u - r.
     inserts = {e: [u - r for r, u in enumerate(points)] for e, points in point_map.items()}
     _, shift, _ = _point_map_for_insertions(surf.weights, inserts)
     matchings = _remap_matchings(surf, new_weights, shift)
     met = set()
-    for cid, pair in _sphere_arcs(entry, new_weights, point_map):
+    for cid, pair in arcs:
         matchings[cid] += (pair,)
         met.add(cid)
     for cid in sorted(met):
@@ -582,8 +593,7 @@ def _find_sphere(surf, entry, tube=None):
         return None
     if any(w < k for w, k in zip(surf.weights, sphere.weights)):
         return None
-    point_map = _placement_points(surf.weights, entry)
-    arcs = _sphere_arcs(entry, surf.weights, point_map)
+    point_map, arcs = _sphere_cells(entry, surf.weights)
     if not all(pair in surf.matchings[cid] for cid, pair in arcs):
         return None
     s_curve = keep = why = None

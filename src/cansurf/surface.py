@@ -264,8 +264,8 @@ def face_layout(tri, weights, cid):
     return _side_layout(sides, (weights[sides[0][0]], weights[sides[1][0]], weights[sides[2][0]]))
 
 
-# TetGeometry by (tri, tet, edge weights, face matchings) of that tet,
-# least recently used first; see tet_geometry_of.
+# TetGeometry by the hash of its key (tri, tet, edge weights, face
+# matchings), least recently used first; see tet_geometry_of.
 _TET_MEMO = collections.OrderedDict()
 
 # _TET_MEMO holds at most this many entries, or 4 per tetrahedron where
@@ -292,14 +292,19 @@ def tet_geometry_of(tri, weights, matchings, tet):
     4 * tet_count)``; a tracing error is raised, not cached."""
     edges, faces = tri.tet_local_getters[tet]
     key = (tri, tet, edges(weights), faces(matchings))
-    geo = _TET_MEMO.get(key)
-    if geo is None:
-        geo = TetGeometry(*key)
-        _TET_MEMO[key] = geo
-        while len(_TET_MEMO) > max(_TET_MEMO_ENTRIES, 4 * tri.tet_count):
-            _TET_MEMO.popitem(last=False)
-    else:
-        _TET_MEMO.move_to_end(key)
+    # Keyed by the key's hash, so a hit hashes the nested key once; the
+    # geometry keeps its key against collisions, and a colliding key
+    # replaces the entry.
+    h = hash(key)
+    geo = _TET_MEMO.get(h)
+    if geo is not None and geo.memo_key == key:
+        _TET_MEMO.move_to_end(h)
+        return geo
+    geo = TetGeometry(*key)
+    geo.memo_key = key
+    _TET_MEMO[h] = geo
+    while len(_TET_MEMO) > max(_TET_MEMO_ENTRIES, 4 * tri.tet_count):
+        _TET_MEMO.popitem(last=False)
     return geo
 
 
@@ -316,10 +321,13 @@ class TetGeometry:
     curve) and, per face, its layout and chord regions with the region
     root of every chord region.  The curve of an arc copy is the curve of
     its first slot's node and is looked up by ``arc_curves``; the set of
-    regions is the set of those roots.
+    regions is the set of those roots.  ``memo_key`` is the key
+    ``tet_geometry_of`` traced it under, set only there.
     """
 
-    __slots__ = ("tet", "curves", "node_curve", "curve_adjacent", "_frame", "_faces", "_root")
+    __slots__ = (
+        "tet", "curves", "node_curve", "curve_adjacent", "memo_key", "_frame", "_faces", "_root",
+    )
 
     def __init__(self, tri, tet, weights, matchings):
         self.tet = tet

@@ -1,8 +1,11 @@
 """Importing the package loads only the standard-library modules its
 processes use: no ``dataclasses`` (which brings ``inspect``, ``ast`` and
-``dis``), no ``multiprocessing`` even when a build starts workers, and
-no oracle in the command line until ``cansurf oracle`` runs."""
+``dis``), no ``multiprocessing`` or ``pickle`` even when a build starts
+workers, and no oracle in the command line until ``cansurf oracle``
+runs.  The package modules it loads are compiled from source wherever
+no bytecode cache is written, so their AST node count is capped."""
 
+import ast
 import os
 import pathlib
 import subprocess
@@ -36,14 +39,15 @@ def test_importing_the_package_loads_no_heavy_standard_modules():
 
 
 def test_a_pooled_build_loads_no_process_pool_modules():
-    # The pool forks its workers itself and talks to them over OS pipes.
+    # The pool forks its workers itself and talks to them over OS pipes,
+    # with the built-in marshal; only a worker's error needs pickle.
     statement = (
         "import cansurf\n"
         "tri = cansurf.parse_triangulation(open({!r}).read())\n"
         "cansurf.build(cansurf.vertex_link(tri, 0), 6, catalog=cansurf.default_catalog(tri),"
         " workers=2)"
     ).format(str(SRC.parent / "data" / "two_tet_s3.tri"))
-    assert _loaded_by(statement, ["multiprocessing", "socket"]) == []
+    assert _loaded_by(statement, ["multiprocessing", "socket", "pickle"]) == []
 
 
 def test_the_command_line_loads_the_oracle_only_for_its_command():
@@ -53,3 +57,23 @@ def test_the_command_line_loads_the_oracle_only_for_its_command():
         "cansurf.cli.main(['oracle', 'matchings', '1', '1', '0'])",
         ["cansurf.oracle"],
     ) == ["cansurf.oracle"]
+
+
+# The modules ``import cansurf`` loads, and the cap on their AST nodes.
+# Compiling them takes about 2 us per node in every fresh process that
+# writes no bytecode cache; raise the cap only with a reason.
+IMPORT_PATH = ["__init__", "bounds", "errors", "movegraph", "moves", "surface", "triangulation"]
+IMPORT_PATH_NODES = 23_908
+
+
+def test_the_import_path_stays_under_its_node_count():
+    package = SRC / "cansurf"
+    everything = ["cansurf"] + ["cansurf." + p.stem for p in package.glob("*.py")]
+    assert sorted(_loaded_by("import cansurf", everything)) == sorted(
+        "cansurf" if name == "__init__" else "cansurf." + name for name in IMPORT_PATH
+    )
+    nodes = sum(
+        sum(1 for _ in ast.walk(ast.parse((package / (name + ".py")).read_text())))
+        for name in IMPORT_PATH
+    )
+    assert nodes <= IMPORT_PATH_NODES

@@ -1,7 +1,6 @@
 import collections
 import json
 import os
-import pickle
 import subprocess
 import sys
 import time
@@ -151,19 +150,82 @@ def test_waves_smaller_than_the_pool_merge_in_frontier_order(tri, catalog, data_
     assert sorted(waves.items()) == [(0, 1), (1, 2), (2, 2)]
     monkeypatch.setattr(os, "cpu_count", lambda: 4)
     shares = []
-    dump = pickle.dump
+    send = movegraph._send
 
-    def recording_dump(obj, file):
+    def recording_send(file, obj):
         if isinstance(obj, tuple):  # a share from the parent, not a reply
             shares.append(len(obj[0]))
-        dump(obj, file)
+        send(file, obj)
 
-    monkeypatch.setattr(pickle, "dump", recording_dump)
+    monkeypatch.setattr(movegraph, "_send", recording_send)
     pooled = build(sphere, 4, move_set={E1, F2P}, catalog=catalog, workers=4)
     assert shares == [1, 1]
     assert pooled.stats["pool_sources"] == _worker_sources(serial, 4) == 2
     assert list(pooled.vertices) == list(serial.vertices)
     assert export_json(pooled) == export_json(serial)
+
+
+def test_pool_exports_match_on_the_bench_closure(tri, catalog, data_dir, monkeypatch):
+    # The weight-2 sphere at budget 6: its waves mix sources each process
+    # found, so the parent's share is not a prefix of the sorted wave.
+    sphere = parse_surface(tri, (data_dir.parent / "bench" / "data" / "s3_sphere_w2.surf").read_text())
+    serial = build(sphere, 6, catalog=catalog)
+    assert len(serial.vertices) == 349
+    monkeypatch.setattr(os, "cpu_count", lambda: 3)
+    for workers in (1, 2, 3):
+        pooled = build(sphere, 6, catalog=catalog, workers=workers)
+        assert list(pooled.vertices) == list(serial.vertices)
+        assert export_json(pooled) == export_json(serial)
+        assert export_dot(pooled) == export_dot(serial)
+        assert generators(pooled).to_text() == generators(serial).to_text()
+
+
+def test_a_worker_parses_only_the_sources_handed_over_to_it(tri, catalog, data_dir,
+                                                            monkeypatch, started_workers):
+    # The worker reports the texts it parsed for each share in its first
+    # stats entry; they must be exactly the sources that were not among
+    # its last reply's results, which it still holds as Surfaces.
+    sphere = parse_surface(tri, (data_dir.parent / "bench" / "data" / "s3_sphere_w2.surf").read_text())
+    parsed = []
+    parse, expand_share = movegraph._parse_canonical, movegraph._expand_share
+    send, recv = movegraph._send, movegraph._recv
+
+    def counting_parse(tri, text):
+        parsed.append(text)
+        return parse(tri, text)
+
+    def reporting(*args):
+        parsed.clear()
+        results = expand_share(*args)
+        results[0][1]["parsed"] = list(parsed)
+        return results
+
+    shares, replies = [], []
+
+    def recording_send(file, obj):
+        if isinstance(obj, tuple):
+            shares.append(obj[0])
+        send(file, obj)
+
+    def recording_recv(file):
+        reply = recv(file)
+        replies.append(reply)
+        return reply
+
+    monkeypatch.setattr(movegraph, "_parse_canonical", counting_parse)
+    monkeypatch.setattr(movegraph, "_expand_share", reporting)
+    monkeypatch.setattr(movegraph, "_send", recording_send)
+    monkeypatch.setattr(movegraph, "_recv", recording_recv)
+    g = build(sphere, 6, catalog=catalog, workers=2)
+    assert len(started_workers) == 1 and len(shares) == len(replies) > 3
+    held = set()
+    total = 0
+    for share, reply in zip(shares, replies):
+        assert reply[0][1]["parsed"] == [text for text in share if text not in held]
+        total += len(reply[0][1]["parsed"])
+        held = {r for found, _ in reply for _, _, r in found}
+    assert 0 < total <= g.stats["pool_handovers"]
+    assert total < g.stats["pool_sources"] / 2
 
 
 class _MemoSize(Exception):
@@ -256,15 +318,18 @@ def test_serial_build_passes_surfaces(tri, link, catalog, monkeypatch):
     monkeypatch.setattr(os, "fork", no_worker)
     g = build(link, 8, catalog=catalog)
     assert len(g.vertices) == 126
-    assert g.stats["pool_sources"] == g.stats["pool_text_bytes"] == 0
+    assert g.stats["pool_sources"] == g.stats["pool_text_bytes"] == g.stats["pool_handovers"] == 0
 
 
 def test_pool_counters_repeat_and_stay_out_of_the_export(tri, link, catalog):
     serial = build(link, 8, catalog=catalog)
     runs = [build(link, 8, catalog=catalog, workers=2) for _ in range(2)]
-    counters = [(g.stats["pool_sources"], g.stats["pool_text_bytes"]) for g in runs]
+    names = ("pool_sources", "pool_text_bytes", "pool_handovers")
+    counters = [tuple(g.stats[name] for name in names) for g in runs]
     assert counters[0] == counters[1]
     assert 0 < counters[0][0] < len(serial.vertices) and counters[0][1] > 0
+    # The seed's neighbours are all the parent's, and it hands half over.
+    assert 0 < counters[0][2] < len(serial.vertices)
     assert export_json(runs[0]) == export_json(serial)
     assert "pool_" not in export_json(runs[0])
 
