@@ -95,7 +95,7 @@ texts); a ParseError is raised again on every call.  The memo is
 least-recently-used and holds at most ``_REPLAY_MEMO_TET_ENTRIES //
 tet_count`` entries, which keeps it under 64 MB (see that constant).
 Memoized surfaces pin no tet geometry: ``replay`` releases each
-surface's geometry when it steps off it, and ``surface._TET_MEMO`` keeps
+surface's geometry when it steps off it, and ``surface._tet_memo`` keeps
 the recent geometry.  That memo holds a small closure's tet states (see
 ``surface._TET_MEMO_ENTRIES``), so loops replayed in any order trace
 each state they visit once.
@@ -113,7 +113,7 @@ import time
 
 from .errors import PartialGraphError, SemanticError
 from .moves import DEFAULT_MOVE_SET, apply_with_inverse, check_move_set, neighbors, parse_move
-from .surface import _TET_MEMO, CRUDELY_ALMOST_NORMAL, CRUDELY_NORMAL, parse_surface
+from .surface import CRUDELY_NORMAL, _parse_canonical, _tet_memo, parse_surface
 
 
 class Limits:
@@ -243,7 +243,7 @@ def _worker_main(share_in, reply_out, tri, budget, move_set, catalog, deadline):
     import signal
 
     signal.signal(signal.SIGINT, signal.SIG_IGN)  # the parent ends the pool
-    _TET_MEMO.clear()
+    _tet_memo.cache_clear()
     kept = {}
     try:
         while True:
@@ -286,17 +286,6 @@ def _expand_share(tri, budget, move_set, catalog, deadline, sources, skips):
             stats,
         ))
     return out
-
-
-def _parse_canonical(tri, text):
-    """The surface of a canonical text that another process printed with
-    ``to_text``, keeping that text as its own, so it is not formatted
-    again.  The text is of a result ``neighbors`` returned, so valid: its
-    annulus lines give its classification, with no tracing."""
-    surf = parse_surface(tri, text)
-    surf._text = text
-    surf._validation = CRUDELY_ALMOST_NORMAL if any(surf.annuli) else CRUDELY_NORMAL
-    return surf
 
 
 def _shares(frontier, finder, n):

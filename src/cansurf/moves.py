@@ -409,16 +409,6 @@ def _planar_reconnection(rest, p, q, r, s):
     return None
 
 
-def _curve_of_copy(geo, f, pair):
-    """The curve of ``geo`` through the arc copy ``pair`` of its face f,
-    read from the face's slot nodes."""
-    if 0 <= f < 4:
-        layout, _, chord_sides, _ = geo._faces[f]
-        if pair in chord_sides:
-            return geo.node_curve[layout.slot_nodes[geo._frame[0][f][1]][pair[0]]]
-    raise SemanticError("arc {} not found on face {}".format(pair, f))
-
-
 # ---------------------------------------------------------------------------
 # Catalog spheres at their placement: insert, tube, find, delete
 
@@ -921,8 +911,8 @@ def _apply_f2(surf, move, catalog):
     # a losing annulus pair joins, and a split gaining curve becomes the pair.
     geo_l = tet_geometry_of(tri, surf.weights, matchings, t_l)
     geo_g = tet_geometry_of(tri, surf.weights, matchings, t_g)
-    joined = {_curve_of_copy(geo_l, f_l, p) for p in chosen}
-    split = {_curve_of_copy(geo_g, f_g, p) for p in chosen}
+    joined = set(geo_l.arc_curves(f_l, chosen).values())
+    split = set(geo_g.arc_curves(f_g, chosen).values())
     overrides = {}
     if len(joined) == 1:
         overrides[t_l] = ()

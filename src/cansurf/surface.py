@@ -42,13 +42,13 @@ Geometry is a function of local data, memoized process-wide.  A
 ``FaceLayout`` depends only on its face's three side weights, and a
 ``TetGeometry`` only on its tetrahedron's six edge weights and four face
 matchings.  ``tet_geometry_of``, the one geometry entry point, keeps
-each ``TetGeometry`` in ``_TET_MEMO`` under exactly that data, so
+each ``TetGeometry`` in ``_tet_memo`` under exactly that data, so
 surfaces that agree on a tetrahedron share one curve system there; it
 also reads the curves of an encoding that has not been built as a
-``Surface``, as a move does for its result.  The tet memo is
-least-recently-used and holds at most ``max(_TET_MEMO_ENTRIES, 4 *
-tet_count)`` entries, 4,096 on a small triangulation, which holds the
-tet states a closure keeps coming back to (see that constant).
+``Surface``, as a move does for its result.  The tet memo is a
+``functools.lru_cache`` of ``_TET_MEMO_ENTRIES`` (4,096) entries, which
+holds the tet states a closure keeps coming back to (see that
+constant); each ``Surface`` also keeps its own tetrahedra's geometry.
 
 Slot arithmetic has one owner per input.  What depends on the
 triangulation alone lives on it: ``face_sides`` (each face class's sides
@@ -81,7 +81,6 @@ source is checked in full and formats its text on first use.
 
 from __future__ import annotations
 
-import collections
 import functools
 import hashlib
 import itertools
@@ -264,19 +263,15 @@ def face_layout(tri, weights, cid):
     return _side_layout(sides, (weights[sides[0][0]], weights[sides[1][0]], weights[sides[2][0]]))
 
 
-# TetGeometry by the hash of its key (tri, tet, edge weights, face
-# matchings), least recently used first; see tet_geometry_of.
-_TET_MEMO = collections.OrderedDict()
-
-# _TET_MEMO holds at most this many entries, or 4 per tetrahedron where
-# that is more: a 12 MB ceiling over 3 KB per entry.  Entries measured
-# with tracemalloc, key and memo slot included, cost about 2.4 KB on the
-# 2-tet closures up to weight 8 and 1.2 KB on the 48-tet subdivision.  A
-# small closure's working set fits: the weight-2 sphere on 2 tets at
-# budget 6 visits 415 tet states.  The 2-tet vertex link at budget 10
-# visits about 16,000; this bound cuts its traces from 46,588 (at 128
-# entries) to 28,806 without raising the CLI's peak RSS, where 16,384
-# entries would trace each once but add about 35 MB.
+# The tet-geometry memo holds at most this many entries: a 12 MB ceiling
+# over 3 KB per entry.  Entries measured with tracemalloc, key and memo
+# slot included, cost about 2.4 KB on the 2-tet closures up to weight 8
+# and 1.2 KB on the 48-tet subdivision.  A small closure's working set
+# fits: the weight-2 sphere on 2 tets at budget 6 visits 415 tet states.
+# The 2-tet vertex link at budget 10 visits about 16,000; this bound cuts
+# its traces from 46,588 (at 128 entries) to 28,806 without raising the
+# CLI's peak RSS, where 16,384 entries would trace each once but add
+# about 35 MB.
 _TET_MEMO_ENTRIES = (12 << 20) // (3 << 10)
 
 
@@ -286,26 +281,17 @@ def tet_geometry_of(tri, weights, matchings, tet):
     built as a Surface.  Matchings must be normalized as ``Surface``
     stores them: each pair sorted, each face's pairs sorted.
 
-    Looked up in the process-wide ``_TET_MEMO`` under the tet's six edge
-    weights and four face matchings, and traced only on a miss.  The memo
-    drops its least recently used entries beyond ``max(_TET_MEMO_ENTRIES,
-    4 * tet_count)``; a tracing error is raised, not cached."""
+    Looked up in the process-wide ``_tet_memo`` under the tet's six edge
+    weights and four face matchings, and traced only on a miss."""
     edges, faces = tri.tet_local_getters[tet]
-    key = (tri, tet, edges(weights), faces(matchings))
-    # Keyed by the key's hash, so a hit hashes the nested key once; the
-    # geometry keeps its key against collisions, and a colliding key
-    # replaces the entry.
-    h = hash(key)
-    geo = _TET_MEMO.get(h)
-    if geo is not None and geo.memo_key == key:
-        _TET_MEMO.move_to_end(h)
-        return geo
-    geo = TetGeometry(*key)
-    geo.memo_key = key
-    _TET_MEMO[h] = geo
-    while len(_TET_MEMO) > max(_TET_MEMO_ENTRIES, 4 * tri.tet_count):
-        _TET_MEMO.popitem(last=False)
-    return geo
+    return _tet_memo(tri, tet, edges(weights), faces(matchings))
+
+
+@functools.lru_cache(maxsize=_TET_MEMO_ENTRIES)
+def _tet_memo(tri, tet, weights, matchings):
+    # TetGeometry is looked up at call time, so a subclass patched in
+    # sees every trace; a tracing error is raised, not cached.
+    return TetGeometry(tri, tet, weights, matchings)
 
 
 class TetGeometry:
@@ -318,16 +304,14 @@ class TetGeometry:
 
     It keeps only what callers read: ``curves``, ``node_curve`` (the curve
     of every node), ``curve_adjacent`` (the two region roots beside each
-    curve) and, per face, its layout and chord regions with the region
-    root of every chord region.  The curve of an arc copy is the curve of
-    its first slot's node and is looked up by ``arc_curves``; the set of
-    regions is the set of those roots.  ``memo_key`` is the key
-    ``tet_geometry_of`` traced it under, set only there.
+    curve, which join the regions as a tree) and, per face, its layout
+    and chord regions with the region root of every chord region.  The
+    curve of an arc copy is the curve of its first slot's node and is
+    looked up by ``arc_curves``; the set of regions is the set of those
+    roots.
     """
 
-    __slots__ = (
-        "tet", "curves", "node_curve", "curve_adjacent", "memo_key", "_frame", "_faces", "_root",
-    )
+    __slots__ = ("tet", "curves", "node_curve", "curve_adjacent", "_frame", "_faces", "_root")
 
     def __init__(self, tri, tet, weights, matchings):
         self.tet = tet
@@ -444,28 +428,6 @@ class TetGeometry:
         s1 = set(self.curve_adjacent[c1])
         s2 = set(self.curve_adjacent[c2])
         return bool(s1 & s2)
-
-    def curve_sides(self, c):
-        """The two sets of region roots separated by curve c."""
-        regions = set(self._root)
-        graph = {r: [] for r in regions}
-        for c2, (r0, r1) in enumerate(self.curve_adjacent):
-            if c2 == c:
-                continue
-            graph[r0].append(r1)
-            graph[r1].append(r0)
-        start = self.curve_adjacent[c][0]
-        side = {start}
-        stack = [start]
-        while stack:
-            r = stack.pop()
-            for r2 in graph[r]:
-                if r2 not in side:
-                    side.add(r2)
-                    stack.append(r2)
-        other = regions - side
-        a, b = (side, other) if min(side) < min(other) else (other, side)
-        return frozenset(a), frozenset(b)
 
 
 def _normalized(rows, shared=None):
@@ -731,8 +693,8 @@ class Surface:
         """All cells with incidence data, for components and orientability.
 
         Returns (points, arcs) where arcs maps (face class, pair) to a dict
-        with the endpoint points and the two (tet, piece-id, face, curve)
-        attachments.
+        with the endpoint points and the two (tet, piece, face) attachments,
+        a piece named by its tet and least curve.
         """
         self._require_valid()
         tri = self.tri
@@ -747,9 +709,7 @@ class Surface:
             geo = self.tet_geometry(tet)
             for f, (cid, _, _) in enumerate(tri.tet_frames[tet][0]):
                 for pair, curve in geo.arc_curves(f, self.matchings[cid]).items():
-                    arcs[(cid, pair)]["attach"].append(
-                        (tet, piece_lookup[tet][curve], f, curve, pair)
-                    )
+                    arcs[(cid, pair)]["attach"].append((tet, piece_lookup[tet][curve], f))
         points = [
             (e, i) for e in range(len(tri.edge_classes)) for i in range(self.weights[e])
         ]
@@ -775,7 +735,7 @@ class Surface:
             arc = index.setdefault(("arc", cid, pair), len(index))
             for e, i in data["points"]:
                 links.append((arc, index[("pt", e, i)]))
-            for tet, piece, _, _, _ in data["attach"]:
+            for tet, piece, _ in data["attach"]:
                 links.append((arc, index.setdefault(("pc", tet, piece[1]), len(index))))
         uf = _UnionFind(len(index))
         for x, y in links:
@@ -786,44 +746,30 @@ class Surface:
         return sorted((frozenset(g) for g in groups.values()), key=sorted)
 
     def orientable(self):
-        """Whether the surface admits a consistent transverse orientation."""
+        """Whether the surface admits a consistent transverse orientation.
+
+        The k curves of a tetrahedron cut its boundary sphere into k + 1
+        regions, joined as a tree by the curves, so the regions 2-colour
+        with the two beside every curve apart.  A piece's side at an arc
+        is the colour of the arc's outer region, up to one flip per piece,
+        and flipping all of a piece's sides does not change whether the
+        pieces' parities contradict each other."""
         _, arcs = self._cached_cells()
-        side_cache = {}
-
-        def curve_sides(tet, curve):
-            key = (tet, curve)
-            if key not in side_cache:
-                side_cache[key] = self.tet_geometry(tet).curve_sides(curve)
-            return side_cache[key]
-
+        colours = []
+        for tet in range(self.tri.tet_count):
+            geo = self.tet_geometry(tet)
+            tree = [(a, b, False) for a, b in geo.curve_adjacent]
+            colours.append(_parity_classes(len(geo._root), tree))
         index = {}
         relations = []
-        for (cid, pair), data in arcs.items():
+        for (_, pair), data in arcs.items():
             bits = []
-            for tet, piece, f, curve, arc_pair in data["attach"]:
-                geo = self.tet_geometry(tet)
-                outer_root, _ = geo.chord_side_roots(f, arc_pair)
-                sides = curve_sides(tet, curve)
-                if len(piece_curves := self._annulus_partner(tet, curve)) == 2:
-                    # Annulus piece: side 0 is the one holding the shared region.
-                    c1, c2 = piece_curves
-                    shared = (
-                        set(geo.curve_adjacent[c1]) & set(geo.curve_adjacent[c2])
-                    ).pop()
-                    mid_side = sides[0] if shared in sides[0] else sides[1]
-                    bit = 0 if outer_root in mid_side else 1
-                else:
-                    bit = 0 if outer_root in sides[0] else 1
-                bits.append((index.setdefault(piece, len(index)), bit))
+            for tet, piece, f in data["attach"]:
+                outer = self.tet_geometry(tet).chord_side_roots(f, pair)[0]
+                bits.append((index.setdefault(piece, len(index)), colours[tet][outer][1]))
             (p1, b1), (p2, b2) = bits
             relations.append((p1, p2, b1 == b2))
         return _parity_classes(len(index), relations) is not None
-
-    def _annulus_partner(self, tet, curve):
-        for pair in self.annuli[tet]:
-            if curve in pair:
-                return pair
-        return (curve,)
 
     def genus(self):
         """Total genus over all components (closed orientable surfaces)."""
@@ -957,6 +903,17 @@ def parse_surface(tri, text):
         [matchings.get(c, ()) for c in range(len(tri.face_classes))],
         [annuli.get(t, ()) for t in range(tri.tet_count)],
     )
+
+
+def _parse_canonical(tri, text):
+    """The surface of a canonical text that another process printed with
+    ``to_text``, keeping that text as its own, so it is not formatted
+    again.  The text is of a result ``neighbors`` returned, so valid: its
+    annulus lines give its classification, with no tracing."""
+    surf = parse_surface(tri, text)
+    surf._text = text
+    surf._validation = CRUDELY_ALMOST_NORMAL if any(surf.annuli) else CRUDELY_NORMAL
+    return surf
 
 
 def vertex_link(tri, v):

@@ -162,12 +162,7 @@ class Triangulation:
         self._build_edge_classes()
         self._check_orientable()
         self._build_ends()
-        chi = (
-            len(self.vertex_classes)
-            - len(self.edge_classes)
-            + len(self.face_classes)
-            - self.tet_count
-        )
+        chi = self.euler_characteristic()
         if chi != 0:
             raise SemanticError(
                 "Euler characteristic is {} (expected 0); "
@@ -177,9 +172,11 @@ class Triangulation:
     # -- validation ------------------------------------------------------
 
     def _check_gluings(self):
+        # Every row first, since a gluing is checked against its partner's.
         for t, row in enumerate(self.gluings):
             if len(row) != 4:
                 raise SemanticError("tet {}: expected 4 face gluings".format(t))
+        for t, row in enumerate(self.gluings):
             for f, (n, p) in enumerate(row):
                 if not (0 <= n < self.tet_count):
                     raise SemanticError(
@@ -189,19 +186,9 @@ class Triangulation:
                     raise SemanticError(
                         "tet {} face {}: not a permutation of 0123".format(t, f)
                     )
-                f2 = p[f]
-                if (n, f2) == (t, f):
+                if (n, p[f]) == (t, f) or self.gluings[n][p[f]] != (t, perm_inverse(p)):
                     raise SemanticError(
-                        "tet {} face {}: non-involutive or fixed-point gluing".format(
-                            t, f
-                        )
-                    )
-                n2, p2 = self.gluings[n][f2]
-                if n2 != t or p2 != perm_inverse(p):
-                    raise SemanticError(
-                        "tet {} face {}: non-involutive or fixed-point gluing".format(
-                            t, f
-                        )
+                        "tet {} face {}: non-involutive or fixed-point gluing".format(t, f)
                     )
 
     def _build_face_classes(self):

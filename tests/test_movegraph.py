@@ -236,11 +236,11 @@ def test_worker_starts_from_an_empty_memo(tri, link, catalog, monkeypatch, start
     # The worker's first share reports the memo it found, as an error the
     # parent raises again; the parent's own memo is not empty.
     def report(*args):
-        raise _MemoSize(len(surface._TET_MEMO))
+        raise _MemoSize(surface._tet_memo.cache_info().currsize)
 
     monkeypatch.setattr(movegraph, "_expand_share", report)
     vertex_link(tri, 0).tet_geometry(0)
-    assert len(surface._TET_MEMO) > 0
+    assert surface._tet_memo.cache_info().currsize > 0
     with pytest.raises(_MemoSize) as err:
         build(link, 8, catalog=catalog, workers=2)
     assert err.value.args == (0,)
@@ -282,7 +282,7 @@ def test_pool_export_traces_nothing(tri, link, catalog, monkeypatch):
             super().__init__(tri, tet, weights, matchings)
 
     monkeypatch.setattr(surface, "TetGeometry", Counting)
-    surface._TET_MEMO.clear()
+    surface._tet_memo.cache_clear()
     assert export_json(g) == serial
     assert traced == []
 

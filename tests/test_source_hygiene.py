@@ -1,5 +1,6 @@
-"""Source hygiene: no private helper is left behind unused, and no
-``TetGeometry`` slot is kept that nothing reads."""
+"""Source hygiene: no private helper is left behind unused, no
+``TetGeometry`` slot is kept that nothing reads, and no module but
+``surface`` reaches into the private state of its geometry or surfaces."""
 
 import ast
 import pathlib
@@ -72,3 +73,25 @@ def test_every_tet_geometry_slot_is_read():
     }
     assert slots and construction
     assert [slot for slot in slots if slot not in read] == []
+
+
+# Private state that only ``surface.py`` may touch: TetGeometry's slots
+# and Surface's cached fields.
+_SURFACE_PRIVATE = {
+    "_frame", "_faces", "_root",
+    "_text", "_validation", "_tets", "_layouts", "_footprint", "_cell_data",
+}
+
+
+def test_only_the_surface_module_touches_private_surface_state():
+    # Any read or write of such an attribute on an object other than
+    # ``self``, in any other module, is a breach.
+    breaches = [
+        (path.name, node.lineno, node.attr)
+        for path in sorted(SRC.glob("*.py"))
+        if path.name != "surface.py"
+        for node in ast.walk(ast.parse(path.read_text()))
+        if isinstance(node, ast.Attribute) and node.attr in _SURFACE_PRIVATE
+        and not (isinstance(node.value, ast.Name) and node.value.id == "self")
+    ]
+    assert breaches == []

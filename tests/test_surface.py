@@ -17,12 +17,13 @@ from cansurf import (
     generators,
     noncrossing_matchings,
     parse_surface,
+    parse_triangulation,
     replay,
     vertex_link,
 )
 from cansurf import movegraph, oracle, surface
 from cansurf.moves import F2P, PINCH, UNPINCH, Move, V0, apply, default_catalog
-from cansurf.surface import _TET_MEMO, _TET_MEMO_ENTRIES, TetGeometry
+from cansurf.surface import _TET_MEMO_ENTRIES, TetGeometry, _tet_memo
 
 
 CATALAN = [1, 1, 2, 5, 14, 42]
@@ -200,9 +201,60 @@ def test_arcs_bound_two_pieces(tri, link):
 
 
 def test_genus_requires_orientable(tri, link):
-    # All surfaces here are orientable; the check is that genus() computes
-    # through the orientability gate.
     assert link.genus() == 0
+    # A one-sided Klein bottle in the one-tetrahedron lens space below:
+    # connected, crudely normal, chi 0, and without a genus.
+    surf = parse_surface(
+        parse_triangulation(ONE_TET_LENS_SPACES[0]),
+        "edges: 0 1\nface 0: 0-1\nface 1: 0-1\ntet 0: disks\n",
+    )
+    assert surf.validate() == CRUDELY_NORMAL
+    assert len(surf.components()) == 1
+    assert surf.euler_characteristic() == 0
+    assert not surf.orientable()
+    with pytest.raises(SemanticError, match="non-orientable"):
+        surf.genus()
+
+
+# Two one-tetrahedron, one-vertex triangulations of the lens space L(4,1),
+# whose first homology is Z/4.
+ONE_TET_LENS_SPACES = [
+    "tet 0: 0/3201 0/3201 0/2310 0/2310\n",
+    "tet 0: 0/1230 0/3012 0/1230 0/3012\n",
+]
+
+
+@pytest.mark.parametrize("text", ONE_TET_LENS_SPACES)
+def test_one_sided_surfaces_of_a_lens_space(text):
+    # The reference is topology, not the code: with one vertex every edge
+    # is a loop and the edges carry the fundamental group, and here a
+    # closed surface is two-sided exactly when it meets every loop an even
+    # number of times.  (If it does, its Z/2 class is zero, so it
+    # separates; if it is two-sided it is orientable and bounds, as H_2 is
+    # zero here.)  So it is orientable exactly when all its edge weights
+    # are even.
+    tri = parse_triangulation(text)
+    assert len(tri.vertex_classes) == 1
+    one_sided = collections.Counter()
+    for s in enumerate_surfaces(tri, 4):
+        assert s.orientable() == all(w % 2 == 0 for w in s.weights), s.to_text()
+        if s.orientable():
+            assert 2 * len(s.components()) - 2 * s.genus() == s.euler_characteristic()
+        else:
+            with pytest.raises(SemanticError, match="non-orientable"):
+                s.genus()
+        one_sided[s.weight() <= 3, s.validate(), s.orientable()] += 1
+    # Pinned counts, which a per-curve side search also gave: 78 of the
+    # 94 encodings up to weight 3 are one-sided, 30 of them normal and 48
+    # with an annulus piece, and no encoding of weight 4 is.
+    assert one_sided == {
+        (True, CRUDELY_NORMAL, False): 30,
+        (True, CRUDELY_ALMOST_NORMAL, False): 48,
+        (True, CRUDELY_NORMAL, True): 6,
+        (True, CRUDELY_ALMOST_NORMAL, True): 10,
+        (False, CRUDELY_NORMAL, True): 225,
+        (False, CRUDELY_ALMOST_NORMAL, True): 991,
+    }
 
 
 def test_invalid_weight_vector(tri):
@@ -226,15 +278,14 @@ def sub(tri):
 
 def _geometry_fields(geo, matchings):
     """Everything a caller reads of a tet's geometry, given the tet's four
-    face matchings: the curve of every arc copy in arc-copy order, and the
-    regions through each curve's two sides."""
+    face matchings: the curve of every arc copy in arc-copy order, the two
+    regions beside each curve and the region at each corner."""
     return (
         geo.curves,
         geo.node_curve,
         [(f, pair, curve) for f, pairs in enumerate(matchings)
          for pair, curve in geo.arc_curves(f, pairs).items()],
         geo.curve_adjacent,
-        [geo.curve_sides(c) for c in range(len(geo.curves))],
         [geo.corner_region(c) for c in range(4)],
     )
 
@@ -258,7 +309,7 @@ def test_memoized_geometry_matches_fresh_trace(bed, tri, link, catalog, sub):
             assert _geometry_fields(geo, matchings) == _geometry_fields(fresh, matchings)
     # The memo does share geometry between surfaces, within its bound.
     assert len(shared) < len(graph.vertices) * bed_tri.tet_count
-    assert len(_TET_MEMO) <= max(_TET_MEMO_ENTRIES, 4 * bed_tri.tet_count)
+    assert _tet_memo.cache_info().currsize <= _TET_MEMO_ENTRIES
 
 
 def test_invalid_encoding_reclassified_after_valid_twin(sub):
@@ -278,10 +329,10 @@ def test_invalid_encoding_reclassified_after_valid_twin(sub):
     def bad():
         return Surface(sub, seed.weights, seed.matchings, annuli)
 
-    _TET_MEMO.clear()
+    _tet_memo.cache_clear()
     first = bad().validate()
     assert first == "invalid: annulus pair (0, 5) of tet {} is not two distinct curves".format(tet)
-    _TET_MEMO.clear()
+    _tet_memo.cache_clear()
     fresh_twin = Surface(sub, twin.weights, twin.matchings)
     assert fresh_twin.validate() == CRUDELY_NORMAL
     again = bad()
@@ -291,11 +342,11 @@ def test_invalid_encoding_reclassified_after_valid_twin(sub):
 
 def test_tracing_error_is_not_memoized(tri, link):
     unmatched = [((0, 5),)] + list(link.matchings[1:])
-    size = len(_TET_MEMO)
+    size = _tet_memo.cache_info().currsize
     for _ in range(2):
         with pytest.raises(SemanticError, match="exactly two arcs"):
             Surface(tri, link.weights, unmatched).tet_geometry(0)
-        assert len(_TET_MEMO) == size
+        assert _tet_memo.cache_info().currsize == size
     assert "perfect pairing" in Surface(tri, link.weights, unmatched).validate()
     assert Surface(tri, link.weights, link.matchings).validate() == CRUDELY_NORMAL
 
@@ -315,18 +366,19 @@ def test_memo_holds_a_closures_working_set(tri, data_dir, catalog, monkeypatch):
 
     seed = parse_surface(tri, (data_dir.parent / "bench" / "data" / "s3_sphere_w2.surf").read_text())
     monkeypatch.setattr(surface, "TetGeometry", Counting)
-    monkeypatch.setattr(surface, "_TET_MEMO", collections.OrderedDict())
+    _tet_memo.cache_clear()
     monkeypatch.setattr(movegraph, "_REPLAY_MEMO", collections.OrderedDict())
     graph = build(seed, 6, catalog=catalog)
     loops = generators(graph).loops
     assert len(set(traced)) == len(traced) > 2 * 128
     traced.clear()
-    surface._TET_MEMO.clear()
+    _tet_memo.cache_clear()
     random.Random(0).shuffle(loops)
     for loop in loops:
         assert replay(seed, loop, catalog) == seed
     assert len(set(traced)) == len(traced) > 2 * 128
-    assert len(surface._TET_MEMO) <= max(_TET_MEMO_ENTRIES, 4 * tri.tet_count)
+    assert _tet_memo.cache_info().currsize <= _TET_MEMO_ENTRIES
+    _tet_memo.cache_clear()  # drop the Counting instances
 
 
 def _pairwise_crossing(cid, pairs):

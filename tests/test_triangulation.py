@@ -38,6 +38,13 @@ def test_fixed_point_gluing_rejected():
         parse_triangulation(text)
 
 
+def test_a_short_row_is_rejected_before_its_partners_are_checked():
+    # Tet 0's faces are checked against tet 1's, whose row is short.
+    rows = [[(1, (0, 1, 2, 3))] * 4, [(0, (0, 1, 2, 3))] * 2]
+    with pytest.raises(SemanticError, match="tet 1: expected 4 face gluings"):
+        Triangulation(rows)
+
+
 def test_non_involutive_gluing_rejected():
     # Break one side of a valid pairing.
     text = "tet 0: 1/0123 1/1230 1/2301 1/3012\ntet 1: 0/0123 0/1230 0/2301 0/3012\n"
