@@ -44,6 +44,8 @@ from .movegraph import (
     generators,
     import_json,
     replay,
+    write_dot,
+    write_json,
 )
 from .surface import (
     CRUDELY_ALMOST_NORMAL,
@@ -101,4 +103,6 @@ __all__ = [
     "replay",
     "vertex_link",
     "weight_budget",
+    "write_dot",
+    "write_json",
 ]

@@ -16,8 +16,6 @@ constant multiplies its lower bound by 2 - margin, the scale multiplies
 its upper bound by margin.
 """
 
-from __future__ import annotations
-
 import collections
 import math
 

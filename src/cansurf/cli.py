@@ -11,19 +11,18 @@ so digests of the emitted files are meaningful; a run manifest records
 input hashes, parameters and result digests.
 """
 
-from __future__ import annotations
-
 import argparse
 import hashlib
 import json
 import math
+import os
 import sys
 import time
 
 from . import __version__
 from .bounds import BoundsConfig, parse_config
 from .errors import CansurfError, ParseError, PartialGraphError, SemanticError
-from .movegraph import Limits, build, export_dot, export_json, generators, replay
+from .movegraph import Limits, build, generators, replay, write_dot, write_json
 from .moves import DEFAULT_MOVE_SET, default_catalog, extend_catalog
 from .surface import parse_surface
 from .triangulation import barycentric_subdivide, parse_triangulation
@@ -41,6 +40,20 @@ def _read(path):
 
 def _sha256(text):
     return hashlib.sha256(text.encode()).hexdigest()
+
+
+def _emit(path, produce):
+    """The sha256 of the text ``produce(write)`` passes to ``write`` piece
+    by piece.  Each piece goes to the file at ``path`` as it comes (to the
+    null device when path is None), so the text is never held whole."""
+    digest = hashlib.sha256()
+    with open(path or os.devnull, "w", encoding="utf-8") as fh:
+        def write(piece):
+            fh.write(piece)
+            digest.update(piece.encode())
+
+        produce(write)
+    return digest.hexdigest()
 
 
 def _check_numbers(args):
@@ -192,25 +205,16 @@ def _run_graph(args, emit_loops):
     }
     digests = {}
     if args.out_json:
-        json_text = export_json(graph, provenance)
-        with open(args.out_json, "w", encoding="utf-8") as fh:
-            fh.write(json_text)
-        digests["json"] = _sha256(json_text)
+        digests["json"] = _emit(args.out_json, lambda write: write_json(graph, write, provenance))
     if args.out_dot:
-        dot_text = export_dot(graph)
-        with open(args.out_dot, "w", encoding="utf-8") as fh:
-            fh.write(dot_text)
-        digests["dot"] = _sha256(dot_text)
+        digests["dot"] = _emit(args.out_dot, lambda write: write_dot(graph, write))
     gens = None
     if emit_loops and not graph.partial:
         gens = generators(graph)
-        loops_text = gens.to_text()
         if args.out_loops:
-            with open(args.out_loops, "w", encoding="utf-8") as fh:
-                fh.write(loops_text)
-            digests["loops"] = _sha256(loops_text)
+            digests["loops"] = _emit(args.out_loops, gens.write_text)
     if args.manifest and not digests:
-        digests["json"] = _sha256(export_json(graph, provenance))
+        digests["json"] = _emit(None, lambda write: write_json(graph, write, provenance))
     wall = time.time() - t0
     status = "PARTIAL" if graph.partial else "complete"
     print(

@@ -77,6 +77,18 @@ rooted at the seed, and every non-tree edge (u, v, m) contributes one
 loop, tree-path(seed -> u) + m + reversed tree-path(seed -> v).  The
 number of loops equals |edges| - |vertices| + 1.
 
+Exports: ``write_json``, ``write_dot`` and ``GeneratorSet.write_text``
+pass the JSON, DOT and loops files to a ``write`` callable piece by
+piece, one record or line at a time, so no export holds its text or a
+document of it; ``export_json``, ``export_dot`` and
+``GeneratorSet.to_text`` join those pieces into the text.  The JSON
+writer prints each vertex and edge record from a template with its keys
+in sorted order and its strings through ``encode_basestring_ascii``,
+the encoder ``json.dumps`` uses, and the rest of the document with one
+``json.dumps``, so its bytes are those of ``json.dumps(document,
+sort_keys=True, indent=1) + "\\n"``.  The DOT writer keeps one short
+hash per vertex, to name edge ends by.
+
 Replay memo: the loops share most of their moves, so ``replay`` applies
 each distinct move once per process.  ``_REPLAY_MEMO`` maps (triangulation,
 catalog content as (sphere id, vertex, sphere key) per entry, source
@@ -101,8 +113,6 @@ the recent geometry.  That memo holds a small closure's tet states (see
 each state they visit once.
 """
 
-from __future__ import annotations
-
 import collections
 import functools
 import hashlib
@@ -110,16 +120,15 @@ import json
 import marshal
 import os
 import time
+from json.encoder import encode_basestring_ascii as _json_string
 
 from .errors import PartialGraphError, SemanticError
 from .moves import DEFAULT_MOVE_SET, apply_with_inverse, check_move_set, neighbors, parse_move
 from .surface import CRUDELY_NORMAL, _parse_canonical, _tet_memo, parse_surface
 
 
-class Limits:
-    def __init__(self, max_vertices=None, max_seconds=None):
-        self.max_vertices = max_vertices
-        self.max_seconds = max_seconds
+# Where a build stops (see ``build``): None for no limit.
+Limits = collections.namedtuple("Limits", "max_vertices max_seconds", defaults=(None, None))
 
 
 class MoveGraph:
@@ -145,15 +154,12 @@ class MoveGraph:
     def rank(self):
         return len(self.edges) - len(self.vertices) + 1
 
-    def sorted_vertices(self):
-        return sorted(self.vertices)
-
     def sorted_edges(self):
         return sorted(self.edges)
 
     def adjacency(self):
         adj = {key: [] for key in self.vertices}
-        for u, v, muv, mvu in self.sorted_edges():
+        for u, v, muv, mvu in self.edges:
             adj[u].append((v, muv, mvu))
             if u != v:
                 adj[v].append((u, mvu, muv))
@@ -172,11 +178,16 @@ class GeneratorSet:
     def __len__(self):
         return len(self.loops)
 
-    def to_text(self):
-        lines = ["# one generator loop per line; moves apply left to right"]
+    def write_text(self, write):
+        """Pass the loops file to ``write``, one line at a time."""
+        write("# one generator loop per line; moves apply left to right\n")
         for loop in self.loops:
-            lines.append(" ".join(loop) if loop else "#<empty>")
-        return "\n".join(lines) + "\n"
+            write((" ".join(loop) if loop else "#<empty>") + "\n")
+
+    def to_text(self):
+        pieces = []
+        self.write_text(pieces.append)
+        return "".join(pieces)
 
 
 # ---------------------------------------------------------------------------
@@ -525,20 +536,20 @@ def generators(graph):
     if len(parent) != len(graph.vertices):
         raise SemanticError("graph is not connected")
 
-    def to_seed(key):
-        """The tree edges from key up to the seed, as parent entries."""
-        steps = []
+    def to_seed(key, k):
+        """Item k of the parent entries from key up to the seed: each tree
+        edge's move there (1) or back (2)."""
+        moves = []
         while parent[key] is not None:
-            steps.append(parent[key])
+            moves.append(parent[key][k])
             key = parent[key][0]
-        return steps
+        return moves
 
     loops = []
     for u, v, muv, mvu in graph.sorted_edges():
         if parent[v] == (u, muv, mvu) or parent[u] == (v, mvu, muv):
             continue  # a tree edge
-        to_u = [m for _, m, _ in reversed(to_seed(u))]
-        loops.append(to_u + [muv] + [back for _, _, back in to_seed(v)])
+        loops.append(to_seed(u, 1)[::-1] + [muv] + to_seed(v, 2))
     rank = graph.rank()
     if len(loops) != rank:
         raise SemanticError(
@@ -601,10 +612,24 @@ def replay(seed, move_texts, catalog=None):
 # Export
 
 
-def export_json(graph, provenance=None):
-    keys = graph.sorted_vertices()
+# A vertex and an edge record of the JSON export, at ``indent=1`` depth 2
+# with their keys sorted, as ``json.dumps`` prints them.
+_VERTEX_RECORD = '\n  {\n   "classification": %s,\n   "encoding": %s,\n   "weight": %d\n  }'
+_EDGE_RECORD = '\n  {\n   "inverse": %s,\n   "move": %s,\n   "u": %d,\n   "v": %d\n  }'
+
+
+def write_json(graph, write, provenance=None):
+    """Pass the JSON export to ``write`` piece by piece, one piece per
+    vertex and per edge record (see the module docstring).
+
+    Everything but the records is one ``json.dumps`` of the document
+    without "edges" and "vertices".  In sorted key order "edges" comes
+    right after "budget" and "vertices" last, and only a top-level key
+    starts a line with one space, so the records go in at the one
+    ``,\\n "format"`` and before the closing brace."""
+    keys = sorted(graph.vertices)
     index = {k: i for i, k in enumerate(keys)}
-    doc = {
+    head = json.dumps({
         "format": "cansurf-movegraph/1",
         "partial": graph.partial,
         "budget": graph.budget,
@@ -612,39 +637,61 @@ def export_json(graph, provenance=None):
         "triangulation_sha256": hashlib.sha256(graph.tri.to_text().encode()).hexdigest(),
         "provenance": provenance or {},
         "seed": index[graph.seed_key],
-        "vertices": [
-            {
-                "encoding": graph.vertices[k].to_text(),
-                "weight": graph.vertices[k].weight(),
-                "classification": graph.vertices[k].validate(),
-            }
-            for k in keys
-        ],
-        "edges": [
-            {"u": index[u], "v": index[v], "move": muv, "inverse": mvu}
-            for u, v, muv, mvu in graph.sorted_edges()
-        ],
         "rank": graph.rank(),
         "statistics": {
             "vertices": len(graph.vertices),
             "edges": len(graph.edges),
             "rank": graph.rank(),
             "budget_rejected": graph.stats.get("budget_rejected", 0),
-            "pinched_spheres": dict(sorted(graph.stats.get("pinched_spheres", {}).items())),
+            "pinched_spheres": dict(graph.stats.get("pinched_spheres", {})),
         },
-    }
-    return json.dumps(doc, sort_keys=True, indent=1) + "\n"
+    }, sort_keys=True, indent=1)
+    budget, rest = head[:-2].split(',\n "format"')
+    write(budget + ',\n "edges": ')
+    _write_records(write, (
+        _EDGE_RECORD % (_json_string(mvu), _json_string(muv), index[u], index[v])
+        for u, v, muv, mvu in graph.sorted_edges()
+    ))
+    write(',\n "format"' + rest + ',\n "vertices": ')
+    _write_records(write, (
+        _VERTEX_RECORD % (_json_string(s.validate()), _json_string(s.to_text()), s.weight())
+        for s in map(graph.vertices.get, keys)
+    ))
+    write("\n}\n")
+
+
+def _write_records(write, records):
+    """Write the records as ``json.dumps`` prints a list that is the value
+    of a top-level key."""
+    write("[")
+    sep = ""
+    for record in records:
+        write(sep + record)
+        sep = ","
+    write("\n ]" if sep else "]")
+
+
+def export_json(graph, provenance=None):
+    pieces = []
+    write_json(graph, pieces.append, provenance)
+    return "".join(pieces)
+
+
+def write_dot(graph, write):
+    """Pass the DOT export to ``write``, one line at a time."""
+    names = {k: graph.vertices[k].short_hash() for k in sorted(graph.vertices)}
+    write("graph movegraph {\n")
+    for k, name in names.items():
+        write('  n{} [label="w={}"];\n'.format(name, graph.vertices[k].weight()))
+    for u, v, muv, _ in graph.sorted_edges():
+        write('  n{} -- n{} [label="{}"];\n'.format(names[u], names[v], muv))
+    write("}\n")
 
 
 def export_dot(graph):
-    names = {k: graph.vertices[k].short_hash() for k in graph.sorted_vertices()}
-    lines = ["graph movegraph {"]
-    for k, name in names.items():
-        lines.append('  n{} [label="w={}"];'.format(name, graph.vertices[k].weight()))
-    for u, v, muv, _ in graph.sorted_edges():
-        lines.append('  n{} -- n{} [label="{}"];'.format(names[u], names[v], muv))
-    lines.append("}")
-    return "\n".join(lines) + "\n"
+    pieces = []
+    write_dot(graph, pieces.append)
+    return "".join(pieces)
 
 
 def import_json(tri, text):
@@ -654,16 +701,8 @@ def import_json(tri, text):
         raise SemanticError("not a movegraph export")
     surfaces = [parse_surface(tri, v["encoding"]) for v in doc["vertices"]]
     keys = [s.canonical_key() for s in surfaces]
-    graph = MoveGraph(
-        tri,
-        keys[doc["seed"]],
-        doc["budget"],
-        frozenset(doc["move_set"]),
-        partial=doc["partial"],
-    )
-    for s, k in zip(surfaces, keys):
-        graph.vertices[k] = s
-    for e in doc["edges"]:
-        graph.edges.add((keys[e["u"]], keys[e["v"]], e["move"], e["inverse"]))
+    graph = MoveGraph(tri, keys[doc["seed"]], doc["budget"], doc["move_set"], doc["partial"])
+    graph.vertices = dict(zip(keys, surfaces))
+    graph.edges = {(keys[e["u"]], keys[e["v"]], e["move"], e["inverse"]) for e in doc["edges"]}
     graph.stats = dict(doc.get("statistics", {}))
     return graph

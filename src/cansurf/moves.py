@@ -126,8 +126,6 @@ sphere that does not fit at its placement is refused in the same words
 as an invalid result, under the name from the same table.
 """
 
-from __future__ import annotations
-
 import bisect
 import collections
 import functools

@@ -22,8 +22,6 @@ These are exponential-time by design; they exist to check the fast
 implementations on small instances.
 """
 
-from __future__ import annotations
-
 import itertools
 
 from .errors import SemanticError

@@ -79,8 +79,6 @@ only makes the footprint larger.  A surface parsed or built without a
 source is checked in full and formats its text on first use.
 """
 
-from __future__ import annotations
-
 import functools
 import hashlib
 import itertools

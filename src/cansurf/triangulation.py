@@ -54,8 +54,6 @@ identified with itself in reverse, inconsistent orientations, and a
 nonzero Euler characteristic.
 """
 
-from __future__ import annotations
-
 import functools
 import operator
 
@@ -81,10 +79,7 @@ def perm_sign(p):
 
 
 def perm_inverse(p):
-    q = [0, 0, 0, 0]
-    for i, v in enumerate(p):
-        q[v] = i
-    return tuple(q)
+    return tuple(sorted(range(4), key=p.__getitem__))
 
 
 class _UnionFind:
@@ -199,10 +194,7 @@ class Triangulation:
             for f, (n, p) in enumerate(row)
             if (t, f) < (n, p[f])
         )
-        self.face_class_of = {}
-        for cid, (a, b) in enumerate(self.face_classes):
-            self.face_class_of[a] = cid
-            self.face_class_of[b] = cid
+        self.face_class_of = {tf: cid for cid, pair in enumerate(self.face_classes) for tf in pair}
 
     def _glued_faces(self):
         """(t, f, n, p) per face class: face f of tet t meets tet n via p."""
@@ -214,19 +206,13 @@ class Triangulation:
             for v in range(4):
                 if v != f:
                     uf.union(4 * t + v, 4 * n + p[v])
-        self.vertex_class_of = {}
         roots = {}
-        for t in range(self.tet_count):
-            for v in range(4):
-                r = uf.find(4 * t + v)
-                if r not in roots:
-                    roots[r] = []
-                roots[r].append((t, v))
-        ordered = sorted(roots.values(), key=lambda members: members[0])
-        self.vertex_classes = tuple(tuple(m) for m in ordered)
-        for cid, members in enumerate(self.vertex_classes):
-            for tv in members:
-                self.vertex_class_of[tv] = cid
+        for i in range(4 * self.tet_count):
+            roots.setdefault(uf.find(i), []).append(divmod(i, 4))
+        self.vertex_classes = tuple(sorted(map(tuple, roots.values())))
+        self.vertex_class_of = {
+            tv: cid for cid, members in enumerate(self.vertex_classes) for tv in members
+        }
 
     def _build_edge_classes(self):
         # Gluing edge (a, b) of t to (p[a], p[b]) of n keeps the intrinsic
@@ -368,9 +354,7 @@ class Triangulation:
     def to_text(self):
         lines = []
         for t, row in enumerate(self.gluings):
-            entries = " ".join(
-                "{}/{}".format(n, "".join(str(x) for x in p)) for (n, p) in row
-            )
+            entries = " ".join("{}/{}".format(n, "".join(map(str, p))) for (n, p) in row)
             lines.append("tet {}: {}".format(t, entries))
         return "\n".join(lines) + "\n"
 
@@ -466,17 +450,16 @@ def barycentric_subdivide(tri):
 
     gluings = []
     for t in range(tri.tet_count):
-        for flag in flags:
-            a, b, c, d = flag
-            row = []
-            # Face 0 (opposite the corner): swap the corner with the edge end.
-            row.append((sub_index(t, (b, a, c, d)), (0, 1, 2, 3)))
-            # Face 1 (opposite the edge midpoint): other edge of the face at a.
-            row.append((sub_index(t, (a, c, b, d)), (0, 1, 2, 3)))
-            # Face 2 (opposite the face barycenter): other face through edge ab.
-            row.append((sub_index(t, (a, b, d, c)), (0, 1, 2, 3)))
-            # Face 3 (opposite the tet barycenter): cross the original face abcd^c.
+        for a, b, c, d in flags:
             n, p = tri.gluings[t][d]
-            row.append((sub_index(n, (p[a], p[b], p[c], p[d])), (0, 1, 2, 3)))
-            gluings.append(row)
+            gluings.append([(sub_index(*face), (0, 1, 2, 3)) for face in (
+                # Face 0 (opposite the corner): swap the corner with the edge end.
+                (t, (b, a, c, d)),
+                # Face 1 (opposite the edge midpoint): other edge of the face at a.
+                (t, (a, c, b, d)),
+                # Face 2 (opposite the face barycenter): other face through edge ab.
+                (t, (a, b, d, c)),
+                # Face 3 (opposite the tet barycenter): cross the original face abcd^c.
+                (n, (p[a], p[b], p[c], p[d])),
+            )])
     return Triangulation(gluings)

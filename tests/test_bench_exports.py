@@ -34,7 +34,7 @@ def _sha256(text):
 
 
 @pytest.mark.parametrize(
-    "name", ["s3-sphere-b6", "s3-sphere-b6-pool2", "sub48-link-b12"]
+    "name", ["s3-sphere-b6", "s3-sphere-b6-pool2", "sub48-link-b12", "selftest-default-b8"]
 )
 def test_benchmark_exports_match_references(name):
     workload = WORKLOADS[name]

@@ -9,7 +9,18 @@ import sys
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from cansurf import Surface, build, cli, generators
+from cansurf import (
+    Surface,
+    __version__,
+    build,
+    cli,
+    default_catalog,
+    export_dot,
+    export_json,
+    generators,
+    parse_surface,
+    parse_triangulation,
+)
 from cansurf.cli import main
 
 
@@ -128,13 +139,13 @@ def test_unknown_move_kind_exit_three(capsys, data_dir, command):
 
 def test_json_export_is_built_only_when_used(capsys, data_dir, tmp_path, monkeypatch):
     calls = []
-    real = cli.export_json
+    real = cli.write_json
 
     def counting(*args):
         calls.append(args)
         return real(*args)
 
-    monkeypatch.setattr(cli, "export_json", counting)
+    monkeypatch.setattr(cli, "write_json", counting)
     args = ["graph", str(data_dir / "two_tet_s3.tri"), str(data_dir / "vertex_link.surf"),
             "--budget", "6"]
     assert run(capsys, *args, "--out-dot", str(tmp_path / "g.dot"))[0] == 0
@@ -147,6 +158,52 @@ def test_json_export_is_built_only_when_used(capsys, data_dir, tmp_path, monkeyp
     digests = [json.loads((tmp_path / m).read_text())["result_digests"] for m in ("m1.json", "m2.json")]
     assert digests[0] == digests[1] == {
         "json": hashlib.sha256((tmp_path / "g.json").read_bytes()).hexdigest()
+    }
+
+
+@pytest.mark.parametrize("workers", [1, 2])
+@pytest.mark.parametrize("command", ["graph", "generators"])
+def test_written_files_are_the_library_exports_and_the_manifest_hashes_them(
+    capsys, data_dir, tmp_path, command, workers
+):
+    files = {"json": tmp_path / "g.json", "dot": tmp_path / "g.dot"}
+    if command == "generators":
+        files["loops"] = tmp_path / "l.txt"
+    options = {"json": "--out-json", "dot": "--out-dot", "loops": "--out-loops"}
+    argv = [command, str(data_dir / "two_tet_s3.tri"), str(data_dir / "vertex_link.surf"),
+            "--budget", "6", "--workers", str(workers), "--manifest", str(tmp_path / "m.json")]
+    for kind, path in files.items():
+        argv += [options[kind], str(path)]
+    assert run(capsys, *argv)[0] == 0
+
+    tri_text = (data_dir / "two_tet_s3.tri").read_text()
+    seed_text = (data_dir / "vertex_link.surf").read_text()
+    tri = parse_triangulation(tri_text)
+    catalog = default_catalog(tri)
+    graph = build(parse_surface(tri, seed_text), 6, catalog=catalog)
+    provenance = {
+        "tool": "cansurf {}".format(__version__),
+        "triangulation_file_sha256": hashlib.sha256(tri_text.encode()).hexdigest(),
+        "seed_sha256": hashlib.sha256(seed_text.encode()).hexdigest(),
+        "parameters": {
+            "budget": 6,
+            "move_set": sorted(graph.move_set),
+            "subdivide": 0,
+            "catalog": [e.sphere_id for e in catalog],
+            "max_vertices": None,
+            "max_seconds": None,
+        },
+    }
+    library = {
+        "json": export_json(graph, provenance),
+        "dot": export_dot(graph),
+        "loops": generators(graph).to_text(),
+    }
+    for kind, path in files.items():
+        assert path.read_bytes() == library[kind].encode()
+    manifest = json.loads((tmp_path / "m.json").read_text())
+    assert manifest["result_digests"] == {
+        kind: hashlib.sha256(path.read_bytes()).hexdigest() for kind, path in files.items()
     }
 
 
