@@ -52,14 +52,20 @@ from .surface import (
     CRUDELY_NORMAL,
     Surface,
     empty_surface,
-    enumerate_surfaces,
-    noncrossing_matchings,
     parse_surface,
     vertex_link,
 )
 from .triangulation import Triangulation, barycentric_subdivide, parse_triangulation
 
 __version__ = "0.1.0"
+
+
+def __getattr__(name):
+    # Enumeration serves tests and demos, not a run: loaded on first use.
+    if name in ("enumerate_surfaces", "noncrossing_matchings"):
+        from . import enumeration
+        return getattr(enumeration, name)
+    raise AttributeError("module 'cansurf' has no attribute '{}'".format(name))
 
 __all__ = [
     "BoundsConfig",

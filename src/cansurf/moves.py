@@ -71,15 +71,15 @@ weights and matchings, and the result keeps the geometry its move traced
 so that validation does not look it up again.
 
 The neighbour generator proposes exactly the moves that apply.  It reads
-small tables built once per ``_candidate_moves`` call instead of trying
-every pair, gap or corner.  ``Surface.region_arcs`` lists the arcs
-beside each chord region of a face class: E1+ reroutes the arcs beside
-its gap's region, and its bulk ``budget_rejected`` count reads the same
-table.  ``Surface.arc_labels`` labels each arc with its curve in both
-tetrahedra of its face, and ``_band_pairs`` buckets the arcs beside each
-region by their losing-side curve: a face move pairs two arcs of one
-bucket off the losing tetrahedron's annulus pair, or one arc from each
-of the pair's two buckets.  V0- is tried only at corners of tetrahedra
+small tables instead of trying every pair, gap or corner.
+``Surface.region_arcs``, built once per distinct row (see ``surface``),
+lists the arcs beside each chord region of a face class: E1+ reroutes
+the arcs beside its gap's region, and its bulk ``budget_rejected``
+count reads the same table.  ``Surface.arc_labels`` labels each arc
+with its curve in both tetrahedra of its face, and ``_band_pairs``
+buckets the arcs beside each region by their losing-side curve: a face
+move pairs two arcs of one bucket off the losing tetrahedron's annulus
+pair, or one arc from each of the pair's two buckets.  V0- is tried only at corners of tetrahedra
 with an annulus, and PINCHes over the budget are counted, per
 tetrahedron without an annulus, as its curves times the sphere's.
 
@@ -137,8 +137,9 @@ from .errors import NotApplicableError, ParseError, SemanticError
 from .surface import (
     CRUDELY_ALMOST_NORMAL,
     CRUDELY_NORMAL,
+    _ROW_ENTRIES,
     Surface,
-    face_crossing,
+    _face_verdict,
     face_layout,
     parse_surface,
     pairs_cross,
@@ -396,10 +397,13 @@ def _map_annuli(old, weights, matchings, shift, overrides=None):
     return annuli, traced
 
 
+@functools.lru_cache(maxsize=_ROW_ENTRIES)
 def _planar_reconnection(rest, p, q, r, s):
     """Two new arcs joining p and q to r and s, one each, that cross
     neither each other nor the non-crossing arcs in ``rest``; p-r, q-s is
-    tried first.  None when neither way is planar."""
+    tried first.  None when neither way is planar.  Kept for the last
+    16,384 argument tuples; every caller passes int slots of a valid
+    surface's rows."""
     for first, second in (((p, r), (q, s)), ((p, s), (q, r))):
         new = (tuple(sorted(first)), tuple(sorted(second)))
         if not any(pairs_cross(a, b) for a in new for b in rest + new):
@@ -504,7 +508,7 @@ def _insert_sphere(surf, entry):
         met.add(cid)
     for cid in sorted(met):
         matchings[cid] = tuple(sorted(matchings[cid]))
-        crossing = face_crossing(cid, matchings[cid])
+        crossing = _face_verdict(cid, face_layout(tri, new_weights, cid).n, matchings[cid])
         if crossing:
             return None, crossing
     annuli, traced = _map_annuli(surf, new_weights, matchings, shift)
@@ -878,9 +882,12 @@ def _apply_f2(surf, move, catalog):
     alpha, beta = (tuple(sorted(p)) for p in move.arcs)
     if alpha == beta:
         raise NotApplicableError("need two distinct arcs")
+    row = surf.matchings[cid]
     for p in (alpha, beta):
-        if p not in surf.matchings[cid]:
+        if p not in row:
             raise NotApplicableError("face {} has no arc {}".format(cid, p))
+    # The row's own int pairs, which may key _planar_reconnection's cache.
+    alpha, beta = row[row.index(alpha)], row[row.index(beta)]
     _, _, chord_sides = surf.face_regions(cid)
     if not set(chord_sides[alpha]) & set(chord_sides[beta]):
         raise NotApplicableError("arcs {} and {} do not bound a common region".format(alpha, beta))
@@ -1086,7 +1093,6 @@ Neighbor = collections.namedtuple("Neighbor", "move inverse surface")
 def _candidate_moves(surf, move_set, catalog, budget, stats):
     tri = surf.tri
     weight = surf.weight()
-    regions = {}  # face class -> its Surface.region_arcs, for E1 and face moves
     if V0 in move_set:
         for v in range(len(tri.vertex_classes)):
             over = weight + tri.vertex_degree(v) > budget
@@ -1109,7 +1115,7 @@ def _candidate_moves(surf, move_set, catalog, budget, stats):
         for cid, sides in enumerate(tri.face_sides):
             if not surf.matchings[cid]:
                 continue
-            gap_region, beside = regions[cid] = surf.region_arcs(cid)
+            gap_region, beside = surf.region_arcs(cid)
             for k, (e, *_) in enumerate(sides):
                 if tri.edge_degree(e) < 2:
                     continue
@@ -1132,7 +1138,7 @@ def _candidate_moves(surf, move_set, catalog, budget, stats):
             if t0 == t1 or len(arcs) < 2:
                 continue
             labels = surf.arc_labels(cid, arcs)
-            beside = (regions.get(cid) or surf.region_arcs(cid))[1]
+            beside = surf.region_arcs(cid)[1]
             for gain, t_l in ((0, t1), (1, t0)):
                 annulus = surf.annuli[t_l][0] if surf.annuli[t_l] else ()
                 for alpha, beta in _band_pairs(beside, labels[1 - gain], annulus):

@@ -63,6 +63,26 @@ the node (tetrahedron edge, class point index) of every slot per
 incidence and the circular gap of every class-order gap per side.
 ``Surface.face_layout`` keeps each surface's layouts in a list.
 
+Matching rows are interned.  ``Surface`` normalizes each row it does not
+share with its source through ``_interned``, one table keyed by the row
+that maps it to its sorted row, so equal rows come back as one object.
+What depends on a row alone is computed once per process, each in a
+``functools.lru_cache`` of ``_ROW_ENTRIES`` (16,384) entries: the face's
+text line (``_face_line``, by face class and row); the face's verdict in
+``validate``, odd slot count, perfect pairing or crossing
+(``_face_verdict``, by face class, slot count and row); the arcs beside
+each chord region (``_region_arcs``, by slot count and row, for
+``Surface.region_arcs``); and in ``moves`` the planar reconnection of
+two arcs (``_planar_reconnection``, by its arguments).  The 2-tet vertex
+link's closure at budget 10 needs 268 rows, 617 face lines and verdicts
+and 1,433 reconnections.  A ``TetGeometry`` builds the arc-to-curve map
+of a face on first use.  A row holding a slot that is not an ``int``
+goes round every one of these tables and the tet memo, since ``True``
+and ``1.0`` key the same entry as ``1``: it is sorted but not interned,
+its line and verdict are computed afresh, ``validate`` calls it no
+perfect pairing, and asking for the geometry or chord regions of a
+surface that holds it is a ``SemanticError``.
+
 A move builds its result from a valid *source* surface and reuses what
 the move did not touch: a face class's matching tuple or a tetrahedron's
 annulus tuple that is the source's own object is kept, not re-sorted.
@@ -74,9 +94,12 @@ geometry outside it and the source's text line for every row it shares,
 keeps the geometry the move traced inside it, and keeps no reference to
 the source.  ``validate`` then checks only the footprint, in the order a
 full check would, so it gives a full check's verdict.  Weights compare
-by value and tuples by identity, so an equal tuple that is not shared
-only makes the footprint larger.  A surface parsed or built without a
-source is checked in full and formats its text on first use.
+by value and tuples by identity.  A rebuilt row equal to the source's is
+interned to the source's own object while the row table holds it, so it
+stays out of the footprint; once the table has dropped it, the equal
+row only makes the footprint larger.  A surface parsed or built without
+a source, or holding a row with a slot that is not an ``int``, is
+checked in full and formats its text on first use.
 """
 
 import functools
@@ -90,28 +113,10 @@ CRUDELY_NORMAL = "crudely_normal"
 CRUDELY_ALMOST_NORMAL = "crudely_almost_normal"
 _VALID = (CRUDELY_NORMAL, CRUDELY_ALMOST_NORMAL)
 
-
-def noncrossing_matchings(n):
-    """All non-crossing perfect matchings of n cyclically ordered points.
-
-    Yields tuples of (a, b) pairs with a < b, sorted by first element.
-    The count for n = 2m is the m-th Catalan number.
-    """
-    if n % 2:
-        return
-    def rec(points):
-        if not points:
-            yield ()
-            return
-        first = points[0]
-        for k in range(1, len(points), 2):
-            left = points[1:k]
-            right = points[k + 1:]
-            for lm in rec(left):
-                for rm in rec(right):
-                    yield ((first, points[k]),) + lm + rm
-    for m in rec(tuple(range(n))):
-        yield tuple(sorted(m))
+# Each per-row table holds at most this many entries.  The weight-2
+# sphere's closure on 2 tets at budget 6 holds 70 distinct matching rows,
+# and the 2-tet vertex link's at budget 10 a few hundred.
+_ROW_ENTRIES = 1 << 14
 
 
 def pairs_cross(p, q):
@@ -123,29 +128,9 @@ def pairs_cross(p, q):
 
 def face_crossing(cid, pairs):
     """The validation failure naming the first two crossing arcs among
-    face class cid's pairs, or None when no two cross.
-
-    Pairs (a, b) with 0 <= a < b, listed in increasing order of a as a
-    stored matching lists them, are checked in one pass with a stack of
-    the ends of the arcs still open: every arc must end before the
-    innermost of them.  Every two pairs are tried only to name a crossing,
-    or when the pairs do not have that form."""
-    ends = []
-    last = -1
-    try:
-        for a, b in pairs:
-            if not last < a < b:
-                break
-            while ends and ends[-1] < a:
-                ends.pop()
-            if ends and not b < ends[-1]:
-                break
-            ends.append(b)
-            last = a
-        else:
-            return None
-    except (TypeError, ValueError):
-        pass
+    face class cid's pairs, or None when no two cross.  Every two pairs
+    are tried, but ``validate`` and the moves ask once per distinct row
+    (see ``_face_verdict``)."""
     for p, q in itertools.combinations(pairs, 2):
         if pairs_cross(p, q):
             return "invalid: face {} arcs {} and {} cross".format(cid, p, q)
@@ -188,6 +173,17 @@ def _face_chord_regions(n, pairs):
     if current != 0 or stack:
         raise SemanticError("matching is not balanced")
     return next_region, gap_region, chord_sides
+
+
+@functools.lru_cache(maxsize=_ROW_ENTRIES)
+def _region_arcs(n, pairs):
+    """``Surface.region_arcs`` of a row over n slots."""
+    count, gap_region, chord_sides = _face_chord_regions(n, pairs)
+    arcs = [[] for _ in range(count)]
+    for arc, sides in chord_sides.items():
+        for r in sides:
+            arcs[r].append(arc)
+    return gap_region, arcs
 
 
 class FaceLayout:
@@ -309,7 +305,8 @@ class TetGeometry:
     roots.
     """
 
-    __slots__ = ("tet", "curves", "node_curve", "curve_adjacent", "_frame", "_faces", "_root")
+    __slots__ = ("tet", "curves", "node_curve", "curve_adjacent", "_frame", "_faces", "_root",
+                 "_arcs")
 
     def __init__(self, tri, tet, weights, matchings):
         self.tet = tet
@@ -401,14 +398,19 @@ class TetGeometry:
                     outer, inner = chord_sides[pair]
                     adj[c] = (root[offset + outer], root[offset + inner])
         self.curve_adjacent = adj
+        self._arcs = [None] * 4
 
     def arc_curves(self, f, arcs):
         """{arc: the curve through it} for arc copies of face f (0..3),
-        each of which must be an arc of that face."""
-        layout = self._faces[f][0]
-        nodes = layout.slot_nodes[self._frame[0][f][1]]
-        node_curve = self.node_curve
-        return {arc: node_curve[nodes[arc[0]]] for arc in arcs}
+        each of which must be an arc of that face.  Read from the map of
+        every arc of the face, built on first use."""
+        curve = self._arcs[f]
+        if curve is None:
+            layout, _, chord_sides, _ = self._faces[f]
+            nodes = layout.slot_nodes[self._frame[0][f][1]]
+            node_curve = self.node_curve
+            curve = self._arcs[f] = {arc: node_curve[nodes[arc[0]]] for arc in chord_sides}
+        return {arc: curve[arc] for arc in arcs}
 
     def chord_side_roots(self, f, pair):
         """Region roots on the (outer, inner) sides of an arc copy."""
@@ -428,22 +430,56 @@ class TetGeometry:
         return bool(s1 & s2)
 
 
-def _normalized(rows, shared=None):
-    """Each row of pairs with every pair sorted and the pairs in order,
-    except the rows that are the object ``shared`` holds at their index,
-    which are kept as they are."""
+def _sorted_row(row):
+    """A row of pairs with every pair sorted and the pairs in order."""
+    return tuple(sorted([tuple(sorted(p)) for p in row]))
+
+
+def _normalized(rows, shared):
+    """Each row sorted, except the rows that are the object ``shared``
+    holds at their index, which are kept as they are."""
     return tuple(
-        row if shared and row is shared[k] else tuple(sorted(tuple(sorted(p)) for p in row))
-        for k, row in enumerate(rows)
+        row if shared and row is shared[k] else _sorted_row(row) for k, row in enumerate(rows)
     )
+
+
+def _int_row(row):
+    """Whether a matching row may key a row cache: a tuple of pairs of
+    ints.  An equal row of other slots (``True == 1``, ``0.0 == 0``) must
+    not be answered from an int row's entry, nor leave one behind."""
+    return type(row) is tuple and all(
+        [type(p) is tuple and len(p) == 2 and type(p[0]) is int is type(p[1]) for p in row]
+    )
+
+
+@functools.lru_cache(maxsize=_ROW_ENTRIES)
+def _interned(row):
+    # A sorted row is its own entry, and any other row maps to its sorted
+    # row's entry, so equal rows come back as one object.
+    normal = _sorted_row(row)
+    return row if normal == row else _interned(normal)
 
 
 def _edges_line(weights):
     return "edges: " + " ".join(map(str, weights))
 
 
+@functools.lru_cache(maxsize=_ROW_ENTRIES)
 def _face_line(cid, pairs):
     return "face {}:".format(cid) + "".join([" {}-{}".format(a, b) for a, b in pairs])
+
+
+@functools.lru_cache(maxsize=_ROW_ENTRIES)
+def _face_verdict(cid, n, pairs):
+    """What ``validate`` says of face class cid with this row over n
+    slots: an odd slot count, no perfect pairing of slots 0..n-1 by int
+    slots, or the first crossing; None when the face passes."""
+    if n % 2:
+        return "invalid: face {} has an odd number of boundary points".format(cid)
+    slots = [s for p in pairs for s in p]
+    if any(type(s) is not int for s in slots) or sorted(slots) != list(range(n)):
+        return "invalid: face {} matching is not a perfect pairing".format(cid)
+    return face_crossing(cid, pairs)
 
 
 def _tet_line(tet, pairs):
@@ -463,9 +499,11 @@ class Surface:
 
     ``source``, when given, is a surface classified valid on the same
     triangulation with as many face classes and tetrahedra, such as the
-    surface a move applies to; any other is ignored.  Rows that are its
-    own tuples are kept without normalizing them, and the result is built
-    from it over the footprint only (see the module docstring).
+    surface a move applies to; any other is ignored, and so is any source
+    of a surface holding a row with a slot that is not an ``int``.  Rows
+    that are its own tuples are kept without normalizing them, and the
+    result is built from it over the footprint only (see the module
+    docstring).
     ``geometry``, when given, maps tetrahedra to the ``TetGeometry``
     already traced for them on these weights and matchings, as a move
     traces some of its result's; the surface keeps it, so that
@@ -487,7 +525,20 @@ class Surface:
             self._layouts = source._layouts
         else:
             self.weights = tuple(int(x) for x in weights)
-        self.matchings = _normalized(matchings, source and source.matchings)
+        shared = source and source.matchings
+        rows = []
+        # Whether a row holds a slot that is not an int; see _int_row.
+        self._loose = False
+        for k, row in enumerate(matchings):
+            if shared and row is shared[k]:
+                pass
+            # A row of lists, say, may sort into a tuple of int pairs.
+            elif _int_row(row) or _int_row(row := _sorted_row(row)):
+                row = _interned(row)
+            else:
+                self._loose = True
+            rows.append(row)
+        self.matchings = tuple(rows)
         self.annuli = _normalized(annuli, source and source.annuli)
         self._tets = dict(geometry or ())
         self._text = None
@@ -495,7 +546,7 @@ class Surface:
         self._cell_data = None
         # (face classes, tetrahedra) left to validate; None means all.
         self._footprint = None
-        if source is None:
+        if source is None or self._loose:
             return
         lines = source.to_text().split("\n")
         faces = set()
@@ -532,19 +583,22 @@ class Surface:
             layout = layouts[cid] = face_layout(self.tri, self.weights, cid)
         return layout
 
+    def _require_int_rows(self):
+        """Refuse to look a row with a slot that is not an int up in a
+        shared memo (see _int_row)."""
+        if self._loose:
+            raise SemanticError("a face matching holds a slot that is not an integer")
+
     def face_regions(self, cid):
+        self._require_int_rows()
         return _face_chord_regions(self.face_layout(cid).n, self.matchings[cid])
 
     def region_arcs(self, cid):
         """Face class cid's ``gap_region`` (see ``_face_chord_regions``)
-        and, per chord region, the arcs beside it in order; built anew on
-        each call."""
-        count, gap_region, chord_sides = self.face_regions(cid)
-        arcs = [[] for _ in range(count)]
-        for arc, sides in chord_sides.items():
-            for r in sides:
-                arcs[r].append(arc)
-        return gap_region, arcs
+        and, per chord region, the arcs beside it in order; shared, so
+        read-only."""
+        self._require_int_rows()
+        return _region_arcs(self.face_layout(cid).n, self.matchings[cid])
 
     def arc_labels(self, cid, arcs):
         """Per incidence of face class cid, {arc: its curve in that
@@ -556,6 +610,7 @@ class Surface:
     def tet_geometry(self, tet):
         """The tetrahedron's curve system, from this surface's own cache
         or else ``tet_geometry_of``."""
+        self._require_int_rows()
         geo = self._tets.get(tet)
         if geo is None:
             geo = self._tets[tet] = tet_geometry_of(self.tri, self.weights, self.matchings, tet)
@@ -605,17 +660,11 @@ class Surface:
             faces, tets = range(len(tri.face_classes)), range(tri.tet_count)
         else:
             faces, tets = self._footprint
+        verdict = _face_verdict.__wrapped__ if self._loose else _face_verdict
         for cid in faces:
-            layout = self.face_layout(cid)
-            if layout.n % 2:
-                return "invalid: face {} has an odd number of boundary points".format(cid)
-            pairs = self.matchings[cid]
-            slots = [s for p in pairs for s in p]
-            if sorted(slots) != list(range(layout.n)):
-                return "invalid: face {} matching is not a perfect pairing".format(cid)
-            crossing = face_crossing(cid, pairs)
-            if crossing:
-                return crossing
+            failure = verdict(cid, self.face_layout(cid).n, self.matchings[cid])
+            if failure:
+                return failure
         for tet in tets:
             pairs = self.annuli[tet]
             if len(pairs) > 1:
@@ -783,9 +832,10 @@ class Surface:
     def to_text(self):
         """The canonical text, built once."""
         if self._text is None:
+            face_line = _face_line.__wrapped__ if self._loose else _face_line
             self._text = "\n".join(
                 [_edges_line(self.weights)]
-                + [_face_line(cid, pairs) for cid, pairs in enumerate(self.matchings)]
+                + [face_line(cid, pairs) for cid, pairs in enumerate(self.matchings)]
                 + [_tet_line(tet, pairs) for tet, pairs in enumerate(self.annuli)]
             ) + "\n"
         return self._text
@@ -924,8 +974,10 @@ def vertex_link(tri, v):
     for e, _end in tri.vertex_edge_ends[v]:
         weights[e] += 1
     weights = tuple(weights)
-    matchings = []
-    for cid, ((t, f), _) in enumerate(tri.face_classes):
+    matchings = [()] * len(tri.face_classes)
+    # A face class has a corner at v exactly when a side of it does.
+    for cid in {cid for e, _ in tri.vertex_edge_ends[v] for cid, _ in tri.edge_sides[e]}:
+        (t, f), _ = tri.face_classes[cid]
         layout = face_layout(tri, weights, cid)
         pairs = []
         # Side m of the representative starts at its m-th corner.
@@ -934,50 +986,5 @@ def vertex_link(tri, v):
                 continue
             gap = layout.corner_gap(m)
             pairs.append(((gap - 1) % layout.n, gap))
-        matchings.append(tuple(pairs))
+        matchings[cid] = tuple(pairs)
     return Surface(tri, weights, matchings)
-
-
-def enumerate_surfaces(tri, max_weight):
-    """All valid crudely almost normal encodings of weight <= max_weight.
-
-    Nested systematic generation: weight vectors, then per-face
-    non-crossing matchings, then per-tetrahedron annulus choices.
-    Includes the empty surface.  Intended for small budgets; the state
-    space grows super-exponentially with the weight.
-    """
-    n_edges = len(tri.edge_classes)
-
-    def weight_vectors(prefix, remaining):
-        if len(prefix) == n_edges:
-            yield tuple(prefix)
-            return
-        for w in range(remaining + 1):
-            yield from weight_vectors(prefix + [w], remaining - w)
-
-    n_faces = len(tri.face_classes)
-    for weights in weight_vectors([], max_weight):
-        layouts = [face_layout(tri, weights, c) for c in range(n_faces)]
-        if any(l.n % 2 for l in layouts):
-            continue
-        per_face = [list(noncrossing_matchings(l.n)) for l in layouts]
-        for combo in itertools.product(*per_face):
-            base = Surface(tri, weights, combo)
-            # Non-crossing perfect matchings per face are valid by
-            # construction, so only the annulus layer needs checking.
-            base._validation = CRUDELY_NORMAL
-            options = []
-            for tet in range(tri.tet_count):
-                geo = base.tet_geometry(tet)
-                choices = [()]
-                for c1, c2 in itertools.combinations(range(len(geo.curves)), 2):
-                    if geo.curves_sharing_region(c1, c2):
-                        choices.append(((c1, c2),))
-                options.append(choices)
-            yield base
-            for annuli in itertools.product(*options):
-                if all(not per_tet for per_tet in annuli):
-                    continue
-                surf = Surface(tri, weights, combo, annuli)
-                surf._validation = CRUDELY_ALMOST_NORMAL
-                yield surf

@@ -1,4 +1,5 @@
 import collections
+import itertools
 import json
 import os
 import subprocess
@@ -28,6 +29,28 @@ from cansurf import (
 from cansurf import moves, movegraph, surface
 from cansurf.cli import main
 from cansurf.moves import DEFAULT_MOVE_SET, E1, F2, F2P, PINCH, UNPINCH, V0, SphereCatalog
+
+
+def _assert_same_text(got, expected):
+    """Assert that two export texts are equal.  A mismatch names their
+    first differing line instead of leaving the diff to pytest, whose
+    diff of two long strings can take minutes."""
+    if got == expected:
+        return
+    got_lines, expected_lines = got.split("\n"), expected.split("\n")
+    n, a, b = next(
+        (n, a, b)
+        for n, (a, b) in enumerate(itertools.zip_longest(got_lines, expected_lines), 1)
+        if a != b
+    )
+    raise AssertionError("texts differ first at line {}: {!r} != {!r}".format(n, a, b))
+
+
+def _assert_same_exports(graph, expected):
+    """The JSON, DOT and loops exports of graph are those of expected."""
+    _assert_same_text(export_json(graph), export_json(expected))
+    _assert_same_text(export_dot(graph), export_dot(expected))
+    _assert_same_text(generators(graph).to_text(), generators(expected).to_text())
 
 
 def test_budget_below_seed_rejected(tri, link, catalog):
@@ -98,7 +121,7 @@ def test_export_json_round_trip(tri, link, catalog):
     assert set(back.vertices) == set(g.vertices)
     assert back.edges == g.edges
     assert back.budget == g.budget
-    assert export_json(back) == text
+    _assert_same_text(export_json(back), text)
 
 
 def test_export_dot_node_count(tri, link, catalog):
@@ -110,9 +133,7 @@ def test_export_dot_node_count(tri, link, catalog):
 def test_worker_determinism(tri, link, catalog):
     g1 = build(link, 8, catalog=catalog, workers=1)
     g2 = build(link, 8, catalog=catalog, workers=4)
-    assert export_json(g1) == export_json(g2)
-    assert export_dot(g1) == export_dot(g2)
-    assert generators(g1).to_text() == generators(g2).to_text()
+    _assert_same_exports(g1, g2)
 
 
 def test_pool_exports_match_at_one_two_and_three_workers(tri, link, catalog):
@@ -124,9 +145,7 @@ def test_pool_exports_match_at_one_two_and_three_workers(tri, link, catalog):
         pooled = build(link, 8, catalog=catalog, workers=workers)
         assert pooled.stats["pool_sources"] == _worker_sources(serial, workers) > 0
         assert list(pooled.vertices) == list(serial.vertices)
-        assert export_json(pooled) == export_json(serial)
-        assert export_dot(pooled) == export_dot(serial)
-        assert generators(pooled).to_text() == generators(serial).to_text()
+        _assert_same_exports(pooled, serial)
 
 
 def test_pool_runs_serially_where_the_platform_cannot_fork(link, catalog, monkeypatch):
@@ -134,9 +153,7 @@ def test_pool_runs_serially_where_the_platform_cannot_fork(link, catalog, monkey
     monkeypatch.delattr(os, "fork")
     pooled = build(link, 8, catalog=catalog, workers=2)
     assert pooled.stats["pool_sources"] == 0
-    assert export_json(pooled) == export_json(serial)
-    assert export_dot(pooled) == export_dot(serial)
-    assert generators(pooled).to_text() == generators(serial).to_text()
+    _assert_same_exports(pooled, serial)
 
 
 def test_waves_smaller_than_the_pool_merge_in_frontier_order(tri, catalog, data_dir, monkeypatch):
@@ -162,7 +179,7 @@ def test_waves_smaller_than_the_pool_merge_in_frontier_order(tri, catalog, data_
     assert shares == [1, 1]
     assert pooled.stats["pool_sources"] == _worker_sources(serial, 4) == 2
     assert list(pooled.vertices) == list(serial.vertices)
-    assert export_json(pooled) == export_json(serial)
+    _assert_same_text(export_json(pooled), export_json(serial))
 
 
 def test_pool_exports_match_on_the_bench_closure(tri, catalog, data_dir, monkeypatch):
@@ -175,9 +192,7 @@ def test_pool_exports_match_on_the_bench_closure(tri, catalog, data_dir, monkeyp
     for workers in (1, 2, 3):
         pooled = build(sphere, 6, catalog=catalog, workers=workers)
         assert list(pooled.vertices) == list(serial.vertices)
-        assert export_json(pooled) == export_json(serial)
-        assert export_dot(pooled) == export_dot(serial)
-        assert generators(pooled).to_text() == generators(serial).to_text()
+        _assert_same_exports(pooled, serial)
 
 
 def test_a_worker_parses_only_the_sources_handed_over_to_it(tri, catalog, data_dir,
@@ -283,7 +298,7 @@ def test_pool_export_traces_nothing(tri, link, catalog, monkeypatch):
 
     monkeypatch.setattr(surface, "TetGeometry", Counting)
     surface._tet_memo.cache_clear()
-    assert export_json(g) == serial
+    _assert_same_text(export_json(g), serial)
     assert traced == []
 
 
@@ -330,7 +345,7 @@ def test_pool_counters_repeat_and_stay_out_of_the_export(tri, link, catalog):
     assert 0 < counters[0][0] < len(serial.vertices) and counters[0][1] > 0
     # The seed's neighbours are all the parent's, and it hands half over.
     assert 0 < counters[0][2] < len(serial.vertices)
-    assert export_json(runs[0]) == export_json(serial)
+    _assert_same_text(export_json(runs[0]), export_json(serial))
     assert "pool_" not in export_json(runs[0])
 
 
@@ -445,7 +460,7 @@ def test_pool_starts_at_most_one_process_per_cpu(link, catalog, started_workers)
     g = build(link, 8, catalog=catalog, workers=5000)
     assert len(started_workers) == max(os.cpu_count() - 1, 1)
     _assert_reaped(started_workers)
-    assert export_json(g) == export_json(build(link, 8, catalog=catalog))
+    _assert_same_text(export_json(g), export_json(build(link, 8, catalog=catalog)))
 
 
 def test_cli_records_the_workers_asked_for(data_dir, tmp_path, started_workers):

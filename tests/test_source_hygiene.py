@@ -78,8 +78,8 @@ def test_every_tet_geometry_slot_is_read():
 # Private state that only ``surface.py`` may touch: TetGeometry's slots
 # and Surface's cached fields.
 _SURFACE_PRIVATE = {
-    "_frame", "_faces", "_root",
-    "_text", "_validation", "_tets", "_layouts", "_footprint", "_cell_data",
+    "_frame", "_faces", "_root", "_arcs",
+    "_text", "_validation", "_tets", "_layouts", "_footprint", "_cell_data", "_loose",
 }
 
 

@@ -15,13 +15,14 @@ from cansurf import (
     empty_surface,
     enumerate_surfaces,
     generators,
+    neighbors,
     noncrossing_matchings,
     parse_surface,
     parse_triangulation,
     replay,
     vertex_link,
 )
-from cansurf import movegraph, oracle, surface
+from cansurf import movegraph, moves, oracle, surface
 from cansurf.moves import F2P, PINCH, UNPINCH, Move, V0, apply, default_catalog
 from cansurf.surface import _TET_MEMO_ENTRIES, TetGeometry, _tet_memo
 
@@ -470,3 +471,202 @@ def test_out_of_range_slot_is_a_semantic_error(tri, link, pair):
         with pytest.raises(SemanticError, match="names a slot outside the face's 6 slots"):
             bad.tet_geometry(tet)
     assert bad.validate() == "invalid: face 0 matching is not a perfect pairing"
+
+
+# -- interned rows and the per-row caches ------------------------------------
+
+
+def _chords_cross(x, y):
+    """Whether two sorted chords cross: they share no end, and exactly one
+    end of y lies strictly inside x."""
+    (a, b), (c, d) = x, y
+    return len({a, b, c, d}) == 4 and (a < c < b) != (a < d < b)
+
+
+def _reference_verdict(cid, n, pairs):
+    """``validate``'s face checks as uncached code: odd slot count, then a
+    perfect pairing of slots 0..n-1, then the first two crossing arcs."""
+    if n % 2:
+        return "invalid: face {} has an odd number of boundary points".format(cid)
+    if sorted(s for p in pairs for s in p) != list(range(n)):
+        return "invalid: face {} matching is not a perfect pairing".format(cid)
+    for p, q in itertools.combinations(pairs, 2):
+        if _chords_cross(p, q):
+            return "invalid: face {} arcs {} and {} cross".format(cid, p, q)
+    return None
+
+
+def _reference_reconnection(rest, p, q, r, s):
+    """Two arcs joining p, q to r, s that cross neither each other nor
+    ``rest``, p-r, q-s tried first."""
+    for new in ([(p, r), (q, s)], [(p, s), (q, r)]):
+        new = [tuple(sorted(arc)) for arc in new]
+        if not any(_chords_cross(x, y) for x in new for y in list(rest) + new):
+            return tuple(new)
+    return None
+
+
+def test_row_caches_match_uncached_reference():
+    # Every partial or perfect matching of up to 10 slots, crossing or not,
+    # at its own slot count, one more (odd) and 10 (partial rows fail the
+    # pairing): each cached fact, on its first call and from the cache,
+    # against reference code.
+    cases = list(_matchings(tuple(range(10))))
+    reconnections = 0
+    for pairs in cases:
+        line = "face 3:" + "".join(" {}-{}".format(a, b) for a, b in pairs)
+        for n in {2 * len(pairs), 2 * len(pairs) + 1, 10}:
+            expected = _reference_verdict(3, n, pairs)
+            assert surface._face_verdict(3, n, pairs) == expected, (n, pairs)
+            assert surface._face_verdict(3, n, pairs) == expected, (n, pairs)
+        assert surface._face_line(3, pairs) == surface._face_line(3, pairs) == line
+        # Face moves reconnect two arcs; E1 reroutes one through two free
+        # slots.
+        free = [s for s in range(10) if all(s not in p for p in pairs)]
+        for alpha, beta in itertools.combinations(pairs, 2):
+            rest = tuple(p for p in pairs if p not in (alpha, beta))
+            args = (rest, *alpha, *beta)
+            assert moves._planar_reconnection(*args) == _reference_reconnection(*args), args
+            reconnections += 1
+        if pairs and len(free) >= 2:
+            args = (pairs[1:], *pairs[0], *free[:2])
+            for _ in range(2):
+                assert moves._planar_reconnection(*args) == _reference_reconnection(*args), args
+    assert reconnections > 10000
+
+
+def test_equal_rows_are_one_object(tri, link):
+    first = Surface(tri, link.weights, [tuple(list(row)) for row in link.matchings])
+    # Unsorted pairs, in reverse order, come back as the sorted row.
+    again = Surface(tri, link.weights, [tuple((b, a) for a, b in reversed(row))
+                                        for row in link.matchings])
+    assert again.matchings == first.matchings
+    assert all(x is y for x, y in zip(again.matchings, first.matchings))
+    assert again == first and hash(again) == hash(first)
+
+
+def _sphere(tri, data_dir):
+    """The weight-2 sphere the benchmark closes at budget 6."""
+    return parse_surface(tri, (data_dir.parent / "bench" / "data" / "s3_sphere_w2.surf").read_text())
+
+
+def test_moves_share_untouched_rows_and_intern_the_rest(tri, catalog, data_dir):
+    graph = build(_sphere(tri, data_dir), 6, catalog=catalog)
+    source = next(
+        surf for surf in graph.vertices.values()
+        if any(n.move.kind == F2P for n in neighbors(surf, 6, catalog=catalog))
+    )
+    face_moves = [n for n in neighbors(source, 6, catalog=catalog) if n.move.kind == F2P]
+    for n in face_moves:
+        for cid, (row, old) in enumerate(zip(n.surface.matchings, source.matchings)):
+            if cid != n.move.location:
+                assert row is old
+        # The same move applied again gives equal rows as the same objects.
+        result = apply(source, n.move, catalog)
+        assert all(x is y for x, y in zip(result.matchings, n.surface.matchings))
+
+
+def test_a_rebuilt_equal_row_stays_out_of_the_footprint(tri, link):
+    source = Surface(tri, link.weights, link.matchings)
+    assert source.validate() == CRUDELY_NORMAL
+    rebuilt = [tuple(list(row)) for row in source.matchings]
+    assert not any(x is y for x, y in zip(rebuilt, source.matchings))
+    result = Surface(tri, source.weights, rebuilt, source.annuli, source=source)
+    assert all(x is y for x, y in zip(result.matchings, source.matchings))
+    assert result._footprint == ([], [])
+    assert result.validate() == CRUDELY_NORMAL
+    assert result.to_text() == source.to_text()
+
+
+def _row_cache_counts():
+    return [
+        (f.cache_info().hits, f.cache_info().misses)
+        for f in (surface._interned, surface._face_line, surface._face_verdict,
+                  surface._face_chord_regions, _tet_memo)
+    ]
+
+
+@pytest.mark.parametrize("slot", [1.0, True])
+def test_rows_with_non_integer_slots_go_round_the_row_caches(tri, link, slot):
+    # The int row equal to the odd one is cached first, so any lookup of
+    # the odd row would be answered with it.  Every face gets the odd row,
+    # so no int row is looked up either.
+    valid = Surface(tri, link.weights, [tuple(list(row)) for row in link.matchings])
+    assert valid.validate() == CRUDELY_NORMAL
+    valid.to_text()
+    assert link.matchings[0] == ((0, 5), (1, 2), (3, 4))
+    odd_row = ((0, 5), (slot, 2), (3, 4))
+    assert odd_row == valid.matchings[0]
+    counts = _row_cache_counts()
+    for source in (None, valid):
+        odd = Surface(tri, link.weights, [odd_row] * 4, source=source)
+        assert all(type(row[1][0]) is type(slot) for row in odd.matchings)
+        assert odd.validate() == "invalid: face 0 matching is not a perfect pairing"
+        assert odd.to_text().split("\n")[1] == "face 0: 0-5 {}-2 3-4".format(slot)
+        for lookup in (lambda: odd.tet_geometry(0), lambda: odd.face_regions(0)):
+            with pytest.raises(SemanticError, match="not an integer"):
+                lookup()
+    assert _row_cache_counts() == counts
+
+
+def test_face_moves_key_reconnections_by_the_rows_own_pairs(tri, catalog, data_dir):
+    # A move naming its arcs by equal floats is the same move; it must not
+    # leave float arcs in the reconnection cache for the int move after it.
+    graph = build(_sphere(tri, data_dir), 6, catalog=catalog)
+    source, n = next(
+        (surf, n) for surf in graph.vertices.values()
+        for n in neighbors(surf, 6, catalog=catalog) if n.move.kind == F2P
+    )
+    floats = n.move._replace(arcs=tuple(tuple(map(float, arc)) for arc in n.move.arcs))
+    assert floats == n.move
+    moves._planar_reconnection.cache_clear()
+    for move in (floats, n.move):
+        result = apply(source, move, catalog)
+        assert result.validate() == n.surface.validate()
+        assert result.to_text() == n.surface.to_text()
+
+
+def test_arc_curves_read_the_node_table(tri, catalog, data_dir):
+    # Every face of every tet state of the weight-2 sphere's closure at
+    # budget 6.
+    graph = build(_sphere(tri, data_dir), 6, catalog=catalog)
+    checked = 0
+    for surf in graph.vertices.values():
+        for tet in range(tri.tet_count):
+            geo = surf.tet_geometry(tet)
+            for f, (cid, inc, _) in enumerate(tri.tet_frames[tet][0]):
+                nodes = surf.face_layout(cid).slot_nodes[inc]
+                pairs = surf.matchings[cid]
+                expected = {arc: geo.node_curve[nodes[arc[0]]] for arc in pairs}
+                assert geo.arc_curves(f, pairs) == expected
+                for arc in pairs:
+                    assert geo.arc_curves(f, [arc]) == {arc: expected[arc]}
+                checked += len(pairs)
+    assert checked > 349 * 8
+
+
+def _link_over_every_face(tri, v):
+    """vertex_link's weights and rows as built before it visited only the
+    face classes at v: a layout and a corner scan for every face class."""
+    weights = [0] * len(tri.edge_classes)
+    for e, _end in tri.vertex_edge_ends[v]:
+        weights[e] += 1
+    matchings = []
+    for cid, ((t, f), _) in enumerate(tri.face_classes):
+        layout = surface.face_layout(tri, weights, cid)
+        pairs = []
+        for m, u in enumerate([u for u in range(4) if u != f]):
+            if tri.vertex_class_of[(t, u)] == v:
+                gap = layout.corner_gap(m)
+                pairs.append(((gap - 1) % layout.n, gap))
+        matchings.append(tuple(sorted(tuple(sorted(p)) for p in pairs)))
+    return tuple(weights), tuple(matchings)
+
+
+def test_vertex_link_visits_only_the_faces_at_its_vertex(tri, sub):
+    for bed in (tri, sub):
+        for v in range(len(bed.vertex_classes)):
+            link = vertex_link(bed, v)
+            assert (link.weights, link.matchings) == _link_over_every_face(bed, v)
+            assert link.annuli == ((),) * bed.tet_count
+            assert link.validate() == CRUDELY_NORMAL
