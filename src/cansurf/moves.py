@@ -71,7 +71,13 @@ weights and matchings, and the result keeps the geometry its move traced
 so that validation does not look it up again.
 
 The neighbour generator proposes exactly the moves that apply.  It reads
-small tables instead of trying every pair, gap or corner.
+small tables instead of trying every pair, gap or corner, and only over
+the surface's support (see ``surface``): V0 corners and PINCH tubes in
+the tetrahedra with curves, E1+ and face moves on the face classes with
+arcs, E1- on the edge classes with two points or more, and V0- and
+UNPINCH at the tetrahedra with an annulus.  A catalog sphere is sought
+only in the tetrahedra it meets (``CatalogSphere.tets``), and
+``_find_sphere`` compares weights on the sphere's own edge classes.
 ``Surface.region_arcs``, built once per distinct row (see ``surface``),
 lists the arcs beside each chord region of a face class: E1+ reroutes
 the arcs beside its gap's region, and its bulk ``budget_rejected``
@@ -79,9 +85,16 @@ count reads the same table.  ``Surface.arc_labels`` labels each arc
 with its curve in both tetrahedra of its face, and ``_band_pairs``
 buckets the arcs beside each region by their losing-side curve: a face
 move pairs two arcs of one bucket off the losing tetrahedron's annulus
-pair, or one arc from each of the pair's two buckets.  V0- is tried only at corners of tetrahedra
-with an annulus, and PINCHes over the budget are counted, per
-tetrahedron without an annulus, as its curves times the sphere's.
+pair, or one arc from each of the pair's two buckets.  PINCHes over the
+budget are counted, per tetrahedron without an annulus, as its curves
+times the sphere's.
+
+Applying a move costs its footprint, not the triangulation:
+``_remap_matchings`` carries only the face classes on the edge classes
+whose points shift, ``_map_annuli`` visits only the tetrahedra with an
+annulus or a replaced one, ``_delete_cells`` strips only the face
+classes it drops arcs from, and ``_insert_sphere`` checks separation
+only in the tetrahedra with an annulus.
 
 Each precondition lives in one helper that ``_candidate_moves`` and
 ``apply_with_inverse`` both call before anything is built, reading only
@@ -227,6 +240,10 @@ class CatalogSphere:
         self.sphere_id = sphere_id
         self.surface = surf
         self.vertex = vertex
+        # Where the sphere meets the triangulation: (edge class, point
+        # count) per edge class, and the tetrahedra (see Surface.support).
+        self.edges = [(e, k) for e, k in enumerate(surf.weights) if k]
+        self.tets = set(surf.support()[1])
 
     def weight(self):
         return self.surface.weight()
@@ -341,18 +358,12 @@ def _remap_matchings(surf, new_weights, shift, matchings=None):
     passes through as that object, which keeps it out of the result's
     footprint (see ``surface``)."""
     tri = surf.tri
-    if matchings is None:
-        matchings = surf.matchings
-    moved = {
-        cid
-        for e, (w, old) in enumerate(zip(new_weights, surf.weights)) if w != old
-        for cid, _ in tri.edge_sides[e]
-    }
-    return [
-        _carry(surf.face_layout(cid), face_layout(tri, new_weights, cid), pairs, shift)
-        if cid in moved else pairs
-        for cid, pairs in enumerate(matchings)
-    ]
+    matchings = list(surf.matchings if matchings is None else matchings)
+    for cid in {cid for e in shift for cid, _ in tri.edge_sides[e]}:
+        matchings[cid] = _carry(
+            surf.face_layout(cid), face_layout(tri, new_weights, cid), matchings[cid], shift
+        )
+    return matchings
 
 
 def _track_curve(old, geo, curve, shift):
@@ -377,23 +388,21 @@ def _map_annuli(old, weights, matchings, shift, overrides=None):
     and {tet: geometry} for the tetrahedra of the new encoding it traced,
     for the result to keep."""
     overrides = overrides or {}
-    annuli = []
+    annuli = list(old.annuli)
     traced = {}
-    for tet, pairs in enumerate(old.annuli):
+    for tet in itertools.compress(itertools.count(), old.annuli):
         if tet in overrides:
-            annuli.append(overrides[tet])
             continue
-        mapped = []
-        for pair in pairs:
-            geo = traced[tet] = tet_geometry_of(old.tri, weights, matchings, tet)
-            a, b = (_track_curve(old, geo, c, shift) for c in pair)
-            if a == b:
-                raise NotApplicableError(
-                    "annulus curves in tet {} would merge".format(tet)
-                )
-            mapped.append(tuple(sorted((a, b))))
-        mapped = tuple(mapped)
-        annuli.append(pairs if mapped == pairs else mapped)
+        geo = traced[tet] = tet_geometry_of(old.tri, weights, matchings, tet)
+        # A valid surface has at most one annulus pair per tetrahedron.
+        (pair,) = annuli[tet]
+        mapped = tuple(sorted(_track_curve(old, geo, c, shift) for c in pair))
+        if mapped[0] == mapped[1]:
+            raise NotApplicableError("annulus curves in tet {} would merge".format(tet))
+        if mapped != pair:
+            annuli[tet] = (mapped,)
+    for tet, pairs in overrides.items():
+        annuli[tet] = pairs
     return annuli, traced
 
 
@@ -442,7 +451,7 @@ def _placement_points(weights, entry):
     end of every edge class."""
     sphere = entry.surface
     if entry.vertex is None:
-        return {e: list(range(k)) for e, k in enumerate(sphere.weights) if k}
+        return {e: list(range(k)) for e, k in entry.edges}
     points = {}
     for e, end in sphere.tri.vertex_edge_ends[entry.vertex]:
         points.setdefault(e, []).append(_bubble_point(weights, e, end))
@@ -496,7 +505,7 @@ def _insert_sphere(surf, entry):
     only they are checked.  The traced geometry, {tet: TetGeometry} of
     that encoding, is what ``_map_annuli`` traced."""
     tri = surf.tri
-    new_weights = tuple(w + k for w, k in zip(surf.weights, entry.surface.weights))
+    new_weights = tuple(map(operator.add, surf.weights, entry.surface.weights))
     point_map, arcs = _sphere_cells(entry, new_weights)
     # The r-th placed point on an edge, at new index u, fills old gap u - r.
     inserts = {e: [u - r for r, u in enumerate(points)] for e, points in point_map.items()}
@@ -512,9 +521,10 @@ def _insert_sphere(surf, entry):
         if crossing:
             return None, crossing
     annuli, traced = _map_annuli(surf, new_weights, matchings, shift)
-    for tet, pairs in enumerate(annuli):
-        if pairs and not met.isdisjoint(tri.tet_local_classes[tet][1]):
-            if not traced[tet].curves_sharing_region(*pairs[0]):
+    # _map_annuli traced exactly the tetrahedra with an annulus.
+    for tet, geo in traced.items():
+        if not met.isdisjoint(tri.tet_local_classes[tet][1]):
+            if not geo.curves_sharing_region(*annuli[tet][0]):
                 return None, "invalid: annulus separation in tet {}".format(tet)
     return (new_weights, matchings, annuli, traced, point_map, shift), None
 
@@ -580,10 +590,9 @@ def _find_sphere(surf, entry, tube=None):
     tube's other curve is also the sphere's, or another sphere curve is
     paired into an annulus.
     """
-    sphere = entry.surface
-    if tube is not None and not sphere.tet_geometry(tube[0]).curves:
+    if tube is not None and tube[0] not in entry.tets:
         return None
-    if any(w < k for w, k in zip(surf.weights, sphere.weights)):
+    if any(surf.weights[e] < k for e, k in entry.edges):
         return None
     point_map, arcs = _sphere_cells(entry, surf.weights)
     if not all(pair in surf.matchings[cid] for cid, pair in arcs):
@@ -599,10 +608,10 @@ def _find_sphere(surf, entry, tube=None):
         if keep in mine:
             why = "annulus tube in tet {} is essential".format(tet)
         s_curve = mine[side]
-    for tet, pairs in enumerate(surf.annuli):
-        if why or not pairs or (tube is not None and tet == tube[0]):
+    for tet in itertools.compress(itertools.count(), surf.annuli):
+        if why or tet not in entry.tets or (tube is not None and tet == tube[0]):
             continue
-        paired = {c for pair in pairs for c in pair}
+        paired = {c for pair in surf.annuli[tet] for c in pair}
         if paired & set(_sphere_curves(surf.tet_geometry(tet), entry, point_map)):
             why = "sphere {} is paired into the annulus of tet {}".format(entry.sphere_id, tet)
     return _Found(point_map, arcs, s_curve, keep, why)
@@ -617,11 +626,9 @@ def _delete_cells(surf, removals, drop, add=(), tube=None):
     tri = surf.tri
     new_weights, shift = _point_map_for_deletions(surf.weights, removals)
     drop = set(drop)
-    touched = {cid for cid, _ in drop}
-    stripped = [
-        tuple(p for p in pairs if (cid, p) not in drop) if cid in touched else pairs
-        for cid, pairs in enumerate(surf.matchings)
-    ]
+    stripped = list(surf.matchings)
+    for cid in {cid for cid, _ in drop}:
+        stripped[cid] = tuple(p for p in stripped[cid] if (cid, p) not in drop)
     for cid, pair in add:
         stripped[cid] = tuple(sorted(stripped[cid] + (pair,)))
     matchings = _remap_matchings(surf, new_weights, shift, stripped)
@@ -1093,30 +1100,28 @@ Neighbor = collections.namedtuple("Neighbor", "move inverse surface")
 def _candidate_moves(surf, move_set, catalog, budget, stats):
     tri = surf.tri
     weight = surf.weight()
+    faces, tets = surf.support()
     if V0 in move_set:
-        for v in range(len(tri.vertex_classes)):
-            over = weight + tri.vertex_degree(v) > budget
-            for tet, corner in tri.vertex_classes[v]:
-                if surf.annuli[tet] or not surf.curves(tet):
+        for tet in tets:
+            geo = surf.tet_geometry(tet)
+            for corner in range(4):
+                v = tri.vertex_class_of[(tet, corner)]
+                if surf.annuli[tet]:
+                    if _bubble(surf, v, (tet, corner))[0] is not None:
+                        yield Move(V0, v, direction=-1, corner=(tet, corner))
                     continue
-                geo = surf.tet_geometry(tet)
                 region = geo.corner_region(corner)
                 partners = [c for c, adj in enumerate(geo.curve_adjacent) if region in adj]
-                if over:
+                if weight + tri.vertex_degree(v) > budget:
                     stats["budget_rejected"] += len(partners)
                     continue
                 for c in partners:
                     yield Move(V0, v, direction=1, corner=(tet, corner), partner=c)
-            for tet, corner in tri.vertex_classes[v]:
-                if surf.annuli[tet] and _bubble(surf, v, (tet, corner))[0] is not None:
-                    yield Move(V0, v, direction=-1, corner=(tet, corner))
     if E1 in move_set:
         over = weight + 2 > budget
-        for cid, sides in enumerate(tri.face_sides):
-            if not surf.matchings[cid]:
-                continue
+        for cid in faces:
             gap_region, beside = surf.region_arcs(cid)
-            for k, (e, *_) in enumerate(sides):
+            for k, (e, *_) in enumerate(tri.face_sides[cid]):
                 if tri.edge_degree(e) < 2:
                     continue
                 near = [beside[gap_region[g]] for g in surf.face_layout(cid).class_gaps[k]]
@@ -1126,14 +1131,18 @@ def _candidate_moves(surf, move_set, catalog, budget, stats):
                 for gap, arcs in enumerate(near):
                     for arc in arcs:
                         yield Move(E1, e, direction=1, gap=gap, incidence=(cid, k), arc=arc)
-        for e in range(len(tri.edge_classes)):
+        # The edge classes with two points or more.
+        for e in itertools.compress(
+            itertools.count(), map(operator.lt, itertools.repeat(1), surf.weights)
+        ):
             if tri.edge_degree(e) < 2:
                 continue
             for k in range(surf.weights[e] - 1):
                 if _e1_finger(surf, e, k) is not None:
                     yield Move(E1, e, direction=-1, gap=k)
     if F2 in move_set or F2P in move_set:
-        for cid, ((t0, _), (t1, _)) in enumerate(tri.face_classes):
+        for cid in faces:
+            (t0, _), (t1, _) = tri.face_classes[cid]
             arcs = surf.matchings[cid]
             if t0 == t1 or len(arcs) < 2:
                 continue
@@ -1147,11 +1156,11 @@ def _candidate_moves(surf, move_set, catalog, budget, stats):
                         continue
                     yield Move(kind, cid, arcs=(alpha, beta), gain=gain)
     if PINCH in move_set and catalog is not None:
-        curves = [(t, len(surf.curves(t))) for t in range(tri.tet_count) if not surf.annuli[t]]
+        curves = [(tet, len(surf.curves(tet))) for tet in tets if not surf.annuli[tet]]
         for entry in catalog:
             # The tubes (tet, curve, sphere curve), as (tet, curves, sphere curves).
             tubes = [
-                (tet, n, m) for tet, n in curves if n and (m := len(entry.surface.curves(tet)))
+                (tet, n, len(entry.surface.curves(tet))) for tet, n in curves if tet in entry.tets
             ]
             if weight + entry.weight() > budget:
                 stats["budget_rejected"] += sum(n * m for _, n, m in tubes)
@@ -1166,7 +1175,7 @@ def _candidate_moves(surf, move_set, catalog, budget, stats):
                     if _tube(surf, entry, inserted, tet, c1, c2)[0] is not None:
                         yield Move(PINCH, tet, curve=c1, sphere=entry.sphere_id, sphere_curve=c2)
     if UNPINCH in move_set and catalog is not None:
-        for tet in range(tri.tet_count):
+        for tet in itertools.compress(itertools.count(), surf.annuli):
             for pair in surf.annuli[tet]:
                 for side in pair:
                     if _tubed_sphere(surf, tet, side, catalog)[0] is not None:

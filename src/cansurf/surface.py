@@ -89,8 +89,12 @@ annulus tuple that is the source's own object is kept, not re-sorted.
 The *footprint* of the result is what may differ: the face classes whose
 side weights changed or whose matching is not the source's object, and
 the tetrahedra of those faces or whose annulus tuple is not the source's
-object.  The constructor works the footprint out, takes the source's
-geometry outside it and the source's text line for every row it shares,
+object.  The constructor finds the rows, annuli and weights that differ
+from the source's in C-level passes (``itertools.compress`` over
+``operator.is_not`` or ``operator.ne``), so its Python-level work
+follows the footprint, not the triangulation: it normalizes and formats
+only the rows and annuli that changed, takes the source's text line for
+every row it shares, takes the source's geometry outside the footprint,
 keeps the geometry the move traced inside it, and keeps no reference to
 the source.  ``validate`` then checks only the footprint, in the order a
 full check would, so it gives a full check's verdict.  Weights compare
@@ -100,11 +104,17 @@ stays out of the footprint; once the table has dropped it, the equal
 row only makes the footprint larger.  A surface parsed or built without
 a source, or holding a row with a slot that is not an ``int``, is
 checked in full and formats its text on first use.
+
+A surface's *support* (``Surface.support``) is where it has cells: the
+face classes with arcs and the tetrahedra they bound, which are the
+tetrahedra with a nonzero edge weight.  ``moves`` proposes candidates
+from the support alone.
 """
 
 import functools
 import hashlib
 import itertools
+import operator
 
 from .errors import ParseError, SemanticError
 from .triangulation import _UnionFind, _parity_classes
@@ -435,14 +445,6 @@ def _sorted_row(row):
     return tuple(sorted([tuple(sorted(p)) for p in row]))
 
 
-def _normalized(rows, shared):
-    """Each row sorted, except the rows that are the object ``shared``
-    holds at their index, which are kept as they are."""
-    return tuple(
-        row if shared and row is shared[k] else _sorted_row(row) for k, row in enumerate(rows)
-    )
-
-
 def _int_row(row):
     """Whether a matching row may key a row cache: a tuple of pairs of
     ints.  An equal row of other slots (``True == 1``, ``0.0 == 0``) must
@@ -524,22 +526,27 @@ class Surface:
             self.weights = weights
             self._layouts = source._layouts
         else:
-            self.weights = tuple(int(x) for x in weights)
-        shared = source and source.matchings
-        rows = []
+            self.weights = tuple(map(int, weights))
+        rows = list(matchings)
+        annuli = list(annuli)
+        faces, tets = range(len(rows)), range(len(annuli))
+        if source is not None:
+            # Only the rows and annuli that are not the source's own objects.
+            faces = list(itertools.compress(faces, map(operator.is_not, rows, source.matchings)))
+            tets = list(itertools.compress(tets, map(operator.is_not, annuli, source.annuli)))
         # Whether a row holds a slot that is not an int; see _int_row.
         self._loose = False
-        for k, row in enumerate(matchings):
-            if shared and row is shared[k]:
-                pass
+        for k in faces:
             # A row of lists, say, may sort into a tuple of int pairs.
-            elif _int_row(row) or _int_row(row := _sorted_row(row)):
+            if _int_row(row := rows[k]) or _int_row(row := _sorted_row(row)):
                 row = _interned(row)
             else:
                 self._loose = True
-            rows.append(row)
+            rows[k] = row
+        for tet in tets:
+            annuli[tet] = _sorted_row(annuli[tet])
         self.matchings = tuple(rows)
-        self.annuli = _normalized(annuli, source and source.annuli)
+        self.annuli = tuple(annuli)
         self._tets = dict(geometry or ())
         self._text = None
         self._validation = None
@@ -549,26 +556,25 @@ class Surface:
         if source is None or self._loose:
             return
         lines = source.to_text().split("\n")
-        faces = set()
-        for cid, (pairs, old) in enumerate(zip(self.matchings, source.matchings)):
-            if pairs is not old:
-                faces.add(cid)
-                lines[1 + cid] = _face_line(cid, pairs)
-        tets = set()
-        for tet, (pairs, old) in enumerate(zip(self.annuli, source.annuli)):
-            if pairs is not old:
-                tets.add(tet)
-                lines[1 + len(self.matchings) + tet] = _tet_line(tet, pairs)
+        # A row interned to the source's own object is out of the footprint.
+        faces = {cid for cid in faces if rows[cid] is not source.matchings[cid]}
+        for cid in faces:
+            lines[1 + cid] = _face_line(cid, rows[cid])
+        for tet in tets:
+            lines[1 + len(rows) + tet] = _tet_line(tet, annuli[tet])
         if self.weights is not source.weights:
-            for e, (w, old) in enumerate(zip(self.weights, source.weights)):
-                if w != old:
-                    faces.update(cid for cid, _ in tri.edge_sides[e])
+            for e in itertools.compress(
+                itertools.count(), map(operator.ne, self.weights, source.weights)
+            ):
+                faces.update(cid for cid, _ in tri.edge_sides[e])
             lines[0] = _edges_line(self.weights)
+        tets = set(tets)
         for cid in faces:
             tets.update(tet for tet, _ in tri.face_classes[cid])
         self._text = "\n".join(lines)
         self._footprint = sorted(faces), sorted(tets)
-        self._tets.update((tet, geo) for tet, geo in source._tets.items() if tet not in tets)
+        # The source's geometry outside the footprint; None is untraced.
+        self._tets = {**source._tets, **dict.fromkeys(tets), **self._tets}
 
     # -- cached geometry ---------------------------------------------------
 
@@ -623,6 +629,12 @@ class Surface:
         self._layouts = None
         self._cell_data = None
 
+    def support(self):
+        """The face classes with arcs and, in order, the tetrahedra they
+        bound, which on a valid surface are those with curves."""
+        faces = list(itertools.compress(itertools.count(), self.matchings))
+        return faces, sorted({tet for cid in faces for tet, _ in self.tri.face_classes[cid]})
+
     def curves(self, tet):
         """Canonically ordered boundary curves of the given tetrahedron."""
         return self.tet_geometry(tet).curves
@@ -650,7 +662,7 @@ class Surface:
         tri = self.tri
         if len(self.weights) != len(tri.edge_classes):
             return "invalid: weight vector length"
-        if any(w < 0 for w in self.weights):
+        if min(self.weights, default=0) < 0:
             return "invalid: negative edge weight"
         if len(self.matchings) != len(tri.face_classes):
             return "invalid: matching vector length"
@@ -850,16 +862,12 @@ class Surface:
         return hashlib.sha256(self.to_text().encode()).hexdigest()[:12]
 
     def __eq__(self, other):
-        return (
-            isinstance(other, Surface)
-            and self.tri == other.tri
-            and self.weights == other.weights
-            and self.matchings == other.matchings
-            and self.annuli == other.annuli
+        return isinstance(other, Surface) and self.tri == other.tri and (
+            self.to_text() == other.to_text()
         )
 
     def __hash__(self):
-        return hash((self.weights, self.matchings, self.annuli))
+        return hash(self.to_text())
 
     def __repr__(self):
         return "<Surface weight={} {}>".format(self.weight(), self.short_hash())

@@ -1089,6 +1089,91 @@ def test_e1_closure_on_the_subdivision_is_pinned(sub_e1_graph):
     assert digest == SUB_E1_6_JSON_SHA256
 
 
+# sha256 of export_json of the default-move closure of vertex link 7 of
+# the subdivision (48 tets) at budget 8, recorded from an implementation
+# whose moves and candidates passed over every face class and tetrahedron.
+SUB_DEFAULT_8_JSON_SHA256 = "c7b7881cafa81e50a26989de3bc78d94b8ef7b5f88ee0127c45222a53a5be523"
+
+
+def test_default_closure_on_the_subdivision_is_pinned(tri):
+    # E1 together with V0, F2', PINCH and UNPINCH on 48 tets.
+    sub = barycentric_subdivide(tri)
+    graph = build(vertex_link(sub, 7), 8, catalog=default_catalog(sub))
+    assert (len(graph.vertices), len(graph.edges)) == (1574, 5186)
+    assert graph.stats["budget_rejected"] == 214214
+    digest = hashlib.sha256(export_json(graph).encode()).hexdigest()
+    assert digest == SUB_DEFAULT_8_JSON_SHA256
+
+
+def _support(surf):
+    """The tetrahedra with a nonzero edge weight."""
+    tri = surf.tri
+    return {
+        tet for tet in range(tri.tet_count)
+        if any(surf.weights[e] for e in tri.tet_local_classes[tet][0])
+    }
+
+
+def test_neighbors_reads_only_the_support_and_the_changed_rows(closure_graphs, monkeypatch):
+    # On every vertex of the sub48/12 closure: the surface and the catalog
+    # spheres are asked for the geometry of tetrahedra in the surface's
+    # support only, the spheres also only in their own; and each result
+    # checks and formats only the rows that differ from its source's.
+    g = closure_graphs[2]
+    catalog = default_catalog(g.tri)
+    spheres = {id(entry.surface): _support(entry.surface) for entry in catalog}
+    asked = []
+    real_geometry = Surface.tet_geometry
+
+    def geometry(self, tet):
+        asked.append((self, tet))
+        return real_geometry(self, tet)
+
+    rows = []
+
+    def recorded(name):
+        real = getattr(surface, name)
+
+        def call(*args):
+            rows.append((name, args))
+            return real(*args)
+        return call
+
+    built = []
+    real_init = Surface.__init__
+
+    def init(self, *args, **kwargs):
+        del rows[:]
+        real_init(self, *args, **kwargs)
+        built.append((self, kwargs.get("source"), list(rows)))
+
+    monkeypatch.setattr(Surface, "tet_geometry", geometry)
+    monkeypatch.setattr(Surface, "__init__", init)
+    for name in ("_int_row", "_face_line"):
+        monkeypatch.setattr(surface, name, recorded(name))
+    checked = 0
+    for key in sorted(g.vertices):
+        surf = g.vertices[key]
+        support = _support(surf)
+        del asked[:], built[:]
+        found = neighbors(surf, g.budget, move_set=g.move_set, catalog=catalog)
+        for asked_of, tet in asked:
+            if asked_of is surf:
+                assert tet in support, (key, tet)
+            elif id(asked_of) in spheres:
+                assert tet in support & spheres[id(asked_of)], (key, tet)
+        assert len(built) == len(found)
+        for result, source, calls in built:
+            assert source is surf
+            changed = [
+                cid for cid, row in enumerate(result.matchings) if row != surf.matchings[cid]
+            ]
+            assert sorted(args[0] for name, args in calls if name == "_face_line") == changed
+            assert sum(name == "_int_row" for name, _ in calls) == len(changed)
+            checked += len(changed)
+    assert checked > 100
+
+
 def test_footprint_results_match_a_fresh_parse_on_closures(closure_graphs, sub_e1_graph):
     # Every result neighbors builds on every vertex of the default/8,
     # s3-sphere-b6, sub48/12 and sub-E1/6 closures.

@@ -609,6 +609,24 @@ def test_rows_with_non_integer_slots_go_round_the_row_caches(tri, link, slot):
     assert _row_cache_counts() == counts
 
 
+@pytest.mark.parametrize("slot", [1.0, True])
+def test_equality_and_hash_follow_the_canonical_text(tri, link, catalog, slot):
+    # A row with a 1.0 or True slot equals its int twin by value, but its
+    # text and verdict differ, so the surfaces do too.
+    valid = Surface(tri, link.weights, link.matchings)
+    odd = Surface(tri, link.weights, (((0, 5), (slot, 2), (3, 4)),) + link.matchings[1:])
+    assert odd.matchings == valid.matchings
+    assert odd.to_text() != valid.to_text() and odd.validate() != valid.validate()
+    assert odd != valid and valid != odd
+    assert len({odd, valid}) == 2 and len({odd.to_text(): odd, valid.to_text(): valid}) == 2
+    # A result built from a source and the same encoding parsed from its
+    # text, which is checked and formatted in full.
+    for n in neighbors(link, 8, catalog=catalog):
+        parsed = parse_surface(tri, n.surface.to_text())
+        assert parsed == n.surface and hash(parsed) == hash(n.surface)
+        assert parsed != link
+
+
 def test_face_moves_key_reconnections_by_the_rows_own_pairs(tri, catalog, data_dir):
     # A move naming its arcs by equal floats is the same move; it must not
     # leave float arcs in the reconnection cache for the int move after it.
