@@ -7,13 +7,6 @@ extract free generators of that graph's fundamental group as replayable
 move sequences.
 """
 
-from .bounds import (
-    BoundsConfig,
-    area_constant,
-    delta_constant,
-    parse_config,
-    weight_budget,
-)
 from .errors import (
     CansurfError,
     NotApplicableError,
@@ -61,10 +54,14 @@ __version__ = "0.1.0"
 
 
 def __getattr__(name):
-    # Enumeration serves tests and demos, not a run: loaded on first use.
+    # Enumeration serves tests and demos, and the bounds the command line,
+    # not a run: each is loaded on first use.
     if name in ("enumerate_surfaces", "noncrossing_matchings"):
         from . import enumeration
         return getattr(enumeration, name)
+    if name in ("BoundsConfig", "area_constant", "delta_constant", "parse_config", "weight_budget"):
+        from . import bounds
+        return getattr(bounds, name)
     raise AttributeError("module 'cansurf' has no attribute '{}'".format(name))
 
 __all__ = [

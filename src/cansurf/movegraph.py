@@ -95,7 +95,9 @@ catalog content as (sphere id, vertex, sphere key) per entry, source
 canonical key, move text) to the result ``Surface`` or to the rejection
 text; a miss runs the full ``apply_with_inverse``, result validation
 included, and a cached rejection is raised again with the current step
-index.  ``apply_with_inverse`` refuses an invalid source, so a parsed
+index.  A PINCH or V0+ miss builds on the sphere insertion that
+``moves`` keeps per source and sphere (``moves._INSERTIONS``), so the
+misses on one source insert each sphere once.  ``apply_with_inverse`` refuses an invalid source, so a parsed
 seed is validated in full at the first step and every later source is a
 result already found valid; each result is therefore validated over its
 footprint (see ``surface``), as in ``build``, with no second full pass.

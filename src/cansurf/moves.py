@@ -66,9 +66,27 @@ to as its source.  Face classes and tetrahedra the move leaves alone
 keep the source's own matching and annulus tuples, so the result takes
 their text lines from the source and skips them when it validates (see
 ``surface``).  The curves of the new encoding, which carry annulus pairs
-over and locate a tube, come from ``surface.tet_geometry_of`` on the new
-weights and matchings, and the result keeps the geometry its move traced
-so that validation does not look it up again.
+over, come from ``surface.tet_geometry_of`` on the new weights and
+matchings, and the result keeps the geometry its move traced so that
+validation does not look it up again.
+
+V0+ and PINCH build on a shared insertion.  ``_insert_sphere`` builds
+the source plus the catalog sphere at its placement, each sphere piece a
+disk, as a ``Surface`` from the source, validates it over the faces and
+tetrahedra the sphere meets, and keeps it, with its point map and shift,
+in ``_INSERTIONS``: a least-recently-used table keyed by (catalog entry,
+source canonical key) that holds at most ``_INSERTION_ENTRIES`` (64)
+insertions or refusals.  PINCH candidates, the PINCH and V0+ applies
+and, through them, ``movegraph.replay`` read it, so each sphere is
+inserted once per source.  ``_tube_ends`` maps the curves of a
+tetrahedron, the source's and the sphere's, into the inserted surface's
+geometry once per tetrahedron of an insertion, and ``_tube`` checks a
+tube from that map.  A tubed result (PINCH, fused V0+) is the inserted
+surface with one tetrahedron's annulus set, built with the inserted
+surface as its source, so its footprint, checked and formatted, is that
+one tetrahedron.  A free V0+ result equals the inserted surface but is
+a new object.  The table keys a source by its text, so it pins no
+source and no result.
 
 The neighbour generator proposes exactly the moves that apply.  It reads
 small tables instead of trying every pair, gap or corner, and only over
@@ -92,9 +110,8 @@ times the sphere's.
 Applying a move costs its footprint, not the triangulation:
 ``_remap_matchings`` carries only the face classes on the edge classes
 whose points shift, ``_map_annuli`` visits only the tetrahedra with an
-annulus or a replaced one, ``_delete_cells`` strips only the face
-classes it drops arcs from, and ``_insert_sphere`` checks separation
-only in the tetrahedra with an annulus.
+annulus or a replaced one, and ``_delete_cells`` strips only the face
+classes it drops arcs from.
 
 Each precondition lives in one helper that ``_candidate_moves`` and
 ``apply_with_inverse`` both call before anything is built, reading only
@@ -104,11 +121,11 @@ two arcs, and ``_f2_separation`` rejects a split that separates the
 losing tetrahedron's annulus pair; ``_e1_finger`` finds an E1 deletion
 from the face sides and tetrahedra around its edge; ``_bubble`` and
 ``_tubed_sphere`` find the sphere that V0- and UNPINCH split off; and
-PINCH inserts each catalog sphere once per source with
-``_insert_sphere``, then checks each tube with ``_tube``.  V0+ and E1+
-are proposed only where the partner or the rerouted arc touches the
-region they move into, which is all they need.  ``neighbors`` therefore
-catches nothing: a generated move that fails raises.
+``_tube`` checks a PINCH or fused V0+ tube in the shared insertion.
+V0+ and E1+ are proposed only where the partner or the rerouted arc
+touches the region they move into, which is all they need.
+``neighbors`` therefore catches nothing: a generated move that fails
+raises.
 ``apply_with_inverse`` keeps every check for user loops and replay,
 result validation included; that validation covers the result's
 footprint, which gives the verdict a full check gives because the
@@ -222,7 +239,10 @@ def parse_move(text):
     if form.free is None or "free" not in fields:
         try:
             values = {attr: read(fields[name]) for name, attr, (_, read) in form.fields}
-        except (KeyError, ValueError) as exc:
+        except KeyError as exc:
+            raise ParseError("bad move parameters in '{}': missing field '{}'".format(
+                text, exc.args[0]))
+        except ValueError as exc:
             raise ParseError("bad move parameters in '{}': {}".format(text, exc))
     move = Move(kind, int(loc), form.direction, **values)
     printed = move.to_text()
@@ -475,35 +495,68 @@ def _sphere_cells(entry, weights):
     """(``_placement_points``, ``_sphere_arcs``) of the catalog sphere in
     a surface with these weights, kept for the last 256 (entry, weights)
     pairs: ``_find_sphere`` asks for them at every corner and annulus side
-    of a surface, and ``_insert_sphere`` for every PINCH or V0+ candidate
-    and again when one is applied.  Shared, so read-only."""
+    of a surface, and ``_insert_sphere`` once per insertion.  Shared, so
+    read-only."""
     point_map = _placement_points(weights, entry)
     return point_map, _sphere_arcs(entry, weights, point_map)
 
 
 def _sphere_curves(geo, entry, point_map):
-    """{curve of geo: sphere curve} for the catalog sphere's curves in the
-    tetrahedron of ``geo``, the sphere's points being where ``point_map``
-    puts them."""
+    """For each curve of the catalog sphere in the tetrahedron of
+    ``geo``, in order, its id in ``geo``; the sphere's points are where
+    ``point_map`` puts them."""
     tri = entry.surface.tri
     tet = geo.tet
-    out = {}
-    for s_curve, nodes in enumerate(entry.surface.tet_geometry(tet).curves):
+    out = []
+    for nodes in entry.surface.tet_geometry(tet).curves:
         e_local, i = nodes[0]
         e = tri.edge_class_of[(tet, e_local)]
-        out[geo.node_curve[(e_local, point_map[e][i])]] = s_curve
+        out.append(geo.node_curve[(e_local, point_map[e][i])])
     return out
+
+
+# A catalog sphere inserted into a source surface, each sphere piece a
+# disk: the valid result ``surface``, built from the source; the sphere's
+# ``point_map`` (see ``_placement_points``) and the source's point
+# ``shift`` there; and ``ends``, {tet: ``_tube_ends`` there}, filled on
+# first use.
+_Inserted = collections.namedtuple("_Inserted", "surface point_map shift ends")
+
+# _INSERTIONS maps (catalog entry, source canonical key) to (_Inserted,
+# None), or to (None, why the sphere does not fit), least recently used
+# first, and holds at most this many entries.  Candidate generation
+# inserts each catalog sphere into the surface it expands, and the moves
+# it proposes apply right after; replay comes back to a few sources.
+# The memory an entry frees when dropped, measured with tracemalloc, key
+# and tube ends included, is about 2.7 KB on 2 tets and 9 KB on the
+# 48-tet subdivision (weights up to 16), so the table stays under 1 MB
+# there.
+_INSERTION_ENTRIES = 64
+_INSERTIONS = collections.OrderedDict()
 
 
 def _insert_sphere(surf, entry):
     """``surf`` plus the catalog sphere at its placement, each sphere
-    piece a disk, before anything is built.  Returns ((weights,
-    matchings, annuli, traced geometry, point map, point shift), None),
-    or (None, why) when that encoding is invalid: a sphere arc crosses an
-    arc of ``surf``, or an annulus pair of ``surf`` stops sharing a
-    region.  Only the faces and tetrahedra the sphere meets change, so
-    only they are checked.  The traced geometry, {tet: TetGeometry} of
-    that encoding, is what ``_map_annuli`` traced."""
+    piece a disk: (an ``_Inserted``, None), or (None, why) when that
+    encoding is invalid, a sphere arc crossing an arc of ``surf`` or an
+    annulus pair of ``surf`` ceasing to share a region.  Kept in
+    ``_INSERTIONS`` per entry and source text, so a sphere is inserted
+    once per source however many moves build on it.  The surface is
+    validated over its footprint, the faces and tetrahedra the sphere
+    meets; a result built from it keeps its rows and weights."""
+    key = (entry, surf.canonical_key())
+    inserted = _INSERTIONS.get(key)
+    if inserted is not None:
+        _INSERTIONS.move_to_end(key)
+        return inserted
+    inserted = _INSERTIONS[key] = _inserted_surface(surf, entry)
+    if len(_INSERTIONS) > _INSERTION_ENTRIES:
+        _INSERTIONS.popitem(last=False)
+    return inserted
+
+
+def _inserted_surface(surf, entry):
+    """``_insert_sphere`` computed afresh."""
     tri = surf.tri
     new_weights = tuple(map(operator.add, surf.weights, entry.surface.weights))
     point_map, arcs = _sphere_cells(entry, new_weights)
@@ -515,38 +568,49 @@ def _insert_sphere(surf, entry):
     for cid, pair in arcs:
         matchings[cid] += (pair,)
         met.add(cid)
+    # Crossings first: _map_annuli traces curves, which crossing arcs lack.
     for cid in sorted(met):
         matchings[cid] = tuple(sorted(matchings[cid]))
         crossing = _face_verdict(cid, face_layout(tri, new_weights, cid).n, matchings[cid])
         if crossing:
             return None, crossing
     annuli, traced = _map_annuli(surf, new_weights, matchings, shift)
-    # _map_annuli traced exactly the tetrahedra with an annulus.
-    for tet, geo in traced.items():
-        if not met.isdisjoint(tri.tet_local_classes[tet][1]):
-            if not geo.curves_sharing_region(*annuli[tet][0]):
-                return None, "invalid: annulus separation in tet {}".format(tet)
-    return (new_weights, matchings, annuli, traced, point_map, shift), None
+    inserted = Surface(tri, new_weights, matchings, annuli, source=surf, geometry=traced)
+    if not inserted.is_valid():
+        return None, inserted.validate()
+    return _Inserted(inserted, point_map, shift, {}), None
+
+
+def _tube_ends(surf, entry, inserted, tet):
+    """The ids in the inserted surface of the curves in tet of ``surf``,
+    one per curve, and of the catalog sphere, one per sphere curve;
+    computed once per tetrahedron of an insertion."""
+    ends = inserted.ends.get(tet)
+    if ends is None:
+        geo = inserted.surface.tet_geometry(tet)
+        mine = [
+            _track_curve(surf, geo, c, inserted.shift)
+            for c in range(len(surf.tet_geometry(tet).curves))
+        ]
+        ends = inserted.ends[tet] = mine, _sphere_curves(geo, entry, inserted.point_map)
+    return ends
 
 
 def _tube(surf, entry, inserted, tet, curve, s_curve):
     """Tubing curve ``curve`` of ``surf`` in tet to curve ``s_curve`` of
-    the catalog sphere, in the encoding ``inserted`` from
-    ``_insert_sphere``: (their ids there, surface curve first, None), or
-    (None, why)."""
+    the catalog sphere, in the ``_Inserted`` of the sphere into ``surf``:
+    (their ids there, surface curve first, None), or (None, why)."""
     if surf.annuli[tet]:
         return None, "tet {} already has an annulus".format(tet)
-    if not (0 <= curve < len(surf.tet_geometry(tet).curves)):
+    mine, theirs = _tube_ends(surf, entry, inserted, tet)
+    if not (0 <= curve < len(mine)):
         return None, "no curve {} in tet {}".format(curve, tet)
-    if not (0 <= s_curve < len(entry.surface.tet_geometry(tet).curves)):
+    if not (0 <= s_curve < len(theirs)):
         return None, "sphere {} has no curve {} in tet {}".format(entry.sphere_id, s_curve, tet)
-    weights, matchings, _, _, point_map, shift = inserted
-    geo = tet_geometry_of(surf.tri, weights, matchings, tet)
-    c1 = _track_curve(surf, geo, curve, shift)
-    c2 = {sc: c for c, sc in _sphere_curves(geo, entry, point_map).items()}[s_curve]
+    c1, c2 = mine[curve], theirs[s_curve]
     if c1 == c2:
         return None, "pinch curves coincide"
-    if not geo.curves_sharing_region(c1, c2):
+    if not inserted.surface.tet_geometry(tet).curves_sharing_region(c1, c2):
         return None, "pinch curves are separated in tet {}".format(tet)
     return (c1, c2), None
 
@@ -555,22 +619,27 @@ def _add_sphere(surf, move, entry, tube=None):
     """``surf`` plus the catalog sphere at its placement, each sphere
     piece a disk; with ``tube=(tet, curve, sphere curve)`` the two named
     curves in tet bound an annulus instead.  Returns the unvalidated
-    result and the result's id of the tubed sphere curve.  When the
-    sphere does not fit, the error names ``move`` as an invalid result
-    does."""
+    result, built from the inserted surface (see ``_insert_sphere``) so
+    that a tube's footprint is its one tetrahedron, and the result's id
+    of the tubed sphere curve.  When the sphere does not fit, the error
+    names ``move`` as an invalid result does."""
     inserted, why = _insert_sphere(surf, entry)
     if inserted is None:
         name = _FORMS[move.kind, move.direction > 0].name
         raise NotApplicableError("{}: result {}".format(name, why))
-    weights, matchings, annuli, traced, _, _ = inserted
-    c2 = None
+    base = inserted.surface
+    annuli, geometry, c2 = base.annuli, None, None
     if tube is not None:
+        tet = tube[0]
         pair, why = _tube(surf, entry, inserted, *tube)
         if pair is None:
             raise NotApplicableError(why)
-        annuli[tube[0]] = (tuple(sorted(pair)),)
+        annuli = list(annuli)
+        annuli[tet] = (tuple(sorted(pair)),)
+        geometry = {tet: base.tet_geometry(tet)}
         c2 = pair[1]
-    return Surface(surf.tri, weights, matchings, annuli, source=surf, geometry=traced), c2
+    result = Surface(surf.tri, base.weights, base.matchings, annuli, source=base, geometry=geometry)
+    return result, c2
 
 
 # A catalog sphere found at its placement: the points and arcs to delete,
@@ -607,7 +676,7 @@ def _find_sphere(surf, entry, tube=None):
         keep = pair[0] if pair[1] == side else pair[1]
         if keep in mine:
             why = "annulus tube in tet {} is essential".format(tet)
-        s_curve = mine[side]
+        s_curve = mine.index(side)
     for tet in itertools.compress(itertools.count(), surf.annuli):
         if why or tet not in entry.tets or (tube is not None and tet == tube[0]):
             continue

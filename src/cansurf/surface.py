@@ -101,9 +101,12 @@ full check would, so it gives a full check's verdict.  Weights compare
 by value and tuples by identity.  A rebuilt row equal to the source's is
 interned to the source's own object while the row table holds it, so it
 stays out of the footprint; once the table has dropped it, the equal
-row only makes the footprint larger.  A surface parsed or built without
-a source, or holding a row with a slot that is not an ``int``, is
-checked in full and formats its text on first use.
+row only makes the footprint larger.  The source of a PINCH or fused
+V0+ result is not the surface the move applies to but that surface with
+the sphere inserted (see ``moves``), which differs from the result in
+the tubed tetrahedron alone.  A surface parsed or built without a
+source, or holding a row with a slot that is not an ``int``, is checked
+in full and formats its text on first use.
 
 A surface's *support* (``Surface.support``) is where it has cells: the
 face classes with arcs and the tetrahedra they bound, which are the

@@ -397,6 +397,19 @@ def test_replay_non_canonical_move_fails_its_line(capsys, data_dir, tmp_path):
     ]
 
 
+def test_replay_move_missing_a_field_fails_its_line(capsys, data_dir, tmp_path):
+    loops = tmp_path / "loops.txt"
+    loops.write_text("UNPINCH@t0[curve=99]\n")
+    code, out, _ = run(
+        capsys, "replay", str(data_dir / "two_tet_s3.tri"),
+        str(data_dir / "vertex_link.surf"), str(loops),
+    )
+    assert code == 3
+    assert out.splitlines() == [
+        "line 1: fail (bad move parameters in 'UNPINCH@t0[curve=99]': missing field 'side')"
+    ]
+
+
 def test_replay_empty_loop_ok(capsys, data_dir, tmp_path):
     loops = tmp_path / "empty.txt"
     loops.write_text("# nothing\n")

@@ -572,6 +572,19 @@ def test_non_canonical_move_text_rejected(text):
         parse_move(text)
 
 
+def test_bad_move_parameters_are_named():
+    # A missing field by its name, and a field that does not read.
+    _raises_exactly(
+        ParseError, "bad move parameters in 'UNPINCH@t0[curve=99]': missing field 'side'",
+        parse_move, "UNPINCH@t0[curve=99]",
+    )
+    _raises_exactly(
+        ParseError, "bad move parameters in 'F2'@f1[arcs=-3-8:4-5,gain=1]': "
+        "invalid literal for int() with base 10: ''",
+        parse_move, "F2'@f1[arcs=-3-8:4-5,gain=1]",
+    )
+
+
 def test_every_closure_move_text_round_trips(link, closure_graphs):
     # Every edge text of the default/8, s3-sphere-b6 and sub48-link-b12
     # closures and of an F2 closure, and both free V0 texts, read back
@@ -1118,7 +1131,9 @@ def test_neighbors_reads_only_the_support_and_the_changed_rows(closure_graphs, m
     # On every vertex of the sub48/12 closure: the surface and the catalog
     # spheres are asked for the geometry of tetrahedra in the surface's
     # support only, the spheres also only in their own; and each result
-    # checks and formats only the rows that differ from its source's.
+    # checks and formats only the rows that differ from its source's.  A
+    # PINCH or V0+ result's source is the sphere inserted into the vertex,
+    # built from the vertex from a cleared insertion table.
     g = closure_graphs[2]
     catalog = default_catalog(g.tri)
     spheres = {id(entry.surface): _support(entry.surface) for entry in catalog}
@@ -1151,27 +1166,31 @@ def test_neighbors_reads_only_the_support_and_the_changed_rows(closure_graphs, m
     monkeypatch.setattr(Surface, "__init__", init)
     for name in ("_int_row", "_face_line"):
         monkeypatch.setattr(surface, name, recorded(name))
-    checked = 0
+    checked = tubed = 0
     for key in sorted(g.vertices):
         surf = g.vertices[key]
         support = _support(surf)
         del asked[:], built[:]
+        moves._INSERTIONS.clear()
         found = neighbors(surf, g.budget, move_set=g.move_set, catalog=catalog)
         for asked_of, tet in asked:
             if asked_of is surf:
                 assert tet in support, (key, tet)
             elif id(asked_of) in spheres:
                 assert tet in support & spheres[id(asked_of)], (key, tet)
-        assert len(built) == len(found)
+        results = {id(n.surface) for n in found}
+        inserted = {id(s): source for s, source, _ in built if id(s) not in results}
+        assert len(built) == len(found) + len(inserted)
         for result, source, calls in built:
-            assert source is surf
+            assert source is surf or inserted.get(id(source)) is surf
+            tubed += source is not surf
             changed = [
-                cid for cid, row in enumerate(result.matchings) if row != surf.matchings[cid]
+                cid for cid, row in enumerate(result.matchings) if row != source.matchings[cid]
             ]
             assert sorted(args[0] for name, args in calls if name == "_face_line") == changed
             assert sum(name == "_int_row" for name, _ in calls) == len(changed)
             checked += len(changed)
-    assert checked > 100
+    assert checked > 100 and tubed > 10
 
 
 def test_footprint_results_match_a_fresh_parse_on_closures(closure_graphs, sub_e1_graph):
@@ -1260,6 +1279,54 @@ def test_result_holds_no_reference_to_its_source(link, catalog):
     assert result.canonical_key() is result.to_text()
 
 
+def test_each_sphere_is_inserted_once_per_source(tri, monkeypatch):
+    # Building the sub48/12 closure from a cleared insertion table: its
+    # PINCH and V0+ candidates and applies come from 7 (source, sphere)
+    # pairs, and each pair is inserted once, not once per candidate
+    # search and once more per apply (47 times).
+    sub = barycentric_subdivide(tri)
+    inserted = []
+    real = moves._point_map_for_insertions
+
+    def spy(*args):
+        inserted.append(args)
+        return real(*args)
+
+    monkeypatch.setattr(moves, "_point_map_for_insertions", spy)
+    moves._INSERTIONS.clear()
+    graph = build(vertex_link(sub, 7), 12, move_set={V0, F2P, PINCH, UNPINCH},
+                  catalog=default_catalog(sub))
+    kinds = collections.Counter(text.split("@")[0] for _, _, text, _ in graph.edges)
+    assert kinds == {PINCH: 24, "V0+": 24}
+    assert len(inserted) == len(moves._INSERTIONS) == 7
+
+
+def test_the_insertion_table_is_bounded_and_pins_no_result(tri, link, catalog, closure_graphs):
+    # Every sphere inserted into every vertex of the default/8 and
+    # sub48/12 closures: the table holds its last entries, up to its
+    # bound.  A result built from an entry, tubed or not, is its own
+    # object, and is collected once dropped while the entry stays.
+    spheres = 0
+    for graph in (closure_graphs[0], closure_graphs[2]):
+        cat = default_catalog(graph.tri)
+        for key in sorted(graph.vertices):
+            for entry in cat:
+                moves._insert_sphere(graph.vertices[key], entry)
+                spheres += 1
+                assert len(moves._INSERTIONS) <= moves._INSERTION_ENTRIES
+    assert spheres > len(moves._INSERTIONS) == moves._INSERTION_ENTRIES
+    for move in (Move(V0, 0, direction=1), neighbors(link, 12, {PINCH}, catalog)[0].move):
+        result = apply(link, move, catalog)
+        entry = moves._INSERTIONS[moves._vertex_sphere(tri, 0), link.canonical_key()][0]
+        assert result is not entry.surface
+        assert (result == entry.surface) == (move.kind == V0)
+        gone = weakref.ref(result)
+        del result
+        gc.collect()
+        assert gone() is None
+        assert (moves._vertex_sphere(tri, 0), link.canonical_key()) in moves._INSERTIONS
+
+
 def test_release_geometry_with_inherited_geometry(tri):
     # On the subdivision a V0 move leaves most tetrahedra alone; the
     # result takes their geometry objects from its source, not from the
@@ -1328,7 +1395,9 @@ def test_carried_slots_match_the_oracle(closure_graphs, monkeypatch):
     # Every E1, V0, PINCH and UNPINCH edge of the default/8 and sub48/12
     # closures, applied from both ends, carries slots from an old layout
     # to a new one.  The oracle's own slot decoding finds every carried
-    # slot on the side it came from, at the new index of its point.
+    # slot on the side it came from, at the new index of its point.  The
+    # insertion table is cleared before each apply, so that a V0+ or
+    # PINCH inserts its sphere, and carries its slots, every time.
     carried = []
 
     def spy(old, new, pairs, shift, carry=moves._carry):
@@ -1349,6 +1418,7 @@ def test_carried_slots_match_the_oracle(closure_graphs, monkeypatch):
                 if move.kind not in (E1, V0, PINCH, UNPINCH):
                     continue
                 del carried[:]
+                moves._INSERTIONS.clear()
                 apply_with_inverse(graph.vertices[key], move, catalog)
                 assert carried, text
                 applied[move.kind, move.direction] += 1
