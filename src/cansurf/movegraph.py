@@ -48,13 +48,11 @@ with the geometry their moves traced, by text, and takes each source
 it is sent from them, so it parses only the sources handed over to it;
 it drops the rest when the next share arrives.  It returns (move,
 inverse, result) texts; the parent parses only results that are new
-vertices, classified from their annulus lines without re-tracing and
-keyed by the worker's text, which is canonical, so it formats none of
-them again.  Until it parses one, ``graph.vertices`` holds the vertex
-as its text: the parent parses the vertices a wave's workers found
-after expanding its own share of the next wave, before it waits for
-the workers' replies, or when it needs one as a source, stops or
-returns.  A worker clears its memo once, when it starts; since it
+vertices, as it stores them, classified from their annulus lines
+without re-tracing and keyed by the worker's text, which is canonical.
+So ``graph.vertices`` holds only Surfaces.  Serial or pooled, every
+share is expanded by one loop, ``_expand``.  A worker clears its memo
+once, when it starts; since it
 always gets the same share of the same wave, its memo, and so the work
 it does, is the same on every run.  Building the 2-tet S3 closure of a
 weight-2 sphere at budget 6 (349 vertices, 3 handovers) from a cleared
@@ -260,16 +258,16 @@ def _worker_main(share_in, reply_out, tri, budget, move_set, catalog, deadline):
     kept = {}
     try:
         while True:
-            texts, skips = _recv(share_in)
-            sources, kept = [kept.get(text, text) for text in texts], {}
+            keys, skips = _recv(share_in)
+            held, kept = kept, {}
             try:
                 reply = []
-                for found, stats in _expand_share(
-                    tri, budget, move_set, catalog, deadline, sources, skips
+                for _, stats, found in _expand(
+                    tri, budget, move_set, catalog, held, keys, skips, deadline
                 ):
-                    for _, _, result in found:
-                        kept.setdefault(result.to_text(), result)
-                    reply.append(([(m, i, r.to_text()) for m, i, r in found], stats))
+                    for _, _, key, result in found:
+                        kept.setdefault(key, result)
+                    reply.append(([(m, i, key) for m, i, key, _ in found], stats))
             except Exception as exc:  # raised again in the parent
                 import pickle
 
@@ -279,26 +277,27 @@ def _worker_main(share_in, reply_out, tri, budget, move_set, catalog, deadline):
         pass
 
 
-def _expand_share(tri, budget, move_set, catalog, deadline, sources, skips):
-    """(found, stats) per source of a share, in order, skipping the moves
-    in the source's ``skips`` entry (see ``neighbors``); found holds (move
-    text, inverse text, result Surface).  A source is a Surface, or the
-    canonical text of one, parsed here.  Stops at the first source
-    reached after the deadline (a ``time.monotonic`` value), so a short
-    list means the time limit."""
-    out = []
-    for source, known in zip(sources, skips):
+def _expand(tri, budget, move_set, catalog, held, keys, known, deadline=None):
+    """Expand the sources named by ``keys`` in order, each as it is
+    reached: (key, stats, found) per source, found holding (move text,
+    inverse text, result key, result Surface) for the moves not in the
+    source's ``known`` entry, which is popped.  A source is its Surface in
+    ``held`` or else parsed from its key, a canonical text.  Stops at the
+    first source reached after the deadline (a ``time.monotonic`` value),
+    so a short run means the time limit."""
+    for key in keys:
         if deadline is not None and time.monotonic() > deadline:
-            break
-        surf = _parse_canonical(tri, source) if isinstance(source, str) else source
+            return
+        surf = held.get(key)
+        if surf is None:
+            surf = _parse_canonical(tri, key)
         stats = {}
-        found = neighbors(surf, budget, move_set, catalog, stats, known=known)
+        found = neighbors(surf, budget, move_set, catalog, stats, known=known.pop(key))
         surf.release_geometry()
-        out.append((
-            [(n.move.to_text(), n.inverse.to_text(), n.surface) for n in found],
-            stats,
-        ))
-    return out
+        yield key, stats, [
+            (n.move.to_text(), n.inverse.to_text(), n.surface.canonical_key(), n.surface)
+            for n in found
+        ]
 
 
 def _shares(frontier, finder, n):
@@ -326,25 +325,6 @@ def _shares(frontier, finder, n):
             del spare[:short]
             share.sort()
     return shares, handovers
-
-
-def _expand_serial(graph, keys, catalog, known):
-    """Expand vertices in process, each as it is reached: (key, stats,
-    found) per source, found holding (move text, inverse text, result
-    key, result Surface) for the moves not in the source's ``known``
-    entry, which is popped.  A vertex still held as its text (see
-    ``build``) is parsed first."""
-    for key in keys:
-        surf = graph.vertices[key]
-        if isinstance(surf, str):
-            surf = graph.vertices[key] = _parse_canonical(graph.tri, key)
-        stats = {}
-        found = neighbors(surf, graph.budget, graph.move_set, catalog, stats, known=known.pop(key))
-        surf.release_geometry()
-        yield key, stats, [
-            (n.move.to_text(), n.inverse.to_text(), n.surface.canonical_key(), n.surface)
-            for n in found
-        ]
 
 
 def build(
@@ -399,18 +379,8 @@ def build(
     known = {seed.canonical_key(): set()}
     next_frontier = []
     finder = {}  # next-wave vertex found first by a worker -> its process
-    # Vertices a worker found, which ``graph.vertices`` holds as their key
-    # text until the parent parses them, while the workers may be busy.
-    unparsed = []
-
-    def parse_found():
-        for key in unparsed:
-            if isinstance(graph.vertices[key], str):
-                graph.vertices[key] = _parse_canonical(tri, key)
-        unparsed.clear()
 
     def stop(reason):
-        parse_found()
         graph.partial = True
         raise PartialGraphError(reason, graph)
 
@@ -426,12 +396,10 @@ def build(
         for move_text, inverse_text, result_key, result in found:
             stored = graph.vertices.get(result_key)
             if stored is not None:
-                # The key object the graph holds, not a copy.
-                result_key = stored if isinstance(stored, str) else stored.canonical_key()
+                result_key = stored.canonical_key()  # the key object the graph holds
             else:
-                if result is None:  # a worker's text, held until parsed
-                    result = result_key
-                    unparsed.append(result_key)
+                if process:  # a worker's canonical text, kept as the key
+                    result = _parse_canonical(tri, result_key)
                     finder[result_key] = process
                 graph.vertices[result_key] = result
                 next_frontier.append(result_key)
@@ -465,14 +433,15 @@ def build(
             graph.stats["pool_handovers"] += handovers
             sent = [(w, share) for w, share in enumerate(shares[1:], 1) if share]
             for w, share in sent:
-                _send(pool[w - 1][1], (share, [known.pop(key) for key in share]))
+                _send(pool[w - 1][1], (share, {key: known.pop(key) for key in share}))
                 for key in share:
                     # Expanded by a worker, so the parent needs no geometry.
-                    if not isinstance(graph.vertices[key], str):
-                        graph.vertices[key].release_geometry()
+                    graph.vertices[key].release_geometry()
             results = {}  # source -> (process, stats, found) until merged
             merged = 0
-            for src_key, stats, found in _expand_serial(graph, shares[0], catalog, known):
+            for src_key, stats, found in _expand(
+                tri, budget, graph.move_set, catalog, graph.vertices, shares[0], known
+            ):
                 results[src_key] = (0, stats, found)
                 # The parent's later sources skip these edges even when
                 # an earlier worker source holds back the merge.
@@ -481,7 +450,6 @@ def build(
                         known[result_key].add(inverse_text)
                 merged = merge_ready(merged)
                 check_limits()
-            parse_found()
             for w, share in sent:
                 reply = _recv(pool[w - 1][2])
                 if isinstance(reply, bytes):  # the worker's error, pickled
@@ -500,7 +468,6 @@ def build(
                     stop("time limit {}s exceeded".format(limits.max_seconds))
             merge_ready(merged)
             frontier, next_frontier = next_frontier, []
-        parse_found()
     except BaseException:
         import signal
 

@@ -780,9 +780,8 @@ def _apply_e1_insert(surf, move, catalog):
     arc = tuple(sorted(move.arc))
     if arc not in surf.matchings[chat]:
         raise NotApplicableError("face {} has no arc {}".format(chat, arc))
-    _, gap_region, chord_sides = surf.face_regions(chat)
-    r_gap = gap_region[layout.class_gaps[khat][gap]]
-    if r_gap not in chord_sides[arc]:
+    gap_region, beside = surf.region_arcs(chat)
+    if arc not in beside[gap_region[layout.class_gaps[khat][gap]]]:
         raise NotApplicableError("arc {} is not adjacent to the insertion gap".format(arc))
 
     new_weights, shift, inserted = _point_map_for_insertions(surf.weights, {e: [gap, gap]})
@@ -964,8 +963,7 @@ def _apply_f2(surf, move, catalog):
             raise NotApplicableError("face {} has no arc {}".format(cid, p))
     # The row's own int pairs, which may key _planar_reconnection's cache.
     alpha, beta = row[row.index(alpha)], row[row.index(beta)]
-    _, _, chord_sides = surf.face_regions(cid)
-    if not set(chord_sides[alpha]) & set(chord_sides[beta]):
+    if not any(alpha in arcs and beta in arcs for arcs in surf.region_arcs(cid)[1]):
         raise NotApplicableError("arcs {} and {} do not bound a common region".format(alpha, beta))
     if move.gain not in (0, 1):
         raise NotApplicableError("gain side must be 0 or 1")

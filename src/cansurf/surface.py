@@ -93,20 +93,24 @@ object.  The constructor finds the rows, annuli and weights that differ
 from the source's in C-level passes (``itertools.compress`` over
 ``operator.is_not`` or ``operator.ne``), so its Python-level work
 follows the footprint, not the triangulation: it normalizes and formats
-only the rows and annuli that changed, takes the source's text line for
-every row it shares, takes the source's geometry outside the footprint,
-keeps the geometry the move traced inside it, and keeps no reference to
-the source.  ``validate`` then checks only the footprint, in the order a
-full check would, so it gives a full check's verdict.  Weights compare
-by value and tuples by identity.  A rebuilt row equal to the source's is
-interned to the source's own object while the row table holds it, so it
-stays out of the footprint; once the table has dropped it, the equal
-row only makes the footprint larger.  The source of a PINCH or fused
+only the rows, annuli and weights that changed, takes the source's own
+text line object for everything else, takes the source's geometry
+outside the footprint, keeps the geometry the move traced inside it, and
+keeps no reference to the source.  ``validate`` then checks only the
+footprint, in the order a full check would, so it gives a full check's
+verdict.  Weights compare by value and tuples by identity.  A rebuilt
+row equal to the source's is interned to the source's own object while
+the row table holds it, so it stays out of the footprint; once the table
+has dropped it, the equal row only makes the footprint larger.  The source of a PINCH or fused
 V0+ result is not the surface the move applies to but that surface with
 the sphere inserted (see ``moves``), which differs from the result in
 the tubed tetrahedron alone.  A surface parsed or built without a
 source, or holding a row with a slot that is not an ``int``, is checked
-in full and formats its text on first use.
+in full.
+
+Every surface holds its canonical lines, the edges line, one line per
+face class and one per tetrahedron, and joins its text from them once,
+when it is built; a surface without a source formats every line.
 
 A surface's *support* (``Surface.support``) is where it has cells: the
 face classes with arcs and the tetrahedra they bound, which are the
@@ -482,7 +486,10 @@ def _face_verdict(cid, n, pairs):
     if n % 2:
         return "invalid: face {} has an odd number of boundary points".format(cid)
     slots = [s for p in pairs for s in p]
-    if any(type(s) is not int for s in slots) or sorted(slots) != list(range(n)):
+    # The count first: n comes from the weights, so range(n) may not fit.
+    if len(slots) != n or any(type(s) is not int for s in slots) or (
+        sorted(slots) != list(range(n))
+    ):
         return "invalid: face {} matching is not a perfect pairing".format(cid)
     return face_crossing(cid, pairs)
 
@@ -504,11 +511,11 @@ class Surface:
 
     ``source``, when given, is a surface classified valid on the same
     triangulation with as many face classes and tetrahedra, such as the
-    surface a move applies to; any other is ignored, and so is any source
-    of a surface holding a row with a slot that is not an ``int``.  Rows
-    that are its own tuples are kept without normalizing them, and the
-    result is built from it over the footprint only (see the module
-    docstring).
+    surface a move applies to; any other is ignored.  Rows that are its
+    own tuples are kept without normalizing them, and the result takes
+    the source's lines and is built from it over the footprint only (see
+    the module docstring); a surface holding a row with a slot that is
+    not an ``int`` takes only the lines.
     ``geometry``, when given, maps tetrahedra to the ``TetGeometry``
     already traced for them on these weights and matchings, as a move
     traces some of its result's; the surface keeps it, so that
@@ -533,48 +540,57 @@ class Surface:
         rows = list(matchings)
         annuli = list(annuli)
         faces, tets = range(len(rows)), range(len(annuli))
-        if source is not None:
+        if source is None:
+            lines = [_edges_line(self.weights)] + [None] * (len(rows) + len(annuli))
+        else:
+            lines = list(source._lines)
             # Only the rows and annuli that are not the source's own objects.
             faces = list(itertools.compress(faces, map(operator.is_not, rows, source.matchings)))
             tets = list(itertools.compress(tets, map(operator.is_not, annuli, source.annuli)))
         # Whether a row holds a slot that is not an int; see _int_row.
         self._loose = False
+        changed = []
         for k in faces:
             # A row of lists, say, may sort into a tuple of int pairs.
             if _int_row(row := rows[k]) or _int_row(row := _sorted_row(row)):
                 row = _interned(row)
+                face_line = _face_line
             else:
                 self._loose = True
+                face_line = _face_line.__wrapped__
             rows[k] = row
+            # A row interned to the source's own object keeps its line and
+            # is out of the footprint.
+            if source is None or row is not source.matchings[k]:
+                lines[1 + k] = face_line(k, row)
+                changed.append(k)
         for tet in tets:
-            annuli[tet] = _sorted_row(annuli[tet])
+            annuli[tet] = pairs = _sorted_row(annuli[tet])
+            lines[1 + len(rows) + tet] = _tet_line(tet, pairs)
+        moved = ()
+        if source is not None and self.weights is not source.weights:
+            moved = list(itertools.compress(
+                itertools.count(), map(operator.ne, self.weights, source.weights)
+            ))
+            if moved:
+                lines[0] = _edges_line(self.weights)
         self.matchings = tuple(rows)
         self.annuli = tuple(annuli)
+        self._lines = lines
+        self._text = "\n".join(lines) + "\n"
         self._tets = dict(geometry or ())
-        self._text = None
         self._validation = None
         self._cell_data = None
         # (face classes, tetrahedra) left to validate; None means all.
         self._footprint = None
         if source is None or self._loose:
             return
-        lines = source.to_text().split("\n")
-        # A row interned to the source's own object is out of the footprint.
-        faces = {cid for cid in faces if rows[cid] is not source.matchings[cid]}
-        for cid in faces:
-            lines[1 + cid] = _face_line(cid, rows[cid])
-        for tet in tets:
-            lines[1 + len(rows) + tet] = _tet_line(tet, annuli[tet])
-        if self.weights is not source.weights:
-            for e in itertools.compress(
-                itertools.count(), map(operator.ne, self.weights, source.weights)
-            ):
-                faces.update(cid for cid, _ in tri.edge_sides[e])
-            lines[0] = _edges_line(self.weights)
+        faces = set(changed)
+        for e in moved:
+            faces.update(cid for cid, _ in tri.edge_sides[e])
         tets = set(tets)
         for cid in faces:
             tets.update(tet for tet, _ in tri.face_classes[cid])
-        self._text = "\n".join(lines)
         self._footprint = sorted(faces), sorted(tets)
         # The source's geometry outside the footprint; None is untraced.
         self._tets = {**source._tets, **dict.fromkeys(tets), **self._tets}
@@ -597,10 +613,6 @@ class Surface:
         shared memo (see _int_row)."""
         if self._loose:
             raise SemanticError("a face matching holds a slot that is not an integer")
-
-    def face_regions(self, cid):
-        self._require_int_rows()
-        return _face_chord_regions(self.face_layout(cid).n, self.matchings[cid])
 
     def region_arcs(self, cid):
         """Face class cid's ``gap_region`` (see ``_face_chord_regions``)
@@ -845,14 +857,7 @@ class Surface:
     # -- serialization ------------------------------------------------------
 
     def to_text(self):
-        """The canonical text, built once."""
-        if self._text is None:
-            face_line = _face_line.__wrapped__ if self._loose else _face_line
-            self._text = "\n".join(
-                [_edges_line(self.weights)]
-                + [face_line(cid, pairs) for cid, pairs in enumerate(self.matchings)]
-                + [_tet_line(tet, pairs) for tet, pairs in enumerate(self.annuli)]
-            ) + "\n"
+        """The canonical text, joined from the lines once, at construction."""
         return self._text
 
     def canonical_key(self):
@@ -966,9 +971,10 @@ def parse_surface(tri, text):
 
 def _parse_canonical(tri, text):
     """The surface of a canonical text that another process printed with
-    ``to_text``, keeping that text as its own, so it is not formatted
-    again.  The text is of a result ``neighbors`` returned, so valid: its
-    annulus lines give its classification, with no tracing."""
+    ``to_text``, keeping that text object as its own, so that a key made
+    from the text is the surface's key.  The text is of a result
+    ``neighbors`` returned, so valid: its annulus lines give its
+    classification, with no tracing."""
     surf = parse_surface(tri, text)
     surf._text = text
     surf._validation = CRUDELY_ALMOST_NORMAL if any(surf.annuli) else CRUDELY_NORMAL

@@ -3,6 +3,7 @@ import hashlib
 import io
 import json
 import os
+import resource
 import subprocess
 import sys
 
@@ -53,6 +54,30 @@ def test_module_runs_from_a_checkout(data_dir):
     )
     assert proc.returncode == 0, proc.stderr
     assert "crudely_normal, weight 6, chi 2, genus 0, connected" in proc.stdout
+
+
+def test_a_huge_weight_is_refused_in_bounded_memory(data_dir, tmp_path):
+    # A face with 10^8 slots on one side and one arc: the pairing check
+    # compares the slot count before it lists the slots.  The commands run
+    # with their address space capped at 512 MB.
+    seed = tmp_path / "huge.surf"
+    seed.write_text("edges: 0 0 100000000\nface 0: 0-1\n")
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join(
+        [str(data_dir.parent / "src")] + [p for p in [os.environ.get("PYTHONPATH")] if p]
+    ))
+
+    def cap():
+        resource.setrlimit(resource.RLIMIT_AS, (512 << 20, 512 << 20))
+
+    for argv in (["validate"], ["graph", "--budget", "8"]):
+        proc = subprocess.run(
+            [sys.executable, "-m", "cansurf", argv[0], str(data_dir / "two_tet_s3.tri"),
+             str(seed), *argv[1:]],
+            env=env, capture_output=True, text=True, timeout=120, preexec_fn=cap,
+        )
+        assert proc.returncode == 3, proc.stderr
+        assert "face 0 matching is not a perfect pairing" in proc.stdout + proc.stderr
+        assert "Traceback" not in proc.stderr
 
 
 def test_validate_builds_the_cells_once(capsys, data_dir, monkeypatch):

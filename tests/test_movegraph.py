@@ -202,16 +202,19 @@ def test_a_worker_parses_only_the_sources_handed_over_to_it(tri, catalog, data_d
     # its last reply's results, which it still holds as Surfaces.
     sphere = parse_surface(tri, (data_dir.parent / "bench" / "data" / "s3_sphere_w2.surf").read_text())
     parsed = []
-    parse, expand_share = movegraph._parse_canonical, movegraph._expand_share
+    parse, expand = movegraph._parse_canonical, movegraph._expand
     send, recv = movegraph._send, movegraph._recv
+    parent = os.getpid()
 
     def counting_parse(tri, text):
         parsed.append(text)
         return parse(tri, text)
 
     def reporting(*args):
+        if os.getpid() == parent:
+            return expand(*args)
         parsed.clear()
-        results = expand_share(*args)
+        results = list(expand(*args))
         results[0][1]["parsed"] = list(parsed)
         return results
 
@@ -228,7 +231,7 @@ def test_a_worker_parses_only_the_sources_handed_over_to_it(tri, catalog, data_d
         return reply
 
     monkeypatch.setattr(movegraph, "_parse_canonical", counting_parse)
-    monkeypatch.setattr(movegraph, "_expand_share", reporting)
+    monkeypatch.setattr(movegraph, "_expand", reporting)
     monkeypatch.setattr(movegraph, "_send", recording_send)
     monkeypatch.setattr(movegraph, "_recv", recording_recv)
     g = build(sphere, 6, catalog=catalog, workers=2)
@@ -250,10 +253,14 @@ class _MemoSize(Exception):
 def test_worker_starts_from_an_empty_memo(tri, link, catalog, monkeypatch, started_workers):
     # The worker's first share reports the memo it found, as an error the
     # parent raises again; the parent's own memo is not empty.
+    parent, expand = os.getpid(), movegraph._expand
+
     def report(*args):
+        if os.getpid() == parent:
+            return expand(*args)
         raise _MemoSize(surface._tet_memo.cache_info().currsize)
 
-    monkeypatch.setattr(movegraph, "_expand_share", report)
+    monkeypatch.setattr(movegraph, "_expand", report)
     vertex_link(tri, 0).tet_geometry(0)
     assert surface._tet_memo.cache_info().currsize > 0
     with pytest.raises(_MemoSize) as err:
@@ -302,24 +309,29 @@ def test_pool_export_traces_nothing(tri, link, catalog, monkeypatch):
     assert traced == []
 
 
-def test_pool_build_keys_new_vertices_by_the_texts_it_received(tri, catalog, monkeypatch):
-    # The parent parses each new vertex's text and keeps it as the key, so
-    # it formats no surface text; the seed's is formatted beforehand.
-    seed = vertex_link(tri, 0)
-    seed.to_text()
-    formatted = []
-    to_text = surface.Surface.to_text
-
-    def counting(self):
-        if self._text is None:
-            formatted.append(self)
-        return to_text(self)
-
-    monkeypatch.setattr(surface.Surface, "to_text", counting)
-    g = build(seed, 8, catalog=catalog, workers=2)
+def test_pool_build_keys_new_vertices_by_the_texts_it_received(tri, catalog):
+    # The parent parses each new vertex's text and keeps it as the key.
+    g = build(vertex_link(tri, 0), 8, catalog=catalog, workers=2)
     assert len(g.vertices) == 126
-    assert formatted == []
     assert all(key is surf.to_text() for key, surf in g.vertices.items())
+
+
+def test_a_pooled_build_holds_only_surfaces(tri, catalog, data_dir, monkeypatch):
+    # The parent parses a worker's new vertex as it stores it, so at every
+    # edge it adds, each vertex it holds is a Surface.
+    sphere = parse_surface(tri, (data_dir.parent / "bench" / "data" / "s3_sphere_w2.surf").read_text())
+    add_edge = MoveGraph.add_edge
+    calls = []
+
+    def checking(self, *args):
+        assert all(isinstance(surf, Surface) for surf in self.vertices.values())
+        calls.append(args)
+        add_edge(self, *args)
+
+    monkeypatch.setattr(MoveGraph, "add_edge", checking)
+    g = build(sphere, 6, catalog=catalog, workers=2)
+    assert len(g.vertices) == 349 and len(calls) >= len(g.edges)
+    assert g.stats["pool_sources"] > 0
 
 
 def test_serial_build_passes_surfaces(tri, link, catalog, monkeypatch):
@@ -365,10 +377,9 @@ def test_pool_time_limit_overrun_bounded(tri, catalog):
 
 
 def test_pool_worker_skips_sources_after_the_deadline(tri, link_text, catalog):
-    args = (tri, 8, DEFAULT_MOVE_SET, catalog)
-    share = ([link_text], [set()])
-    assert movegraph._expand_share(*args, time.monotonic() - 1.0, *share) == []
-    [(found, stats)] = movegraph._expand_share(*args, time.monotonic() + 60.0, *share)
+    args = (tri, 8, DEFAULT_MOVE_SET, catalog, {}, [link_text])
+    assert list(movegraph._expand(*args, {link_text: set()}, time.monotonic() - 1.0)) == []
+    [(_, stats, found)] = movegraph._expand(*args, {link_text: set()}, time.monotonic() + 60.0)
     assert found and stats["budget_rejected"] > 0
 
 
@@ -382,15 +393,15 @@ def test_no_worker_outlives_a_stopped_build(tri, catalog, monkeypatch, started_w
         "vertex limit": Limits(max_vertices=100),
         "time limit": Limits(max_seconds=0.3),
     }.get(stop)
-    expand_share = movegraph._expand_share
+    parent, expand = os.getpid(), movegraph._expand
 
     def sleepy(*args):
-        if len(args[-1]) > 1:
+        if os.getpid() != parent and len(args[5]) > 1:
             time.sleep(30)
-        return expand_share(*args)
+        return expand(*args)
 
     if stop != "time limit":
-        monkeypatch.setattr(movegraph, "_expand_share", sleepy)
+        monkeypatch.setattr(movegraph, "_expand", sleepy)
     if stop in ("merge error", "interrupt"):
         error = SemanticError("merge error") if stop == "merge error" else KeyboardInterrupt()
         add_edge = MoveGraph.add_edge

@@ -215,7 +215,7 @@ def test_f2_rejects_non_adjacent_arcs(tri, link):
     # Three concentric corner arcs: the innermost and outermost do not
     # bound a common region.
     surf = apply(apply(link, Move(V0, 0, direction=1)), Move(V0, 0, direction=1))
-    _, _, chords = surf.face_regions(1)
+    _, _, chords = surface._face_chord_regions(surf.face_layout(1).n, surf.matchings[1])
     pairs = sorted(chords)
     found = None
     for i, a in enumerate(pairs):
@@ -901,7 +901,7 @@ def _face_move_candidates(surf):
     """Every F2-type move on two arcs that bound a common region, under
     both gains and both labels."""
     for cid in range(len(surf.tri.face_classes)):
-        _, _, chord_sides = surf.face_regions(cid)
+        _, _, chord_sides = surface._face_chord_regions(surf.face_layout(cid).n, surf.matchings[cid])
         chords = sorted(chord_sides)
         for i, alpha in enumerate(chords):
             for beta in chords[i + 1:]:
@@ -1191,6 +1191,39 @@ def test_neighbors_reads_only_the_support_and_the_changed_rows(closure_graphs, m
             assert sum(name == "_int_row" for name, _ in calls) == len(changed)
             checked += len(changed)
     assert checked > 100 and tubed > 10
+
+
+def test_results_take_their_sources_unchanged_lines(closure_graphs, monkeypatch):
+    # Every result neighbors builds on the sub48/12 closure holds each line
+    # it did not change as its source's own object, and its text is the
+    # one its parse prints.  A PINCH or V0+ result's source is the sphere
+    # inserted into the vertex.
+    g = closure_graphs[2]
+    catalog = default_catalog(g.tri)
+    built = []
+    real_init = Surface.__init__
+
+    def init(self, *args, **kwargs):
+        real_init(self, *args, **kwargs)
+        built.append((self, kwargs.get("source")))
+
+    monkeypatch.setattr(Surface, "__init__", init)
+    shared = changed = 0
+    for key in sorted(g.vertices):
+        del built[:]
+        found = neighbors(g.vertices[key], g.budget, move_set=g.move_set, catalog=catalog)
+        source_of = {id(surf): source for surf, source in built}
+        for n in found:
+            source = source_of[id(n.surface)]
+            for line, old in zip(n.surface._lines, source._lines):
+                if line == old:
+                    assert line is old
+                    shared += 1
+                else:
+                    changed += 1
+            text = n.surface.to_text()
+            assert text == parse_surface(g.tri, text).to_text()
+    assert shared > changed > 0
 
 
 def test_footprint_results_match_a_fresh_parse_on_closures(closure_graphs, sub_e1_graph):

@@ -79,7 +79,7 @@ def test_every_tet_geometry_slot_is_read():
 # and Surface's cached fields.
 _SURFACE_PRIVATE = {
     "_frame", "_faces", "_root", "_arcs",
-    "_text", "_validation", "_tets", "_layouts", "_footprint", "_cell_data", "_loose",
+    "_text", "_lines", "_validation", "_tets", "_layouts", "_footprint", "_cell_data", "_loose",
 }
 
 

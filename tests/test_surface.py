@@ -603,7 +603,7 @@ def test_rows_with_non_integer_slots_go_round_the_row_caches(tri, link, slot):
         assert all(type(row[1][0]) is type(slot) for row in odd.matchings)
         assert odd.validate() == "invalid: face 0 matching is not a perfect pairing"
         assert odd.to_text().split("\n")[1] == "face 0: 0-5 {}-2 3-4".format(slot)
-        for lookup in (lambda: odd.tet_geometry(0), lambda: odd.face_regions(0)):
+        for lookup in (lambda: odd.tet_geometry(0), lambda: odd.region_arcs(0)):
             with pytest.raises(SemanticError, match="not an integer"):
                 lookup()
     assert _row_cache_counts() == counts
