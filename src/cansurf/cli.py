@@ -6,7 +6,8 @@ debugging the brute-force reference implementations.
 
 Exit codes: 0 success, 1 partial result (a graph limit triggered),
 2 parse error (undecodable input included), 3 semantic error (an input
-that cannot be read included).  All outputs are canonically ordered,
+that cannot be read, or one that needs more memory than the process may
+use, included).  All outputs are canonically ordered,
 so digests of the emitted files are meaningful; a run manifest records
 input hashes, parameters and result digests.
 """
@@ -415,6 +416,12 @@ def main(argv=None):
         code = EXIT_PARTIAL
     except CansurfError as exc:
         print("error: {}".format(exc), file=sys.stderr)
+        code = EXIT_SEMANTIC
+    except MemoryError:
+        # Raised where an allocation failed, which is no place to name the
+        # input; what asked for the memory is already released.
+        print("error: out of memory: the input needs more memory than this process "
+              "may use", file=sys.stderr)
         code = EXIT_SEMANTIC
     except UnicodeDecodeError as exc:
         print("parse error: input is not UTF-8 text: {}".format(exc), file=sys.stderr)

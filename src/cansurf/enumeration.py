@@ -67,7 +67,7 @@ def enumerate_surfaces(tri, max_weight):
             for tet in range(tri.tet_count):
                 geo = base.tet_geometry(tet)
                 choices = [()]
-                for c1, c2 in itertools.combinations(range(len(geo.curves)), 2):
+                for c1, c2 in itertools.combinations(range(geo.curve_count), 2):
                     if geo.curves_sharing_region(c1, c2):
                         choices.append(((c1, c2),))
                 options.append(choices)

@@ -108,7 +108,8 @@ least-recently-used and holds at most ``_REPLAY_MEMO_TET_ENTRIES //
 tet_count`` entries, which keeps it under 64 MB (see that constant).
 Memoized surfaces pin no tet geometry: ``replay`` releases each
 surface's geometry when it steps off it, and ``surface._tet_memo`` keeps
-the recent geometry.  That memo holds a small closure's tet states (see
+the recent geometry.  That memo holds a closure's tet states, the 16,000
+of the 2-tet vertex link's closure at budget 10 included (see
 ``surface._TET_MEMO_ENTRIES``), so loops replayed in any order trace
 each state they visit once.
 """

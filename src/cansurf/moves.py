@@ -392,12 +392,12 @@ def _track_curve(old, geo, curve, shift):
     ``shift`` does not delete."""
     tri = old.tri
     tet = geo.tet
-    for e_local, i in old.tet_geometry(tet).curves[curve]:
+    for e_local, i in old.tet_geometry(tet).curve_nodes(curve):
         moved = shift.get(tri.edge_class_of[(tet, e_local)])
         if moved is not None:
             i = moved[i]
         if i is not None:
-            return geo.node_curve[(e_local, i)]
+            return geo.point_curve(e_local, i)
     raise NotApplicableError("curve {} of tet {} would be deleted".format(curve, tet))
 
 
@@ -507,11 +507,11 @@ def _sphere_curves(geo, entry, point_map):
     ``point_map`` puts them."""
     tri = entry.surface.tri
     tet = geo.tet
+    sphere = entry.surface.tet_geometry(tet)
     out = []
-    for nodes in entry.surface.tet_geometry(tet).curves:
-        e_local, i = nodes[0]
-        e = tri.edge_class_of[(tet, e_local)]
-        out.append(geo.node_curve[(e_local, point_map[e][i])])
+    for c in range(sphere.curve_count):
+        e_local, i = sphere.least_node(c)
+        out.append(geo.point_curve(e_local, point_map[tri.edge_class_of[(tet, e_local)]][i]))
     return out
 
 
@@ -590,7 +590,7 @@ def _tube_ends(surf, entry, inserted, tet):
         geo = inserted.surface.tet_geometry(tet)
         mine = [
             _track_curve(surf, geo, c, inserted.shift)
-            for c in range(len(surf.tet_geometry(tet).curves))
+            for c in range(surf.tet_geometry(tet).curve_count)
         ]
         ends = inserted.ends[tet] = mine, _sphere_curves(geo, entry, inserted.point_map)
     return ends
@@ -721,7 +721,7 @@ def _apply_v0_emit(surf, move, catalog):
         tet, corner = move.corner
         sphere = entry.surface
         node = _corner_node(tri, sphere.weights, tet, corner)
-        tube = (tet, move.partner, sphere.tet_geometry(tet).node_curve[node])
+        tube = (tet, move.partner, sphere.tet_geometry(tet).point_curve(*node))
     result, _ = _add_sphere(surf, move, entry, tube)
     return result, Move(V0, move.location, direction=-1, corner=move.corner)
 
@@ -739,7 +739,7 @@ def _bubble(surf, v, corner):
         side = None
         if pairs:
             node = _corner_node(tri, surf.weights, tet, c)
-            side = surf.tet_geometry(tet).node_curve.get(node)
+            side = surf.tet_geometry(tet).point_curve(*node)
         if side is None or side not in pairs[0]:
             return None, "bubble corner at {}.{} is not fused into an annulus".format(tet, c)
         tube = (tet, side)
@@ -848,10 +848,10 @@ def _e1_finger(surf, e, k):
         geo = surf.tet_geometry(tet)
         paired = {c for pair in surf.annuli[tet] for c in pair}
         for pt in (k, k + 1):
-            cid = geo.node_curve.get((e_local, pt))
+            cid = geo.point_curve(e_local, pt)
             if cid in paired and all(
                 n[1] in (k, k + 1) and tri.edge_class_of[(tet, n[0])] == e
-                for n in geo.curves[cid]
+                for n in geo.curve_nodes(cid)
             ):
                 return None
     return bigons, (chat, khat), s1, s2, x, y
@@ -920,7 +920,7 @@ def _f2_separation(surf, cid, alpha, beta, gain, labels):
     after = tet_geometry_of(surf.tri, surf.weights, matchings, t_l)
     geo = surf.tet_geometry(t_l)
     (pair,) = surf.annuli[t_l]
-    return not after.curves_sharing_region(*(after.node_curve[geo.curves[c][0]] for c in pair))
+    return not after.curves_sharing_region(*(after.point_curve(*geo.least_node(c)) for c in pair))
 
 
 def _band_pairs(regions, lose, annulus):
@@ -1177,8 +1177,7 @@ def _candidate_moves(surf, move_set, catalog, budget, stats):
                     if _bubble(surf, v, (tet, corner))[0] is not None:
                         yield Move(V0, v, direction=-1, corner=(tet, corner))
                     continue
-                region = geo.corner_region(corner)
-                partners = [c for c, adj in enumerate(geo.curve_adjacent) if region in adj]
+                partners = geo.curves_beside(geo.corner_region(corner))
                 if weight + tri.vertex_degree(v) > budget:
                     stats["budget_rejected"] += len(partners)
                     continue
@@ -1223,11 +1222,12 @@ def _candidate_moves(surf, move_set, catalog, budget, stats):
                         continue
                     yield Move(kind, cid, arcs=(alpha, beta), gain=gain)
     if PINCH in move_set and catalog is not None:
-        curves = [(tet, len(surf.curves(tet))) for tet in tets if not surf.annuli[tet]]
+        curves = [(tet, surf.tet_geometry(tet).curve_count) for tet in tets if not surf.annuli[tet]]
         for entry in catalog:
             # The tubes (tet, curve, sphere curve), as (tet, curves, sphere curves).
             tubes = [
-                (tet, n, len(entry.surface.curves(tet))) for tet, n in curves if tet in entry.tets
+                (tet, n, entry.surface.tet_geometry(tet).curve_count)
+                for tet, n in curves if tet in entry.tets
             ]
             if weight + entry.weight() > budget:
                 stats["budget_rejected"] += sum(n * m for _, n, m in tubes)

@@ -46,9 +46,17 @@ each ``TetGeometry`` in ``_tet_memo`` under exactly that data, so
 surfaces that agree on a tetrahedron share one curve system there; it
 also reads the curves of an encoding that has not been built as a
 ``Surface``, as a move does for its result.  The tet memo is a
-``functools.lru_cache`` of ``_TET_MEMO_ENTRIES`` (4,096) entries, which
-holds the tet states a closure keeps coming back to (see that
-constant); each ``Surface`` also keeps its own tetrahedra's geometry.
+``functools.lru_cache`` of ``_TET_MEMO_ENTRIES`` (16,384) entries, which
+holds the tet states a closure keeps coming back to, the 16,000 of the
+2-tet vertex link's closure at budget 10 included (see that constant);
+each ``Surface`` also keeps its own tetrahedra's geometry.  Since the
+memo keeps every entry it holds, a ``TetGeometry`` keeps flat tuples of
+ints and pointers to shared tables only, about 1 KB an entry on 2
+tetrahedra: the curve of every point, the curve count, the two regions
+beside each curve and the region of every face region, with each face's
+layout and its row's chord regions (``_face_chord_regions``).  A curve's
+nodes and the curve of an arc are read off the point table when asked
+for.
 
 Slot arithmetic has one owner per input.  What depends on the
 triangulation alone lives on it: ``face_sides`` (each face class's sides
@@ -75,8 +83,7 @@ each chord region (``_region_arcs``, by slot count and row, for
 ``Surface.region_arcs``); and in ``moves`` the planar reconnection of
 two arcs (``_planar_reconnection``, by its arguments).  The 2-tet vertex
 link's closure at budget 10 needs 268 rows, 617 face lines and verdicts
-and 1,433 reconnections.  A ``TetGeometry`` builds the arc-to-curve map
-of a face on first use.  A row holding a slot that is not an ``int``
+and 1,433 reconnections.  A row holding a slot that is not an ``int``
 goes round every one of these tables and the tet memo, since ``True``
 and ``1.0`` key the same entry as ``1``: it is sorted but not interned,
 its line and verdict are computed afresh, ``validate`` calls it no
@@ -116,8 +123,14 @@ A surface's *support* (``Surface.support``) is where it has cells: the
 face classes with arcs and the tetrahedra they bound, which are the
 tetrahedra with a nonzero edge weight.  ``moves`` proposes candidates
 from the support alone.
+
+The cells with their incidences, which ``components``, ``orientable``
+and ``genus`` read, are built in ``cansurf.topology``, and so are the
+components; no build, export or replay needs them, so that module is
+loaded on first use.
 """
 
+import bisect
 import functools
 import hashlib
 import itertools
@@ -274,16 +287,18 @@ def face_layout(tri, weights, cid):
     return _side_layout(sides, (weights[sides[0][0]], weights[sides[1][0]], weights[sides[2][0]]))
 
 
-# The tet-geometry memo holds at most this many entries: a 12 MB ceiling
-# over 3 KB per entry.  Entries measured with tracemalloc, key and memo
-# slot included, cost about 2.4 KB on the 2-tet closures up to weight 8
-# and 1.2 KB on the 48-tet subdivision.  A small closure's working set
-# fits: the weight-2 sphere on 2 tets at budget 6 visits 415 tet states.
-# The 2-tet vertex link at budget 10 visits about 16,000; this bound cuts
-# its traces from 46,588 (at 128 entries) to 28,806 without raising the
-# CLI's peak RSS, where 16,384 entries would trace each once but add
-# about 35 MB.
-_TET_MEMO_ENTRIES = (12 << 20) // (3 << 10)
+# The tet-geometry memo holds at most this many entries: at 1.2 KB or
+# less each they stay under a 20 MB ceiling.  Entries measured with
+# tracemalloc, key and memo slot included, cost about 1.0 KB on the 2-tet
+# closures up to weight 8 (1,053 B for the weight-2 sphere's at budget 6,
+# 1,092 B for the vertex link's at budget 8) and 0.5 KB on the 48-tet
+# subdivision (505 B for the vertex link's at budget 12), besides the
+# shared tables they point into, such as ``_prefix_sums``.
+# A closure's working set fits: the weight-2 sphere on 2 tets at budget 6
+# visits 415 tet states, and the 2-tet vertex link at budget 10 visits
+# 16,000, so its CLI run traces each once, not 28,830 times as at 4,096
+# entries, and peaks at 74.1 MB, not 83.5 MB.
+_TET_MEMO_ENTRIES = 1 << 14
 
 
 def tet_geometry_of(tri, weights, matchings, tet):
@@ -305,6 +320,15 @@ def _tet_memo(tri, tet, weights, matchings):
     return TetGeometry(tri, tet, weights, matchings)
 
 
+@functools.lru_cache(maxsize=1 << 12)
+def _prefix_sums(counts):
+    """Where each of these counts starts when they are laid end to end,
+    and their total last: by a tetrahedron's six edge weights, where each
+    edge's points start in its point table, and by its four faces' region
+    counts, where each face's atoms start.  One tuple per counts, shared."""
+    return (0, *itertools.accumulate(counts))
+
+
 class TetGeometry:
     """Curves and complementary regions on one tetrahedron's boundary.
 
@@ -313,26 +337,30 @@ class TetGeometry:
     faces 0..3, each in its face class's slots.  One instance is shared by
     every surface that agrees there, so it must not be mutated.
 
-    It keeps only what callers read: ``curves``, ``node_curve`` (the curve
-    of every node), ``curve_adjacent`` (the two region roots beside each
-    curve, which join the regions as a tree) and, per face, its layout
-    and chord regions with the region root of every chord region.  The
-    curve of an arc copy is the curve of its first slot's node and is
-    looked up by ``arc_curves``; the set of regions is the set of those
-    roots.
+    The tet memo keeps every instance, so an instance holds flat tuples
+    and shared tables only: the curve of every point, numbered edge by
+    edge from the edge's offset (``point_curve``); ``curve_count``; the
+    two region roots beside each curve, which join the regions as a tree,
+    as one tuple of two per curve (``curves_sharing_region``,
+    ``curves_beside``); and the region root of every atom, a region of a
+    face cut by its arcs, numbered face by face from the face's offset,
+    with each face's layout and shared chord regions.  A curve's nodes
+    (``curve_nodes``, ``least_node``) and the curve of an arc copy, that
+    of its first slot's point (``arc_curves``), are read off the point
+    table when asked for.  The set of regions is the set of the roots.
     """
 
-    __slots__ = ("tet", "curves", "node_curve", "curve_adjacent", "_frame", "_faces", "_root",
-                 "_arcs")
+    __slots__ = ("tet", "curve_count", "_frame", "_offsets", "_points", "_sides", "_faces",
+                 "_atoms", "_root")
 
     def __init__(self, tri, tet, weights, matchings):
         self.tet = tet
         self._frame = frame = tri.tet_frames[tet]
+        self._offsets = off = _prefix_sums(weights)
         face_sides = tri.face_sides
-        # Nodes: (tetrahedron edge 0..5, class point index).  Each node
-        # lists the nodes its arc ends join it to, in arc order.
+        # Each point lists the points its arc ends join it to, in arc order.
+        joined = [[] for _ in range(off[6])]
         layouts = []
-        joined = {}
         for f, (cid, inc, (e0, e1, e2)) in enumerate(frame[0]):
             layout = _side_layout(face_sides[cid], (weights[e0], weights[e1], weights[e2]))
             layouts.append(layout)
@@ -345,106 +373,119 @@ class TetGeometry:
                         "arc {} of face {} of tet {} names a slot outside the "
                         "face's {} slots".format(pair, f, tet, n)
                     )
-                na, nb = nodes[a], nodes[b]
-                joined.setdefault(na, []).append(nb)
-                joined.setdefault(nb, []).append(na)
-        # Trace closed curves; every node has exactly two incident arc ends.
-        # Each walk starts at the least node not yet traced, which is the
-        # least node of its curve, so curves come out in canonical order.
-        curves = []
-        self.node_curve = node_curve = {}
-        for start in sorted(joined):
-            if start in node_curve:
+                (ea, ia), (eb, ib) = nodes[a], nodes[b]
+                pa, pb = off[ea] + ia, off[eb] + ib
+                joined[pa].append(pb)
+                joined[pb].append(pa)
+        # Trace closed curves; every point has exactly two incident arc ends.
+        # Each walk starts at the least point not yet traced, which is the
+        # least point of its curve, so curves come out in canonical order.
+        # A point no arc meets is left for the chord regions to refuse.
+        points = [None] * off[6]
+        count = 0
+        for start, ends in enumerate(joined):
+            if points[start] is not None or not ends:
                 continue
-            c = len(curves)
-            walk = []
-            node = start
-            prev = None
-            while True:
-                walk.append(node)
-                node_curve[node] = c
+            node = prev = start
+            while points[node] is None:
+                points[node] = count
                 ends = joined[node]
                 if len(ends) != 2:
+                    e = bisect.bisect(off, node) - 1
                     raise SemanticError(
                         "point {} of tet {} does not meet exactly two arcs".format(
-                            node, tet
+                            (e, node - off[e]), tet
                         )
                     )
-                nxt = ends[0] if ends[0] != prev else ends[1]
-                prev = node
-                node = nxt
-                if node == start:
-                    break
-            walk.sort()
-            curves.append(tuple(walk))
-        self.curves = tuple(curves)
-        self._build_regions(matchings, layouts)
-
-    def _build_regions(self, matchings, layouts):
-        # Atoms: (face, local region id) over each face's chord subdivision,
-        # numbered from the face's offset.
+                prev, node = node, ends[ends[0] == prev]
+            count += 1
+        self._points = tuple(points)
+        self.curve_count = count
+        # Per face its layout and its shared chord regions, face by face.
         faces = []
-        total = 0
-        for f, layout in enumerate(layouts):
-            count, gap_region, chord_sides = _face_chord_regions(layout.n, matchings[f])
-            faces.append((layout, gap_region, chord_sides, total))
-            total += count
-        uf = _UnionFind(total)
+        for layout, row in zip(layouts, matchings):
+            faces += layout, _face_chord_regions(layout.n, row)
+        self._faces = faces = tuple(faces)
+        self._atoms = atoms = _prefix_sums((faces[1][0], faces[3][0], faces[5][0], faces[7][0]))
+        uf = _UnionFind(atoms[4])
         union = uf.union
         # The two faces on each tet edge meet along it in its w + 1 gaps.
-        for (fa, ka), (fb, kb) in self._frame[1]:
-            _, ra, _, oa = faces[fa]
-            _, rb, _, ob = faces[fb]
+        for (fa, ka), (fb, kb) in frame[1]:
+            ra, rb = faces[2 * fa + 1][1], faces[2 * fb + 1][1]
+            oa, ob = atoms[fa], atoms[fb]
             for ga, gb in zip(layouts[fa].class_gaps[ka], layouts[fb].class_gaps[kb]):
                 union(oa + ra[ga], ob + rb[gb])
-        self._faces = faces = tuple(faces)
-        self._root = root = tuple(map(uf.find, range(total)))
-        if len(set(root)) != len(self.curves) + 1:
+        self._root = root = tuple(map(uf.find, range(atoms[4])))
+        if len(set(root)) != count + 1:
             raise SemanticError(
                 "tet {}: curve system does not cut the boundary sphere into "
-                "curves+1 regions".format(self.tet)
+                "curves+1 regions".format(tet)
             )
-        # Two regions adjacent to each curve, via its first arc copy.
-        adj = [None] * len(self.curves)
-        for f, (cid, inc, _) in enumerate(self._frame[0]):
-            nodes = layouts[f].slot_nodes[inc]
-            _, _, chord_sides, offset = faces[f]
+        # Two regions beside each curve, via its first arc copy.
+        sides = [None] * (2 * count)
+        for f, layout in enumerate(layouts if count else ()):
+            nodes = layout.slot_nodes[frame[0][f][1]]
+            chord_sides, first = faces[2 * f + 1][2], atoms[f]
             for pair in matchings[f]:
-                c = self.node_curve[nodes[pair[0]]]
-                if adj[c] is None:
+                e, i = nodes[pair[0]]
+                c = 2 * points[off[e] + i]
+                if sides[c] is None:
                     outer, inner = chord_sides[pair]
-                    adj[c] = (root[offset + outer], root[offset + inner])
-        self.curve_adjacent = adj
-        self._arcs = [None] * 4
+                    sides[c], sides[c + 1] = root[first + outer], root[first + inner]
+        self._sides = tuple(sides)
+
+    def point_curve(self, e, i):
+        """The curve through point i of tet edge e, or None when the edge
+        has no such point."""
+        off = self._offsets
+        return self._points[off[e] + i] if 0 <= i < off[e + 1] - off[e] else None
+
+    def least_node(self, c):
+        """Curve c's least node, which numbers it."""
+        p = self._points.index(c)
+        e = bisect.bisect(self._offsets, p) - 1
+        return e, p - self._offsets[e]
+
+    def curve_nodes(self, c):
+        """Curve c's nodes (tet edge, point index) in order, the least
+        first, each found as it is asked for."""
+        off, points = self._offsets, self._points
+        e = 0
+        for p in range(points.index(c), len(points)):
+            if points[p] == c:
+                while off[e + 1] <= p:
+                    e += 1
+                yield e, p - off[e]
 
     def arc_curves(self, f, arcs):
         """{arc: the curve through it} for arc copies of face f (0..3),
-        each of which must be an arc of that face.  Read from the map of
-        every arc of the face, built on first use."""
-        curve = self._arcs[f]
-        if curve is None:
-            layout, _, chord_sides, _ = self._faces[f]
-            nodes = layout.slot_nodes[self._frame[0][f][1]]
-            node_curve = self.node_curve
-            curve = self._arcs[f] = {arc: node_curve[nodes[arc[0]]] for arc in chord_sides}
-        return {arc: curve[arc] for arc in arcs}
+        each of which must be an arc of that face."""
+        nodes = self._faces[2 * f].slot_nodes[self._frame[0][f][1]]
+        off, points = self._offsets, self._points
+        return {arc: points[off[e] + i] for arc in arcs for e, i in [nodes[arc[0]]]}
 
     def chord_side_roots(self, f, pair):
         """Region roots on the (outer, inner) sides of an arc copy."""
-        _, _, chord_sides, offset = self._faces[f]
-        outer, inner = chord_sides[pair]
-        return self._root[offset + outer], self._root[offset + inner]
+        outer, inner = self._faces[2 * f + 1][2][pair]
+        return self._root[self._atoms[f] + outer], self._root[self._atoms[f] + inner]
 
     def corner_region(self, corner):
         """Region root at a tetrahedron corner."""
         f, m = self._frame[2][corner]
-        layout, gap_region, _, offset = self._faces[f]
-        return self._root[offset + gap_region[layout.corner_gap(m)]]
+        gap = self._faces[2 * f].corner_gap(m)
+        return self._root[self._atoms[f] + self._faces[2 * f + 1][1][gap]]
+
+    def curve_regions(self, c):
+        """The region roots on the two sides of curve c."""
+        return self._sides[2 * c:2 * c + 2]
+
+    def curves_beside(self, region):
+        """The curves with the region on one side, in order."""
+        return [k >> 1 for k, r in enumerate(self._sides) if r == region]
 
     def curves_sharing_region(self, c1, c2):
-        s1 = set(self.curve_adjacent[c1])
-        s2 = set(self.curve_adjacent[c2])
-        return bool(s1 & s2)
+        sides = self._sides
+        return not {sides[2 * c1], sides[2 * c1 + 1]}.isdisjoint(sides[2 * c2:2 * c2 + 2])
 
 
 def _sorted_row(row):
@@ -510,8 +551,9 @@ class Surface:
     that invalid encodings can be built and classified.
 
     ``source``, when given, is a surface classified valid on the same
-    triangulation with as many face classes and tetrahedra, such as the
-    surface a move applies to; any other is ignored.  Rows that are its
+    triangulation, the same object or an equal one, with as many face
+    classes and tetrahedra, such as the surface a move applies to; any
+    other is ignored.  Rows that are its
     own tuples are kept without normalizing them, and the result takes
     the source's lines and is built from it over the footprint only (see
     the module docstring); a surface holding a row with a slot that is
@@ -526,7 +568,9 @@ class Surface:
         self.tri = tri
         if annuli is None:
             annuli = [()] * tri.tet_count
-        if source is not None and (source.tri is not tri or source._validation not in _VALID
+        # An equal triangulation parsed again is the same triangulation.
+        if source is not None and (source._validation not in _VALID
+                                   or (source.tri is not tri and source.tri != tri)
                                    or len(matchings) != len(source.matchings)
                                    or len(annuli) != len(source.annuli)):
             source = None
@@ -651,8 +695,10 @@ class Surface:
         return faces, sorted({tet for cid in faces for tet, _ in self.tri.face_classes[cid]})
 
     def curves(self, tet):
-        """Canonically ordered boundary curves of the given tetrahedron."""
-        return self.tet_geometry(tet).curves
+        """Canonically ordered boundary curves of the given tetrahedron,
+        each its nodes in order."""
+        geo = self.tet_geometry(tet)
+        return tuple(tuple(geo.curve_nodes(c)) for c in range(geo.curve_count))
 
     # -- validation ----------------------------------------------------------
 
@@ -703,7 +749,7 @@ class Surface:
             except SemanticError as exc:
                 return "invalid: {}".format(exc)
             (c1, c2), = pairs
-            ncurves = len(geo.curves)
+            ncurves = geo.curve_count
             if not (0 <= c1 < ncurves and 0 <= c2 < ncurves) or c1 == c2:
                 return "invalid: annulus pair {} of tet {} is not two distinct curves".format(
                     (c1, c2), tet
@@ -738,7 +784,7 @@ class Surface:
         disks = 0
         annuli = 0
         for tet in range(self.tri.tet_count):
-            ncurves = len(self.tet_geometry(tet).curves)
+            ncurves = self.tet_geometry(tet).curve_count
             paired = sum(len(p) for p in self.annuli[tet])
             disks += ncurves - paired
             annuli += len(self.annuli[tet])
@@ -753,71 +799,24 @@ class Surface:
         geo = self.tet_geometry(tet)
         in_annulus = {c for p in self.annuli[tet] for c in p}
         out = [tuple(sorted(p)) for p in self.annuli[tet]]
-        out.extend((c,) for c in range(len(geo.curves)) if c not in in_annulus)
+        out.extend((c,) for c in range(geo.curve_count) if c not in in_annulus)
         return sorted(out)
 
-    def _piece_of_curve(self, tet):
-        lookup = {}
-        for piece in self.pieces(tet):
-            for c in piece:
-                lookup[c] = (tet, piece[0])
-        return lookup
-
-    def _cells(self):
-        """All cells with incidence data, for components and orientability.
-
-        Returns (points, arcs) where arcs maps (face class, pair) to a dict
-        with the endpoint points and the two (tet, piece, face) attachments,
-        a piece named by its tet and least curve.
-        """
-        self._require_valid()
-        tri = self.tri
-        piece_lookup = [self._piece_of_curve(t) for t in range(tri.tet_count)]
-        arcs = {}
-        for cid in range(len(tri.face_classes)):
-            layout = self.face_layout(cid)
-            for pair in self.matchings[cid]:
-                endpoints = tuple(layout.point_of_slot(s) for s in pair)
-                arcs[(cid, pair)] = {"points": endpoints, "attach": []}
-        for tet in range(tri.tet_count):
-            geo = self.tet_geometry(tet)
-            for f, (cid, _, _) in enumerate(tri.tet_frames[tet][0]):
-                for pair, curve in geo.arc_curves(f, self.matchings[cid]).items():
-                    arcs[(cid, pair)]["attach"].append((tet, piece_lookup[tet][curve], f))
-        points = [
-            (e, i) for e in range(len(tri.edge_classes)) for i in range(self.weights[e])
-        ]
-        return points, arcs
-
     def _cached_cells(self):
-        """``_cells()``, built once for ``components``, ``orientable`` and
-        ``genus`` and dropped with the geometry."""
+        """The cells of a valid surface (see ``topology.cells``), built
+        once for ``components``, ``orientable`` and ``genus`` and dropped
+        with the geometry."""
         if self._cell_data is None:
-            self._cell_data = self._cells()
+            self._require_valid()
+            from .topology import cells
+            self._cell_data = cells(self)
         return self._cell_data
 
     def components(self):
-        """Connected components as frozensets of cell tags.
-
-        Cell tags are ('pt', e, i), ('arc', face class, pair) and
-        ('pc', tet, piece id).
-        """
-        points, arcs = self._cached_cells()
-        index = {("pt", e, i): n for n, (e, i) in enumerate(points)}
-        links = []
-        for (cid, pair), data in arcs.items():
-            arc = index.setdefault(("arc", cid, pair), len(index))
-            for e, i in data["points"]:
-                links.append((arc, index[("pt", e, i)]))
-            for tet, piece, _ in data["attach"]:
-                links.append((arc, index.setdefault(("pc", tet, piece[1]), len(index))))
-        uf = _UnionFind(len(index))
-        for x, y in links:
-            uf.union(x, y)
-        groups = {}
-        for tag, n in index.items():
-            groups.setdefault(uf.find(n), set()).add(tag)
-        return sorted((frozenset(g) for g in groups.values()), key=sorted)
+        """Connected components as frozensets of cell tags (see
+        ``topology.components``)."""
+        from .topology import components
+        return components(*self._cached_cells())
 
     def orientable(self):
         """Whether the surface admits a consistent transverse orientation.
@@ -832,7 +831,7 @@ class Surface:
         colours = []
         for tet in range(self.tri.tet_count):
             geo = self.tet_geometry(tet)
-            tree = [(a, b, False) for a, b in geo.curve_adjacent]
+            tree = zip(geo._sides[::2], geo._sides[1::2], itertools.repeat(False))
             colours.append(_parity_classes(len(geo._root), tree))
         index = {}
         relations = []

@@ -11,7 +11,6 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from cansurf import (
-    Surface,
     __version__,
     build,
     cli,
@@ -21,6 +20,7 @@ from cansurf import (
     generators,
     parse_surface,
     parse_triangulation,
+    topology,
 )
 from cansurf.cli import main
 
@@ -80,17 +80,39 @@ def test_a_huge_weight_is_refused_in_bounded_memory(data_dir, tmp_path):
         assert "Traceback" not in proc.stderr
 
 
+def test_running_out_of_memory_is_a_semantic_error(data_dir):
+    # Four barycentric subdivisions of the 2-tet S3 make 663,552 tetrahedra,
+    # which do not fit in an address space capped at 512 MB.
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join(
+        [str(data_dir.parent / "src")] + [p for p in [os.environ.get("PYTHONPATH")] if p]
+    ))
+
+    def cap():
+        resource.setrlimit(resource.RLIMIT_AS, (512 << 20, 512 << 20))
+
+    for command in ("validate", "graph"):
+        proc = subprocess.run(
+            [sys.executable, "-m", "cansurf", command, str(data_dir / "two_tet_s3.tri"),
+             str(data_dir / "vertex_link.surf"), "--subdivide", "4"],
+            env=env, capture_output=True, text=True, timeout=120, preexec_fn=cap,
+        )
+        assert proc.returncode == 3, proc.stderr
+        assert proc.stderr.startswith("error: out of memory"), proc.stderr
+        assert len(proc.stderr.splitlines()) == 1
+        assert "Traceback" not in proc.stderr
+
+
 def test_validate_builds_the_cells_once(capsys, data_dir, monkeypatch):
     # components() in the command, then orientable() and components()
     # inside genus(), all read one cell build.
     calls = []
-    real = Surface._cells
+    real = topology.cells
 
-    def counting(self):
-        calls.append(self)
-        return real(self)
+    def counting(surf):
+        calls.append(surf)
+        return real(surf)
 
-    monkeypatch.setattr(Surface, "_cells", counting)
+    monkeypatch.setattr(topology, "cells", counting)
     code, out, _ = run(
         capsys, "validate", str(data_dir / "two_tet_s3.tri"),
         str(data_dir / "vertex_link.surf"),

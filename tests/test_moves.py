@@ -76,7 +76,7 @@ def test_v0_free_emit_absorb(tri, link):
 def test_v0_fused_preserves_topology(tri, link):
     geo = link.tet_geometry(0)
     region = geo.corner_region(0)
-    partner = next(c for c, adj in enumerate(geo.curve_adjacent) if region in adj)
+    partner = next(c for c in range(geo.curve_count) if region in geo.curve_regions(c))
     move = Move(V0, 0, direction=1, corner=(0, 0), partner=partner)
     fused, inv = apply_with_inverse(link, move)
     assert fused.validate() == CRUDELY_ALMOST_NORMAL
@@ -103,7 +103,7 @@ def test_v0_absorb_requires_bubble(tri, link):
 def test_v0_fused_needs_adjacent_partner(tri, link):
     geo = link.tet_geometry(0)
     region = geo.corner_region(0)
-    far = next(c for c, adj in enumerate(geo.curve_adjacent) if region not in adj)
+    far = next(c for c in range(geo.curve_count) if region not in geo.curve_regions(c))
     with pytest.raises(NotApplicableError):
         apply(link, Move(V0, 0, direction=1, corner=(0, 0), partner=far))
 
@@ -782,15 +782,15 @@ def _sphere_insertions(surf, catalog):
                 continue
             geo = surf.tet_geometry(tet)
             region = geo.corner_region(corner)
-            for c, adj in enumerate(geo.curve_adjacent):
-                if region in adj:
+            for c in range(geo.curve_count):
+                if region in geo.curve_regions(c):
                     yield Move(V0, v, direction=1, corner=(tet, corner), partner=c)
     for entry in catalog:
         for tet in range(tri.tet_count):
             if surf.annuli[tet]:
                 continue
-            n_sphere = len(entry.surface.tet_geometry(tet).curves)
-            for c1 in range(len(surf.tet_geometry(tet).curves)):
+            n_sphere = entry.surface.tet_geometry(tet).curve_count
+            for c1 in range(surf.tet_geometry(tet).curve_count):
                 for c2 in range(n_sphere):
                     yield Move(PINCH, tet, curve=c1, sphere=entry.sphere_id, sphere_curve=c2)
 

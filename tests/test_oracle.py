@@ -16,7 +16,9 @@ from cansurf.moves import E1, F2P, PINCH, UNPINCH, V0, default_catalog
 from cansurf.oracle import (
     ORACLE_WEIGHT_CAP,
     _admissible_pairs,
+    _gap_parities,
     _OracleTri,
+    _tet_curves,
     oracle_closure,
     oracle_matchings,
     oracle_surface_stream,
@@ -110,6 +112,31 @@ def test_closure_matches_builder(tri, tri_text, link, link_text, catalog):
     assert {s.to_text() for s in g.vertices.values()} == closure
 
 
+def _assert_flat_tables_match_oracle(otri, tet, surf, geo):
+    """The curve of every point, the curve count and the two regions beside
+    each curve, against the oracle's own trace and crossing parities.  The
+    regions are named differently on the two sides, by root and by parity
+    vector, so each side's regions are compared by the curves beside them:
+    the curves join the regions as a tree, which that determines."""
+    curves, node_curve = _tet_curves(otri, tet, surf.weights, surf.matchings)
+    edges = surf.tri.tet_local_classes[tet][0]
+    nodes = [(e, i) for e in range(6) for i in range(surf.weights[edges[e]])]
+    assert geo.curve_count == len(curves)
+    assert [geo.point_curve(*node) for node in nodes] == [node_curve[node] for node in nodes]
+    assert [geo.least_node(c) for c in range(len(curves))] == [c[0] for c in curves]
+    if not curves:
+        return
+    par = _gap_parities(otri, tet, surf.weights, surf.matchings, curves, node_curve)
+    flanks = [{par[(e, q)], par[(e, q + 1)]} for e, q in (c[0] for c in curves)]
+    ours = [set(geo.curve_regions(c)) for c in range(len(curves))]
+    assert all(len(sides) == 2 for sides in flanks + ours)
+
+    def beside(sides):
+        return sorted(sorted(c for c, s in enumerate(sides) if r in s) for r in set().union(*sides))
+
+    assert beside(ours) == beside(flanks)
+
+
 @pytest.mark.parametrize("bed", ["enumerate_4", "default_8", "sub48_budget_12"])
 def test_tet_geometry_matches_oracle(bed, tri, link, catalog):
     # The oracle traces curves with its own slot tables and decides which
@@ -137,7 +164,8 @@ def test_tet_geometry_matches_oracle(bed, tri, link, catalog):
             seen.add(state)
             geo = surf.tet_geometry(tet)
             curves, pairs = _admissible_pairs(otri, tet, surf.weights, surf.matchings)
-            assert geo.curves == tuple(curves)
-            assert [p for p in itertools.combinations(range(len(geo.curves)), 2)
+            assert surf.curves(tet) == tuple(curves)
+            assert [p for p in itertools.combinations(range(geo.curve_count), 2)
                     if geo.curves_sharing_region(*p)] == pairs
+            _assert_flat_tables_match_oracle(otri, tet, surf, geo)
     assert len(seen) > {"enumerate_4": 3000, "default_8": 150, "sub48_budget_12": 60}[bed]

@@ -78,7 +78,7 @@ def test_every_tet_geometry_slot_is_read():
 # Private state that only ``surface.py`` may touch: TetGeometry's slots
 # and Surface's cached fields.
 _SURFACE_PRIVATE = {
-    "_frame", "_faces", "_root", "_arcs",
+    "_frame", "_offsets", "_points", "_sides", "_faces", "_atoms", "_root",
     "_text", "_lines", "_validation", "_tets", "_layouts", "_footprint", "_cell_data", "_loose",
 }
 
