@@ -96,7 +96,7 @@ arcs, E1- on the edge classes with two points or more, and V0- and
 UNPINCH at the tetrahedra with an annulus.  A catalog sphere is sought
 only in the tetrahedra it meets (``CatalogSphere.tets``), and
 ``_find_sphere`` compares weights on the sphere's own edge classes.
-``Surface.region_arcs``, built once per distinct row (see ``surface``),
+``Surface.chord_regions``, built once per distinct row (see ``surface``),
 lists the arcs beside each chord region of a face class: E1+ reroutes
 the arcs beside its gap's region, and its bulk ``budget_rejected``
 count reads the same table.  ``Surface.arc_labels`` labels each arc
@@ -388,8 +388,8 @@ def _remap_matchings(surf, new_weights, shift, matchings=None):
 
 def _track_curve(old, geo, curve, shift):
     """The id in ``geo``, the new encoding's geometry of a tetrahedron, of
-    a curve of ``old`` there, followed through its first node that
-    ``shift`` does not delete."""
+    a curve of ``old`` there, followed through its first node, the least,
+    that ``shift`` (see ``_point_map_for_insertions``) does not delete."""
     tri = old.tri
     tet = geo.tet
     for e_local, i in old.tet_geometry(tet).curve_nodes(curve):
@@ -501,20 +501,6 @@ def _sphere_cells(entry, weights):
     return point_map, _sphere_arcs(entry, weights, point_map)
 
 
-def _sphere_curves(geo, entry, point_map):
-    """For each curve of the catalog sphere in the tetrahedron of
-    ``geo``, in order, its id in ``geo``; the sphere's points are where
-    ``point_map`` puts them."""
-    tri = entry.surface.tri
-    tet = geo.tet
-    sphere = entry.surface.tet_geometry(tet)
-    out = []
-    for c in range(sphere.curve_count):
-        e_local, i = sphere.least_node(c)
-        out.append(geo.point_curve(e_local, point_map[tri.edge_class_of[(tet, e_local)]][i]))
-    return out
-
-
 # A catalog sphere inserted into a source surface, each sphere piece a
 # disk: the valid result ``surface``, built from the source; the sphere's
 # ``point_map`` (see ``_placement_points``) and the source's point
@@ -588,11 +574,10 @@ def _tube_ends(surf, entry, inserted, tet):
     ends = inserted.ends.get(tet)
     if ends is None:
         geo = inserted.surface.tet_geometry(tet)
-        mine = [
-            _track_curve(surf, geo, c, inserted.shift)
-            for c in range(surf.tet_geometry(tet).curve_count)
-        ]
-        ends = inserted.ends[tet] = mine, _sphere_curves(geo, entry, inserted.point_map)
+        ends = inserted.ends[tet] = tuple(
+            [_track_curve(old, geo, c, shift) for c in range(old.tet_geometry(tet).curve_count)]
+            for old, shift in ((surf, inserted.shift), (entry.surface, inserted.point_map))
+        )
     return ends
 
 
@@ -666,10 +651,18 @@ def _find_sphere(surf, entry, tube=None):
     point_map, arcs = _sphere_cells(entry, surf.weights)
     if not all(pair in surf.matchings[cid] for cid, pair in arcs):
         return None
+    sphere = entry.surface
+
+    def curves(tet):
+        # The sphere's curves in tet, in order, by their ids in surf.
+        geo = surf.tet_geometry(tet)
+        return [_track_curve(sphere, geo, c, point_map)
+                for c in range(sphere.tet_geometry(tet).curve_count)]
+
     s_curve = keep = why = None
     if tube is not None:
         tet, side = tube
-        mine = _sphere_curves(surf.tet_geometry(tet), entry, point_map)
+        mine = curves(tet)
         if side not in mine:
             return None
         (pair,) = surf.annuli[tet]
@@ -681,7 +674,7 @@ def _find_sphere(surf, entry, tube=None):
         if why or tet not in entry.tets or (tube is not None and tet == tube[0]):
             continue
         paired = {c for pair in surf.annuli[tet] for c in pair}
-        if paired & set(_sphere_curves(surf.tet_geometry(tet), entry, point_map)):
+        if paired.intersection(curves(tet)):
             why = "sphere {} is paired into the annulus of tet {}".format(entry.sphere_id, tet)
     return _Found(point_map, arcs, s_curve, keep, why)
 
@@ -780,7 +773,7 @@ def _apply_e1_insert(surf, move, catalog):
     arc = tuple(sorted(move.arc))
     if arc not in surf.matchings[chat]:
         raise NotApplicableError("face {} has no arc {}".format(chat, arc))
-    gap_region, beside = surf.region_arcs(chat)
+    _, gap_region, _, beside = surf.chord_regions(chat)
     if arc not in beside[gap_region[layout.class_gaps[khat][gap]]]:
         raise NotApplicableError("arc {} is not adjacent to the insertion gap".format(arc))
 
@@ -918,9 +911,8 @@ def _f2_separation(surf, cid, alpha, beta, gain, labels):
     matchings = list(surf.matchings)
     matchings[cid] = tuple(sorted(rest + chosen))
     after = tet_geometry_of(surf.tri, surf.weights, matchings, t_l)
-    geo = surf.tet_geometry(t_l)
     (pair,) = surf.annuli[t_l]
-    return not after.curves_sharing_region(*(after.point_curve(*geo.least_node(c)) for c in pair))
+    return not after.curves_sharing_region(*(_track_curve(surf, after, c, {}) for c in pair))
 
 
 def _band_pairs(regions, lose, annulus):
@@ -963,7 +955,7 @@ def _apply_f2(surf, move, catalog):
             raise NotApplicableError("face {} has no arc {}".format(cid, p))
     # The row's own int pairs, which may key _planar_reconnection's cache.
     alpha, beta = row[row.index(alpha)], row[row.index(beta)]
-    if not any(alpha in arcs and beta in arcs for arcs in surf.region_arcs(cid)[1]):
+    if not any(alpha in arcs and beta in arcs for arcs in surf.chord_regions(cid)[3]):
         raise NotApplicableError("arcs {} and {} do not bound a common region".format(alpha, beta))
     if move.gain not in (0, 1):
         raise NotApplicableError("gain side must be 0 or 1")
@@ -1186,7 +1178,7 @@ def _candidate_moves(surf, move_set, catalog, budget, stats):
     if E1 in move_set:
         over = weight + 2 > budget
         for cid in faces:
-            gap_region, beside = surf.region_arcs(cid)
+            _, gap_region, _, beside = surf.chord_regions(cid)
             for k, (e, *_) in enumerate(tri.face_sides[cid]):
                 if tri.edge_degree(e) < 2:
                     continue
@@ -1213,7 +1205,7 @@ def _candidate_moves(surf, move_set, catalog, budget, stats):
             if t0 == t1 or len(arcs) < 2:
                 continue
             labels = surf.arc_labels(cid, arcs)
-            beside = surf.region_arcs(cid)[1]
+            beside = surf.chord_regions(cid)[3]
             for gain, t_l in ((0, t1), (1, t0)):
                 annulus = surf.annuli[t_l][0] if surf.annuli[t_l] else ()
                 for alpha, beta in _band_pairs(beside, labels[1 - gain], annulus):

@@ -78,17 +78,16 @@ What depends on a row alone is computed once per process, each in a
 ``functools.lru_cache`` of ``_ROW_ENTRIES`` (16,384) entries: the face's
 text line (``_face_line``, by face class and row); the face's verdict in
 ``validate``, odd slot count, perfect pairing or crossing
-(``_face_verdict``, by face class, slot count and row); the arcs beside
-each chord region (``_region_arcs``, by slot count and row, for
-``Surface.region_arcs``); and in ``moves`` the planar reconnection of
-two arcs (``_planar_reconnection``, by its arguments).  The 2-tet vertex
-link's closure at budget 10 needs 268 rows, 617 face lines and verdicts
-and 1,433 reconnections.  A row holding a slot that is not an ``int``
-goes round every one of these tables and the tet memo, since ``True``
-and ``1.0`` key the same entry as ``1``: it is sorted but not interned,
-its line and verdict are computed afresh, ``validate`` calls it no
-perfect pairing, and asking for the geometry or chord regions of a
-surface that holds it is a ``SemanticError``.
+(``_face_verdict``, by face class, slot count and row); and in
+``moves`` the planar reconnection of two arcs
+(``_planar_reconnection``, by its arguments).  The chord regions of a
+row, with the arcs beside each region (``_face_chord_regions``, by slot
+count and row), serve both the tet traces and ``Surface.chord_regions``.
+The 2-tet vertex link's closure at budget 10 needs 268 rows, 617 face
+lines and verdicts and 1,433 reconnections.  Every slot, weight and
+annulus curve id a ``Surface`` holds is an ``int``, since ``True`` and
+``1.0`` would key the same entries as ``1``: the constructor refuses
+anything else.
 
 A move builds its result from a valid *source* surface and reuses what
 the move did not touch: a face class's matching tuple or a tetrahedron's
@@ -112,8 +111,7 @@ has dropped it, the equal row only makes the footprint larger.  The source of a 
 V0+ result is not the surface the move applies to but that surface with
 the sphere inserted (see ``moves``), which differs from the result in
 the tubed tetrahedron alone.  A surface parsed or built without a
-source, or holding a row with a slot that is not an ``int``, is checked
-in full.
+source is checked in full.
 
 Every surface holds its canonical lines, the edges line, one line per
 face class and one per tetrahedron, and joins its text from them once,
@@ -171,49 +169,41 @@ def face_crossing(cid, pairs):
 def _face_chord_regions(n, pairs):
     """Planar regions of a disk cut by non-crossing chords.
 
-    Returns (region_count, gap_region, chord_sides) where gap g is the
-    boundary interval between slots g-1 and g (mod n), gap_region[g] is
-    the region touching it, and chord_sides[pair] = (outer, inner), the
-    two regions adjacent to the chord.  A face with no slots is a single
-    region.
+    Returns (region_count, gap_region, chord_sides, beside) where gap g
+    is the boundary interval between slots g-1 and g (mod n),
+    gap_region[g] is the region touching it, chord_sides[pair] = (outer,
+    inner), the two regions adjacent to the chord, and beside[r] lists
+    the chords beside region r in order.  A face with no slots is a
+    single region.  Shared, so read-only.
     """
     if n == 0:
-        return 1, [0], {}
+        return 1, [0], {}, [[]]
     partner = {}
     for a, b in pairs:
         partner[a] = b
         partner[b] = a
     gap_region = [0] * n
     chord_sides = {}
+    beside = [[]]
     stack = []
     current = 0
-    next_region = 1
     for s in range(n):
         gap_region[s] = current
         if s not in partner:
             raise SemanticError("slot {} is unmatched".format(s))
         if partner[s] > s:
             chord = (s, partner[s])
-            chord_sides[chord] = (current, next_region)
+            inner = len(beside)
+            chord_sides[chord] = (current, inner)
+            beside[current].append(chord)
+            beside.append([chord])
             stack.append(current)
-            current = next_region
-            next_region += 1
+            current = inner
         else:
             current = stack.pop()
     if current != 0 or stack:
         raise SemanticError("matching is not balanced")
-    return next_region, gap_region, chord_sides
-
-
-@functools.lru_cache(maxsize=_ROW_ENTRIES)
-def _region_arcs(n, pairs):
-    """``Surface.region_arcs`` of a row over n slots."""
-    count, gap_region, chord_sides = _face_chord_regions(n, pairs)
-    arcs = [[] for _ in range(count)]
-    for arc, sides in chord_sides.items():
-        for r in sides:
-            arcs[r].append(arc)
-    return gap_region, arcs
+    return len(beside), gap_region, chord_sides, beside
 
 
 class FaceLayout:
@@ -345,7 +335,7 @@ class TetGeometry:
     ``curves_beside``); and the region root of every atom, a region of a
     face cut by its arcs, numbered face by face from the face's offset,
     with each face's layout and shared chord regions.  A curve's nodes
-    (``curve_nodes``, ``least_node``) and the curve of an arc copy, that
+    (``curve_nodes``, the least first) and the curve of an arc copy, that
     of its first slot's point (``arc_curves``), are read off the point
     table when asked for.  The set of regions is the set of the roots.
     """
@@ -440,12 +430,6 @@ class TetGeometry:
         off = self._offsets
         return self._points[off[e] + i] if 0 <= i < off[e + 1] - off[e] else None
 
-    def least_node(self, c):
-        """Curve c's least node, which numbers it."""
-        p = self._points.index(c)
-        e = bisect.bisect(self._offsets, p) - 1
-        return e, p - self._offsets[e]
-
     def curve_nodes(self, c):
         """Curve c's nodes (tet edge, point index) in order, the least
         first, each found as it is asked for."""
@@ -494,12 +478,26 @@ def _sorted_row(row):
 
 
 def _int_row(row):
-    """Whether a matching row may key a row cache: a tuple of pairs of
-    ints.  An equal row of other slots (``True == 1``, ``0.0 == 0``) must
-    not be answered from an int row's entry, nor leave one behind."""
+    """Whether a row is a tuple of tuple pairs of ints (not bools, which
+    would key an int row's cache entries), as ``Surface`` holds rows."""
     return type(row) is tuple and all(
         [type(p) is tuple and len(p) == 2 and type(p[0]) is int is type(p[1]) for p in row]
     )
+
+
+def _int_pairs(row, place, k):
+    """``row`` as a tuple of pairs of ints, or a SemanticError naming
+    ``place.format(k)`` when it is not a sequence of pairs of ints."""
+    if _int_row(row):
+        return row
+    try:
+        pairs = tuple(map(tuple, row))
+    except TypeError:
+        pairs = row
+    if not _int_row(pairs):
+        raise SemanticError("{}: {!r} is not a sequence of pairs of integers".format(
+            place.format(k), row))
+    return pairs
 
 
 @functools.lru_cache(maxsize=_ROW_ENTRIES)
@@ -522,15 +520,13 @@ def _face_line(cid, pairs):
 @functools.lru_cache(maxsize=_ROW_ENTRIES)
 def _face_verdict(cid, n, pairs):
     """What ``validate`` says of face class cid with this row over n
-    slots: an odd slot count, no perfect pairing of slots 0..n-1 by int
-    slots, or the first crossing; None when the face passes."""
+    slots: an odd slot count, no perfect pairing of slots 0..n-1, or the
+    first crossing; None when the face passes."""
     if n % 2:
         return "invalid: face {} has an odd number of boundary points".format(cid)
     slots = [s for p in pairs for s in p]
     # The count first: n comes from the weights, so range(n) may not fit.
-    if len(slots) != n or any(type(s) is not int for s in slots) or (
-        sorted(slots) != list(range(n))
-    ):
+    if len(slots) != n or sorted(slots) != list(range(n)):
         return "invalid: face {} matching is not a perfect pairing".format(cid)
     return face_crossing(cid, pairs)
 
@@ -547,8 +543,11 @@ class Surface:
     ``weights`` is one integer per edge class, ``matchings`` one pair
     tuple per face class, and ``annuli`` one tuple of curve-id pairs per
     tetrahedron (empty for all-disk tetrahedra; more than one pair is
-    representable but invalid).  Construction performs no validation so
-    that invalid encodings can be built and classified.
+    representable but invalid), each normalized to sorted tuples.
+    Construction refuses a weight, slot or curve id that is not an ``int``
+    (a ``bool`` is not one), or a row or annulus entry that is not a
+    sequence of pairs, with a ``SemanticError`` naming its edge class,
+    face class or tetrahedron; ``validate`` classifies everything else.
 
     ``source``, when given, is a surface classified valid on the same
     triangulation, the same object or an equal one, with as many face
@@ -556,8 +555,7 @@ class Surface:
     other is ignored.  Rows that are its
     own tuples are kept without normalizing them, and the result takes
     the source's lines and is built from it over the footprint only (see
-    the module docstring); a surface holding a row with a slot that is
-    not an ``int`` takes only the lines.
+    the module docstring).
     ``geometry``, when given, maps tetrahedra to the ``TetGeometry``
     already traced for them on these weights and matchings, as a move
     traces some of its result's; the surface keeps it, so that
@@ -580,7 +578,11 @@ class Surface:
             self.weights = weights
             self._layouts = source._layouts
         else:
-            self.weights = tuple(map(int, weights))
+            self.weights = tuple(weights)
+            if not {int}.issuperset(map(type, self.weights)):
+                e = next(e for e, w in enumerate(self.weights) if type(w) is not int)
+                raise SemanticError("edge class {}: weight {!r} is not an integer".format(
+                    e, self.weights[e]))
         rows = list(matchings)
         annuli = list(annuli)
         faces, tets = range(len(rows)), range(len(annuli))
@@ -591,25 +593,16 @@ class Surface:
             # Only the rows and annuli that are not the source's own objects.
             faces = list(itertools.compress(faces, map(operator.is_not, rows, source.matchings)))
             tets = list(itertools.compress(tets, map(operator.is_not, annuli, source.annuli)))
-        # Whether a row holds a slot that is not an int; see _int_row.
-        self._loose = False
         changed = []
         for k in faces:
-            # A row of lists, say, may sort into a tuple of int pairs.
-            if _int_row(row := rows[k]) or _int_row(row := _sorted_row(row)):
-                row = _interned(row)
-                face_line = _face_line
-            else:
-                self._loose = True
-                face_line = _face_line.__wrapped__
-            rows[k] = row
+            rows[k] = row = _interned(_int_pairs(rows[k], "face class {} matching", k))
             # A row interned to the source's own object keeps its line and
             # is out of the footprint.
             if source is None or row is not source.matchings[k]:
-                lines[1 + k] = face_line(k, row)
+                lines[1 + k] = _face_line(k, row)
                 changed.append(k)
         for tet in tets:
-            annuli[tet] = pairs = _sorted_row(annuli[tet])
+            annuli[tet] = pairs = _sorted_row(_int_pairs(annuli[tet], "tet {} annuli", tet))
             lines[1 + len(rows) + tet] = _tet_line(tet, pairs)
         moved = ()
         if source is not None and self.weights is not source.weights:
@@ -627,7 +620,7 @@ class Surface:
         self._cell_data = None
         # (face classes, tetrahedra) left to validate; None means all.
         self._footprint = None
-        if source is None or self._loose:
+        if source is None:
             return
         faces = set(changed)
         for e in moved:
@@ -652,18 +645,11 @@ class Surface:
             layout = layouts[cid] = face_layout(self.tri, self.weights, cid)
         return layout
 
-    def _require_int_rows(self):
-        """Refuse to look a row with a slot that is not an int up in a
-        shared memo (see _int_row)."""
-        if self._loose:
-            raise SemanticError("a face matching holds a slot that is not an integer")
-
-    def region_arcs(self, cid):
-        """Face class cid's ``gap_region`` (see ``_face_chord_regions``)
-        and, per chord region, the arcs beside it in order; shared, so
-        read-only."""
-        self._require_int_rows()
-        return _region_arcs(self.face_layout(cid).n, self.matchings[cid])
+    def chord_regions(self, cid):
+        """Face class cid's chord regions (see ``_face_chord_regions``):
+        region count, ``gap_region``, ``chord_sides`` and, per region, the
+        arcs beside it in order; shared, so read-only."""
+        return _face_chord_regions(self.face_layout(cid).n, self.matchings[cid])
 
     def arc_labels(self, cid, arcs):
         """Per incidence of face class cid, {arc: its curve in that
@@ -675,7 +661,6 @@ class Surface:
     def tet_geometry(self, tet):
         """The tetrahedron's curve system, from this surface's own cache
         or else ``tet_geometry_of``."""
-        self._require_int_rows()
         geo = self._tets.get(tet)
         if geo is None:
             geo = self._tets[tet] = tet_geometry_of(self.tri, self.weights, self.matchings, tet)
@@ -733,9 +718,8 @@ class Surface:
             faces, tets = range(len(tri.face_classes)), range(tri.tet_count)
         else:
             faces, tets = self._footprint
-        verdict = _face_verdict.__wrapped__ if self._loose else _face_verdict
         for cid in faces:
-            failure = verdict(cid, self.face_layout(cid).n, self.matchings[cid])
+            failure = _face_verdict(cid, self.face_layout(cid).n, self.matchings[cid])
             if failure:
                 return failure
         for tet in tets:

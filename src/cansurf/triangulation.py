@@ -135,8 +135,26 @@ def _parity_classes(n, relations):
     return classes
 
 
+def _gluing(t, f, entry):
+    """Face f of tet t's gluing (neighbour, permutation tuple), or a
+    SemanticError naming them unless it is such a pair of ints."""
+    try:
+        n, p = entry
+        p = tuple(p)
+    except (TypeError, ValueError):
+        p = None
+    if p is None or not {int}.issuperset(map(type, (n, *p))):
+        raise SemanticError(
+            "tet {} face {}: {!r} is not an integer neighbour and permutation".format(t, f, entry)
+        )
+    return n, p
+
+
 class Triangulation:
     """A validated closed orientable 3-manifold gluing table.
+
+    ``gluings`` holds per tetrahedron a (neighbour, permutation) pair per
+    face, of ``int`` entries (a ``bool`` is not one); see ``_gluing``.
 
     Immutable after construction.  The class tables are computed up
     front and the face and frame tables on first use, so instances can be
@@ -145,7 +163,8 @@ class Triangulation:
 
     def __init__(self, gluings):
         self.gluings = tuple(
-            tuple((int(n), tuple(p)) for (n, p) in row) for row in gluings
+            tuple(_gluing(t, f, entry) for f, entry in enumerate(row))
+            for t, row in enumerate(gluings)
         )
         self._hash = hash(self.gluings)
         self.tet_count = len(self.gluings)

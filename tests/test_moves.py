@@ -215,7 +215,7 @@ def test_f2_rejects_non_adjacent_arcs(tri, link):
     # Three concentric corner arcs: the innermost and outermost do not
     # bound a common region.
     surf = apply(apply(link, Move(V0, 0, direction=1)), Move(V0, 0, direction=1))
-    _, _, chords = surface._face_chord_regions(surf.face_layout(1).n, surf.matchings[1])
+    _, _, chords, _ = surface._face_chord_regions(surf.face_layout(1).n, surf.matchings[1])
     pairs = sorted(chords)
     found = None
     for i, a in enumerate(pairs):
@@ -901,7 +901,7 @@ def _face_move_candidates(surf):
     """Every F2-type move on two arcs that bound a common region, under
     both gains and both labels."""
     for cid in range(len(surf.tri.face_classes)):
-        _, _, chord_sides = surface._face_chord_regions(surf.face_layout(cid).n, surf.matchings[cid])
+        _, _, chord_sides, _ = surface._face_chord_regions(surf.face_layout(cid).n, surf.matchings[cid])
         chords = sorted(chord_sides)
         for i, alpha in enumerate(chords):
             for beta in chords[i + 1:]:
@@ -1188,7 +1188,9 @@ def test_neighbors_reads_only_the_support_and_the_changed_rows(closure_graphs, m
                 cid for cid, row in enumerate(result.matchings) if row != source.matchings[cid]
             ]
             assert sorted(args[0] for name, args in calls if name == "_face_line") == changed
-            assert sum(name == "_int_row" for name, _ in calls) == len(changed)
+            # Each changed row and each changed annulus is checked once.
+            annuli = [tet for tet, pairs in enumerate(result.annuli) if pairs != source.annuli[tet]]
+            assert sum(name == "_int_row" for name, _ in calls) == len(changed) + len(annuli)
             checked += len(changed)
     assert checked > 100 and tubed > 10
 

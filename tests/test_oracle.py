@@ -123,7 +123,7 @@ def _assert_flat_tables_match_oracle(otri, tet, surf, geo):
     nodes = [(e, i) for e in range(6) for i in range(surf.weights[edges[e]])]
     assert geo.curve_count == len(curves)
     assert [geo.point_curve(*node) for node in nodes] == [node_curve[node] for node in nodes]
-    assert [geo.least_node(c) for c in range(len(curves))] == [c[0] for c in curves]
+    assert [next(geo.curve_nodes(c)) for c in range(len(curves))] == [c[0] for c in curves]
     if not curves:
         return
     par = _gap_parities(otri, tet, surf.weights, surf.matchings, curves, node_curve)

@@ -1,6 +1,7 @@
 """Source hygiene: no private helper is left behind unused, no
-``TetGeometry`` slot is kept that nothing reads, and no module but
-``surface`` reaches into the private state of its geometry or surfaces."""
+``TetGeometry`` slot is kept that nothing reads, no module but
+``surface`` reaches into the private state of its geometry or surfaces,
+and no module computes past a cache through its ``__wrapped__``."""
 
 import ast
 import pathlib
@@ -79,7 +80,7 @@ def test_every_tet_geometry_slot_is_read():
 # and Surface's cached fields.
 _SURFACE_PRIVATE = {
     "_frame", "_offsets", "_points", "_sides", "_faces", "_atoms", "_root",
-    "_text", "_lines", "_validation", "_tets", "_layouts", "_footprint", "_cell_data", "_loose",
+    "_text", "_lines", "_validation", "_tets", "_layouts", "_footprint", "_cell_data",
 }
 
 
@@ -95,3 +96,15 @@ def test_only_the_surface_module_touches_private_surface_state():
         and not (isinstance(node.value, ast.Name) and node.value.id == "self")
     ]
     assert breaches == []
+
+
+def test_no_module_reads_around_a_cache():
+    # A cached function's ``__wrapped__`` computes without the cache: a
+    # second path past the tables that hold every row and tet state once.
+    reads = [
+        (path.name, node.lineno)
+        for path in sorted(SRC.glob("*.py"))
+        for node in ast.walk(ast.parse(path.read_text()))
+        if isinstance(node, ast.Attribute) and node.attr == "__wrapped__"
+    ]
+    assert reads == []

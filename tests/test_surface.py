@@ -287,7 +287,7 @@ def _geometry_fields(geo, weights, matchings):
     curves = range(geo.curve_count)
     return (
         [geo.point_curve(e, i) for e in range(6) for i in range(weights[e])],
-        [(geo.least_node(c), list(geo.curve_nodes(c))) for c in curves],
+        [list(geo.curve_nodes(c)) for c in curves],
         [(f, pair, curve) for f, pairs in enumerate(matchings)
          for pair, curve in geo.arc_curves(f, pairs).items()],
         [geo.curve_regions(c) for c in curves],
@@ -662,8 +662,8 @@ def _row_cache_counts():
 @pytest.mark.parametrize("slot", [1.0, True])
 def test_rows_with_non_integer_slots_go_round_the_row_caches(tri, link, slot):
     # The int row equal to the odd one is cached first, so any lookup of
-    # the odd row would be answered with it.  Every face gets the odd row,
-    # so no int row is looked up either.
+    # the odd row would be answered with it.  The odd row is refused, with
+    # or without a source, before any row cache or the tet memo sees it.
     valid = Surface(tri, link.weights, [tuple(list(row)) for row in link.matchings])
     assert valid.validate() == CRUDELY_NORMAL
     valid.to_text()
@@ -672,26 +672,66 @@ def test_rows_with_non_integer_slots_go_round_the_row_caches(tri, link, slot):
     assert odd_row == valid.matchings[0]
     counts = _row_cache_counts()
     for source in (None, valid):
-        odd = Surface(tri, link.weights, [odd_row] * 4, source=source)
-        assert all(type(row[1][0]) is type(slot) for row in odd.matchings)
-        assert odd.validate() == "invalid: face 0 matching is not a perfect pairing"
-        assert odd.to_text().split("\n")[1] == "face 0: 0-5 {}-2 3-4".format(slot)
-        for lookup in (lambda: odd.tet_geometry(0), lambda: odd.region_arcs(0)):
-            with pytest.raises(SemanticError, match="not an integer"):
-                lookup()
+        with pytest.raises(SemanticError, match="face class 0 matching: .* pairs of integers"):
+            Surface(tri, link.weights, [odd_row] * 4, source=source)
     assert _row_cache_counts() == counts
+
+
+def _replaced(values, k, value):
+    values = list(values)
+    values[k] = value
+    return values
+
+
+# (what is replaced, where, by what, the place the refusal names)
+_NON_INTEGER = [
+    ("weights", 0, 2.5, "edge class 0"),
+    ("weights", 1, "2", "edge class 1"),
+    ("weights", 2, True, "edge class 2"),
+    ("matchings", 0, ((0, 5), (1.0, 2), (3, 4)), "face class 0 matching"),
+    ("matchings", 1, ((0, 5), (1, True), (3, 4)), "face class 1 matching"),
+    ("matchings", 2, (("0", 5), (1, 2), (3, 4)), "face class 2 matching"),
+    ("matchings", 3, ((0, 5), (1, 2), (3,), (4,)), "face class 3 matching"),
+    ("matchings", 3, ((0, 5), (1, 2, 3)), "face class 3 matching"),
+    ("annuli", 0, ((0.0, 1),), "tet 0 annuli"),
+    ("annuli", 1, ((0, True),), "tet 1 annuli"),
+    ("annuli", 0, (("0", 1),), "tet 0 annuli"),
+    ("annuli", 1, ((0, 1, 2),), "tet 1 annuli"),
+    ("annuli", 0, ((0,),), "tet 0 annuli"),
+]
+
+
+@pytest.mark.parametrize("field,k,value,place", _NON_INTEGER)
+def test_construction_refuses_what_is_not_int_pairs(tri, link, field, k, value, place):
+    # Every such input was truncated, built into a surface with a second
+    # row representation, or refused with a bare TypeError or ValueError;
+    # now the constructor names where it is, with a source or without.
+    fields = {"weights": link.weights, "matchings": link.matchings, "annuli": link.annuli}
+    fields[field] = _replaced(fields[field], k, value)
+    for source in (None, link):
+        with pytest.raises(SemanticError, match="^" + place + ": "):
+            Surface(tri, **fields, source=source)
+
+
+def test_rows_and_annuli_given_as_lists_normalize(tri, link):
+    # Lists of lists, pairs out of order and pairs in any order make the
+    # same surface as the sorted tuples.
+    rows = [[list(reversed(pair)) for pair in reversed(row)] for row in link.matchings]
+    surf = Surface(tri, list(link.weights), rows, [[], []])
+    assert surf == link and surf.matchings == link.matchings and surf.annuli == ((), ())
+    assert surf.validate() == CRUDELY_NORMAL
 
 
 @pytest.mark.parametrize("slot", [1.0, True])
 def test_equality_and_hash_follow_the_canonical_text(tri, link, catalog, slot):
-    # A row with a 1.0 or True slot equals its int twin by value, but its
-    # text and verdict differ, so the surfaces do too.
+    # A row with a 1.0 or True slot equals its int twin by value, but
+    # would print another text, so it is refused rather than built as an
+    # equal surface with a different key.
     valid = Surface(tri, link.weights, link.matchings)
-    odd = Surface(tri, link.weights, (((0, 5), (slot, 2), (3, 4)),) + link.matchings[1:])
-    assert odd.matchings == valid.matchings
-    assert odd.to_text() != valid.to_text() and odd.validate() != valid.validate()
-    assert odd != valid and valid != odd
-    assert len({odd, valid}) == 2 and len({odd.to_text(): odd, valid.to_text(): valid}) == 2
+    odd_rows = (((0, 5), (slot, 2), (3, 4)),) + link.matchings[1:]
+    assert odd_rows == valid.matchings
+    with pytest.raises(SemanticError, match="face class 0 matching"):
+        Surface(tri, link.weights, odd_rows)
     # A result built from a source and the same encoding parsed from its
     # text, which is checked and formatted in full.
     for n in neighbors(link, 8, catalog=catalog):

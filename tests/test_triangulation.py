@@ -45,6 +45,26 @@ def test_a_short_row_is_rejected_before_its_partners_are_checked():
         Triangulation(rows)
 
 
+@pytest.mark.parametrize("entry", [
+    (1.5, (0, 1, 2, 3)),
+    ("1", (0, 1, 2, 3)),
+    (1, (0, True, 2, 3)),
+    (1, (0.0, 1.0, 2.0, 3.0)),
+    (1, "0123"),
+    (1, (0, 1, 2, 3), 0),
+    1,
+])
+def test_a_gluing_that_is_not_int_is_rejected(tri, entry):
+    # Tet 0's face 2 is glued to tet 1 by the identity.  A float or string
+    # neighbour used to be truncated to it, and a True in the permutation
+    # made an equal triangulation that prints another text.
+    rows = [list(row) for row in tri.gluings]
+    assert rows[0][2] == (1, (0, 1, 2, 3))
+    rows[0][2] = entry
+    with pytest.raises(SemanticError, match="^tet 0 face 2: .* not an integer neighbour"):
+        Triangulation(rows)
+
+
 def test_non_involutive_gluing_rejected():
     # Break one side of a valid pairing.
     text = "tet 0: 1/0123 1/1230 1/2301 1/3012\ntet 1: 0/0123 0/1230 0/2301 0/3012\n"
