@@ -1,8 +1,7 @@
 """Command-line front end.
 
 Subcommands: ``validate``, ``bounds``, ``graph``, ``generators`` (graph
-plus loop emission), ``replay``, and a hidden ``oracle`` used for
-debugging the brute-force reference implementations.
+plus loop emission) and ``replay``.
 
 Exit codes: 0 success, 1 partial result (a graph limit triggered),
 2 parse error (undecodable input included), 3 semantic error (an input
@@ -287,35 +286,6 @@ def cmd_replay(args):
     return EXIT_OK if failures == 0 else EXIT_SEMANTIC
 
 
-def cmd_oracle(args):
-    from .oracle import oracle_closure, oracle_matchings, oracle_surfaces
-
-    if args.what == "matchings":
-        count, ms = oracle_matchings(tuple(args.ints))
-        print(count)
-        for m in ms:
-            print(" ".join("{}-{}".format(a, b) for a, b in m))
-        return EXIT_OK
-    if args.what == "surfaces":
-        texts = oracle_surfaces(_read(args.triangulation), args.weight)
-        print(len(texts))
-        for t in sorted(texts):
-            sys.stdout.write(t + "%%\n")
-        return EXIT_OK
-    if args.what == "closure":
-        move_set = _parse_move_set(args.moves)
-        tri_text = _read(args.triangulation)
-        catalog = default_catalog(parse_triangulation(tri_text))
-        texts = oracle_closure(
-            tri_text, _read(args.seed), args.weight, move_set, catalog
-        )
-        print(len(texts))
-        for t in sorted(texts):
-            sys.stdout.write(t + "%%\n")
-        return EXIT_OK
-    raise SemanticError("unknown oracle query")
-
-
 def _add_graph_arguments(sub):
     sub.add_argument("triangulation", help="gluing table file")
     sub.add_argument("seed", help="seed surface file")
@@ -385,20 +355,6 @@ def make_parser():
     p.add_argument("--catalog", action="append", default=None)
     p.set_defaults(func=cmd_replay)
 
-    # Hidden debugging interface for the brute-force oracles.
-    p = subs.add_parser("oracle")
-    osubs = p.add_subparsers(dest="what", required=True)
-    q = osubs.add_parser("matchings")
-    q.add_argument("ints", type=int, nargs=3)
-    q = osubs.add_parser("surfaces")
-    q.add_argument("triangulation")
-    q.add_argument("weight", type=int)
-    q = osubs.add_parser("closure")
-    q.add_argument("triangulation")
-    q.add_argument("seed")
-    q.add_argument("weight", type=int)
-    q.add_argument("--moves", default=None)
-    p.set_defaults(func=cmd_oracle)
     return parser
 
 

@@ -1,5 +1,4 @@
-"""Every valid encoding up to a weight, for the tests, the demos and the
-comparison with the oracle.
+"""Every valid encoding up to a weight, for the tests and the demos.
 
 Nothing a build, an export or a replay runs needs this module, so
 ``import cansurf`` does not load it: the package reads its two names,

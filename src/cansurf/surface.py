@@ -547,7 +547,8 @@ class Surface:
     Construction refuses a weight, slot or curve id that is not an ``int``
     (a ``bool`` is not one), or a row or annulus entry that is not a
     sequence of pairs, with a ``SemanticError`` naming its edge class,
-    face class or tetrahedron; ``validate`` classifies everything else.
+    face class or tetrahedron, and a whole vector that is not a sequence
+    with one naming the vector; ``validate`` classifies everything else.
 
     ``source``, when given, is a surface classified valid on the same
     triangulation, the same object or an equal one, with as many face
@@ -566,25 +567,31 @@ class Surface:
         self.tri = tri
         if annuli is None:
             annuli = [()] * tri.tet_count
+        try:
+            # A tuple is its own tuple, so the weights stay the source's.
+            weights, rows, annuli = tuple(weights), list(matchings), list(annuli)
+        except TypeError:
+            for name, values in ("weights", weights), ("matchings", matchings), ("annuli", annuli):
+                try:
+                    iter(values)
+                except TypeError:
+                    raise SemanticError("{}: {!r} is not a sequence".format(name, values)) from None
+            raise
         # An equal triangulation parsed again is the same triangulation.
         if source is not None and (source._validation not in _VALID
                                    or (source.tri is not tri and source.tri != tri)
-                                   or len(matchings) != len(source.matchings)
+                                   or len(rows) != len(source.matchings)
                                    or len(annuli) != len(source.annuli)):
             source = None
+        self.weights = weights
         self._layouts = None
         if source is not None and weights is source.weights:
             # Same weights, same face layouts: share the source's list.
-            self.weights = weights
             self._layouts = source._layouts
-        else:
-            self.weights = tuple(weights)
-            if not {int}.issuperset(map(type, self.weights)):
-                e = next(e for e, w in enumerate(self.weights) if type(w) is not int)
-                raise SemanticError("edge class {}: weight {!r} is not an integer".format(
-                    e, self.weights[e]))
-        rows = list(matchings)
-        annuli = list(annuli)
+        elif not {int}.issuperset(map(type, weights)):
+            e = next(e for e, w in enumerate(weights) if type(w) is not int)
+            raise SemanticError("edge class {}: weight {!r} is not an integer".format(
+                e, weights[e]))
         faces, tets = range(len(rows)), range(len(annuli))
         if source is None:
             lines = [_edges_line(self.weights)] + [None] * (len(rows) + len(annuli))

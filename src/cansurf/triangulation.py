@@ -135,26 +135,34 @@ def _parity_classes(n, relations):
     return classes
 
 
-def _gluing(t, f, entry):
-    """Face f of tet t's gluing (neighbour, permutation tuple), or a
-    SemanticError naming them unless it is such a pair of ints."""
+def _row(t, row):
+    """Tet t's gluings as (neighbour, permutation tuple) pairs, or a
+    SemanticError naming tet t unless ``row`` is a sequence, and naming
+    its face f unless entry f is such a pair of ints."""
     try:
-        n, p = entry
-        p = tuple(p)
-    except (TypeError, ValueError):
-        p = None
-    if p is None or not {int}.issuperset(map(type, (n, *p))):
-        raise SemanticError(
-            "tet {} face {}: {!r} is not an integer neighbour and permutation".format(t, f, entry)
-        )
-    return n, p
+        entries = enumerate(row)
+    except TypeError:
+        raise SemanticError("tet {}: {!r} is not a row of face gluings".format(t, row)) from None
+    gluings = []
+    for f, entry in entries:
+        try:
+            n, p = entry
+            p = tuple(p)
+        except (TypeError, ValueError):
+            p = None
+        if p is None or not {int}.issuperset(map(type, (n, *p))):
+            raise SemanticError("tet {} face {}: {!r} is not an integer neighbour and "
+                                "permutation".format(t, f, entry))
+        gluings.append((n, p))
+    return tuple(gluings)
 
 
 class Triangulation:
     """A validated closed orientable 3-manifold gluing table.
 
-    ``gluings`` holds per tetrahedron a (neighbour, permutation) pair per
-    face, of ``int`` entries (a ``bool`` is not one); see ``_gluing``.
+    ``gluings`` holds per tetrahedron a row of (neighbour, permutation)
+    pairs, one per face, of ``int`` entries (a ``bool`` is not one); see
+    ``_row``.
 
     Immutable after construction.  The class tables are computed up
     front and the face and frame tables on first use, so instances can be
@@ -162,10 +170,7 @@ class Triangulation:
     """
 
     def __init__(self, gluings):
-        self.gluings = tuple(
-            tuple(_gluing(t, f, entry) for f, entry in enumerate(row))
-            for t, row in enumerate(gluings)
-        )
+        self.gluings = tuple(_row(t, row) for t, row in enumerate(gluings))
         self._hash = hash(self.gluings)
         self.tet_count = len(self.gluings)
         if self.tet_count == 0:

@@ -3,7 +3,7 @@ import pathlib
 import pytest
 
 from cansurf import parse_triangulation, parse_surface, vertex_link
-from cansurf.moves import default_catalog
+from cansurf.moves import default_catalog, neighbors
 
 DATA = pathlib.Path(__file__).resolve().parent.parent / "data"
 
@@ -36,3 +36,20 @@ def catalog(tri):
 @pytest.fixture(scope="session")
 def data_dir():
     return DATA
+
+
+@pytest.fixture(scope="session")
+def successors():
+    """``successors(tri, budget, move_set, catalog)``: the map from a
+    surface's text to the texts ``neighbors`` reaches from it in one move,
+    which ``oracle.oracle_closure`` closes under."""
+
+    def make(tri, budget, move_set, catalog=None):
+        def step(text):
+            surf = parse_surface(tri, text)
+            return [n.surface.to_text()
+                    for n in neighbors(surf, budget, move_set=move_set, catalog=catalog)]
+
+        return step
+
+    return make

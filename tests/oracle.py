@@ -1,12 +1,11 @@
 """Brute-force reference implementations for the test suite.
 
-Everything here is deliberately re-implemented from first principles:
-the oracle exchanges data with the main modules only through serialized
-text, re-deriving edge/face classes with its own union-find, tracing
-curves with its own walker, and deciding annulus admissibility with a
-crossing-parity argument instead of the region machinery of the surface
-module.  Final candidate filtering goes through the surface module's
-parser and validator, as round-tripped text.
+Everything here is deliberately re-implemented from first principles,
+and nothing is imported from ``cansurf``: the oracle reads gluing-table
+text and writes surface text, re-deriving edge and face classes with its
+own union-find, tracing curves with its own walker, and deciding annulus
+admissibility with a crossing-parity argument instead of the region
+machinery of the surface module.
 
 Capabilities:
 
@@ -14,9 +13,12 @@ Capabilities:
   a triangle boundary, by exhaustive generation of all pairings followed
   by a crossing filter.
 * ``oracle_surfaces``: every valid crudely almost normal encoding up to
-  a small weight bound (hard cap 8), as canonical serializations.
-* ``oracle_closure``: the fixed point of repeatedly applying the move
-  module's public neighbour generator through serialized round trips.
+  a small weight bound (hard cap 8), as canonical serializations.  Each
+  candidate is valid by construction: its face rows are non-crossing
+  matchings, and a tetrahedron carries at most one annulus, joining two
+  curves that share a region.
+* ``oracle_closure``: the fixed point of a successor map on surface
+  texts, by a plain work-list loop.
 
 These are exponential-time by design; they exist to check the fast
 implementations on small instances.
@@ -24,7 +26,10 @@ implementations on small instances.
 
 import itertools
 
-from .errors import SemanticError
+
+class OracleError(ValueError):
+    """An input the oracle cannot or will not enumerate."""
+
 
 ORACLE_WEIGHT_CAP = 8
 
@@ -59,7 +64,7 @@ def oracle_matchings(points_per_side):
     """
     total = sum(points_per_side)
     if total % 2:
-        raise SemanticError("odd number of boundary points has no perfect matching")
+        raise OracleError("odd number of boundary points has no perfect matching")
     found = []
     for pairing in _all_pairings(range(total)):
         ok = True
@@ -304,7 +309,7 @@ def _gap_parities(tri, tet, weights, matchings, curves, node_curve):
                 par[g2] = p2
                 stack.append(g2)
             elif par[g2] != p2:
-                raise SemanticError("inconsistent crossing parities")
+                raise OracleError("inconsistent crossing parities")
     return par
 
 
@@ -352,14 +357,10 @@ def oracle_surface_stream(tri_text, max_weight):
     first.  Lets membership checks stop early; the state space grows
     super-exponentially with skewed weight vectors."""
     if max_weight > ORACLE_WEIGHT_CAP:
-        raise SemanticError(
+        raise OracleError(
             "oracle weight cap is {} (asked for {})".format(ORACLE_WEIGHT_CAP, max_weight)
         )
-    from .surface import CRUDELY_ALMOST_NORMAL, CRUDELY_NORMAL, parse_surface
-    from .triangulation import parse_triangulation
-
     tri = _OracleTri(tri_text)
-    main_tri = parse_triangulation(tri_text)
 
     def weight_vectors(prefix, remaining):
         if len(prefix) == tri.n_edges:
@@ -380,11 +381,7 @@ def oracle_surface_stream(tri_text, max_weight):
                 _, pairs = _admissible_pairs(tri, tet, weights, combo)
                 options.append([()] + [((a, b),) for a, b in pairs])
             for annuli in itertools.product(*options):
-                text = _serialize(weights, combo, annuli)
-                surf = parse_surface(main_tri, text)
-                cls = surf.validate()
-                if cls in (CRUDELY_NORMAL, CRUDELY_ALMOST_NORMAL):
-                    yield surf.to_text()
+                yield _serialize(weights, combo, annuli)
 
 
 def oracle_surfaces(tri_text, max_weight):
@@ -392,26 +389,21 @@ def oracle_surfaces(tri_text, max_weight):
     return set(oracle_surface_stream(tri_text, max_weight))
 
 
-def oracle_closure(tri_text, seed_text, max_weight, move_set, catalog=None):
-    """Fixed point of the move relation from the seed, through serialized
-    round trips of the move module's public neighbour generator."""
-    if max_weight > ORACLE_WEIGHT_CAP:
-        raise SemanticError(
-            "oracle weight cap is {} (asked for {})".format(ORACLE_WEIGHT_CAP, max_weight)
-        )
-    from .moves import neighbors
-    from .surface import parse_surface
-    from .triangulation import parse_triangulation
+def oracle_closure(seed_text, successors):
+    """Every text reachable from ``seed_text`` (a canonical serialization)
+    by repeated ``successors``, a callable from a text to the texts one
+    move away.
 
-    tri = parse_triangulation(tri_text)
-    seed = parse_surface(tri, seed_text)
-    known = {seed.to_text()}
-    frontier = [seed.to_text()]
+    The oracle has no moves of its own yet: the tests pass in the texts
+    ``cansurf.moves.neighbors`` returns.  So until it derives successors
+    itself, this checks ``build``'s wave, merge and known-skip machinery
+    against a plain loop over the same ``neighbors``, and not the moves
+    themselves.
+    """
+    known = {seed_text}
+    frontier = [seed_text]
     while frontier:
-        text = frontier.pop()
-        surf = parse_surface(tri, text)
-        for n in neighbors(surf, max_weight, move_set=move_set, catalog=catalog):
-            out = n.surface.to_text()
+        for out in successors(frontier.pop()):
             if out not in known:
                 known.add(out)
                 frontier.append(out)

@@ -163,6 +163,16 @@ def test_bounds_has_no_budget_option(capsys):
     assert "unrecognized arguments: --budget 99" in capsys.readouterr().err
 
 
+def test_there_is_no_oracle_command(capsys):
+    # The brute-force oracle lives with the tests; the command names the
+    # five subcommands it has.
+    with pytest.raises(SystemExit) as exc:
+        main(["oracle", "matchings", "2", "2", "2"])
+    assert exc.value.code == 2
+    assert ("argument {validate,bounds,graph,generators,replay}: invalid choice: 'oracle'"
+            in capsys.readouterr().err)
+
+
 def test_repeated_surface_line_exit_two(capsys, data_dir, tmp_path):
     surf = tmp_path / "twice.surf"
     surf.write_text("edges: 9 9 9\n" + (data_dir / "vertex_link.surf").read_text())
@@ -171,14 +181,10 @@ def test_repeated_surface_line_exit_two(capsys, data_dir, tmp_path):
     assert err == "parse error: line 4: repeated 'edges:' line\n"
 
 
-@pytest.mark.parametrize("command", ["graph", "oracle"])
+@pytest.mark.parametrize("command", ["graph", "generators"])
 def test_unknown_move_kind_exit_three(capsys, data_dir, command):
     files = [str(data_dir / "two_tet_s3.tri"), str(data_dir / "vertex_link.surf")]
-    argv = {
-        "graph": ["graph", *files, "--budget", "6", "--moves", "E1,E2,X"],
-        "oracle": ["oracle", "closure", *files, "6", "--moves", "E1,E2,X"],
-    }[command]
-    code, out, err = run(capsys, *argv)
+    code, out, err = run(capsys, command, *files, "--budget", "6", "--moves", "E1,E2,X")
     assert code == 3
     assert out == ""
     assert err == "error: unknown move kind 'E2' (choose from V0,E1,F2,F2',PINCH,UNPINCH)\n"
@@ -480,19 +486,6 @@ def test_budget_from_bounds_flags(capsys, data_dir, tmp_path):
     )
     assert code == 1
     assert "budget 13" in out
-
-
-def test_oracle_subcommand_hidden_but_works(capsys):
-    code, out, _ = run(capsys, "oracle", "matchings", "2", "2", "2")
-    assert code == 0
-    assert out.splitlines()[0] == "5"
-
-
-def test_help_hides_oracle(capsys):
-    with pytest.raises(SystemExit):
-        main(["--help"])
-    out = capsys.readouterr().out
-    assert "{validate,bounds,graph,generators,replay}" in out
 
 
 def _unreadable(path, monkeypatch):

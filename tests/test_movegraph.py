@@ -506,13 +506,13 @@ def test_replay_reports_failing_step(tri, link, catalog):
         replay(link, ["E1+@e1[gap=0,side=0.0,arc=0-5]", "E1-@e1[at=2]"], catalog)
 
 
-def test_default_move_set_closure_matches_oracle(tri, tri_text, link, link_text, catalog):
+def test_default_move_set_closure_matches_oracle(tri, link, catalog, successors):
     # The parallel-merge BFS and the naive serialized fixed-point
     # iteration must agree on the full default move set too.
-    from cansurf.oracle import oracle_closure
+    from oracle import oracle_closure
 
     g = build(link, 8, move_set=DEFAULT_MOVE_SET, catalog=catalog)
-    closure = oracle_closure(tri_text, link_text, 8, DEFAULT_MOVE_SET, catalog)
+    closure = oracle_closure(link.to_text(), successors(tri, 8, DEFAULT_MOVE_SET, catalog))
     assert {s.to_text() for s in g.vertices.values()} == closure
     assert len(closure) == 126
 

@@ -27,7 +27,7 @@ from cansurf import (
     parse_surface,
     vertex_link,
 )
-from cansurf import moves, oracle, surface
+from cansurf import moves, surface
 from cansurf.moves import (
     ALL_KINDS,
     DEFAULT_MOVE_SET,
@@ -46,6 +46,8 @@ from cansurf.moves import (
     parse_move,
 )
 from cansurf.surface import _tet_memo
+
+import oracle
 
 
 def invariants(s):

@@ -3,7 +3,6 @@ import itertools
 import pytest
 
 from cansurf import (
-    SemanticError,
     barycentric_subdivide,
     build,
     empty_surface,
@@ -13,8 +12,10 @@ from cansurf import (
     vertex_link,
 )
 from cansurf.moves import E1, F2P, PINCH, UNPINCH, V0, default_catalog
-from cansurf.oracle import (
+
+from oracle import (
     ORACLE_WEIGHT_CAP,
+    OracleError,
     _admissible_pairs,
     _gap_parities,
     _OracleTri,
@@ -46,7 +47,7 @@ def test_matchings_catalan():
 
 
 def test_matchings_odd_total_rejected():
-    with pytest.raises(SemanticError, match="odd"):
+    with pytest.raises(OracleError, match="odd"):
         oracle_matchings((1, 0, 0))
 
 
@@ -68,7 +69,7 @@ def test_surfaces_weight_zero(tri, tri_text):
 
 
 def test_surfaces_cap_enforced(tri_text):
-    with pytest.raises(SemanticError, match="cap"):
+    with pytest.raises(OracleError, match="cap"):
         oracle_surfaces(tri_text, ORACLE_WEIGHT_CAP + 1)
 
 
@@ -91,24 +92,23 @@ def test_vertex_link_appears_at_weight_six(tri_text, link_text, tri):
         pytest.fail("vertex link not produced by the weight<=6 oracle stream")
 
 
-def test_closure_empty_move_set(tri, tri_text, link_text):
-    out = oracle_closure(tri_text, link_text, 8, frozenset())
-    assert out == {parse_surface(tri, link_text).to_text()}
+def test_closure_empty_move_set(tri, link, successors):
+    out = oracle_closure(link.to_text(), successors(tri, 8, frozenset()))
+    assert out == {link.to_text()}
 
 
-def test_closure_idempotent(tri, tri_text, link_text, catalog):
-    first = oracle_closure(tri_text, link_text, 8, {E1}, catalog)
+def test_closure_idempotent(tri, link, catalog, successors):
+    step = successors(tri, 8, {E1}, catalog)
+    first = oracle_closure(link.to_text(), step)
     again = set()
     for text in first:
-        again |= oracle_closure(tri_text, text, 8, {E1}, catalog)
+        again |= oracle_closure(text, step)
     assert again == first
 
 
-def test_closure_matches_builder(tri, tri_text, link, link_text, catalog):
-    from cansurf import build
-
+def test_closure_matches_builder(tri, link, catalog, successors):
     g = build(link, 8, move_set={E1}, catalog=catalog)
-    closure = oracle_closure(tri_text, link_text, 8, {E1}, catalog)
+    closure = oracle_closure(link.to_text(), successors(tri, 8, {E1}, catalog))
     assert {s.to_text() for s in g.vertices.values()} == closure
 
 

@@ -1,13 +1,19 @@
 """Source hygiene: no private helper is left behind unused, no
 ``TetGeometry`` slot is kept that nothing reads, no module but
 ``surface`` reaches into the private state of its geometry or surfaces,
-and no module computes past a cache through its ``__wrapped__``."""
+no module computes past a cache through its ``__wrapped__``, and the
+checkers under ``tests/`` import nothing from ``cansurf``."""
 
 import ast
 import pathlib
 import re
 
-SRC = pathlib.Path(__file__).resolve().parent.parent / "src" / "cansurf"
+import pytest
+
+TESTS = pathlib.Path(__file__).resolve().parent
+SRC = TESTS.parent / "src" / "cansurf"
+# The checkers that read only text, and the modules each may import.
+CHECKERS = {"loopcheck.py": {"collections", "json", "sys"}, "oracle.py": {"itertools"}}
 
 
 def _private_module_names(tree):
@@ -28,21 +34,36 @@ def _private_module_names(tree):
 
 def test_every_private_module_name_is_used():
     # A private name must occur somewhere in the package besides the line
-    # that defines it.
-    sources = {path: path.read_text() for path in sorted(SRC.glob("*.py"))}
+    # that defines it; one a checker defines, somewhere under tests/.
+    package = "\n".join(path.read_text() for path in sorted(SRC.glob("*.py")))
+    tests = "\n".join(path.read_text() for path in sorted(TESTS.glob("*.py")))
+    scopes = [(path, package) for path in sorted(SRC.glob("*.py"))]
+    scopes += [(TESTS / name, tests) for name in CHECKERS]
     defined = [
-        (path.name, name)
-        for path, text in sources.items()
-        for name in _private_module_names(ast.parse(text))
+        (path.name, name, everything)
+        for path, everything in scopes
+        for name in _private_module_names(ast.parse(path.read_text()))
     ]
     assert len(defined) > 50
-    everything = "\n".join(sources.values())
     unused = [
         (module, name)
-        for module, name in defined
+        for module, name, everything in defined
         if len(re.findall(r"\b{}\b".format(re.escape(name)), everything)) < 2
     ]
     assert unused == []
+
+
+@pytest.mark.parametrize("checker", sorted(CHECKERS))
+def test_the_checker_imports_nothing_from_cansurf(checker):
+    imported = set()
+    for node in ast.walk(ast.parse((TESTS / checker).read_text())):
+        if isinstance(node, ast.Import):
+            imported.update(alias.name for alias in node.names)
+        elif isinstance(node, ast.ImportFrom):
+            imported.add("." * node.level + (node.module or ""))
+        elif isinstance(node, ast.Call) and getattr(node.func, "id", None) == "__import__":
+            imported.add("__import__")
+    assert imported == CHECKERS[checker]
 
 
 def test_every_tet_geometry_slot_is_read():

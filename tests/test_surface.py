@@ -24,9 +24,11 @@ from cansurf import (
     replay,
     vertex_link,
 )
-from cansurf import movegraph, moves, oracle, surface, topology
+from cansurf import movegraph, moves, surface, topology
 from cansurf.moves import F2P, PINCH, UNPINCH, Move, V0, apply, default_catalog
 from cansurf.surface import _TET_MEMO_ENTRIES, TetGeometry, _tet_memo
+
+import oracle
 
 
 CATALAN = [1, 1, 2, 5, 14, 42]
@@ -678,12 +680,15 @@ def test_rows_with_non_integer_slots_go_round_the_row_caches(tri, link, slot):
 
 
 def _replaced(values, k, value):
+    if k is None:
+        return value
     values = list(values)
     values[k] = value
     return values
 
 
-# (what is replaced, where, by what, the place the refusal names)
+# (what is replaced, where, by what, the place the refusal names); where
+# is None for the whole vector
 _NON_INTEGER = [
     ("weights", 0, 2.5, "edge class 0"),
     ("weights", 1, "2", "edge class 1"),
@@ -698,6 +703,9 @@ _NON_INTEGER = [
     ("annuli", 0, (("0", 1),), "tet 0 annuli"),
     ("annuli", 1, ((0, 1, 2),), "tet 1 annuli"),
     ("annuli", 0, ((0,),), "tet 0 annuli"),
+    ("weights", None, None, "weights"),
+    ("matchings", None, None, "matchings"),
+    ("annuli", None, 5, "annuli"),
 ]
 
 

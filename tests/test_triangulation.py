@@ -10,13 +10,14 @@ from cansurf import (
     barycentric_subdivide,
     parse_triangulation,
 )
-from cansurf.oracle import _OracleTri
 from cansurf.triangulation import (
     EDGE_VERTICES,
     _parity_classes,
     edge_number,
     perm_inverse,
 )
+
+from oracle import _OracleTri
 
 
 def test_reference_counts(tri):
@@ -39,10 +40,15 @@ def test_fixed_point_gluing_rejected():
 
 
 def test_a_short_row_is_rejected_before_its_partners_are_checked():
-    # Tet 0's faces are checked against tet 1's, whose row is short.
+    # Tet 0's faces are checked against tet 1's, whose row is short, or
+    # is no row at all.
     rows = [[(1, (0, 1, 2, 3))] * 4, [(0, (0, 1, 2, 3))] * 2]
     with pytest.raises(SemanticError, match="tet 1: expected 4 face gluings"):
         Triangulation(rows)
+    with pytest.raises(SemanticError, match="^tet 1: 2 is not a row of face gluings"):
+        Triangulation([rows[0], 2])
+    with pytest.raises(SemanticError, match="^tet 0: 1 is not a row of face gluings"):
+        Triangulation([1, 2])
 
 
 @pytest.mark.parametrize("entry", [
