@@ -293,12 +293,25 @@ def _expand(tri, budget, move_set, catalog, held, keys, known, deadline=None):
         if surf is None:
             surf = _parse_canonical(tri, key)
         stats = {}
-        found = neighbors(surf, budget, move_set, catalog, stats, known=known.pop(key))
-        surf.release_geometry()
-        yield key, stats, [
+        skips = known.pop(key)
+        found = [
             (n.move.to_text(), n.inverse.to_text(), n.surface.canonical_key(), n.surface)
-            for n in found
+            for n in neighbors(surf, budget, move_set, catalog, stats, known=skips)
         ]
+        surf.release_geometry()
+        # The moves applied and those generated but skipped as known.
+        stats["applied"], stats["known"] = _tally([m for m, _, _, _ in found]), _tally(skips)
+        yield key, stats, found
+
+
+def _tally(texts):
+    """How many of these move texts each move kind has, as a plain dict,
+    which ``marshal`` sends."""
+    counts = {}
+    for text in texts:
+        kind = text[:text.index("@")].rstrip("+-")
+        counts[kind] = counts.get(kind, 0) + 1
+    return counts
 
 
 def _shares(frontier, finder, n):
@@ -351,7 +364,12 @@ def build(
     (``pool_sources``), the bytes of the texts they returned
     (``pool_text_bytes``) and the sources handed to a process other than
     the one that found them (``pool_handovers``); all are 0 for a serial
-    build and stay out of every export.
+    build and stay out of every export.  So do ``applied`` and ``known``,
+    which count per move kind the moves applied and the moves generated
+    but skipped as known (see the module docstring), summed over every
+    process: per kind their sum is the same for any worker count, and a
+    serial build applies each edge once and each self-loop from both
+    ends.
     """
     move_set = check_move_set(move_set)
     cls = seed.validate()
@@ -370,6 +388,8 @@ def build(
         "pool_sources": 0,
         "pool_text_bytes": 0,
         "pool_handovers": 0,
+        "applied": {},
+        "known": {},
     }
     graph.vertices[seed.canonical_key()] = seed
     start_time = time.monotonic()
@@ -394,6 +414,10 @@ def build(
     def merge(src_key, process, stats, found):
         graph.stats["budget_rejected"] += stats["budget_rejected"]
         graph.stats["pinched_spheres"].update(stats["pinched_spheres"])
+        for name in ("applied", "known"):
+            counts = graph.stats[name]
+            for kind, n in stats[name].items():
+                counts[kind] = counts.get(kind, 0) + n
         for move_text, inverse_text, result_key, result in found:
             stored = graph.vertices.get(result_key)
             if stored is not None:

@@ -93,19 +93,28 @@ small tables instead of trying every pair, gap or corner, and only over
 the surface's support (see ``surface``): V0 corners and PINCH tubes in
 the tetrahedra with curves, E1+ and face moves on the face classes with
 arcs, E1- on the edge classes with two points or more, and V0- and
-UNPINCH at the tetrahedra with an annulus.  A catalog sphere is sought
-only in the tetrahedra it meets (``CatalogSphere.tets``), and
-``_find_sphere`` compares weights on the sphere's own edge classes.
-``Surface.chord_regions``, built once per distinct row (see ``surface``),
-lists the arcs beside each chord region of a face class: E1+ reroutes
-the arcs beside its gap's region, and its bulk ``budget_rejected``
-count reads the same table.  ``Surface.arc_labels`` labels each arc
-with its curve in both tetrahedra of its face, and ``_band_pairs``
-buckets the arcs beside each region by their losing-side curve: a face
-move pairs two arcs of one bucket off the losing tetrahedron's annulus
-pair, or one arc from each of the pair's two buckets.  PINCHes over the
-budget are counted, per tetrahedron without an annulus, as its curves
-times the sphere's.
+UNPINCH at the tetrahedra with an annulus.  The tables it reads are
+kept per row or per tet state, not per surface (see ``surface``):
+``surface._side_arcs``, per face layout and row, gives per side the
+arcs beside each class gap, their count and the consecutive points a
+returning arc joins.  E1+ reroutes the arcs beside its gap and counts
+its bulk ``budget_rejected`` from the same entry, and ``_e1_finger``
+runs only where exactly one face side around the edge lacks the
+returning arc.  ``Surface.arc_labels`` labels each arc with its curve
+in both tetrahedra of its face, and ``surface._band_pairs`` lists, per
+row, losing-side label pattern and annulus, the pairs of arcs beside
+one region that a face move can reconnect: two arcs of one curve off
+the losing tetrahedron's annulus pair, or one arc on each curve of the
+pair.  V0+ over the budget is counted per corner by
+``TetGeometry.count_beside``, and PINCHes over the budget, per
+tetrahedron without an annulus, as its curves times the sphere's.
+``_removals`` decides V0- and UNPINCH once per annulus side: it seeks
+each vertex link with a curve at that side once, with
+``_find_sphere``, which is also what ``_bubble`` and ``_tubed_sphere``
+check for one move, and no other vertex link can be there.  A catalog
+sphere is sought only in the tetrahedra it meets
+(``CatalogSphere.tets``), and ``_find_sphere`` compares weights on the
+sphere's own edge classes.
 
 Applying a move costs its footprint, not the triangulation:
 ``_remap_matchings`` carries only the face classes on the edge classes
@@ -120,7 +129,8 @@ its own move's arcs and nodes, so applying one move builds no table:
 two arcs, and ``_f2_separation`` rejects a split that separates the
 losing tetrahedron's annulus pair; ``_e1_finger`` finds an E1 deletion
 from the face sides and tetrahedra around its edge; ``_bubble`` and
-``_tubed_sphere`` find the sphere that V0- and UNPINCH split off; and
+``_tubed_sphere`` find the sphere that V0- and UNPINCH split off, from
+the ``_find_sphere`` that generation reads per annulus side; and
 ``_tube`` checks a PINCH or fused V0+ tube in the shared insertion.
 V0+ and E1+ are proposed only where the partner or the rerouted arc
 touches the region they move into, which is all they need.
@@ -167,16 +177,16 @@ from .errors import NotApplicableError, ParseError, SemanticError
 from .surface import (
     CRUDELY_ALMOST_NORMAL,
     CRUDELY_NORMAL,
-    _ROW_ENTRIES,
     Surface,
+    _band_pairs,
     _face_verdict,
+    _planar_reconnection,
+    _side_arcs,
     face_layout,
     parse_surface,
-    pairs_cross,
     tet_geometry_of,
     vertex_link,
 )
-from .triangulation import EDGE_VERTICES
 
 V0, E1, F2, F2P, PINCH, UNPINCH = "V0", "E1", "F2", "F2'", "PINCH", "UNPINCH"
 ALL_KINDS = (V0, E1, F2, F2P, PINCH, UNPINCH)
@@ -426,20 +436,6 @@ def _map_annuli(old, weights, matchings, shift, overrides=None):
     return annuli, traced
 
 
-@functools.lru_cache(maxsize=_ROW_ENTRIES)
-def _planar_reconnection(rest, p, q, r, s):
-    """Two new arcs joining p and q to r and s, one each, that cross
-    neither each other nor the non-crossing arcs in ``rest``; p-r, q-s is
-    tried first.  None when neither way is planar.  Kept for the last
-    16,384 argument tuples; every caller passes int slots of a valid
-    surface's rows."""
-    for first, second in (((p, r), (q, s)), ((p, s), (q, r))):
-        new = (tuple(sorted(first)), tuple(sorted(second)))
-        if not any(pairs_cross(a, b) for a in new for b in rest + new):
-            return new
-    return None
-
-
 # ---------------------------------------------------------------------------
 # Catalog spheres at their placement: insert, tube, find, delete
 
@@ -450,9 +446,10 @@ def _bubble_point(weights, e, end):
 
 
 def _corner_node(tri, weights, tet, corner):
-    """The node nearest a corner of tet on one of its edges.  On a
-    vertex-link sphere at its placement it lies on that corner's curve."""
-    e_local = next(k for k, ends in enumerate(EDGE_VERTICES) if corner in ends)
+    """The node nearest a corner of tet on its first edge there, (0, 1),
+    (0, 1), (0, 2) or (0, 3).  On a vertex-link sphere at its placement
+    it lies on that corner's curve."""
+    e_local = (0, 0, 1, 2)[corner]
     end = tri.vertex_class_end_of_edge(tet, e_local, corner)
     return e_local, _bubble_point(weights, tri.edge_class_of[(tet, e_local)], end)
 
@@ -915,28 +912,6 @@ def _f2_separation(surf, cid, alpha, beta, gain, labels):
     return not after.curves_sharing_region(*(_track_curve(surf, after, c, {}) for c in pair))
 
 
-def _band_pairs(regions, lose, annulus):
-    """The pairs of arcs of a face, in order, that lie beside one of the
-    ``regions`` (each the list of its arcs, in order) and whose
-    losing-side curves ``lose`` are one curve off the losing
-    tetrahedron's ``annulus`` pair or the two curves of that pair: the
-    only pairs ``_f2_kind`` can accept."""
-    pairs = []
-    for arcs in regions:
-        if len(arcs) < 2:
-            continue
-        buckets = {}
-        for arc in arcs:
-            buckets.setdefault(lose[arc], []).append(arc)
-        for curve, bucket in buckets.items():
-            if curve not in annulus:
-                pairs += itertools.combinations(bucket, 2)
-        if annulus:
-            across = itertools.product(buckets.get(annulus[0], ()), buckets.get(annulus[1], ()))
-            pairs += (tuple(sorted(pair)) for pair in across)
-    return pairs
-
-
 def _apply_f2(surf, move, catalog):
     tri = surf.tri
     cid = move.location
@@ -1156,47 +1131,81 @@ def apply(surf, move, catalog=None):
 Neighbor = collections.namedtuple("Neighbor", "move inverse surface")
 
 
+def _removals(surf, tet, move_set, catalog):
+    """The V0- and UNPINCH moves at tet's annulus, each side decided once.
+    A vertex link at its placement has a curve at the side exactly where
+    the node of a corner at its vertex class lies on it, so each such
+    link is sought once (``_find_sphere``) and decides V0- at those
+    corners, as ``_bubble`` would, and UNPINCH, as ``_tubed_sphere``
+    would, for a catalog entry; no other vertex link can be there."""
+    tri = surf.tri
+    geo = surf.tet_geometry(tet)
+    for side in surf.annuli[tet][0]:
+        found = {}
+        for c in range(4):
+            if geo.point_curve(*_corner_node(tri, surf.weights, tet, c)) != side:
+                continue
+            v = tri.vertex_class_of[tet, c]
+            if v not in found:
+                found[v] = _find_sphere(surf, _vertex_sphere(tri, v), (tet, side))
+            if V0 in move_set and found[v] and not found[v].why:
+                yield Move(V0, v, direction=-1, corner=(tet, c))
+        for entry in catalog if UNPINCH in move_set and catalog is not None else ():
+            if entry.vertex is None:
+                tubed = _find_sphere(surf, entry, (tet, side))
+            else:
+                tubed = found.get(entry.vertex)
+            if tubed:
+                if not tubed.why:
+                    yield Move(UNPINCH, tet, curve=side)
+                break
+
+
 def _candidate_moves(surf, move_set, catalog, budget, stats):
     tri = surf.tri
     weight = surf.weight()
     faces, tets = surf.support()
     if V0 in move_set:
         for tet in tets:
+            if surf.annuli[tet]:
+                continue
             geo = surf.tet_geometry(tet)
             for corner in range(4):
-                v = tri.vertex_class_of[(tet, corner)]
-                if surf.annuli[tet]:
-                    if _bubble(surf, v, (tet, corner))[0] is not None:
-                        yield Move(V0, v, direction=-1, corner=(tet, corner))
+                v = tri.vertex_class_of[tet, corner]
+                region = geo.corner_region(corner)
+                if weight + len(tri.vertex_edge_ends[v]) > budget:
+                    stats["budget_rejected"] += geo.count_beside(region)
                     continue
-                partners = geo.curves_beside(geo.corner_region(corner))
-                if weight + tri.vertex_degree(v) > budget:
-                    stats["budget_rejected"] += len(partners)
-                    continue
-                for c in partners:
+                for c in geo.curves_beside(region):
                     yield Move(V0, v, direction=1, corner=(tet, corner), partner=c)
     if E1 in move_set:
         over = weight + 2 > budget
         for cid in faces:
-            _, gap_region, _, beside = surf.chord_regions(cid)
+            table = _side_arcs(surf.face_layout(cid), surf.matchings[cid])
             for k, (e, *_) in enumerate(tri.face_sides[cid]):
-                if tri.edge_degree(e) < 2:
+                if len(tri.edge_classes[e]) < 2:
                     continue
-                near = [beside[gap_region[g]] for g in surf.face_layout(cid).class_gaps[k]]
+                near, count, _ = table[k]
                 if over:
-                    stats["budget_rejected"] += sum(map(len, near))
+                    stats["budget_rejected"] += count
                     continue
                 for gap, arcs in enumerate(near):
                     for arc in arcs:
                         yield Move(E1, e, direction=1, gap=gap, incidence=(cid, k), arc=arc)
-        # The edge classes with two points or more.
+        # The edge classes with two points or more; a finger at points k,
+        # k + 1 has their returning arc on every face side around e but one.
         for e in itertools.compress(
             itertools.count(), map(operator.lt, itertools.repeat(1), surf.weights)
         ):
-            if tri.edge_degree(e) < 2:
+            sides = tri.edge_sides[e]
+            if len(tri.edge_classes[e]) < 2:
                 continue
-            for k in range(surf.weights[e] - 1):
-                if _e1_finger(surf, e, k) is not None:
+            joined = [0] * surf.weights[e]
+            for cid, k in sides:
+                for i in _side_arcs(surf.face_layout(cid), surf.matchings[cid])[k][2]:
+                    joined[i] += 1
+            for k, n in enumerate(joined):
+                if n == len(sides) - 1 and _e1_finger(surf, e, k) is not None:
                     yield Move(E1, e, direction=-1, gap=k)
     if F2 in move_set or F2P in move_set:
         for cid in faces:
@@ -1205,10 +1214,9 @@ def _candidate_moves(surf, move_set, catalog, budget, stats):
             if t0 == t1 or len(arcs) < 2:
                 continue
             labels = surf.arc_labels(cid, arcs)
-            beside = surf.chord_regions(cid)[3]
             for gain, t_l in ((0, t1), (1, t0)):
                 annulus = surf.annuli[t_l][0] if surf.annuli[t_l] else ()
-                for alpha, beta in _band_pairs(beside, labels[1 - gain], annulus):
+                for alpha, beta in _band_pairs(arcs, tuple(labels[1 - gain].values()), annulus):
                     kind = _f2_kind(surf, cid, alpha, beta, gain, labels)
                     if kind not in move_set or _f2_separation(surf, cid, alpha, beta, gain, labels):
                         continue
@@ -1233,12 +1241,9 @@ def _candidate_moves(surf, move_set, catalog, budget, stats):
                 for c1, c2 in itertools.product(range(n), range(m)):
                     if _tube(surf, entry, inserted, tet, c1, c2)[0] is not None:
                         yield Move(PINCH, tet, curve=c1, sphere=entry.sphere_id, sphere_curve=c2)
-    if UNPINCH in move_set and catalog is not None:
+    if V0 in move_set or UNPINCH in move_set:
         for tet in itertools.compress(itertools.count(), surf.annuli):
-            for pair in surf.annuli[tet]:
-                for side in pair:
-                    if _tubed_sphere(surf, tet, side, catalog)[0] is not None:
-                        yield Move(UNPINCH, tet, curve=side)
+            yield from _removals(surf, tet, move_set, catalog)
 
 
 def check_move_set(move_set):

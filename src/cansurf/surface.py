@@ -78,16 +78,24 @@ What depends on a row alone is computed once per process, each in a
 ``functools.lru_cache`` of ``_ROW_ENTRIES`` (16,384) entries: the face's
 text line (``_face_line``, by face class and row); the face's verdict in
 ``validate``, odd slot count, perfect pairing or crossing
-(``_face_verdict``, by face class, slot count and row); and in
-``moves`` the planar reconnection of two arcs
-(``_planar_reconnection``, by its arguments).  The chord regions of a
-row, with the arcs beside each region (``_face_chord_regions``, by slot
-count and row), serve both the tet traces and ``Surface.chord_regions``.
-The 2-tet vertex link's closure at budget 10 needs 268 rows, 617 face
-lines and verdicts and 1,433 reconnections.  Every slot, weight and
-annulus curve id a ``Surface`` holds is an ``int``, since ``True`` and
-``1.0`` would key the same entries as ``1``: the constructor refuses
-anything else.
+(``_face_verdict``, by face class, slot count and row); the planar
+reconnection of two arcs that the moves make (``_planar_reconnection``,
+by its arguments); and two tables that candidate generation in
+``moves`` reads: what an E1 move reads on each side of a face
+(``_side_arcs``, by face layout and row) and the pairs of arcs a face
+move can reconnect (``_band_pattern``, by row and the pattern of the
+arcs' losing-side curves, behind ``_band_pairs``).  The chord regions
+of a row, with the arcs beside each region (``_face_chord_regions``, by
+slot count and row), serve the tet traces, ``Surface.chord_regions``
+and both generation tables.  The 2-tet vertex link's closure at budget
+10 needs 268 rows, 617 face lines and verdicts and 1,433
+reconnections.  Generation on the weight-2 sphere's closure on 2 tets
+at budget 6 (349 surfaces) fills 67 entries of ``_side_arcs`` and 95 of
+``_band_pattern``, each about 300 B; keyed by the curve labels
+themselves rather than their pattern, band pairs took 382.  Every slot,
+weight and annulus curve id a ``Surface`` holds is an ``int``, since
+``True`` and ``1.0`` would key the same entries as ``1``: the
+constructor refuses anything else.
 
 A move builds its result from a valid *source* surface and reuses what
 the move did not touch: a face class's matching tuple or a tetrahedron's
@@ -204,6 +212,69 @@ def _face_chord_regions(n, pairs):
     if current != 0 or stack:
         raise SemanticError("matching is not balanced")
     return len(beside), gap_region, chord_sides, beside
+
+
+@functools.lru_cache(maxsize=_ROW_ENTRIES)
+def _planar_reconnection(rest, p, q, r, s):
+    """Two new arcs joining p and q to r and s, one each, that cross
+    neither each other nor the non-crossing arcs in ``rest``; p-r, q-s is
+    tried first.  None when neither way is planar.  Kept for the last
+    16,384 argument tuples; every caller passes int slots of a valid
+    surface's rows."""
+    for first, second in (((p, r), (q, s)), ((p, s), (q, r))):
+        new = (tuple(sorted(first)), tuple(sorted(second)))
+        if not any(pairs_cross(a, b) for a in new for b in rest + new):
+            return new
+    return None
+
+
+@functools.lru_cache(maxsize=_ROW_ENTRIES)
+def _side_arcs(layout, row):
+    """What an E1 move reads on each side of a face with this layout and
+    row, per side: the arcs beside each class-order gap 0..w (see
+    ``FaceLayout.class_gaps``), their count, and the class points i that
+    a returning arc joins to point i + 1, which it does when the region
+    of the gap between them is that arc's inside.  Shared, so
+    read-only."""
+    _, gap_region, _, beside = _face_chord_regions(layout.n, row)
+    table = []
+    for gaps in layout.class_gaps:
+        near = tuple([beside[gap_region[g]] for g in gaps])
+        joined = [i for i, g in enumerate(gaps[1:-1]) if near[i + 1] == [(g - 1, g)]]
+        table.append((near, sum(map(len, near)), joined))
+    return tuple(table)
+
+
+def _band_pairs(row, lose, annulus):
+    """The pairs of arcs of a face with this row, in order, that lie
+    beside one of its chord regions and whose losing-side curves
+    (``lose``, one per arc in row order) are one curve off the losing
+    tetrahedron's ``annulus`` pair or the two curves of that pair: the
+    only pairs ``moves._f2_kind`` can accept.  They depend on the labels
+    only up to the curves' names, so they are kept per row and label
+    pattern (``_band_pattern``): the pair's curves named -1 and -2 and
+    every other curve 0, 1, ... by its first arc."""
+    names = dict(zip(annulus, (-1, -2)))
+    return _band_pattern(row, tuple([names.setdefault(c, len(names) - len(annulus))
+                                     for c in lose]))
+
+
+@functools.lru_cache(maxsize=_ROW_ENTRIES)
+def _band_pattern(row, lose):
+    """``_band_pairs`` for labels named as it names them.  Shared, so
+    read-only."""
+    curve = dict(zip(row, lose))
+    pairs = []
+    for arcs in _face_chord_regions(2 * len(row), row)[3]:
+        buckets = {}
+        for arc in arcs:
+            buckets.setdefault(curve[arc], []).append(arc)
+        for c, bucket in buckets.items():
+            if c >= 0:
+                pairs += itertools.combinations(bucket, 2)
+        across = itertools.product(buckets.get(-1, ()), buckets.get(-2, ()))
+        pairs += (tuple(sorted(pair)) for pair in across)
+    return tuple(pairs)
 
 
 class FaceLayout:
@@ -332,7 +403,7 @@ class TetGeometry:
     edge from the edge's offset (``point_curve``); ``curve_count``; the
     two region roots beside each curve, which join the regions as a tree,
     as one tuple of two per curve (``curves_sharing_region``,
-    ``curves_beside``); and the region root of every atom, a region of a
+    ``curves_beside``, ``count_beside``); and the region root of every atom, a region of a
     face cut by its arcs, numbered face by face from the face's offset,
     with each face's layout and shared chord regions.  A curve's nodes
     (``curve_nodes``, the least first) and the curve of an arc copy, that
@@ -466,6 +537,10 @@ class TetGeometry:
     def curves_beside(self, region):
         """The curves with the region on one side, in order."""
         return [k >> 1 for k, r in enumerate(self._sides) if r == region]
+
+    def count_beside(self, region):
+        """How many curves have the region on one side."""
+        return self._sides.count(region)
 
     def curves_sharing_region(self, c1, c2):
         sides = self._sides
@@ -770,28 +845,14 @@ class Surface:
     def cell_counts(self):
         """(points, arcs, disk pieces, annulus pieces)."""
         self._require_valid()
-        points = sum(self.weights)
-        arcs = sum(len(m) for m in self.matchings)
-        disks = 0
-        annuli = 0
-        for tet in range(self.tri.tet_count):
-            ncurves = self.tet_geometry(tet).curve_count
-            paired = sum(len(p) for p in self.annuli[tet])
-            disks += ncurves - paired
-            annuli += len(self.annuli[tet])
-        return points, arcs, disks, annuli
+        curves = sum(self.tet_geometry(tet).curve_count for tet in range(self.tri.tet_count))
+        # Every curve bounds a disk but the two of each annulus pair.
+        annuli = sum(map(len, self.annuli))
+        return sum(self.weights), sum(map(len, self.matchings)), curves - 2 * annuli, annuli
 
     def euler_characteristic(self):
         points, arcs, disks, _ = self.cell_counts()
         return points - arcs + disks
-
-    def pieces(self, tet):
-        """Pieces of the tetrahedron as tuples of curve ids."""
-        geo = self.tet_geometry(tet)
-        in_annulus = {c for p in self.annuli[tet] for c in p}
-        out = [tuple(sorted(p)) for p in self.annuli[tet]]
-        out.extend((c,) for c in range(geo.curve_count) if c not in in_annulus)
-        return sorted(out)
 
     def _cached_cells(self):
         """The cells of a valid surface (see ``topology.cells``), built

@@ -19,10 +19,12 @@ def cells(surf):
     a piece named by its tet and least curve.
     """
     tri = surf.tri
-    piece_of_curve = [
-        {c: (tet, piece[0]) for piece in surf.pieces(tet) for c in piece}
-        for tet in range(tri.tet_count)
-    ]
+    piece_of_curve = []
+    for tet in range(tri.tet_count):
+        # A disk is its curve, and an annulus its sorted pair's first.
+        named = {c: (tet, c) for c in range(surf.tet_geometry(tet).curve_count)}
+        named.update({c: (tet, a) for a, b in surf.annuli[tet] for c in (a, b)})
+        piece_of_curve.append(named)
     arcs = {}
     for cid in range(len(tri.face_classes)):
         layout = surf.face_layout(cid)

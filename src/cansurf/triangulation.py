@@ -170,7 +170,11 @@ class Triangulation:
     """
 
     def __init__(self, gluings):
-        self.gluings = tuple(_row(t, row) for t, row in enumerate(gluings))
+        try:
+            rows = enumerate(gluings)
+        except TypeError:
+            raise SemanticError("gluings: {!r} is not a sequence of rows".format(gluings)) from None
+        self.gluings = tuple(_row(t, row) for t, row in rows)
         self._hash = hash(self.gluings)
         self.tet_count = len(self.gluings)
         if self.tet_count == 0:

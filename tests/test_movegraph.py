@@ -587,6 +587,30 @@ def test_serial_build_applies_each_edge_once(tri, data_dir, closure_graphs, monk
         assert len(calls) == len(g.edges) + loops
 
 
+def test_per_kind_counts_cover_what_was_generated(tri, data_dir):
+    # On the s3-sphere-b6 inputs: per kind, the moves applied plus those
+    # skipped as known are the moves generated, whichever process
+    # expanded each vertex; a serial build applies each edge once and
+    # each self-loop from both ends; and the counts stay out of the
+    # exports, which are those of the serial build.
+    seed, budget, move_set, cat = _closure_inputs(tri, data_dir)[0]
+    serial, pooled = (
+        build(seed, budget, move_set=move_set, catalog=cat, workers=w) for w in (1, 2)
+    )
+
+    def generated(g):
+        return {kind: g.stats["applied"].get(kind, 0) + g.stats["known"].get(kind, 0)
+                for kind in set(g.stats["applied"]) | set(g.stats["known"])}
+
+    assert generated(serial) == generated(pooled) == {E1: 304, F2P: 968}
+    loops = sum(u == v for u, v, _, _ in serial.edges)
+    assert sum(serial.stats["applied"].values()) == len(serial.edges) + loops == 636
+    for export in (export_json, export_dot):
+        text = export(pooled)
+        _assert_same_text(text, export(serial))
+        assert '"applied"' not in text and '"known"' not in text
+
+
 def test_edges_share_the_vertex_keys(link, catalog, closure_graphs):
     # Every edge endpoint is the key object the graph holds, not a copy
     # of it, in serial builds and in a pooled one.

@@ -431,8 +431,11 @@ def test_generation_tries_only_what_the_tables_leave(tri, closure_graphs, catalo
     # On every vertex of the s3-sphere-b6 closure with every move kind
     # at budget 6, _f2_kind runs only on pairs of arcs beside one region
     # whose losing-side curves allow a band, so no more often than face
-    # moves are generated; and _bubble only at the corners of
-    # tetrahedra with an annulus.
+    # moves are generated; _bubble at most at the corners of tetrahedra
+    # with an annulus; _e1_finger only where one face side around the
+    # edge lacks the returning arc, which here is only at the fingers.
+    # On the sub48/12 closure, V0- and UNPINCH seek a vertex link at most
+    # once per corner of a tetrahedron with an annulus.
     calls = collections.Counter()
 
     def counted(name):
@@ -443,19 +446,31 @@ def test_generation_tries_only_what_the_tables_leave(tri, closure_graphs, catalo
             return helper(*args)
         return call
 
-    for name in ("_f2_kind", "_bubble"):
+    for name in ("_f2_kind", "_bubble", "_e1_finger", "_find_sphere"):
         monkeypatch.setattr(moves, name, counted(name))
     g = closure_graphs[1]
-    face_moves = corners = 0
+    face_moves = corners = fingers = 0
     for key in sorted(g.vertices):
         surf = g.vertices[key]
         stats = {"budget_rejected": 0}
         for move in _candidate_moves(surf, set(ALL_KINDS), catalog, g.budget, stats):
             face_moves += move.kind in (F2, F2P)
+            fingers += move.kind == E1 and move.direction < 0
         corners += 4 * sum(1 for pairs in surf.annuli if pairs)
-    assert (len(g.vertices), g.budget, face_moves) == (349, 6, 1148)
+    assert (len(g.vertices), g.budget, face_moves, fingers) == (349, 6, 1148, 152)
     assert calls["_f2_kind"] <= face_moves
     assert calls["_bubble"] <= corners
+    assert calls["_e1_finger"] == fingers
+    calls.clear()
+    g = closure_graphs[2]
+    sub_catalog = default_catalog(g.tri)
+    corners = 0
+    for key in sorted(g.vertices):
+        surf = g.vertices[key]
+        stats = {"budget_rejected": 0}
+        list(_candidate_moves(surf, g.move_set, sub_catalog, g.budget, stats))
+        corners += 4 * sum(1 for pairs in surf.annuli if pairs)
+    assert 0 < calls["_find_sphere"] <= corners
 
 
 def test_neighbors_known_skips_exactly_those_moves(tri, link, catalog):

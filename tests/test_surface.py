@@ -428,6 +428,39 @@ def test_a_memo_entry_stays_small(tri, catalog, data_dir):
     assert _TET_MEMO_ENTRIES * MEMO_ENTRY_BYTES <= MEMO_CEILING_BYTES
 
 
+# The most one entry of a per-row generation table may free when the
+# table is cleared, key and cache slot included, after candidate
+# generation on every vertex of the weight-2 sphere's closure on 2 tets
+# at budget 6 (the benchmark's s3-sphere-b6), which fills 67 entries of
+# ``_side_arcs`` and 95 of ``_band_pattern``: 313 B and 279 B measured
+# with tracemalloc on CPython 3.11.  Each table's size times this stays
+# within the ceiling.
+GENERATION_ENTRY_BYTES = 400
+GENERATION_CEILING_BYTES = 8 << 20
+
+
+@pytest.mark.parametrize("name, entries", [("_side_arcs", 67), ("_band_pattern", 95)])
+def test_a_generation_table_entry_stays_small(tri, catalog, data_dir, name, entries):
+    table = getattr(surface, name)
+    graph = build(_sphere(tri, data_dir), 6, catalog=catalog)
+    table.cache_clear()
+    tracemalloc.start()
+    try:
+        for key in sorted(graph.vertices):
+            stats = {"budget_rejected": 0}
+            list(moves._candidate_moves(graph.vertices[key], graph.move_set, catalog, 6, stats))
+        gc.collect()
+        held = tracemalloc.get_traced_memory()[0]
+        assert table.cache_info().currsize == entries
+        table.cache_clear()
+        gc.collect()
+        freed = held - tracemalloc.get_traced_memory()[0]
+    finally:
+        tracemalloc.stop()
+    assert freed / entries <= GENERATION_ENTRY_BYTES
+    assert table.cache_info().maxsize * GENERATION_ENTRY_BYTES <= GENERATION_CEILING_BYTES
+
+
 def _pairwise_crossing(cid, pairs):
     """``face_crossing`` as a scan of every two arcs, the reference."""
     for p, q in itertools.combinations(pairs, 2):

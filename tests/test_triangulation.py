@@ -51,6 +51,13 @@ def test_a_short_row_is_rejected_before_its_partners_are_checked():
         Triangulation([1, 2])
 
 
+@pytest.mark.parametrize("gluings", [None, 5])
+def test_a_gluing_table_that_is_not_a_sequence_is_rejected(gluings):
+    with pytest.raises(SemanticError, match="^gluings: {} is not a sequence of rows$".format(
+            gluings)):
+        Triangulation(gluings)
+
+
 @pytest.mark.parametrize("entry", [
     (1.5, (0, 1, 2, 3)),
     ("1", (0, 1, 2, 3)),
