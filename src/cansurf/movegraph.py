@@ -16,11 +16,13 @@ for every vertex found but not yet expanded, the set of inverse texts of
 the edges found into it, and ``neighbors(..., known=...)`` generates and
 counts those moves but does not apply them.  A vertex's set is popped as
 the build expands the vertex, or when it sends the vertex to a worker
-with its text; results found after that add nothing to it, so an edge
-between a worker's source and another process's source of the same
-wave is applied from both ends.  Either way the map holds only frontier
-vertices, and the edge set, the statistics and every export are those
-of applying every candidate.
+with its text, the sets of the worker's share going along.  Every
+process, as it expands a source (``_expand``), adds the inverses of its
+results to the sets it holds, so a worker, like a serial build, skips
+the edges between its own sources of one wave, and only an edge between
+sources of two processes in one wave is applied from both ends.  Either
+way the map holds only frontier vertices, and the edge set, the
+statistics and every export are those of applying every candidate.
 
 The serial closure passes Surface objects.  With workers > 1 the build
 runs n = ``min(workers, os.cpu_count())`` processes, the parent included,
@@ -66,9 +68,11 @@ Where the platform has no ``os.fork`` the build starts no workers and
 the parent expands every wave whole.  When a limit stops a pooled
 build, or an error or KeyboardInterrupt leaves it, the workers are sent
 SIGTERM without waiting for their shares; every worker is reaped before
-``build`` returns or raises.  Workers know the time limit's deadline and
-stop at the first source they reach after it, so a build that waits on
-a share waits at most one source expansion past it.
+``build`` returns or raises.  A worker that ends without a reply, killed
+or exited, ends the build with a SemanticError that names it and how it
+ended.  Workers know the time limit's deadline and stop at the first
+source they reach after it, so a build that waits on a share waits at
+most one source expansion past it.
 
 Generators of the fundamental group: a breadth-first spanning tree is
 rooted at the seed, and every non-tree edge (u, v, m) contributes one
@@ -282,10 +286,12 @@ def _expand(tri, budget, move_set, catalog, held, keys, known, deadline=None):
     """Expand the sources named by ``keys`` in order, each as it is
     reached: (key, stats, found) per source, found holding (move text,
     inverse text, result key, result Surface) for the moves not in the
-    source's ``known`` entry, which is popped.  A source is its Surface in
-    ``held`` or else parsed from its key, a canonical text.  Stops at the
-    first source reached after the deadline (a ``time.monotonic`` value),
-    so a short run means the time limit."""
+    source's ``known`` entry, which is popped.  Each result's inverse
+    goes into the result's ``known`` entry when it has one, so a later
+    source skips that edge.  A source is its Surface in ``held`` or else
+    parsed from its key, a canonical text.  Stops at the first source
+    reached after the deadline (a ``time.monotonic`` value), so a short
+    run means the time limit."""
     for key in keys:
         if deadline is not None and time.monotonic() > deadline:
             return
@@ -293,25 +299,15 @@ def _expand(tri, budget, move_set, catalog, held, keys, known, deadline=None):
         if surf is None:
             surf = _parse_canonical(tri, key)
         stats = {}
-        skips = known.pop(key)
         found = [
             (n.move.to_text(), n.inverse.to_text(), n.surface.canonical_key(), n.surface)
-            for n in neighbors(surf, budget, move_set, catalog, stats, known=skips)
+            for n in neighbors(surf, budget, move_set, catalog, stats, known=known.pop(key))
         ]
         surf.release_geometry()
-        # The moves applied and those generated but skipped as known.
-        stats["applied"], stats["known"] = _tally([m for m, _, _, _ in found]), _tally(skips)
+        for _, inverse_text, result_key, _ in found:
+            if result_key in known:
+                known[result_key].add(inverse_text)
         yield key, stats, found
-
-
-def _tally(texts):
-    """How many of these move texts each move kind has, as a plain dict,
-    which ``marshal`` sends."""
-    counts = {}
-    for text in texts:
-        kind = text[:text.index("@")].rstrip("+-")
-        counts[kind] = counts.get(kind, 0) + 1
-    return counts
 
 
 def _shares(frontier, finder, n):
@@ -365,11 +361,13 @@ def build(
     (``pool_text_bytes``) and the sources handed to a process other than
     the one that found them (``pool_handovers``); all are 0 for a serial
     build and stay out of every export.  So do ``applied`` and ``known``,
-    which count per move kind the moves applied and the moves generated
-    but skipped as known (see the module docstring), summed over every
-    process: per kind their sum is the same for any worker count, and a
-    serial build applies each edge once and each self-loop from both
-    ends.
+    the counts ``neighbors`` keeps per ``Move.kind`` of the moves applied
+    and of those generated but skipped as known (see the module
+    docstring), summed over every process: per kind their sum is the
+    same for any worker count, and a serial build applies each edge once
+    and each self-loop from both ends.  ``wall_time`` is the build's
+    seconds.  A pool worker that ends without a reply is a SemanticError
+    naming it and how it ended.
     """
     move_set = check_move_set(move_set)
     cls = seed.validate()
@@ -384,7 +382,7 @@ def build(
     graph = MoveGraph(tri, seed.canonical_key(), budget, move_set)
     graph.stats = {
         "budget_rejected": 0,
-        "pinched_spheres": collections.Counter(),
+        "pinched_spheres": {},
         "pool_sources": 0,
         "pool_text_bytes": 0,
         "pool_handovers": 0,
@@ -413,11 +411,10 @@ def build(
 
     def merge(src_key, process, stats, found):
         graph.stats["budget_rejected"] += stats["budget_rejected"]
-        graph.stats["pinched_spheres"].update(stats["pinched_spheres"])
-        for name in ("applied", "known"):
+        for name in ("pinched_spheres", "applied", "known"):
             counts = graph.stats[name]
-            for kind, n in stats[name].items():
-                counts[kind] = counts.get(kind, 0) + n
+            for key, n in stats[name].items():
+                counts[key] = counts.get(key, 0) + n
         for move_text, inverse_text, result_key, result in found:
             stored = graph.vertices.get(result_key)
             if stored is not None:
@@ -445,6 +442,7 @@ def build(
         return merged
 
     pool = []  # (pid, share writer, reply reader) per worker
+    dead = None  # the worker that ended without a reply, if one did
     try:
         if workers > 1 and hasattr(os, "fork"):
             for _ in range(max(min(workers, os.cpu_count() or 1) - 1, 1)):
@@ -458,7 +456,11 @@ def build(
             graph.stats["pool_handovers"] += handovers
             sent = [(w, share) for w, share in enumerate(shares[1:], 1) if share]
             for w, share in sent:
-                _send(pool[w - 1][1], (share, {key: known.pop(key) for key in share}))
+                try:
+                    _send(pool[w - 1][1], (share, {key: known.pop(key) for key in share}))
+                except BrokenPipeError:
+                    dead = w
+                    raise
                 for key in share:
                     # Expanded by a worker, so the parent needs no geometry.
                     graph.vertices[key].release_geometry()
@@ -468,15 +470,14 @@ def build(
                 tri, budget, graph.move_set, catalog, graph.vertices, shares[0], known
             ):
                 results[src_key] = (0, stats, found)
-                # The parent's later sources skip these edges even when
-                # an earlier worker source holds back the merge.
-                for _, inverse_text, result_key, _ in found:
-                    if result_key in known:
-                        known[result_key].add(inverse_text)
                 merged = merge_ready(merged)
                 check_limits()
             for w, share in sent:
-                reply = _recv(pool[w - 1][2])
+                try:
+                    reply = _recv(pool[w - 1][2])
+                except EOFError:
+                    dead = w
+                    raise
                 if isinstance(reply, bytes):  # the worker's error, pickled
                     import pickle
 
@@ -506,11 +507,15 @@ def build(
                 share_out.close()
             except BrokenPipeError:  # unsent bytes for a worker that died
                 pass
-        for pid, _, _ in pool:
-            os.waitpid(pid, 0)
-    graph.stats["vertices"] = len(graph.vertices)
-    graph.stats["edges"] = len(graph.edges)
-    graph.stats["rank"] = graph.rank()
+        ended = [os.waitpid(pid, 0)[1] for pid, _, _ in pool]
+        if dead:
+            # Killed, say by the kernel's out-of-memory killer, or exited
+            # because its error would not pickle.
+            code = os.waitstatus_to_exitcode(ended[dead - 1])
+            raise SemanticError("pool worker {} (pid {}) ended without a reply: {}".format(
+                dead, pool[dead - 1][0],
+                "killed by signal {}".format(-code) if code < 0 else "exit status {}".format(code),
+            )) from None
     graph.stats["wall_time"] = time.monotonic() - start_time
     return graph
 

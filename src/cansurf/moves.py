@@ -55,20 +55,22 @@ of every edge class, subject to validation.  Unpinch only recognizes a
 component sitting exactly at its catalog placement, which keeps pinch
 and unpinch strict inverses.  Weight delta: +-(sphere weight).
 
-Removal (V0-, UNPINCH) is detected locally, from the sphere's own cells:
-its points exist, all its arcs are present, and its curves bound disks
-except the tube side, whose partner is not one of them.  Catalog entries
-are tried in order.  V0 and PINCH/UNPINCH share this code, and E1- the
-deletion step.
+Removal (V0-, UNPINCH) is one step, ``_remove_sphere``, which V0- calls
+with the vertex link of its vertex class and UNPINCH with the catalog.
+The first entry found at its placement decides, and it is found
+locally, from the sphere's own cells: its points exist, all its arcs
+are present, and its curves bound disks except the tube side, whose
+partner is not one of them.  E1- shares the deletion step.
 
 A move builds one ``Surface``, its result, from the surface it applies
-to as its source.  Face classes and tetrahedra the move leaves alone
-keep the source's own matching and annulus tuples, so the result takes
-their text lines from the source and skips them when it validates (see
-``surface``).  The curves of the new encoding, which carry annulus pairs
-over, come from ``surface.tet_geometry_of`` on the new weights and
-matchings, and the result keeps the geometry its move traced so that
-validation does not look it up again.
+to as its source, and ``_result`` builds every one.  Face classes and
+tetrahedra the move leaves alone keep the source's own matching and
+annulus tuples, so the result takes their text lines from the source
+and skips them when it validates (see ``surface``).  The curves of the
+new encoding, which carry annulus pairs over, come from
+``surface.tet_geometry_of`` on the new weights and matchings, and the
+result keeps the geometry its move traced so that validation does not
+look it up again.
 
 V0+ and PINCH build on a shared insertion.  ``_insert_sphere`` builds
 the source plus the catalog sphere at its placement, each sphere piece a
@@ -110,15 +112,14 @@ pair.  V0+ over the budget is counted per corner by
 tetrahedron without an annulus, as its curves times the sphere's.
 ``_removals`` decides V0- and UNPINCH once per annulus side: it seeks
 each vertex link with a curve at that side once, with
-``_find_sphere``, which is also what ``_bubble`` and ``_tubed_sphere``
-check for one move, and no other vertex link can be there.  A catalog
-sphere is sought only in the tetrahedra it meets
-(``CatalogSphere.tets``), and ``_find_sphere`` compares weights on the
-sphere's own edge classes.
+``_find_sphere``, which is also what ``_remove_sphere`` checks for one
+move, and no other vertex link can be there.  A catalog sphere is
+sought only in the tetrahedra it meets (``CatalogSphere.tets``), and
+``_find_sphere`` compares weights on the sphere's own edge classes.
 
 Applying a move costs its footprint, not the triangulation:
 ``_remap_matchings`` carries only the face classes on the edge classes
-whose points shift, ``_map_annuli`` visits only the tetrahedra with an
+whose points shift, ``_result`` visits only the tetrahedra with an
 annulus or a replaced one, and ``_delete_cells`` strips only the face
 classes it drops arcs from.
 
@@ -128,10 +129,10 @@ its own move's arcs and nodes, so applying one move builds no table:
 ``_f2_kind`` decides a face move, and its kind, from the labels of its
 two arcs, and ``_f2_separation`` rejects a split that separates the
 losing tetrahedron's annulus pair; ``_e1_finger`` finds an E1 deletion
-from the face sides and tetrahedra around its edge; ``_bubble`` and
-``_tubed_sphere`` find the sphere that V0- and UNPINCH split off, from
-the ``_find_sphere`` that generation reads per annulus side; and
-``_tube`` checks a PINCH or fused V0+ tube in the shared insertion.
+from the face sides and tetrahedra around its edge; ``_find_sphere``
+finds the sphere that V0- and UNPINCH split off, which generation reads
+per annulus side and ``_remove_sphere`` for one move; and ``_tube``
+checks a PINCH or fused V0+ tube in the shared insertion.
 V0+ and E1+ are proposed only where the partner or the rerouted arc
 touches the region they move into, which is all they need.
 ``neighbors`` therefore catches nothing: a generated move that fails
@@ -411,17 +412,19 @@ def _track_curve(old, geo, curve, shift):
     raise NotApplicableError("curve {} of tet {} would be deleted".format(curve, tet))
 
 
-def _map_annuli(old, weights, matchings, shift, overrides=None):
-    """Carry annulus pairs from ``old`` to the new encoding with these
-    weights and matchings, by tracking a surviving node of each member
-    curve.  ``overrides`` replaces whole tetrahedra.  Returns the annuli
-    and {tet: geometry} for the tetrahedra of the new encoding it traced,
-    for the result to keep."""
+def _result(old, weights, matchings, shift, overrides=None, geometry=None):
+    """A move's unvalidated result on ``old``: the ``Surface`` with these
+    weights and matchings built with ``old`` as its source.  Its annulus
+    pairs are ``old``'s, carried over by tracking a surviving node of each
+    member curve, except in the tetrahedra ``overrides`` ({tet: pairs})
+    replaces; ``old``'s own matchings keep its curves, so its pairs stand
+    as they are.  It keeps the geometry of the tetrahedra traced here and
+    the ``geometry`` ({tet: geometry}) its move traced."""
     overrides = overrides or {}
     annuli = list(old.annuli)
-    traced = {}
+    traced = dict(geometry or {})
     for tet in itertools.compress(itertools.count(), old.annuli):
-        if tet in overrides:
+        if tet in overrides or matchings is old.matchings:
             continue
         geo = traced[tet] = tet_geometry_of(old.tri, weights, matchings, tet)
         # A valid surface has at most one annulus pair per tetrahedron.
@@ -433,7 +436,7 @@ def _map_annuli(old, weights, matchings, shift, overrides=None):
             annuli[tet] = (mapped,)
     for tet, pairs in overrides.items():
         annuli[tet] = pairs
-    return annuli, traced
+    return Surface(old.tri, weights, matchings, annuli, source=old, geometry=traced)
 
 
 # ---------------------------------------------------------------------------
@@ -551,14 +554,13 @@ def _inserted_surface(surf, entry):
     for cid, pair in arcs:
         matchings[cid] += (pair,)
         met.add(cid)
-    # Crossings first: _map_annuli traces curves, which crossing arcs lack.
+    # Crossings first: _result traces curves, which crossing arcs lack.
     for cid in sorted(met):
         matchings[cid] = tuple(sorted(matchings[cid]))
         crossing = _face_verdict(cid, face_layout(tri, new_weights, cid).n, matchings[cid])
         if crossing:
             return None, crossing
-    annuli, traced = _map_annuli(surf, new_weights, matchings, shift)
-    inserted = Surface(tri, new_weights, matchings, annuli, source=surf, geometry=traced)
+    inserted = _result(surf, new_weights, matchings, shift)
     if not inserted.is_valid():
         return None, inserted.validate()
     return _Inserted(inserted, point_map, shift, {}), None
@@ -610,18 +612,14 @@ def _add_sphere(surf, move, entry, tube=None):
         name = _FORMS[move.kind, move.direction > 0].name
         raise NotApplicableError("{}: result {}".format(name, why))
     base = inserted.surface
-    annuli, geometry, c2 = base.annuli, None, None
-    if tube is not None:
-        tet = tube[0]
-        pair, why = _tube(surf, entry, inserted, *tube)
-        if pair is None:
-            raise NotApplicableError(why)
-        annuli = list(annuli)
-        annuli[tet] = (tuple(sorted(pair)),)
-        geometry = {tet: base.tet_geometry(tet)}
-        c2 = pair[1]
-    result = Surface(surf.tri, base.weights, base.matchings, annuli, source=base, geometry=geometry)
-    return result, c2
+    if tube is None:
+        return _result(base, base.weights, base.matchings, {}), None
+    tet = tube[0]
+    pair, why = _tube(surf, entry, inserted, *tube)
+    if pair is None:
+        raise NotApplicableError(why)
+    overrides, geometry = {tet: (tuple(sorted(pair)),)}, {tet: base.tet_geometry(tet)}
+    return _result(base, base.weights, base.matchings, {}, overrides, geometry), pair[1]
 
 
 # A catalog sphere found at its placement: the points and arcs to delete,
@@ -682,7 +680,6 @@ def _delete_cells(surf, removals, drop, add=(), tube=None):
     are (face class, pair) in the slots of ``surf``.  ``tube=(tet, keep)``
     empties that tet's annulus.  Returns the unvalidated result, the old
     to new point shift and, with a tube, the result's id of ``keep``."""
-    tri = surf.tri
     new_weights, shift = _point_map_for_deletions(surf.weights, removals)
     drop = set(drop)
     stripped = list(surf.matchings)
@@ -691,12 +688,31 @@ def _delete_cells(surf, removals, drop, add=(), tube=None):
     for cid, pair in add:
         stripped[cid] = tuple(sorted(stripped[cid] + (pair,)))
     matchings = _remap_matchings(surf, new_weights, shift, stripped)
-    overrides = {} if tube is None else {tube[0]: ()}
-    annuli, traced = _map_annuli(surf, new_weights, matchings, shift, overrides)
-    result = Surface(tri, new_weights, matchings, annuli, source=surf, geometry=traced)
+    overrides = None if tube is None else {tube[0]: ()}
+    result = _result(surf, new_weights, matchings, shift, overrides)
     if tube is None:
         return result, shift, None
     return result, shift, _track_curve(surf, result.tet_geometry(tube[0]), tube[1], shift)
+
+
+def _remove_sphere(surf, entries, tube, missing):
+    """``surf`` without the first of the catalog ``entries`` that
+    ``_find_sphere`` finds at its placement, with ``tube=(tet, side)``
+    unless that is None, for V0- and UNPINCH: (the unvalidated result,
+    its id of the tube's other curve or None, the entry, the sphere's
+    curve at the tube side).  Refuses in the words ``missing`` when no
+    entry is there, and in its ``_Found``'s when it does not split off."""
+    for entry in entries:
+        found = _find_sphere(surf, entry, tube)
+        if found is not None:
+            break
+    else:
+        raise NotApplicableError(missing)
+    if found.why:
+        raise NotApplicableError(found.why)
+    tube = None if tube is None else (tube[0], found.keep)
+    result, _, keep = _delete_cells(surf, found.removals, found.arcs, tube=tube)
+    return result, keep, entry, found.sphere_curve
 
 
 # ---------------------------------------------------------------------------
@@ -716,38 +732,23 @@ def _apply_v0_emit(surf, move, catalog):
     return result, Move(V0, move.location, direction=-1, corner=move.corner)
 
 
-def _bubble(surf, v, corner):
-    """The bubble that V0- at vertex class v absorbs, fused at ``corner``
-    unless that is None: (its ``_Found``, None), or (None, why not).  A
-    fused corner's curve must be a side of its tet's annulus; then the
-    vertex-link sphere must be at its placement and split off."""
-    tri = surf.tri
-    tube = None
-    if corner is not None:
-        tet, c = corner
-        pairs = surf.annuli[tet]
-        side = None
-        if pairs:
-            node = _corner_node(tri, surf.weights, tet, c)
-            side = surf.tet_geometry(tet).point_curve(*node)
-        if side is None or side not in pairs[0]:
-            return None, "bubble corner at {}.{} is not fused into an annulus".format(tet, c)
-        tube = (tet, side)
-    found = _find_sphere(surf, _vertex_sphere(tri, v), tube)
-    if found is None:
-        return None, "no innermost bubble at vertex class {}".format(v)
-    if found.why:
-        return None, found.why
-    return found, None
-
-
 def _apply_v0_absorb(surf, move, catalog):
+    tri = surf.tri
     v = move.location
-    found, why = _bubble(surf, v, move.corner)
-    if found is None:
-        raise NotApplicableError(why)
-    tube = None if move.corner is None else (move.corner[0], found.keep)
-    result, _, partner = _delete_cells(surf, found.removals, found.arcs, tube=tube)
+    tube = None
+    if move.corner is not None:
+        tet, c = move.corner
+        pairs = surf.annuli[tet]
+        if pairs:
+            side = surf.tet_geometry(tet).point_curve(*_corner_node(tri, surf.weights, tet, c))
+        if not pairs or side not in pairs[0]:
+            raise NotApplicableError(
+                "bubble corner at {}.{} is not fused into an annulus".format(tet, c)
+            )
+        tube = (tet, side)
+    result, partner, _, _ = _remove_sphere(
+        surf, [_vertex_sphere(tri, v)], tube, "no innermost bubble at vertex class {}".format(v)
+    )
     return result, Move(V0, v, direction=1, corner=move.corner, partner=partner)
 
 
@@ -795,8 +796,7 @@ def _apply_e1_insert(surf, move, catalog):
     if chosen is None:
         raise NotApplicableError("no planar rerouting through face {}".format(chat))
     matchings[chat] = tuple(sorted(rest + chosen))
-    annuli, traced = _map_annuli(surf, new_weights, matchings, shift)
-    result = Surface(tri, new_weights, matchings, annuli, source=surf, geometry=traced)
+    result = _result(surf, new_weights, matchings, shift)
     return result, Move(E1, e, direction=-1, gap=gap)
 
 
@@ -964,9 +964,7 @@ def _apply_f2(surf, move, catalog):
         overrides[t_l] = ()
     if len(split) == 2:
         overrides[t_g] = (tuple(sorted(split)),)
-    annuli, traced = _map_annuli(surf, surf.weights, matchings, {}, overrides)
-    traced.update({t_l: geo_l, t_g: geo_g})
-    result = Surface(tri, surf.weights, matchings, annuli, source=surf, geometry=traced)
+    result = _result(surf, surf.weights, matchings, {}, overrides, {t_l: geo_l, t_g: geo_g})
     return result, Move(kind, cid, arcs=tuple(sorted(chosen)), gain=1 - move.gain)
 
 
@@ -981,32 +979,16 @@ def _apply_pinch(surf, move, catalog):
     return result, Move(UNPINCH, tet, curve=c2)
 
 
-def _tubed_sphere(surf, tet, side, catalog):
-    """The catalog sphere that UNPINCH at ``side`` of tet's annulus splits
-    off: ((entry, its ``_Found``), None), or (None, why not).  The first
-    entry found at its placement decides."""
+def _apply_unpinch(surf, move, catalog):
+    tet, side = move.location, move.curve
     pairs = surf.annuli[tet]
     if len(pairs) != 1 or side not in pairs[0]:
-        return None, "tet {} has no annulus with side {}".format(tet, side)
-    for entry in catalog:
-        found = _find_sphere(surf, entry, (tet, side))
-        if found is not None:
-            return (None, found.why) if found.why else ((entry, found), None)
-    return None, (
-        "side {} of tet {} is not tubed to a catalog sphere at its "
-        "placement".format(side, tet)
+        raise NotApplicableError("tet {} has no annulus with side {}".format(tet, side))
+    result, keep, entry, s_curve = _remove_sphere(
+        surf, catalog, (tet, side),
+        "side {} of tet {} is not tubed to a catalog sphere at its placement".format(side, tet),
     )
-
-
-def _apply_unpinch(surf, move, catalog):
-    tet = move.location
-    tubed, why = _tubed_sphere(surf, tet, move.curve, catalog)
-    if tubed is None:
-        raise NotApplicableError(why)
-    entry, found = tubed
-    result, _, keep = _delete_cells(surf, found.removals, found.arcs, tube=(tet, found.keep))
-    inverse = Move(PINCH, tet, curve=keep, sphere=entry.sphere_id, sphere_curve=found.sphere_curve)
-    return result, inverse
+    return result, Move(PINCH, tet, curve=keep, sphere=entry.sphere_id, sphere_curve=s_curve)
 
 
 # ---------------------------------------------------------------------------
@@ -1136,8 +1118,8 @@ def _removals(surf, tet, move_set, catalog):
     A vertex link at its placement has a curve at the side exactly where
     the node of a corner at its vertex class lies on it, so each such
     link is sought once (``_find_sphere``) and decides V0- at those
-    corners, as ``_bubble`` would, and UNPINCH, as ``_tubed_sphere``
-    would, for a catalog entry; no other vertex link can be there."""
+    corners and UNPINCH, for a catalog entry, as ``_remove_sphere``
+    would; no other vertex link can be there."""
     tri = surf.tri
     geo = surf.tet_geometry(tet)
     for side in surf.annuli[tet][0]:
@@ -1264,17 +1246,18 @@ def neighbors(surf, budget, move_set=DEFAULT_MOVE_SET, catalog=None, stats=None,
     canonical key and then the move serialization.  ``stats``, when given,
     accumulates ``budget_rejected`` (candidate moves dropped for exceeding
     the budget before other applicability checks) and ``pinched_spheres``
-    counters.
+    counters, and per ``Move.kind`` the moves ``applied`` and those
+    generated but skipped as ``known``.
 
     ``known`` holds move texts whose edges the caller already has, namely
     the inverses of edges found into this surface from surfaces expanded
-    before it.  Those moves are generated and counted in ``stats`` like
-    any other, but not applied and not returned: applying the inverse of
-    an edge's move gives back the edge's source and move, so the result
-    would only repeat the edge.  ``movegraph.build`` uses this to apply
-    each edge once: a serial build passes the set it collected for the
-    surface, and a pooled build sends it to the worker with the surface's
-    text.  An unknown move kind is refused, as ``check_move_set`` says.
+    before it.  Those moves are generated and counted like any other, but
+    not applied and not returned: applying the inverse of an edge's move
+    gives back the edge's source and move, so the result would only
+    repeat the edge.  ``movegraph.build`` uses this to apply each edge
+    once: a serial build passes the set it collected for the surface,
+    and a pooled build sends it to the worker with the surface's text.
+    An unknown move kind is refused, as ``check_move_set`` says.
     """
     move_set = check_move_set(move_set)
     if not surf.is_valid():
@@ -1284,15 +1267,19 @@ def neighbors(surf, budget, move_set=DEFAULT_MOVE_SET, catalog=None, stats=None,
     if stats is None:
         stats = {}
     stats.setdefault("budget_rejected", 0)
-    stats.setdefault("pinched_spheres", {})
+    for name in ("pinched_spheres", "applied", "known"):
+        stats.setdefault(name, {})
     out = []
     for move in _candidate_moves(surf, move_set, catalog, budget, stats):
         if move.kind == PINCH:
             counts = stats["pinched_spheres"]
             counts[move.sphere] = counts.get(move.sphere, 0) + 1
         if known and move.to_text() in known:
-            continue
-        result, inverse = apply_with_inverse(surf, move, catalog)
-        out.append(Neighbor(move, inverse, result))
+            counts = stats["known"]
+        else:
+            result, inverse = apply_with_inverse(surf, move, catalog)
+            out.append(Neighbor(move, inverse, result))
+            counts = stats["applied"]
+        counts[move.kind] = counts.get(move.kind, 0) + 1
     out.sort(key=lambda n: (n.surface.canonical_key(), n.move.to_text()))
     return out

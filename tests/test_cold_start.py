@@ -72,9 +72,13 @@ def test_the_bounds_load_with_the_command_line_only():
 # ``triangulation.py`` +20 to refuse a gluing table that is not a
 # sequence, and ``moves.py`` -20.  In ten alternating benchmark pairs
 # per workload ``setup_s`` moved by less than its spread (see
-# CHANGES.md).
+# CHANGES.md).  It went down to 22,778 when each move-layer step got one
+# owner: one sphere removal for V0- and UNPINCH, one builder of move
+# results, and per-kind counts kept where ``neighbors`` applies or skips
+# a move instead of read back from move texts (``moves.py`` -161,
+# ``movegraph.py`` -66 net of the error a dead pool worker now raises).
 IMPORT_PATH = ["__init__", "errors", "movegraph", "moves", "surface", "triangulation"]
-IMPORT_PATH_NODES = 23_005
+IMPORT_PATH_NODES = 22_778
 
 # ``moves.py`` is the largest module, and compiling it without a bytecode
 # cache is a build process's largest allocation, so its size shows in the
@@ -82,8 +86,10 @@ IMPORT_PATH_NODES = 23_005
 # ``peak_rss_mb`` from 22.23 to 22.69 MB on ``s3-sphere-b6`` and from
 # 21.73 to 22.10 MB on ``sub48-link-b12`` (one 8 s run each), while the
 # same nodes appended to ``surface.py`` moved neither.  Its own node count
-# is capped where it stood before candidate generation read per-row tables.
-MOVES_NODES = 9_099
+# was capped at 9,099, where it stood before candidate generation read
+# per-row tables, and went down to 8,918 when V0- and UNPINCH got one
+# removal step and every move result one builder.
+MOVES_NODES = 8_918
 
 PACKAGE = SRC / "cansurf"
 

@@ -2,6 +2,7 @@ import collections
 import itertools
 import json
 import os
+import signal
 import subprocess
 import sys
 import time
@@ -436,6 +437,48 @@ def test_a_failed_worker_start_leaves_no_worker(link, catalog, monkeypatch, star
     with pytest.raises(OSError, match="no more processes"):
         build(link, 8, catalog=catalog, workers=3)
     assert len(started_workers) == 1
+    _assert_reaped(started_workers)
+
+
+@pytest.mark.parametrize("when, death, how", [
+    ("expanding", lambda: os._exit(1), "exit status 1"),
+    ("expanding", lambda: os.kill(os.getpid(), signal.SIGKILL), "killed by signal 9"),
+    ("idle", lambda: os._exit(0), "exit status 0"),
+], ids=["exit", "killed", "idle"])
+def test_a_worker_that_ends_without_a_reply_is_one_error(data_dir, monkeypatch, capsys,
+                                                         started_workers, when, death, how):
+    # The worker ends while it expands its first source, or right after
+    # its first reply, before its next share: it exits, as one whose
+    # error would not pickle does, or it is killed, as by the
+    # out-of-memory killer.  The command line reports one error naming
+    # the worker and how it ended, and leaves no process behind.
+    parent, neighbors, send = os.getpid(), movegraph.neighbors, movegraph._send
+
+    def dying(*args, **kwargs):
+        if os.getpid() != parent:
+            death()
+        return neighbors(*args, **kwargs)
+
+    def sending_then_dying(file, obj):
+        send(file, obj)
+        if os.getpid() != parent:
+            death()
+
+    if when == "expanding":
+        monkeypatch.setattr(movegraph, "neighbors", dying)
+    else:
+        monkeypatch.setattr(movegraph, "_send", sending_then_dying)
+    code = main([
+        "graph", str(data_dir / "two_tet_s3.tri"), str(data_dir / "vertex_link.surf"),
+        "--budget", "8", "--workers", "2",
+    ])
+    err = capsys.readouterr().err
+    assert code == 3
+    assert "Traceback" not in err
+    assert len(started_workers) == 1
+    assert err == "error: pool worker 1 (pid {}) ended without a reply: {}\n".format(
+        started_workers[0], how
+    )
     _assert_reaped(started_workers)
 
 

@@ -102,6 +102,41 @@ def test_v0_absorb_requires_bubble(tri, link):
         apply(link, Move(V0, 0, direction=-1, corner=(0, 0)))
 
 
+@pytest.mark.parametrize("case, move, text", [
+    ("link", Move(V0, 0, direction=-1, corner=(0, 0)),
+     "bubble corner at 0.0 is not fused into an annulus"),
+    ("empty", Move(V0, 0, direction=-1), "no innermost bubble at vertex class 0"),
+    ("link", Move(UNPINCH, 0, curve=0), "tet 0 has no annulus with side 0"),
+    ("fused", Move(UNPINCH, 0, curve=1),
+     "side 1 of tet 0 is not tubed to a catalog sphere at its placement"),
+    ("tubed to itself", Move(UNPINCH, 0, curve=0), "annulus tube in tet 0 is essential"),
+    ("tubed to itself", Move(V0, 0, direction=-1, corner=(0, 0)),
+     "annulus tube in tet 0 is essential"),
+    ("paired in tet 1", Move(V0, 0, direction=-1),
+     "sphere v0 is paired into the annulus of tet 1"),
+    ("tubed to itself", Move(V0, 0, direction=-1),
+     "sphere v0 is paired into the annulus of tet 0"),
+])
+def test_sphere_removals_refuse_in_their_own_words(tri, link, catalog, case, move, text):
+    # Every refusal of V0- and UNPINCH, each on an input built for it:
+    # the vertex link (a bubble with no annulus), the empty surface, the
+    # fused V0+ of the link at corner 0.0 (its annulus tubes the bubble,
+    # side 0, to the outer link, side 1), and the link with two of its
+    # own curves paired into an annulus in tet 0 or tet 1.
+    from cansurf import empty_surface
+
+    surf = {
+        "link": lambda: link,
+        "empty": lambda: empty_surface(tri),
+        "fused": lambda: apply(link, Move(V0, 0, direction=1, corner=(0, 0), partner=0)),
+        "tubed to itself": lambda: Surface(tri, link.weights, link.matchings, [((0, 1),), ()]),
+        "paired in tet 1": lambda: Surface(tri, link.weights, link.matchings, [(), ((0, 1),)]),
+    }[case]()
+    with pytest.raises(NotApplicableError) as err:
+        apply(surf, move, catalog)
+    assert str(err.value) == text
+
+
 def test_v0_fused_needs_adjacent_partner(tri, link):
     geo = link.tet_geometry(0)
     region = geo.corner_region(0)
@@ -431,11 +466,11 @@ def test_generation_tries_only_what_the_tables_leave(tri, closure_graphs, catalo
     # On every vertex of the s3-sphere-b6 closure with every move kind
     # at budget 6, _f2_kind runs only on pairs of arcs beside one region
     # whose losing-side curves allow a band, so no more often than face
-    # moves are generated; _bubble at most at the corners of tetrahedra
-    # with an annulus; _e1_finger only where one face side around the
-    # edge lacks the returning arc, which here is only at the fingers.
-    # On the sub48/12 closure, V0- and UNPINCH seek a vertex link at most
-    # once per corner of a tetrahedron with an annulus.
+    # moves are generated; _e1_finger only where one face side around
+    # the edge lacks the returning arc, which here is only at the
+    # fingers.  On the sub48/12 closure, V0- and UNPINCH seek a vertex
+    # link at most once per corner of a tetrahedron with an annulus, and
+    # on both closures generation never runs the removal step itself.
     calls = collections.Counter()
 
     def counted(name):
@@ -446,20 +481,19 @@ def test_generation_tries_only_what_the_tables_leave(tri, closure_graphs, catalo
             return helper(*args)
         return call
 
-    for name in ("_f2_kind", "_bubble", "_e1_finger", "_find_sphere"):
+    for name in ("_f2_kind", "_remove_sphere", "_e1_finger", "_find_sphere"):
         monkeypatch.setattr(moves, name, counted(name))
     g = closure_graphs[1]
-    face_moves = corners = fingers = 0
+    face_moves = fingers = 0
     for key in sorted(g.vertices):
         surf = g.vertices[key]
         stats = {"budget_rejected": 0}
         for move in _candidate_moves(surf, set(ALL_KINDS), catalog, g.budget, stats):
             face_moves += move.kind in (F2, F2P)
             fingers += move.kind == E1 and move.direction < 0
-        corners += 4 * sum(1 for pairs in surf.annuli if pairs)
     assert (len(g.vertices), g.budget, face_moves, fingers) == (349, 6, 1148, 152)
     assert calls["_f2_kind"] <= face_moves
-    assert calls["_bubble"] <= corners
+    assert calls["_remove_sphere"] == 0
     assert calls["_e1_finger"] == fingers
     calls.clear()
     g = closure_graphs[2]
@@ -471,13 +505,15 @@ def test_generation_tries_only_what_the_tables_leave(tri, closure_graphs, catalo
         list(_candidate_moves(surf, g.move_set, sub_catalog, g.budget, stats))
         corners += 4 * sum(1 for pairs in surf.annuli if pairs)
     assert 0 < calls["_find_sphere"] <= corners
+    assert calls["_remove_sphere"] == 0
 
 
 def test_neighbors_known_skips_exactly_those_moves(tri, link, catalog):
     # Every vertex of the pinch closure (whose seed has eight PINCH
     # edges) and every seventh of default/8: skipping the inverses of a
-    # vertex's incoming edges drops exactly those moves and leaves the
-    # counters as they are.
+    # vertex's incoming edges drops exactly those moves, leaves the
+    # rejection and pinch counters as they are, and per kind counts as
+    # known what it does not count as applied.
     pinch = build(link, 12, move_set={PINCH, UNPINCH}, catalog=catalog)
     default8 = build(link, 8, catalog=catalog)
     cases = [(pinch, k) for k in sorted(pinch.vertices)]
@@ -492,7 +528,12 @@ def test_neighbors_known_skips_exactly_those_moves(tri, link, catalog):
         found = neighbors(surf, g.budget, g.move_set, catalog, stats, known=known)
         assert found == [n for n in full if n.move.to_text() not in known]
         assert len(full) - len(found) == len(known) > 0
-        assert stats == full_stats
+        for name in ("budget_rejected", "pinched_spheres"):
+            assert stats[name] == full_stats[name]
+        assert full_stats["known"] == {} and sum(stats["known"].values()) == len(known)
+        for kind in ALL_KINDS:
+            assert (stats["applied"].get(kind, 0) + stats["known"].get(kind, 0)
+                    == full_stats["applied"].get(kind, 0))
         pinched += sum(stats["pinched_spheres"].values())
     assert pinched >= 8
 

@@ -1,12 +1,15 @@
 """Source hygiene: no private helper is left behind unused, no
 ``TetGeometry`` slot is kept that nothing reads, no module but
 ``surface`` reaches into the private state of its geometry or surfaces,
-no module computes past a cache through its ``__wrapped__``, and the
-checkers under ``tests/`` import nothing from ``cansurf``."""
+no module computes past a cache through its ``__wrapped__``, no
+docstring or comment names a private name the code does not have, and
+the checkers under ``tests/`` import nothing from ``cansurf``."""
 
 import ast
+import io
 import pathlib
 import re
+import tokenize
 
 import pytest
 
@@ -129,3 +132,25 @@ def test_no_module_reads_around_a_cache():
         if isinstance(node, ast.Attribute) and node.attr == "__wrapped__"
     ]
     assert reads == []
+
+
+def test_every_private_name_the_prose_mentions_is_in_the_code():
+    # A ``_``-prefixed word in a docstring or comment of the package must
+    # be a name somewhere in its code: prose left naming a helper that is
+    # gone, or renamed, points the reader nowhere.
+    names, mentions = set(), []
+    for path in sorted(SRC.glob("*.py")):
+        text = path.read_text()
+        prose = [
+            ast.get_docstring(node, clean=False) or ""
+            for node in ast.walk(ast.parse(text))
+            if isinstance(node, (ast.Module, ast.ClassDef, ast.FunctionDef, ast.AsyncFunctionDef))
+        ]
+        for tok in tokenize.generate_tokens(io.StringIO(text).readline):
+            if tok.type == tokenize.NAME:
+                names.add(tok.string)
+            elif tok.type == tokenize.COMMENT:
+                prose.append(tok.string)
+        mentions += [(path.name, word) for p in prose for word in re.findall(r"\b_\w+", p)]
+    assert len(mentions) > 50
+    assert sorted({m for m in mentions if m[1] not in names}) == []
